@@ -17,7 +17,7 @@ from . import background as bgmod
 from . import frames as fio
 from . import metrics as met
 from . import pipeline as pl
-from . import scenes, svm, vocab
+from . import scenes, shadows, svm, vocab
 from .config import ConfigError, default_config, load_config
 from .frames import FrameError
 
@@ -190,7 +190,7 @@ def main(argv=None) -> int:
         raise AssertionError(f"unhandled command {args.command}")
     except (ConfigError, FrameError, OSError, pl.PipelineError,
             met.MetricsError, svm.SvmError, vocab.VocabularyError,
-            bgmod.BackgroundError, KeyError) as exc:
+            bgmod.BackgroundError, shadows.ShadowError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

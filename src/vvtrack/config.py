@@ -28,8 +28,6 @@ DEFAULTS: dict = {
         "t2": 0.1,
         "penumbra": 2,
         "min_blob_area": 25,
-        "poisson_tol": 1e-6,
-        "poisson_max_sweeps": 20000,
         "enabled": False,
     },
     "vocabulary": {
@@ -104,20 +102,38 @@ def merge_config(user: dict) -> dict:
     return cfg
 
 
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 def _validate(cfg: dict) -> None:
     bg = cfg["background"]
-    if not 0.04 <= bg["a"] <= 0.06:
-        raise ConfigError("background.a must lie in [0.04, 0.06]")
+    _require(0.04 <= bg["a"] <= 0.06, "background.a must lie in [0.04, 0.06]")
     sh = cfg["shadow"]
-    if not 0.0 <= sh["t2"] < sh["t1"] <= 1.0:
-        raise ConfigError("shadow thresholds need 0 <= t2 < t1 <= 1")
-    if cfg["vocabulary"]["K"] < 2:
-        raise ConfigError("vocabulary.K must be >= 2")
+    _require(_is_number(sh["sigma"]) and sh["sigma"] >= 0,
+             "shadow.sigma must be a number >= 0")
+    _require(_is_number(sh["t1"]) and _is_number(sh["t2"])
+             and 0.0 <= sh["t2"] < sh["t1"] <= 1.0,
+             "shadow.t1 and shadow.t2 need numbers with 0 <= t2 < t1 <= 1")
+    _require(_is_int(sh["penumbra"]) and sh["penumbra"] >= 0,
+             "shadow.penumbra must be an integer >= 0")
+    _require(_is_int(sh["min_blob_area"]) and sh["min_blob_area"] >= 1,
+             "shadow.min_blob_area must be an integer >= 1")
+    _require(isinstance(sh["enabled"], bool), "shadow.enabled must be true or false")
+    _require(cfg["vocabulary"]["K"] >= 2, "vocabulary.K must be >= 2")
     tr = cfg["tracker"]
-    if tr["n_particles"] < 1 or tr["n_iters"] < 1:
-        raise ConfigError("tracker particle/iteration counts must be >= 1")
-    if len(tr["sigma0"]) != 3:
-        raise ConfigError("tracker.sigma0 must have three entries")
+    _require(tr["n_particles"] >= 1 and tr["n_iters"] >= 1,
+             "tracker particle/iteration counts must be >= 1")
+    _require(len(tr["sigma0"]) == 3, "tracker.sigma0 must have three entries")
 
 
 def tracker_config(cfg: dict):

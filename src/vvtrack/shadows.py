@@ -24,11 +24,9 @@ class ShadowError(Exception):
 
 
 class PoissonConvergenceError(ShadowError):
-    def __init__(self, residual: float, sweeps: int):
-        super().__init__(f"Poisson solve did not converge: residual {residual:.3e} "
-                         f"after {sweeps} sweeps")
+    def __init__(self, residual: float):
+        super().__init__(f"Poisson solve failed: relative residual {residual:.3e}")
         self.residual = residual
-        self.sweeps = sweeps
 
 
 @dataclass
@@ -161,66 +159,49 @@ def divergence(g: GradientField) -> np.ndarray:
     return div
 
 
-def poisson_reconstruct(g: GradientField, tol: float = 1e-6,
-                        max_sweeps: int = 20000, omega: float = 1.9) -> np.ndarray:
-    """Solve lap(s) = div g with Neumann boundaries by red-black SOR.
+def poisson_reconstruct(g: GradientField, tol: float = 1e-6) -> np.ndarray:
+    """Solve lap(s) = div g with Neumann boundaries by a direct DCT solve.
 
-    The solution is gauge-fixed to zero mean.  Raises on non-convergence
-    with the final relative residual.
+    DCT-II diagonalizes the 5-point Neumann Laplacian, so the solve is a
+    forward transform, a divide by its eigenvalues and an inverse
+    transform.  Zeroing the constant mode gauge-fixes s to zero mean.
+    Raises unless the relative residual is within tol (NaN input raises).
     """
+    from scipy import fft  # lazy: ~40 ms to import and only shadow removal solves
+
     b = divergence(g)
     b = b - b.mean()  # Neumann compatibility
-    h, w = b.shape
     b_norm = float(np.sqrt((b ** 2).sum()))
     if b_norm == 0.0:
         return np.zeros_like(b)
-
-    deg = np.full((h, w), 4.0)
-    deg[0, :] -= 1.0
-    deg[-1, :] -= 1.0
-    deg[:, 0] -= 1.0
-    deg[:, -1] -= 1.0
-
-    yy, xx = np.mgrid[0:h, 0:w]
-    red = (yy + xx) % 2 == 0
-    black = ~red
-    s = np.zeros((h, w))
-
-    def neighbor_sum(u):
-        out = np.zeros_like(u)
-        out[1:, :] += u[:-1, :]
-        out[:-1, :] += u[1:, :]
-        out[:, 1:] += u[:, :-1]
-        out[:, :-1] += u[:, 1:]
-        return out
-
-    for sweep in range(1, max_sweeps + 1):
-        for color in (red, black):
-            ns = neighbor_sum(s)
-            gs = (ns - b) / deg
-            s[color] = (1.0 - omega) * s[color] + omega * gs[color]
-        if sweep % 10 == 0 or sweep == max_sweeps:
-            residual = neighbor_sum(s) - deg * s - b
-            rel = float(np.sqrt((residual ** 2).sum())) / b_norm
-            if rel < tol:
-                return s - s.mean()
-    raise PoissonConvergenceError(rel, max_sweeps)
+    h, w = b.shape
+    eig = (2.0 * np.cos(np.pi * np.arange(h) / h)[:, None]
+           + 2.0 * np.cos(np.pi * np.arange(w) / w) - 4.0)
+    eig[0, 0] = 1.0  # the constant mode; its coefficient is zeroed below
+    coef = fft.dctn(b, type=2, norm="ortho") / eig
+    coef[0, 0] = 0.0
+    s = fft.idctn(coef, type=2, norm="ortho")
+    residual = divergence(forward_gradient(s)) - b  # div grad = Neumann Laplacian
+    rel = float(np.sqrt((residual ** 2).sum())) / b_norm
+    if not rel <= tol:
+        raise PoissonConvergenceError(rel)
+    return s
 
 
-def split_shadow(frame: np.ndarray, masks: ShadowMasks, tol: float = 1e-6,
-                 max_sweeps: int = 20000):
+def split_shadow(frame: np.ndarray, masks: ShadowMasks, tol: float = 1e-6):
     """Decompose the log frame into shadow (S) and shadow-free (R) images.
 
-    s integrates only the gradients under the shadow-edge mask, r = i - s,
-    and both exponentiate with max-normalization so max(S) = max(R) = 1.
+    s integrates only the gradients under the shadow-edge mask and
+    r = i - s.  S is max-normalized so max(S) = 1; R = exp(r) keeps the
+    frame's own brightness, since a per-frame normalization would show
+    each frame's global brightness jump to the background model.
     """
     gray = to_grayscale(frame)
     i_log = np.log(gray + LOG_OFFSET)
     shadow_field = _gradient_selection(i_log, masks.mask, keep_masked=True)
-    s = poisson_reconstruct(shadow_field, tol=tol, max_sweeps=max_sweeps)
-    r = i_log - s
+    s = poisson_reconstruct(shadow_field, tol=tol)
     S = np.exp(s - s.max())
-    R = np.exp(r - r.max())
+    R = np.exp(i_log - s)
     return S, R
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from vvtrack import frames as fio
+from vvtrack import shadows
 from vvtrack.cli import main
 
 
@@ -60,6 +61,29 @@ class TestDataErrors:
         empty.mkdir()
         assert main(["detect", "--config", cfg, "--in", str(empty),
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("shadow", [
+        {"sigma": -1, "enabled": True},
+        {"penumbra": "2", "enabled": True},
+        {"min_blob_area": "x"},
+    ], ids=["negative-sigma", "string-penumbra", "string-min-blob-area"])
+    def test_bad_shadow_config(self, tmp_path, capsys, shadow):
+        seq = _generate(tmp_path, scene="shadowed", frames=4)
+        cfg = _config(tmp_path, shadow=shadow)
+        assert main(["detect", "--config", cfg, "--in", str(seq),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "error: shadow." in capsys.readouterr().err
+
+    def test_shadow_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        def fail(g, tol=1e-6):
+            raise shadows.PoissonConvergenceError(float("nan"))
+
+        monkeypatch.setattr(shadows, "poisson_reconstruct", fail)
+        seq = _generate(tmp_path, scene="shadowed", frames=4)
+        cfg = _config(tmp_path, shadow={"enabled": True})
+        assert main(["detect", "--config", cfg, "--in", str(seq),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "Poisson solve failed" in capsys.readouterr().err
 
 
 class TestGenerate:

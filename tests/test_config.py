@@ -56,6 +56,20 @@ class TestValidation:
         with pytest.raises(ConfigError):
             merge_config({"shadow": {"t1": 0.05, "t2": 0.1}})
 
+    @pytest.mark.parametrize("key", ["poisson_tol", "poisson_max_sweeps"])
+    def test_removed_poisson_keys_rejected(self, key):
+        with pytest.raises(ConfigError, match="unknown key"):
+            merge_config({"shadow": {key: 1}})
+
+    @pytest.mark.parametrize("key,value", [
+        ("sigma", -1), ("sigma", "1"), ("t1", "0.3"), ("t2", None),
+        ("penumbra", "2"), ("penumbra", -1), ("penumbra", 1.5),
+        ("min_blob_area", "x"), ("min_blob_area", 0), ("enabled", "yes"),
+    ])
+    def test_bad_shadow_value_errors(self, key, value):
+        with pytest.raises(ConfigError, match=f"shadow.{key}"):
+            merge_config({"shadow": {key: value}})
+
     def test_small_vocabulary_errors(self):
         with pytest.raises(ConfigError):
             merge_config({"vocabulary": {"K": 1}})

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from vvtrack import shadows as sh
-from vvtrack.frames import SceneObject, SyntheticScene, generate_synthetic
+from vvtrack.config import merge_config
+from vvtrack.frames import (SceneObject, SyntheticScene, generate_synthetic,
+                            rle_decode)
+from vvtrack.metrics import mask_f1
+from vvtrack.pipeline import detect_sequence
+from vvtrack.scenes import build_scene
 from vvtrack.shadows import (GradientField, PoissonConvergenceError,
                              ShadowError, divergence, edge_strength,
                              extract_blobs, forward_gradient,
@@ -166,13 +171,20 @@ class TestPoisson:
         s2 = poisson_reconstruct(g2, tol=1e-9)
         assert np.abs(s - (s1 + s2)).max() < 1e-4
 
-    def test_nonconvergence_raises_with_residual(self):
+    @pytest.mark.parametrize("shape", [(32, 32), (64, 337)], ids=["32x32", "64x337"])
+    def test_roundtrip_is_exact(self, shape):
         rng = np.random.default_rng(7)
-        g = forward_gradient(rng.random((32, 32)))
+        f = rng.random(shape)
+        f -= f.mean()
+        s = poisson_reconstruct(forward_gradient(f))
+        assert np.abs(s - f).max() < 1e-10
+
+    def test_nan_input_raises_with_residual(self):
+        g = forward_gradient(np.random.default_rng(7).random((16, 16)))
+        g.gx[5, 5] = np.nan
         with pytest.raises(PoissonConvergenceError) as exc:
-            poisson_reconstruct(g, max_sweeps=10)
-        assert exc.value.sweeps == 10
-        assert exc.value.residual > 0
+            poisson_reconstruct(g)
+        assert np.isnan(exc.value.residual)
 
 
 class TestSplitShadow:
@@ -205,7 +217,6 @@ class TestSplitShadow:
 
     def test_shadow_region_attenuated_in_s(self):
         frame, truth = self._shadow_frame()
-        from vvtrack.frames import rle_decode
         shadow_px = rle_decode(truth["shadow_rle"], frame.shape[:2])
         masks = shadow_masks(frame, sigma=1.0)
         S, R = split_shadow(frame, masks)
@@ -214,6 +225,31 @@ class TestSplitShadow:
         inner = sh.ndimage.binary_erosion(shadow_px, iterations=2)
         if inner.any():
             assert S[inner].mean() < S[lit].mean() - 0.1
+
+
+class TestShadowEnabledDetection:
+    @staticmethod
+    def _detect(frames, truth, enabled):
+        """Mean mask F1 and the share of mask pixels on shadow, after burn-in."""
+        cfg = merge_config({"shadow": {"enabled": enabled}})
+        f1s, on_shadow, predicted = [], 0, 0
+        for res, tr in zip(detect_sequence(frames, cfg), truth):
+            if res.frame < cfg["background"]["burn_in"]:
+                continue
+            shape = tuple(tr["shape"])
+            f1s.append(mask_f1(res.mask, rle_decode(tr["motion_rle"], shape)))
+            on_shadow += int((res.mask & rle_decode(tr["shadow_rle"], shape)).sum())
+            predicted += int(res.mask.sum())
+        return float(np.mean(f1s)), on_shadow / predicted
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_removal_keeps_mask_off_shadow_without_losing_f1(self, seed):
+        scene = build_scene("shadowed", 40, seed=seed, noise=0.01)
+        frames, truth = generate_synthetic(scene, 40)
+        f1_off, share_off = self._detect(frames, truth, enabled=False)
+        f1_on, share_on = self._detect(frames, truth, enabled=True)
+        assert share_on <= 0.25 * share_off
+        assert f1_on >= f1_off - 0.05
 
 
 class TestExtractBlobs:
