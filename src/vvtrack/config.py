@@ -102,11 +102,6 @@ def merge_config(user: dict) -> dict:
     return cfg
 
 
-def _require(ok: bool, message: str) -> None:
-    if not ok:
-        raise ConfigError(message)
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -117,23 +112,27 @@ def _is_number(value) -> bool:
 
 def _validate(cfg: dict) -> None:
     bg = cfg["background"]
-    _require(0.04 <= bg["a"] <= 0.06, "background.a must lie in [0.04, 0.06]")
+    if not 0.04 <= bg["a"] <= 0.06:
+        raise ConfigError("background.a must lie in [0.04, 0.06]")
     sh = cfg["shadow"]
-    _require(_is_number(sh["sigma"]) and sh["sigma"] >= 0,
-             "shadow.sigma must be a number >= 0")
-    _require(_is_number(sh["t1"]) and _is_number(sh["t2"])
-             and 0.0 <= sh["t2"] < sh["t1"] <= 1.0,
-             "shadow.t1 and shadow.t2 need numbers with 0 <= t2 < t1 <= 1")
-    _require(_is_int(sh["penumbra"]) and sh["penumbra"] >= 0,
-             "shadow.penumbra must be an integer >= 0")
-    _require(_is_int(sh["min_blob_area"]) and sh["min_blob_area"] >= 1,
-             "shadow.min_blob_area must be an integer >= 1")
-    _require(isinstance(sh["enabled"], bool), "shadow.enabled must be true or false")
-    _require(cfg["vocabulary"]["K"] >= 2, "vocabulary.K must be >= 2")
+    if not (_is_number(sh["t1"]) and _is_number(sh["t2"])
+            and 0.0 <= sh["t2"] < sh["t1"] <= 1.0):
+        raise ConfigError("shadow.t1 and shadow.t2 need 0 <= t2 < t1 <= 1")
+    if not (_is_number(sh["sigma"]) and sh["sigma"] >= 0):
+        raise ConfigError("shadow.sigma must be a number >= 0")
+    if not (_is_int(sh["penumbra"]) and sh["penumbra"] >= 0):
+        raise ConfigError("shadow.penumbra must be an integer >= 0")
+    if not (_is_int(sh["min_blob_area"]) and sh["min_blob_area"] >= 1):
+        raise ConfigError("shadow.min_blob_area must be an integer >= 1")
+    if not isinstance(sh["enabled"], bool):
+        raise ConfigError("shadow.enabled must be true or false")
+    if cfg["vocabulary"]["K"] < 2:
+        raise ConfigError("vocabulary.K must be >= 2")
     tr = cfg["tracker"]
-    _require(tr["n_particles"] >= 1 and tr["n_iters"] >= 1,
-             "tracker particle/iteration counts must be >= 1")
-    _require(len(tr["sigma0"]) == 3, "tracker.sigma0 must have three entries")
+    if tr["n_particles"] < 1 or tr["n_iters"] < 1:
+        raise ConfigError("tracker particle/iteration counts must be >= 1")
+    if len(tr["sigma0"]) != 3:
+        raise ConfigError("tracker.sigma0 must have three entries")
 
 
 def tracker_config(cfg: dict):

@@ -188,20 +188,21 @@ def poisson_reconstruct(g: GradientField, tol: float = 1e-6) -> np.ndarray:
     return s
 
 
-def split_shadow(frame: np.ndarray, masks: ShadowMasks, tol: float = 1e-6):
+def split_shadow(frame: np.ndarray, masks: ShadowMasks):
     """Decompose the log frame into shadow (S) and shadow-free (R) images.
 
     s integrates only the gradients under the shadow-edge mask and
     r = i - s.  S is max-normalized so max(S) = 1; R = exp(r) keeps the
     frame's own brightness, since a per-frame normalization would show
-    each frame's global brightness jump to the background model.
+    each frame's global brightness jump to the background model.  R is
+    clipped at 1 so it stays a valid intensity image.
     """
     gray = to_grayscale(frame)
     i_log = np.log(gray + LOG_OFFSET)
     shadow_field = _gradient_selection(i_log, masks.mask, keep_masked=True)
-    s = poisson_reconstruct(shadow_field, tol=tol)
+    s = poisson_reconstruct(shadow_field)
     S = np.exp(s - s.max())
-    R = np.exp(i_log - s)
+    R = np.minimum(np.exp(i_log - s), 1.0)
     return S, R
 
 

@@ -251,6 +251,18 @@ class TestShadowEnabledDetection:
         assert share_on <= 0.25 * share_off
         assert f1_on >= f1_off - 0.05
 
+    def test_white_pixels_stay_valid_intensities(self):
+        # No shadow edge fires on these frames, so s = 0 and a white pixel
+        # alone would push exp(log(gray + LOG_OFFSET)) above 1.
+        frames = np.full((4, 24, 24, 3), 0.5)
+        frames[:, 3, 5] = 1.0
+        frames[2:, 12:16, 12:16] = 1.0
+        cfg = merge_config({"shadow": {"enabled": True}})
+        results = detect_sequence(frames, cfg)
+        assert [res.frame for res in results] == [0, 1, 2, 3]
+        _, R = split_shadow(frames[0], shadow_masks(frames[0]))
+        assert R.max() <= 1.0
+
 
 class TestExtractBlobs:
     def test_two_components_sorted_by_area(self):
