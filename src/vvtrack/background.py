@@ -238,15 +238,18 @@ def load_state(path) -> BackgroundState:
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "vvtrack-background v1":
-            raise BackgroundError(f"bad checkpoint header {header!r}")
-        w, h = (int(t) for t in fh.readline().split())
-        a, b, t_b, t_sim, radius = fh.readline().split()
-        v = [float(t) for t in fh.readline().split()]
-        rows = [[float(t) for t in fh.readline().split()] for _ in range(h)]
-    frame = np.asarray(rows, dtype=np.float64)
-    if frame.shape != (h, w):
-        raise BackgroundError("checkpoint pixel block has wrong shape")
-    state = BackgroundState(B=frame, a=float(a), b=float(b), T_b=float(t_b),
-                            T_sim=float(t_sim), window_radius=int(radius))
+            raise BackgroundError(f"{path}: bad checkpoint header {header!r}")
+        try:
+            w, h = (int(t) for t in fh.readline().split())
+            a, b, t_b, t_sim, radius = fh.readline().split()
+            v = [float(t) for t in fh.readline().split()]
+            frame = np.asarray([[float(t) for t in fh.readline().split()]
+                                for _ in range(h)], dtype=np.float64)
+            if frame.shape != (h, w):
+                raise BackgroundError(f"{path}: checkpoint pixel block has wrong shape")
+            state = BackgroundState(B=frame, a=float(a), b=float(b), T_b=float(t_b),
+                                    T_sim=float(t_sim), window_radius=int(radius))
+        except ValueError as exc:
+            raise BackgroundError(f"{path}: malformed checkpoint: {exc}") from None
     state.V = v
     return state

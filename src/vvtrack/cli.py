@@ -7,7 +7,6 @@ pipeline.  Exit codes: 0 success, 1 usage error, 2 data/model error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -130,16 +129,13 @@ def cmd_detect(args, cfg) -> int:
     results = pl.detect_sequence(rgb_frames, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    lines = []
     for res in results:
         fio.write_mask_pgm(out / f"mask_{res.frame:04d}.pgm", res.mask)
-        lines.append(json.dumps({
-            "frame": res.frame,
-            "T_b": res.T_b,
-            "blobs": [{"bbox": list(b.bbox), "area": b.area,
-                       "centroid": list(b.centroid)} for b in res.blobs],
-        }))
-    pl.atomic_write_text(out / "detections.jsonl", "\n".join(lines) + "\n")
+    fio.write_jsonl(out / "detections.jsonl", (
+        {"frame": res.frame, "T_b": res.T_b,
+         "blobs": [{"bbox": list(b.bbox), "area": b.area,
+                    "centroid": list(b.centroid)} for b in res.blobs]}
+        for res in results))
     print(f"wrote {len(results)} masks to {out}")
     return 0
 
@@ -155,8 +151,8 @@ def cmd_track(args, cfg, seed) -> int:
 
 
 def cmd_eval(args) -> int:
-    tracks = pl.read_tracks(args.tracks)
-    truth = fio.read_truth(args.truth)
+    tracks = fio.read_jsonl(args.tracks)
+    truth = fio.read_jsonl(args.truth)
     report = met.evaluate_tracks(tracks, truth)
     met.write_report_csv(args.out, report)
     print(f"success rate {report.success_rate:.3f}, "
@@ -190,7 +186,7 @@ def main(argv=None) -> int:
         raise AssertionError(f"unhandled command {args.command}")
     except (ConfigError, FrameError, OSError, pl.PipelineError,
             met.MetricsError, svm.SvmError, vocab.VocabularyError,
-            bgmod.BackgroundError, shadows.ShadowError, KeyError) as exc:
+            bgmod.BackgroundError, shadows.ShadowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

@@ -1,7 +1,8 @@
 """Pipeline configuration: one flat JSON section per module.
 
 Unknown sections or keys are hard errors; silent typos in tolerance
-names are the classic failure mode.
+names are the classic failure mode.  Every value must have the type of
+its default (an int is also taken where the default is a float).
 """
 
 from __future__ import annotations
@@ -34,17 +35,12 @@ DEFAULTS: dict = {
         "K": 200,
         "grid_stride": 8,
         "patch": 16,
-        "soft_m": 5,
-        "soft_sigma": 0.2,
     },
     "classifier": {
         "C": 1.0,
         "c_offset": 1.0,
-        "folds": 5,
     },
     "recognition": {
-        "b0": 0.1,
-        "score_fraction": 0.25,
         "codebook_path": None,
         "svm_path": None,
     },
@@ -87,17 +83,17 @@ def merge_config(user: dict) -> dict:
         raise ConfigError("config root must be a JSON object")
     cfg = default_config()
     for section, values in user.items():
-        if section == "seed":
-            cfg["seed"] = int(values)
-            continue
         if section not in cfg:
             raise ConfigError(f"unknown config section {section!r}")
+        if section == "seed":
+            cfg["seed"] = _typed("seed", cfg["seed"], values)
+            continue
         if not isinstance(values, dict):
             raise ConfigError(f"config section {section!r} must be an object")
         for key, value in values.items():
             if key not in cfg[section]:
                 raise ConfigError(f"unknown key {key!r} in section {section!r}")
-            cfg[section][key] = value
+            cfg[section][key] = _typed(f"{section}.{key}", cfg[section][key], value)
     _validate(cfg)
     return cfg
 
@@ -110,47 +106,53 @@ def _is_number(value) -> bool:
     return _is_int(value) or isinstance(value, float)
 
 
+def _typed(name: str, default, value):
+    """value if it has its default's type; numbers become float where the default is."""
+    if isinstance(default, bool):
+        ok = isinstance(value, bool)
+    elif isinstance(default, int):
+        ok = _is_int(value)
+    elif isinstance(default, float):
+        ok = _is_number(value)
+    elif isinstance(default, list):
+        ok = (isinstance(value, list) and len(value) == len(default)
+              and all(_is_number(v) for v in value))
+    else:  # None: an optional path
+        ok = value is None or isinstance(value, str)
+    if not ok:
+        raise ConfigError(f"{name} must have the type of its default {default!r}, "
+                          f"got {value!r}")
+    if isinstance(default, float):
+        return float(value)
+    if isinstance(default, list):
+        return [float(v) for v in value]
+    return value
+
+
 def _validate(cfg: dict) -> None:
     bg = cfg["background"]
     if not 0.04 <= bg["a"] <= 0.06:
         raise ConfigError("background.a must lie in [0.04, 0.06]")
     sh = cfg["shadow"]
-    if not (_is_number(sh["t1"]) and _is_number(sh["t2"])
-            and 0.0 <= sh["t2"] < sh["t1"] <= 1.0):
+    if not 0.0 <= sh["t2"] < sh["t1"] <= 1.0:
         raise ConfigError("shadow.t1 and shadow.t2 need 0 <= t2 < t1 <= 1")
-    if not (_is_number(sh["sigma"]) and sh["sigma"] >= 0):
-        raise ConfigError("shadow.sigma must be a number >= 0")
-    if not (_is_int(sh["penumbra"]) and sh["penumbra"] >= 0):
-        raise ConfigError("shadow.penumbra must be an integer >= 0")
-    if not (_is_int(sh["min_blob_area"]) and sh["min_blob_area"] >= 1):
-        raise ConfigError("shadow.min_blob_area must be an integer >= 1")
-    if not isinstance(sh["enabled"], bool):
-        raise ConfigError("shadow.enabled must be true or false")
+    if sh["sigma"] < 0:
+        raise ConfigError("shadow.sigma must be >= 0")
+    if sh["penumbra"] < 0:
+        raise ConfigError("shadow.penumbra must be >= 0")
+    if sh["min_blob_area"] < 1:
+        raise ConfigError("shadow.min_blob_area must be >= 1")
     if cfg["vocabulary"]["K"] < 2:
         raise ConfigError("vocabulary.K must be >= 2")
     tr = cfg["tracker"]
     if tr["n_particles"] < 1 or tr["n_iters"] < 1:
         raise ConfigError("tracker particle/iteration counts must be >= 1")
-    if len(tr["sigma0"]) != 3:
-        raise ConfigError("tracker.sigma0 must have three entries")
+    if tr["update_every"] < 1:
+        raise ConfigError("tracker.update_every must be >= 1")
 
 
 def tracker_config(cfg: dict):
     from .tracker import TrackerConfig
 
     tr = cfg["tracker"]
-    return TrackerConfig(
-        n_particles=int(tr["n_particles"]),
-        n_iters=int(tr["n_iters"]),
-        c_anneal=float(tr["c_anneal"]),
-        sigma0=tuple(float(v) for v in tr["sigma0"]),
-        q=int(tr["q"]),
-        window=int(tr["window"]),
-        update_every=int(tr["update_every"]),
-        tau=float(tr["tau"]),
-        eta=float(tr["eta"]),
-        sigma_obs_sq=float(tr["sigma_obs_sq"]),
-        fit_floor=float(tr["fit_floor"]),
-        lost_patience=int(tr["lost_patience"]),
-        track_scale=bool(tr["track_scale"]),
-    )
+    return TrackerConfig(**{**tr, "sigma0": tuple(tr["sigma0"])})

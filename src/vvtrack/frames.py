@@ -8,7 +8,9 @@ frames are (H, W), RGB frames are (H, W, 3).  Files on disk are binary
 from __future__ import annotations
 
 import json
+import os
 import re
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -308,17 +310,37 @@ def generate_synthetic(scene: SyntheticScene, n_frames: int):
     return frames, truth
 
 
-def write_truth(path, truth: list[dict]) -> None:
-    with open(path, "w") as fh:
-        for record in truth:
-            fh.write(json.dumps(record) + "\n")
+# ---------------------------------------------------------------------------
+# JSONL records (truth, detections, tracks)
+# ---------------------------------------------------------------------------
+
+def write_jsonl(path, records) -> None:
+    """Replace path atomically with one JSON line per record."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            for record in records:
+                fh.write(json.dumps(record) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
-def read_truth(path) -> list[dict]:
+write_truth = write_jsonl
+
+
+def read_jsonl(path) -> list:
+    """One JSON value per non-blank line; FrameError names path:line otherwise."""
     records = []
     with open(path) as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                records.append(json.loads(line))
+                try:
+                    records.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise FrameError(f"{path}:{n}: not JSON: {exc}") from None
     return records

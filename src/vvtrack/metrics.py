@@ -85,7 +85,10 @@ def evaluate_tracks(tracks, truth, iou_thr: float = 0.5) -> TrackingReport:
     identity switch is a change in the track id matched to a truth object.
     """
     def rec_get(r, key):
-        return r[key] if isinstance(r, dict) else getattr(r, key)
+        try:
+            return r[key] if isinstance(r, dict) else getattr(r, key)
+        except (KeyError, AttributeError):
+            raise MetricsError(f"record {r!r} has no field {key!r}") from None
 
     tracks_by_frame: dict[int, list] = {}
     for r in tracks:
@@ -95,7 +98,7 @@ def evaluate_tracks(tracks, truth, iou_thr: float = 0.5) -> TrackingReport:
         box = (cx - w / 2.0, cy - h / 2.0, w, h)
         tracks_by_frame.setdefault(frame, []).append((int(rec_get(r, "id")), box))
 
-    truth_by_frame = {int(t["frame"]): t["objects"] for t in truth}
+    truth_by_frame = {int(rec_get(t, "frame")): rec_get(t, "objects") for t in truth}
     common = sorted(set(tracks_by_frame) & set(truth_by_frame))
     if not common:
         raise MetricsError("tracks and truth share no frame range")
@@ -110,14 +113,14 @@ def evaluate_tracks(tracks, truth, iou_thr: float = 0.5) -> TrackingReport:
     for f in common:
         trk = tracks_by_frame[f]
         tru = truth_by_frame[f]
-        tboxes = [tuple(o["box"]) for o in tru]
+        tboxes = [tuple(rec_get(o, "box")) for o in tru]
         matches = _greedy_match([b for _, b in trk], tboxes, iou_thr)
         n_truth += len(tboxes)
         n_matched += len(matches)
         fp_total += len(trk) - len(matches)
         for i, j, _ in matches:
             tid = trk[i][0]
-            obj = tru[j]["id"]
+            obj = rec_get(tru[j], "id")
             bx, by, bw, bh = trk[i][1]
             ox, oy, ow, oh = tboxes[j]
             center_errors.append(np.hypot((bx + bw / 2) - (ox + ow / 2),

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,19 +22,6 @@ ID_COLORS = [
 
 class PipelineError(Exception):
     pass
-
-
-def atomic_write_text(path, text: str) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 @dataclass
@@ -113,17 +97,8 @@ def classify_boxes(gray, boxes, codebook, model, cfg):
     vcfg = cfg["vocabulary"]
     descs = recognition.extract_descriptors(gray, grid_stride=int(vcfg["grid_stride"]),
                                             patch=int(vcfg["patch"]))
-    labels = []
-    for x, y, w, h in boxes:
-        inside = [d for d in descs
-                  if x <= d.x < x + w and y <= d.y < y + h and np.any(d.vector)]
-        hist = vocab.bow_histogram(inside, codebook)
-        if np.any(hist):
-            label, _ = svm.predict(model, hist)
-        else:
-            label = None
-        labels.append(label)
-    return labels
+    return [recognition.classify_box(descs, (x, y, x + w, y + h), codebook, model)
+            for x, y, w, h in boxes]
 
 
 def run_pipeline(in_dir, out_dir, cfg, seed: int | None = None):
@@ -148,18 +123,17 @@ def run_pipeline(in_dir, out_dir, cfg, seed: int | None = None):
     for r in records:
         r.frame += start
 
-    lines = [json.dumps({"frame": r.frame, "id": r.id, "cx": r.cx, "cy": r.cy,
-                         "s": r.s, "w": r.w, "h": r.h, "fit": r.fit,
-                         "label": None if labels[r.id] is None
-                         else str(labels[r.id])})
-             for r in records]
-    atomic_write_text(out_dir / "tracks.jsonl", "\n".join(lines) + "\n")
+    fio.write_jsonl(out_dir / "tracks.jsonl",
+                    ({"frame": r.frame, "id": r.id, "cx": r.cx, "cy": r.cy,
+                      "s": r.s, "w": r.w, "h": r.h, "fit": r.fit,
+                      "label": None if labels[r.id] is None else str(labels[r.id])}
+                     for r in records))
     write_annotated(out_dir / "annotated", rgb_frames, records)
 
     report = None
     truth_path = Path(in_dir) / "truth.jsonl"
     if truth_path.exists():
-        truth = fio.read_truth(truth_path)
+        truth = fio.read_jsonl(truth_path)
         report = met.evaluate_tracks(records, truth)
         met.write_report_csv(out_dir / "metrics.csv", report)
     return records, report
@@ -184,13 +158,3 @@ def write_annotated(directory, rgb_frames, records) -> None:
             canvas[y0:y1 + 1, x0] = color
             canvas[y0:y1 + 1, x1] = color
         fio.write_pnm(directory / f"frame_{t:04d}.ppm", canvas)
-
-
-def read_tracks(path):
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import vocab
+from . import svm, vocab
 from .vocab import Codebook, extract_descriptors
 
 
@@ -263,6 +263,19 @@ def match_parts(model: PartModel, costmaps: list[np.ndarray]):
 # Frame-level recognition
 # ---------------------------------------------------------------------------
 
+def classify_box(descriptors, box, codebook: Codebook, svm_model):
+    """SVM label of the BoW of the descriptors centred in box (x0, y0, x1, y1).
+
+    None when no descriptor in the box has a gradient.
+    """
+    x0, y0, x1, y1 = box
+    inside = [d for d in descriptors if x0 <= d.x < x1 and y0 <= d.y < y1]
+    hist = vocab.bow_histogram(inside, codebook)
+    if not np.any(hist):
+        return None
+    return svm.predict(svm_model, hist)[0]
+
+
 def recognize_frame(frame: np.ndarray, codebook: Codebook,
                     table: OccurrenceTable, svm_model=None, part_models=None,
                     b0: float = 0.1, score_fraction: float = 0.25,
@@ -273,10 +286,7 @@ def recognize_frame(frame: np.ndarray, codebook: Codebook,
     Returns a list of (ObjectHypothesis, verified label); the SVM check
     and part-model refinement run only when the models are supplied.
     """
-    from . import svm as svm_mod
-
     descs = extract_descriptors(frame, grid_stride=grid_stride, patch=patch)
-    descs = [d for d in descs if np.any(d.vector)]
     hypotheses = []
     for cls in table.classes:
         votes = cast_votes(descs, codebook, table, cls)
@@ -299,10 +309,9 @@ def recognize_frame(frame: np.ndarray, codebook: Codebook,
             y0 = int(max(0, hyp.y - bh / 2))
             x1 = int(min(frame.shape[1], hyp.x + bw / 2))
             y1 = int(min(frame.shape[0], hyp.y + bh / 2))
-            box_descs = [d for d in descs if x0 <= d.x < x1 and y0 <= d.y < y1]
-            hist = vocab.bow_histogram(box_descs, codebook)
-            if np.any(hist):
-                label, _ = svm_mod.predict(svm_model, hist)
+            svm_label = classify_box(descs, (x0, y0, x1, y1), codebook, svm_model)
+            if svm_label is not None:
+                label = svm_label
         if part_models and hyp.label in part_models:
             model, costmaps = part_models[hyp.label]
             _, energy = match_parts(model, costmaps)
@@ -319,14 +328,12 @@ def recognize_domain(frame: np.ndarray, codebook: Codebook, domain_svm,
     Returns (label, distribution over domains, sums to 1); featureless
     frames yield the 'unknown' label with a uniform distribution.
     """
-    from . import svm as svm_mod
-
     descs = extract_descriptors(frame, grid_stride=grid_stride, patch=patch)
     hist = vocab.bow_histogram(descs, codebook)
     n = len(domain_svm.classes)
     if not np.any(hist):
         return "unknown", np.full(n, 1.0 / n)
-    label, votes = svm_mod.predict(domain_svm, hist)
+    label, votes = svm.predict(domain_svm, hist)
     total = votes.sum()
     dist = votes / total if total > 0 else np.full(n, 1.0 / n)
     return label, dist

@@ -155,36 +155,32 @@ def train_svm(samples, labels, C: float = 1.0, c_offset: float = 1.0,
     return model
 
 
+def _pairwise(model: SvmModel, x):
+    """Per-class votes and summed signed margins over the one-vs-one machines."""
+    x = np.asarray(x, dtype=np.float64)
+    votes = np.zeros(len(model.classes))
+    margins = np.zeros(len(model.classes))
+    for (a, b), machine in model.machines.items():
+        f = machine.decision(x)
+        votes[a if f >= 0 else b] += 1
+        margins[a] += f
+        margins[b] -= f
+    return votes, margins
+
+
 def predict(model: SvmModel, x) -> tuple:
     """Majority vote over pairs; ties by summed margin, then class index.
 
     Returns (label, per-class vote scores).
     """
-    x = np.asarray(x, dtype=np.float64)
-    n = len(model.classes)
-    votes = np.zeros(n)
-    margins = np.zeros(n)
-    for (a, b), machine in model.machines.items():
-        f = machine.decision(x)
-        if f >= 0:
-            votes[a] += 1
-        else:
-            votes[b] += 1
-        margins[a] += f
-        margins[b] -= f
-    order = sorted(range(n), key=lambda i: (-votes[i], -margins[i], i))
+    votes, margins = _pairwise(model, x)
+    order = sorted(range(len(votes)), key=lambda i: (-votes[i], -margins[i], i))
     return model.classes[order[0]], votes
 
 
 def class_scores(model: SvmModel, x) -> np.ndarray:
     """Summed signed pairwise margins per class (one-vs-rest proxy score)."""
-    x = np.asarray(x, dtype=np.float64)
-    scores = np.zeros(len(model.classes))
-    for (a, b), machine in model.machines.items():
-        f = machine.decision(x)
-        scores[a] += f
-        scores[b] -= f
-    return scores
+    return _pairwise(model, x)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -296,17 +292,20 @@ def load_model(path) -> SvmModel:
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "vvtrack-svm v1":
-            raise SvmError(f"bad model header {header!r}")
-        classes = fh.readline().split()
-        C, c_offset, n_machines = fh.readline().split()
-        model = SvmModel(classes=classes, C=float(C), c_offset=float(c_offset))
-        for _ in range(int(n_machines)):
-            a, b, n, dim, bias = fh.readline().split()
-            coef = np.asarray([float(t) for t in fh.readline().split()])
-            svs = np.asarray([[float(t) for t in fh.readline().split()]
-                              for _ in range(int(n))])
-            model.machines[(int(a), int(b))] = BinaryMachine(
-                support_vectors=svs.reshape(int(n), int(dim)),
-                dual_coef=coef, bias=float(bias), C=float(C),
-                c_offset=float(c_offset))
+            raise SvmError(f"{path}: bad model header {header!r}")
+        try:
+            classes = fh.readline().split()
+            C, c_offset, n_machines = fh.readline().split()
+            model = SvmModel(classes=classes, C=float(C), c_offset=float(c_offset))
+            for _ in range(int(n_machines)):
+                a, b, n, dim, bias = fh.readline().split()
+                coef = np.asarray([float(t) for t in fh.readline().split()])
+                svs = np.asarray([[float(t) for t in fh.readline().split()]
+                                  for _ in range(int(n))])
+                model.machines[(int(a), int(b))] = BinaryMachine(
+                    support_vectors=svs.reshape(int(n), int(dim)),
+                    dual_coef=coef.reshape(int(n)), bias=float(bias), C=float(C),
+                    c_offset=float(c_offset))
+        except ValueError as exc:
+            raise SvmError(f"{path}: malformed model: {exc}") from None
     return model

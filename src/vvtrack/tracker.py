@@ -72,32 +72,27 @@ def state_box(sp: Species, state) -> tuple[float, float, float, float]:
     return (cx - w / 2.0, cy - h / 2.0, w, h)
 
 
-def sample_patch(frame: np.ndarray, box) -> np.ndarray:
-    """Bilinear resample of a box region to PATCH x PATCH (edge clamp)."""
+def _patch_axes(box):
+    """Column and row sample positions (xs, ys) of the PATCH x PATCH grid."""
     x, y, w, h = box
     us = np.linspace(0, 1, PATCH)
-    ys = y + us * max(h - 1, 1e-9)
-    xs = x + us * max(w - 1, 1e-9)
+    return x + us * max(w - 1, 1e-9), y + us * max(h - 1, 1e-9)
+
+
+def sample_patch(frame: np.ndarray, box) -> np.ndarray:
+    """Bilinear resample of a box region to PATCH x PATCH (edge clamp)."""
+    xs, ys = _patch_axes(box)
     coords = np.stack(np.meshgrid(ys, xs, indexing="ij"))
     return ndimage.map_coordinates(frame, coords, order=1, mode="nearest")
 
 
-def _patch_pixel_centers(box):
-    x, y, w, h = box
-    us = np.linspace(0, 1, PATCH)
-    ys = y + us * max(h - 1, 1e-9)
-    xs = x + us * max(w - 1, 1e-9)
-    return np.meshgrid(xs, ys)  # (X, Y) grids, each PATCH x PATCH
-
-
 def _rect_mask(box, rects) -> np.ndarray:
     """Boolean PATCH x PATCH mask of pixels whose centers fall in any rect."""
-    if not rects:
-        return np.zeros((PATCH, PATCH), dtype=bool)
-    gx, gy = _patch_pixel_centers(box)
+    xs, ys = _patch_axes(box)
     mask = np.zeros((PATCH, PATCH), dtype=bool)
     for rx, ry, rw, rh in rects:
-        mask |= (gx >= rx) & (gx <= rx + rw) & (gy >= ry) & (gy <= ry + rh)
+        mask |= (((ys >= ry) & (ys <= ry + rh))[:, None]
+                 & ((xs >= rx) & (xs <= rx + rw))[None, :])
     return mask
 
 
@@ -105,6 +100,15 @@ def _project_residual(o: np.ndarray, U: np.ndarray | None) -> np.ndarray:
     if U is None or U.size == 0:
         return o
     return o - U @ (U.T @ o)
+
+
+def _power(patch: np.ndarray, sp: Species, config: TrackerConfig,
+           mask: np.ndarray | None = None) -> float:
+    """exp(-||o - UU^T o||^2 / sigma^2), o = patch - mean, masked pixels left out."""
+    res = _project_residual(patch - sp.mean_patch, sp.U)
+    if mask is not None:
+        res[mask] = 0.0
+    return float(np.exp(-(res @ res) / config.sigma_obs_sq))
 
 
 def observe(frame: np.ndarray, sp: Species, state,
@@ -119,14 +123,9 @@ def observe(frame: np.ndarray, sp: Species, state,
     if (box[0] + box[2] <= 0 or box[1] + box[3] <= 0
             or box[0] >= w or box[1] >= h or box[2] <= 0 or box[3] <= 0):
         return config.fit_floor
-    patch = sample_patch(frame, box)
-    o = patch.ravel() - sp.mean_patch
-    res = _project_residual(o, sp.U)
-    if sp.masked_rects:
-        res = res.copy()
-        res[_rect_mask(box, sp.masked_rects).ravel()] = 0.0
-    fit = float(np.exp(-(res @ res) / config.sigma_obs_sq))
-    return max(fit, config.fit_floor)
+    patch = sample_patch(frame, box).ravel()
+    mask = _rect_mask(box, sp.masked_rects).ravel() if sp.masked_rects else None
+    return max(_power(patch, sp, config, mask), config.fit_floor)
 
 
 def init_species(frame: np.ndarray, sp_id: int, box, config: TrackerConfig,
@@ -210,10 +209,7 @@ def compete(arena: CompetitionArena, frame: np.ndarray,
         raise TrackerError("competition arena has empty overlap")
     patch = sample_patch(frame, arena.rect).ravel()
     for k in arena.pair:
-        sp = species[k]
-        o = patch - sp.mean_patch
-        res = _project_residual(o, sp.U)
-        arena.powers[k] = float(np.exp(-(res @ res) / config.sigma_obs_sq))
+        arena.powers[k] = _power(patch, species[k], config)
     total = sum(arena.powers.values())
     if total <= 0:
         arena.interactive = {k: 0.5 for k in arena.pair}
@@ -261,10 +257,7 @@ def selective_update(sp: Species, frame: np.ndarray,
     patch = sample_patch(frame, box).ravel()
     rec = sp.mean_patch + (patch - sp.mean_patch
                            - _project_residual(patch - sp.mean_patch, sp.U))
-    overlap = np.zeros(PATCH_DIM, dtype=bool)
-    for arena in arenas:
-        if sp.id in arena.pair:
-            overlap |= _rect_mask(box, [arena.rect]).ravel()
+    overlap = _rect_mask(box, [a.rect for a in arenas if sp.id in a.pair]).ravel()
     reject = overlap & (np.abs(patch - rec) >= config.tau)
     merged = np.where(reject, rec, patch)
     sp.window.append(merged)
@@ -294,6 +287,12 @@ class TrackRecord:
     fit: float
 
 
+def _record(t: int, sp: Species) -> TrackRecord:
+    s = sp.gbest[2]
+    return TrackRecord(t, sp.id, float(sp.gbest[0]), float(sp.gbest[1]), float(s),
+                       sp.template[0] * s, sp.template[1] * s, sp.gbest_fit)
+
+
 def track_sequence(frames, detections, config: TrackerConfig | None = None,
                    seed: int = 0) -> list[TrackRecord]:
     """Track initial detections through a grayscale frame sequence.
@@ -314,11 +313,7 @@ def track_sequence(frames, detections, config: TrackerConfig | None = None,
         box, label = det if isinstance(det, tuple) and len(det) == 2 else (det, None)
         species.append(init_species(frames[0], k, box, config, label=label))
 
-    records = []
-    for sp in species:
-        records.append(TrackRecord(0, sp.id, float(sp.gbest[0]), float(sp.gbest[1]),
-                                   float(sp.gbest[2]), sp.template[0] * sp.gbest[2],
-                                   sp.template[1] * sp.gbest[2], sp.gbest_fit))
+    records = [_record(0, sp) for sp in species]
 
     active = {sp.id: sp for sp in species}
     for t in range(1, len(frames)):
@@ -373,11 +368,7 @@ def track_sequence(frames, detections, config: TrackerConfig | None = None,
                 sp.lost_count += 1
             else:
                 sp.lost_count = 0
-            records.append(TrackRecord(t, sp.id, float(sp.gbest[0]),
-                                       float(sp.gbest[1]), float(sp.gbest[2]),
-                                       sp.template[0] * sp.gbest[2],
-                                       sp.template[1] * sp.gbest[2],
-                                       sp.gbest_fit))
+            records.append(_record(t, sp))
         for sp in list(active.values()):
             if sp.lost_count >= config.lost_patience:
                 del active[sp.id]

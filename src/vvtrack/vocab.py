@@ -323,10 +323,13 @@ def load_codebook(path) -> Codebook:
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "vvtrack-codebook v1":
-            raise VocabularyError(f"bad codebook header {header!r}")
-        k, dim, seed = (int(t) for t in fh.readline().split())
-        words = np.asarray([[float(t) for t in fh.readline().split()]
-                            for _ in range(k)])
+            raise VocabularyError(f"{path}: bad codebook header {header!r}")
+        try:
+            k, dim, seed = (int(t) for t in fh.readline().split())
+            words = np.asarray([[float(t) for t in fh.readline().split()]
+                                for _ in range(k)])
+        except ValueError as exc:
+            raise VocabularyError(f"{path}: malformed codebook: {exc}") from None
     if words.shape != (k, dim):
-        raise VocabularyError("codebook centroid block has wrong shape")
+        raise VocabularyError(f"{path}: codebook centroid block has wrong shape")
     return Codebook(words=words, seed=seed)

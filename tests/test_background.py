@@ -265,3 +265,14 @@ def test_state_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(loaded.B, state.B)
     assert loaded.V == state.V
     assert (loaded.a, loaded.b, loaded.T_b) == (state.a, state.b, state.T_b)
+
+
+@pytest.mark.parametrize("text", [
+    "garbage\n",
+    "vvtrack-background v1\n2 x\n",
+    "vvtrack-background v1\n2 1\n0.05 0.1 0.1 0.3\n",
+], ids=["header", "dimensions", "short-parameter-line"])
+def test_state_checkpoint_malformed_errors(tmp_path, text):
+    (tmp_path / "state.txt").write_text(text)
+    with pytest.raises(BackgroundError, match="state.txt"):
+        bg.load_state(tmp_path / "state.txt")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vvtrack import frames as fio
-from vvtrack import shadows
+from vvtrack import shadows, vocab
 from vvtrack.cli import main
 
 
@@ -85,6 +85,61 @@ class TestDataErrors:
                      "--out", str(tmp_path / "o")]) == 2
         assert "Poisson solve failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("user,name", [
+        ({"tracker": {"update_every": 0}}, "tracker.update_every"),
+        ({"tracker": {"n_particles": "50"}}, "tracker.n_particles"),
+        ({"vocabulary": {"K": "x"}}, "vocabulary.K"),
+        ({"background": {"a": "x"}}, "background.a"),
+        ({"tracker": {"sigma0": 5}}, "tracker.sigma0"),
+        ({"seed": "x"}, "seed"),
+    ])
+    def test_bad_config_value(self, tmp_path, capsys, user, name):
+        seq = _generate(tmp_path, frames=4)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(user))
+        assert main(["track", "--config", str(path), "--in", str(seq),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"error: {name} " in capsys.readouterr().err
+
+    def test_malformed_codebook(self, tmp_path, capsys):
+        (tmp_path / "cb.txt").write_text("vvtrack-codebook v1\n2 128 x\n")
+        assert main(["train-svm", "--config", _config(tmp_path),
+                     "--vocab", str(tmp_path / "cb.txt"),
+                     "--in", str(tmp_path / "train"),
+                     "--out", str(tmp_path / "m.txt")]) == 2
+        assert "cb.txt" in capsys.readouterr().err
+
+    def test_malformed_svm_model(self, tmp_path, capsys):
+        seq = _generate(tmp_path, frames=4)
+        vocab.save_codebook(tmp_path / "cb.txt",
+                            vocab.Codebook(words=np.eye(2, 128), seed=0))
+        (tmp_path / "m.txt").write_text("vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 2\n")
+        cfg = _config(tmp_path, recognition={"codebook_path": str(tmp_path / "cb.txt"),
+                                             "svm_path": str(tmp_path / "m.txt")})
+        assert main(["track", "--config", cfg, "--in", str(seq),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "m.txt" in capsys.readouterr().err
+
+    def test_tracks_line_not_json(self, tmp_path, capsys):
+        seq = _generate(tmp_path, frames=2)
+        (tmp_path / "tracks.jsonl").write_text('{"frame": 0}\n{"frame": 1,\n')
+        assert main(["eval", "--config", _config(tmp_path),
+                     "--tracks", str(tmp_path / "tracks.jsonl"),
+                     "--truth", str(seq / "truth.jsonl"),
+                     "--out", str(tmp_path / "eval.csv")]) == 2
+        assert "tracks.jsonl:2" in capsys.readouterr().err
+
+    def test_track_record_missing_field(self, tmp_path, capsys):
+        seq = _generate(tmp_path, frames=2)
+        (tmp_path / "tracks.jsonl").write_text(
+            json.dumps({"frame": 0, "id": 0, "cy": 5.0, "w": 4.0, "h": 4.0}) + "\n")
+        assert main(["eval", "--config", _config(tmp_path),
+                     "--tracks", str(tmp_path / "tracks.jsonl"),
+                     "--truth", str(seq / "truth.jsonl"),
+                     "--out", str(tmp_path / "eval.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "no field 'cx'" in err and "'cy': 5.0" in err
+
 
 class TestGenerate:
     def test_writes_frames_and_truth(self, tmp_path):
@@ -146,6 +201,33 @@ class TestTrackAndEval:
                    "--out", str(out / "eval.csv")])
         assert rc == 0
         assert (out / "eval.csv").exists()
+
+    def test_track_labels_boxes_with_trained_models(self, tmp_path):
+        seq = _generate(tmp_path, frames=8)
+        rng = np.random.default_rng(1)
+        train_dir = tmp_path / "train"
+        for cls in ("noise", "scene"):
+            (train_dir / cls).mkdir(parents=True)
+        for i in range(3):
+            frame = fio.read_pnm(seq / f"frame_{i:04d}.ppm")
+            fio.write_pnm(train_dir / "scene" / f"img_{i}.ppm", frame)
+            fio.write_pnm(train_dir / "noise" / f"img_{i}.pgm", rng.random((64, 64)))
+        cfg = _config(tmp_path, vocabulary={"K": 4, "grid_stride": 2})
+        cb_path, model_path = tmp_path / "cb.txt", tmp_path / "svm.txt"
+        assert main(["train-vocab", "--config", cfg, "--in",
+                     str(train_dir / "scene"), "--out", str(cb_path)]) == 0
+        assert main(["train-svm", "--config", cfg, "--vocab", str(cb_path),
+                     "--in", str(train_dir), "--out", str(model_path)]) == 0
+        cfg = _config(tmp_path, vocabulary={"K": 4, "grid_stride": 2},
+                      recognition={"codebook_path": str(cb_path),
+                                   "svm_path": str(model_path)})
+        out = tmp_path / "trk"
+        assert main(["track", "--config", cfg, "--in", str(seq),
+                     "--out", str(out)]) == 0
+        tracks = [json.loads(l) for l in
+                  (out / "tracks.jsonl").read_text().strip().splitlines()]
+        assert tracks
+        assert all(t["label"] in ("noise", "scene") for t in tracks)
 
     def test_seed_override_changes_nothing_structural(self, tmp_path):
         seq = _generate(tmp_path, frames=6)

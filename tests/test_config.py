@@ -6,6 +6,15 @@ from vvtrack.config import (ConfigError, default_config, load_config,
                             merge_config, tracker_config)
 
 
+# Keys that had no effect and were deleted; a config naming one is a typo.
+REMOVED_KEYS = [
+    ("shadow", "poisson_tol"), ("shadow", "poisson_max_sweeps"),
+    ("vocabulary", "soft_m"), ("vocabulary", "soft_sigma"),
+    ("classifier", "folds"), ("recognition", "b0"),
+    ("recognition", "score_fraction"),
+]
+
+
 def _write(tmp_path, obj):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(obj))
@@ -56,10 +65,11 @@ class TestValidation:
         with pytest.raises(ConfigError):
             merge_config({"shadow": {"t1": 0.05, "t2": 0.1}})
 
-    @pytest.mark.parametrize("key", ["poisson_tol", "poisson_max_sweeps"])
-    def test_removed_poisson_keys_rejected(self, key):
+    @pytest.mark.parametrize("section,key", REMOVED_KEYS,
+                             ids=[key for _, key in REMOVED_KEYS])
+    def test_removed_poisson_keys_rejected(self, section, key):
         with pytest.raises(ConfigError, match="unknown key"):
-            merge_config({"shadow": {key: 1}})
+            merge_config({section: {key: 1}})
 
     @pytest.mark.parametrize("key,value", [
         ("sigma", -1), ("sigma", "1"), ("t1", "0.3"), ("t2", None),
@@ -77,6 +87,30 @@ class TestValidation:
     def test_bad_particle_count_errors(self):
         with pytest.raises(ConfigError):
             merge_config({"tracker": {"n_particles": 0}})
+
+    @pytest.mark.parametrize("user,name", [
+        ({"tracker": {"update_every": 0}}, "tracker.update_every"),
+        ({"tracker": {"n_particles": "50"}}, "tracker.n_particles"),
+        ({"tracker": {"n_iters": True}}, "tracker.n_iters"),
+        ({"tracker": {"q": 8.0}}, "tracker.q"),
+        ({"tracker": {"track_scale": 1}}, "tracker.track_scale"),
+        ({"tracker": {"sigma0": 5}}, "tracker.sigma0"),
+        ({"tracker": {"sigma0": [8.0, "8", 0.05]}}, "tracker.sigma0"),
+        ({"vocabulary": {"K": "x"}}, "vocabulary.K"),
+        ({"background": {"a": "x"}}, "background.a"),
+        ({"recognition": {"svm_path": 3}}, "recognition.svm_path"),
+        ({"seed": "x"}, "seed"),
+        ({"seed": 1.5}, "seed"),
+    ])
+    def test_bad_value_errors(self, user, name):
+        with pytest.raises(ConfigError, match=name):
+            merge_config(user)
+
+    def test_int_accepted_for_float_default(self):
+        tc = tracker_config(merge_config({"tracker": {"eta": 4, "sigma0": [4, 4, 1]}}))
+        assert type(tc.eta) is float and tc.eta == 4.0
+        assert tc.sigma0 == (4.0, 4.0, 1.0)
+        assert all(type(v) is float for v in tc.sigma0)
 
     def test_bad_sigma0_length_errors(self):
         with pytest.raises(ConfigError):

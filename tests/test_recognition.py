@@ -288,6 +288,24 @@ class TestRecognizeFrame:
         # true center is (40, 24)
         assert abs(hyp.x - 40.0) < 8.0 and abs(hyp.y - 24.0) < 8.0
 
+    def test_svm_model_labels_the_hypotheses(self):
+        train = [(_textured_square(seed=s, box=(20, 20, 24, 24)),
+                  "sq", (32.0, 32.0), 24.0) for s in range(3)]
+        descs = [d.vector for f, *_ in train for d in vocab.extract_descriptors(f)
+                 if np.any(d.vector)]
+        cb = vocab.kmeans(np.asarray(descs), 10, seed=0)
+        table = learn_occurrences(train, cb, grid_stride=12)
+        rng = np.random.default_rng(3)
+        flat = [np.clip(0.5 + rng.normal(0, 0.01, (64, 64)), 0, 1) for _ in range(3)]
+        hists = [vocab.bow_histogram(vocab.extract_descriptors(f), cb)
+                 for f in [f for f, *_ in train] + flat]
+        model = train_svm(hists, ["textured"] * 3 + ["flat"] * 3, C=5.0, seed=0)
+        test_frame = _textured_square(seed=9, box=(28, 12, 24, 24))
+        found = rec.recognize_frame(test_frame, cb, table, svm_model=model,
+                                    b0=0.4, grid_stride=12)
+        assert found
+        assert found[0][1] == "textured"
+
     def test_featureless_frame_no_hypotheses(self):
         cb = Codebook(words=np.zeros((2, 128)), seed=0)
         table = OccurrenceTable(classes=["sq"])

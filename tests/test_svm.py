@@ -191,7 +191,11 @@ def test_model_roundtrip(tmp_path):
         assert np.allclose(class_scores(loaded, xi), class_scores(model, xi))
 
 
-def test_model_bad_header_errors(tmp_path):
-    (tmp_path / "m.txt").write_text("garbage\n")
+@pytest.mark.parametrize("text", [
+    "garbage\n",
+    "vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 2\n",
+], ids=["header", "short-machine-line"])
+def test_model_bad_header_errors(tmp_path, text):
+    (tmp_path / "m.txt").write_text(text)
     with pytest.raises(SvmError):
         sv.load_model(tmp_path / "m.txt")

@@ -253,7 +253,13 @@ def test_codebook_roundtrip(tmp_path):
     assert loaded.seed == 3
 
 
-def test_codebook_bad_header_errors(tmp_path):
-    (tmp_path / "cb.txt").write_text("not-a-codebook\n")
+@pytest.mark.parametrize("text", [
+    "not-a-codebook\n",
+    "vvtrack-codebook v1\n2 128 x\n",
+    "vvtrack-codebook v1\n2 3 0\n0.1 0.2 0.3\n0.4 0.5\n",
+    "vvtrack-codebook v1\n",
+], ids=["header", "counts", "short-row", "no-counts"])
+def test_codebook_bad_header_errors(tmp_path, text):
+    (tmp_path / "cb.txt").write_text(text)
     with pytest.raises(VocabularyError):
         vocab.load_codebook(tmp_path / "cb.txt")
