@@ -142,8 +142,14 @@ def _validate(cfg: dict) -> None:
         raise ConfigError("shadow.penumbra must be >= 0")
     if sh["min_blob_area"] < 1:
         raise ConfigError("shadow.min_blob_area must be >= 1")
-    if cfg["vocabulary"]["K"] < 2:
+    voc = cfg["vocabulary"]
+    if voc["K"] < 2:
         raise ConfigError("vocabulary.K must be >= 2")
+    if voc["grid_stride"] < 1:
+        raise ConfigError("vocabulary.grid_stride must be >= 1")
+    if voc["patch"] < 4:
+        raise ConfigError("vocabulary.patch must be >= 4, one pixel per cell "
+                          "of the 4x4 grid")
     tr = cfg["tracker"]
     if tr["n_particles"] < 1 or tr["n_iters"] < 1:
         raise ConfigError("tracker particle/iteration counts must be >= 1")

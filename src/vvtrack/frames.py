@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 import re
-import tempfile
+import secrets
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -315,9 +315,14 @@ def generate_synthetic(scene: SyntheticScene, n_frames: int):
 # ---------------------------------------------------------------------------
 
 def write_jsonl(path, records) -> None:
-    """Replace path atomically with one JSON line per record."""
+    """Replace path atomically with one JSON line per record.
+
+    The temp file is created with mode 0o666, so the umask applies as it
+    does for open(); mkstemp would fix it at 0o600.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             for record in records:

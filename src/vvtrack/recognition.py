@@ -128,14 +128,20 @@ def balloon_density(point, votes: np.ndarray, b0: float) -> float:
 
 def meanshift_modes(votes: np.ndarray, b0: float = 0.1, max_iter: int = 100,
                     shift_tol: float = 1e-3) -> list[ObjectHypothesis]:
-    """Mean-shift from every vote; modes within b/2 merged keeping the best."""
+    """Mean-shift from each distinct vote; modes within b/2 merged keeping the best.
+
+    Equal seeds follow equal trajectories, so each distinct (x, y, s) is
+    started once, in order of first occurrence; every vote still counts
+    in the window sums and the density.
+    """
     if b0 <= 0:
         raise RecognitionError("bandwidth factor must be > 0")
     votes = np.asarray(votes, dtype=np.float64).reshape(-1, 4)
     if votes.shape[0] == 0:
         return []
+    _, first = np.unique(votes[:, :3], axis=0, return_index=True)
     modes = []
-    for seed in votes[:, :3]:
+    for seed in votes[np.sort(first), :3]:
         x = seed.copy()
         for _ in range(max_iter):
             b = b0 * x[2]

@@ -127,6 +127,16 @@ def _sse(points: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> float
     return float(((points - centroids[assign]) ** 2).sum())
 
 
+def _nearest(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Index of each point's nearest centroid, from one (n, K) matrix product.
+
+    ‖x‖² is the same for every centroid of a row, so it is left out.  The
+    argmin can differ from that of the direct differences only where two
+    distances agree to rounding.
+    """
+    return ((centroids ** 2).sum(axis=1) - 2.0 * pts @ centroids.T).argmin(axis=1)
+
+
 def kmeans(points, k: int, seed: int = 0, max_iter: int = 100,
            n_init: int = 5) -> Codebook:
     """Seeded k-means++ then Lloyd iterations until assignments fix.
@@ -149,8 +159,7 @@ def kmeans(points, k: int, seed: int = 0, max_iter: int = 100,
     best_sse = np.inf
     for _ in range(n_init):
         words = _lloyd(pts, k, rng, max_iter)
-        sse = ((pts[:, None, :] - words[None, :, :]) ** 2).sum(axis=2)\
-            .min(axis=1).sum()
+        sse = _sse(pts, words, _nearest(pts, words))
         if sse < best_sse:
             best_sse = sse
             best_words = words
@@ -176,8 +185,7 @@ def _lloyd(pts: np.ndarray, k: int, rng: np.random.Generator,
     assign = None
     prev_sse = np.inf
     for _ in range(max_iter):
-        dist = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_assign = dist.argmin(axis=1)
+        new_assign = _nearest(pts, centroids)
         sse = _sse(pts, centroids, new_assign)
         assert sse <= prev_sse + 1e-9, "k-means SSE increased"
         prev_sse = sse

@@ -101,6 +101,16 @@ class TestDataErrors:
                      "--out", str(tmp_path / "o")]) == 2
         assert f"error: {name} " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("grid_stride", 0), ("patch", -4)])
+    def test_bad_vocabulary_grid(self, tmp_path, capsys, key, value):
+        images = tmp_path / "images"
+        images.mkdir()
+        fio.write_pnm(images / "a.pgm", np.random.default_rng(0).random((32, 32)))
+        cfg = _config(tmp_path, vocabulary={"K": 2, key: value})
+        assert main(["train-vocab", "--config", cfg, "--in", str(images),
+                     "--out", str(tmp_path / "cb.txt")]) == 2
+        assert f"error: vocabulary.{key} " in capsys.readouterr().err
+
     def test_malformed_codebook(self, tmp_path, capsys):
         (tmp_path / "cb.txt").write_text("vvtrack-codebook v1\n2 128 x\n")
         assert main(["train-svm", "--config", _config(tmp_path),

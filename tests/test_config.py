@@ -84,6 +84,17 @@ class TestValidation:
         with pytest.raises(ConfigError):
             merge_config({"vocabulary": {"K": 1}})
 
+    @pytest.mark.parametrize("key,value", [
+        ("grid_stride", 0), ("grid_stride", -8), ("patch", 3), ("patch", -4),
+    ])
+    def test_bad_vocabulary_grid_errors(self, key, value):
+        with pytest.raises(ConfigError, match=f"vocabulary.{key}"):
+            merge_config({"vocabulary": {key: value}})
+
+    def test_smallest_vocabulary_grid_accepted(self):
+        voc = merge_config({"vocabulary": {"grid_stride": 1, "patch": 4}})["vocabulary"]
+        assert (voc["grid_stride"], voc["patch"]) == (1, 4)
+
     def test_bad_particle_count_errors(self):
         with pytest.raises(ConfigError):
             merge_config({"tracker": {"n_particles": 0}})

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -135,3 +137,13 @@ def test_synthetic_shadow_attenuates_background():
     assert shadow.sum() > 0
     assert not (shadow & motion).any()  # truth marks object pixels only
     assert np.allclose(frames[0][shadow], 0.3)
+
+
+def test_write_jsonl_honours_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        fio.write_jsonl(tmp_path / "a.jsonl", [{"frame": 0}])
+    finally:
+        os.umask(old)
+    assert (tmp_path / "a.jsonl").stat().st_mode & 0o777 == 0o644
+    assert fio.read_jsonl(tmp_path / "a.jsonl") == [{"frame": 0}]

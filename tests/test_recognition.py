@@ -95,7 +95,62 @@ class TestCastVotes:
         assert cast_votes([d], cb, table, "c").shape == (0, 4)
 
 
+def _meanshift_from_every_vote(votes, b0):
+    """Reference: the mean-shift of meanshift_modes, started from every vote."""
+    modes = []
+    for seed in votes[:, :3]:
+        x = seed.copy()
+        for _ in range(100):
+            d2 = ((votes[:, :3] - x) ** 2).sum(axis=1)
+            inside = d2 < (b0 * x[2]) ** 2
+            w = votes[inside, 3]
+            if w.sum() <= 0:
+                break
+            new_x = (votes[inside, :3] * w[:, None]).sum(axis=0) / w.sum()
+            if np.linalg.norm(new_x - x) < 1e-3:
+                x = new_x
+                break
+            x = new_x
+        score = balloon_density(x, votes, b0)
+        if score > 0:
+            modes.append((x, score))
+    merged = []
+    for x, score in sorted(modes, key=lambda m: -m[1]):
+        if all(np.linalg.norm(x - mx) > 0.5 * b0 * x[2] for mx, _ in merged):
+            merged.append((x, score))
+    return [(float(x[0]), float(x[1]), float(x[2]), score) for x, score in merged]
+
+
 class TestMeanShift:
+    def test_distinct_seeds_match_seeding_from_every_vote(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        # a lattice within one bandwidth (b = 2): windows overlap and the
+        # trajectories move
+        lattice = np.array([[49.0, 50.0, 20.0], [50.0, 50.0, 20.0],
+                            [51.0, 50.0, 20.0], [50.0, 49.0, 20.0],
+                            [50.0, 51.0, 20.0]])
+        cluster = np.repeat(lattice, 30, axis=0)[rng.permutation(150)]
+        cluster = np.hstack([cluster, rng.uniform(0.1, 1.0, (150, 1))])
+        # two lone votes far apart give two modes of exactly equal score;
+        # the one at larger x comes first, so first-occurrence order is not
+        # the lexicographic order of the distinct rows
+        lone = np.array([[90.0, 90.0, 10.0, 1.0], [10.0, 10.0, 10.0, 1.0]])
+        votes = np.vstack([cluster[:70], lone[:1], cluster[70:], lone[1:]])
+        b0 = 0.1
+        expect = _meanshift_from_every_vote(votes, b0)
+        assert expect[-2][3] == expect[-1][3] and expect[-2][0] == 90.0
+
+        calls = []
+
+        def counting(point, v, b):
+            calls.append(point)
+            return balloon_density(point, v, b)
+
+        monkeypatch.setattr(rec, "balloon_density", counting)
+        modes = meanshift_modes(votes, b0=b0)
+        assert [(m.x, m.y, m.s, m.score) for m in modes] == expect
+        assert len(calls) == len(lattice) + len(lone)
+
     def test_single_cluster_mode_at_mean(self):
         rng = np.random.default_rng(0)
         center = np.array([40.0, 30.0, 20.0])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,24 @@ class TestKmeans:
     def test_too_few_points_errors(self):
         with pytest.raises(VocabularyError):
             kmeans(np.zeros((3, 2)), 5)
+
+    def test_nearest_matches_direct_differences(self):
+        rng = np.random.default_rng(9)
+        pts = rng.random((500, 16))
+        centroids = rng.random((40, 16))
+        direct = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        assert np.array_equal(vocab._nearest(pts, centroids), direct.argmin(axis=1))
+
+    def test_assignment_memory_is_n_by_k(self):
+        # an (n, K, 128) temporary would be 2000 * 100 * 128 * 8 B = 205 MB
+        pts = np.random.default_rng(10).random((2000, 128))
+        tracemalloc.start()
+        try:
+            kmeans(pts, 100, seed=0, n_init=1, max_iter=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
     def test_accepts_descriptor_list(self):
         rng = np.random.default_rng(8)
