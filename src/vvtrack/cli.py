@@ -90,12 +90,10 @@ def _load_gray_images(directory):
 def cmd_train_vocab(args, cfg) -> int:
     vcfg = cfg["vocabulary"]
     seed = int(cfg["seed"] if args.seed is None else args.seed)
-    descs = []
-    for image in _load_gray_images(args.in_dir):
-        descs.extend(d.vector for d in vocab.extract_descriptors(
-            image, grid_stride=int(vcfg["grid_stride"]), patch=int(vcfg["patch"]))
-            if np.any(d.vector))
-    codebook = vocab.kmeans(np.asarray(descs), int(vcfg["K"]), seed=seed)
+    vectors = np.concatenate([vocab.extract_descriptors(
+        image, grid_stride=int(vcfg["grid_stride"]), patch=int(vcfg["patch"])).vector
+        for image in _load_gray_images(args.in_dir)])
+    codebook = vocab.kmeans(vectors[vectors.any(axis=1)], int(vcfg["K"]), seed=seed)
     vocab.save_codebook(args.out, codebook)
     print(f"codebook with K={codebook.K} written to {args.out}")
     return 0

@@ -37,7 +37,7 @@ DEFAULTS: dict = {
         "patch": 16,
     },
     "classifier": {
-        "C": 1.0,
+        "C": 5.0,
         "c_offset": 1.0,
     },
     "recognition": {
@@ -155,6 +155,17 @@ def _validate(cfg: dict) -> None:
         raise ConfigError("tracker particle/iteration counts must be >= 1")
     if tr["update_every"] < 1:
         raise ConfigError("tracker.update_every must be >= 1")
+    if tr["lost_patience"] < 1:
+        raise ConfigError("tracker.lost_patience must be >= 1")
+    if tr["window"] < 2:
+        raise ConfigError("tracker.window must be >= 2, the fewest patches "
+                          "the subspace is updated from")
+    if tr["sigma_obs_sq"] <= 0:
+        raise ConfigError("tracker.sigma_obs_sq must be > 0")
+    if tr["fit_floor"] <= 0:
+        raise ConfigError("tracker.fit_floor must be > 0")
+    if min(tr["sigma0"]) < 0:
+        raise ConfigError("tracker.sigma0 entries must be >= 0")
 
 
 def tracker_config(cfg: dict):

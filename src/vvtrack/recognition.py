@@ -56,16 +56,14 @@ def learn_occurrences(examples, codebook: Codebook, grid_stride: int = 8,
     for frame, cls, center, scale in examples:
         cx, cy = center
         descs = extract_descriptors(frame, grid_stride=grid_stride, patch=patch)
-        descs = [d for d in descs if np.any(d.vector)]
-        if descs:
-            seen_desc = True
-        for d in descs:
-            _, soft = vocab.quantize(d.vector, codebook)
-            for word in np.nonzero(soft)[0]:
-                occ = Occurrence(dx=cx - d.x, dy=cy - d.y,
-                                 scale_ratio=scale / d.scale,
-                                 desc_scale=d.scale, weight=float(soft[word]))
-                table.entries.setdefault((cls, int(word)), []).append(occ)
+        _, soft = vocab.quantize(descs.vector, codebook)
+        seen_desc = seen_desc or bool(soft.any())
+        for x, y, s, row in zip(descs.x.tolist(), descs.y.tolist(),
+                                descs.scale.tolist(), soft):
+            for word in np.nonzero(row)[0].tolist():
+                occ = Occurrence(dx=cx - x, dy=cy - y, scale_ratio=scale / s,
+                                 desc_scale=s, weight=float(row[word]))
+                table.entries.setdefault((cls, word), []).append(occ)
         sizes.setdefault(cls, []).append(scale)
         if cls not in table.classes:
             table.classes.append(cls)
@@ -91,19 +89,18 @@ def cast_votes(descriptors, codebook: Codebook, table: OccurrenceTable,
     ratio.
     """
     votes = []
-    for d in descriptors:
-        if not np.any(d.vector):
-            continue
-        _, soft = vocab.quantize(d.vector, codebook)
-        for word in np.nonzero(soft)[0]:
-            occs = table.entries.get((cls, int(word)))
+    _, soft = vocab.quantize(descriptors.vector, codebook)
+    for x, y, s, row in zip(descriptors.x.tolist(), descriptors.y.tolist(),
+                            descriptors.scale.tolist(), soft):
+        for word in np.nonzero(row)[0].tolist():
+            occs = table.entries.get((cls, word))
             if not occs:
                 continue
-            p_word = float(soft[word])
+            p_word = float(row[word])
             for o in occs:
-                rel = d.scale / o.desc_scale
-                votes.append((d.x + o.dx * rel, d.y + o.dy * rel,
-                              o.scale_ratio * d.scale, o.weight * p_word))
+                rel = s / o.desc_scale
+                votes.append((x + o.dx * rel, y + o.dy * rel,
+                              o.scale_ratio * s, o.weight * p_word))
     return np.asarray(votes, dtype=np.float64).reshape(-1, 4)
 
 
@@ -275,8 +272,9 @@ def classify_box(descriptors, box, codebook: Codebook, svm_model):
     None when no descriptor in the box has a gradient.
     """
     x0, y0, x1, y1 = box
-    inside = [d for d in descriptors if x0 <= d.x < x1 and y0 <= d.y < y1]
-    hist = vocab.bow_histogram(inside, codebook)
+    xs, ys = descriptors.x, descriptors.y
+    inside = (x0 <= xs) & (xs < x1) & (y0 <= ys) & (ys < y1)
+    hist = vocab.bow_histogram(descriptors[inside], codebook)
     if not np.any(hist):
         return None
     return svm.predict(svm_model, hist)[0]

@@ -8,26 +8,24 @@ on a dense grid, L2-normalized with the usual 0.2 clip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 DESCRIPTOR_DIM = 128
 CLIP = 0.2
 SOFT_NEIGHBORS = 5
 SOFT_SIGMA = 0.2
 
+# One record per grid point: the descriptor and its centre and patch side in px.
+DESCRIPTOR = np.dtype([("vector", np.float64, (DESCRIPTOR_DIM,)), ("x", np.float64),
+                       ("y", np.float64), ("scale", np.float64)])
+
 
 class VocabularyError(Exception):
     pass
-
-
-@dataclass
-class Descriptor:
-    vector: np.ndarray
-    x: float
-    y: float
-    scale: float
 
 
 @dataclass
@@ -44,32 +42,32 @@ class Codebook:
 # Descriptor extraction
 # ---------------------------------------------------------------------------
 
+@lru_cache
 def _cell_weights(patch: int) -> np.ndarray:
-    """Bilinear spatial weights of each pixel into the 4x4 cell grid.
+    """Bilinear weight of each pixel row (or column) into the 4 cell rows.
 
-    Returns (16, patch, patch); depends only on the patch size, cached.
+    Returns (patch, 4); the 2-D weight of pixel (i, j) into cell
+    (cy, cx) is the product of row i's weight for cy and column j's for cx.
     """
     coords = (np.arange(patch) + 0.5) / (patch / 4.0) - 0.5  # cell coordinate
-    lo = np.floor(coords).astype(int)
-    frac = coords - lo
-    w = np.zeros((16, patch, patch))
-    for cy in range(4):
-        wy = np.where(lo == cy, 1.0 - frac, 0.0) + np.where(lo == cy - 1, frac, 0.0)
-        for cx in range(4):
-            wx = np.where(lo == cx, 1.0 - frac, 0.0) + np.where(lo == cx - 1, frac, 0.0)
-            w[cy * 4 + cx] = wy[:, None] * wx[None, :]
-    return w
+    lo = np.floor(coords)[:, None]
+    frac = coords[:, None] - lo
+    cells = np.arange(4)
+    return np.where(lo == cells, 1.0 - frac, 0.0) + np.where(lo == cells - 1, frac, 0.0)
 
 
-_CELL_CACHE: dict[int, np.ndarray] = {}
+def _unit_rows(vectors: np.ndarray) -> np.ndarray:
+    norm = np.linalg.norm(vectors, axis=1, keepdims=True)
+    return np.divide(vectors, norm, out=np.zeros_like(vectors), where=norm > 0)
 
 
 def extract_descriptors(frame: np.ndarray, grid_stride: int = 8,
-                        patch: int = 16) -> list[Descriptor]:
-    """Dense grid of 128-d orientation-histogram descriptors.
+                        patch: int = 16) -> np.recarray:
+    """Dense grid of 128-d orientation-histogram descriptors as DESCRIPTOR records.
 
     Centers are placed every grid_stride px wherever the patch fits
-    entirely inside the frame.
+    entirely inside the frame, in row-major order.  A flat patch gives
+    the all-zero vector.
     """
     frame = np.asarray(frame, dtype=np.float64)
     h, w = frame.shape
@@ -77,45 +75,28 @@ def extract_descriptors(frame: np.ndarray, grid_stride: int = 8,
         raise VocabularyError(f"frame {frame.shape} smaller than patch {patch}")
     gy, gx = np.gradient(frame)
     mag = np.hypot(gx, gy)
-    ori = np.mod(np.arctan2(gy, gx), 2.0 * np.pi)
+    obin = np.mod(np.arctan2(gy, gx), 2.0 * np.pi) / (2.0 * np.pi) * 8.0
+    b0 = np.floor(obin).astype(int) % 8
+    f1 = obin - np.floor(obin)
+    # Magnitude split bilinearly between orientation bins b0 and b0 + 1.
+    bins = np.arange(8)[:, None, None]
+    planes = (np.where(b0 == bins, mag * (1.0 - f1), 0.0)
+              + np.where((b0 + 1) % 8 == bins, mag * f1, 0.0))  # (8, h, w)
 
-    if patch not in _CELL_CACHE:
-        _CELL_CACHE[patch] = _cell_weights(patch)
-    cell_w = _CELL_CACHE[patch]
+    # Separable cell pooling: rows of each window, then its columns.
+    weights = _cell_weights(patch)
+    rows = sliding_window_view(planes, patch, axis=1)[:, ::grid_stride] @ weights
+    cells = sliding_window_view(rows, patch, axis=2)[:, :, ::grid_stride] @ weights
+    ny, nx = cells.shape[1:3]  # cells: (bin, grid y, grid x, cell y, cell x)
+    vectors = cells.transpose(1, 2, 3, 4, 0).reshape(ny * nx, DESCRIPTOR_DIM)
+    vectors = _unit_rows(np.minimum(_unit_rows(vectors), CLIP))
 
     half = patch // 2
-    xs = range(half, w - half + 1, grid_stride)
-    ys = range(half, h - half + 1, grid_stride)
-    obin = ori / (2.0 * np.pi) * 8.0
-    b0 = np.floor(obin).astype(int) % 8
-    b1 = (b0 + 1) % 8
-    f1 = obin - np.floor(obin)
-    f0 = 1.0 - f1
-
-    descs = []
-    for cy in ys:
-        for cx in xs:
-            sl = (slice(cy - half, cy - half + patch),
-                  slice(cx - half, cx - half + patch))
-            m = mag[sl]
-            vec = np.zeros((16, 8))
-            pm0 = m * f0[sl]
-            pm1 = m * f1[sl]
-            pb0 = b0[sl]
-            pb1 = b1[sl]
-            for c in range(16):
-                cw = cell_w[c]
-                np.add.at(vec[c], pb0.ravel(), (cw * pm0).ravel())
-                np.add.at(vec[c], pb1.ravel(), (cw * pm1).ravel())
-            vec = vec.ravel()
-            norm = np.linalg.norm(vec)
-            if norm > 0:
-                vec = np.minimum(vec / norm, CLIP)
-                norm2 = np.linalg.norm(vec)
-                if norm2 > 0:
-                    vec = vec / norm2
-            descs.append(Descriptor(vector=vec, x=float(cx), y=float(cy),
-                                    scale=float(patch)))
+    descs = np.recarray(ny * nx, dtype=DESCRIPTOR)
+    descs.vector = vectors
+    descs.y = np.repeat(half + grid_stride * np.arange(ny), nx)
+    descs.x = np.tile(half + grid_stride * np.arange(nx), ny)
+    descs.scale = patch
     return descs
 
 
@@ -127,14 +108,22 @@ def _sse(points: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> float
     return float(((points - centroids[assign]) ** 2).sum())
 
 
-def _nearest(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Index of each point's nearest centroid, from one (n, K) matrix product.
+def _sq_dist(vectors: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """(n, K) squared distances ‖x‖² − 2x·c + ‖c‖², from one matrix product.
 
-    ‖x‖² is the same for every centroid of a row, so it is left out.  The
-    argmin can differ from that of the direct differences only where two
-    distances agree to rounding.
+    Clamped at 0, which rounding can undershoot for x equal to a word.
+    Built in place, so the only (n, K) array is the result.
     """
-    return ((centroids ** 2).sum(axis=1) - 2.0 * pts @ centroids.T).argmin(axis=1)
+    d2 = vectors @ words.T
+    d2 *= -2.0
+    d2 += (vectors ** 2).sum(axis=1)[:, None]
+    d2 += (words ** 2).sum(axis=1)
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _nearest(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Index of each point's nearest centroid; ties go to the lowest index."""
+    return _sq_dist(pts, centroids).argmin(axis=1)
 
 
 def kmeans(points, k: int, seed: int = 0, max_iter: int = 100,
@@ -145,8 +134,6 @@ def kmeans(points, k: int, seed: int = 0, max_iter: int = 100,
     clusters are re-seeded to the point currently farthest from its
     centroid.  The within-cluster SSE is asserted non-increasing.
     """
-    if isinstance(points, (list, tuple)) and points and isinstance(points[0], Descriptor):
-        points = [d.vector for d in points]
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < k:
         raise VocabularyError(f"need at least {k} points, got {pts.shape}")
@@ -208,28 +195,28 @@ def _lloyd(pts: np.ndarray, k: int, rng: np.random.Generator,
 # Quantization and BoW
 # ---------------------------------------------------------------------------
 
-def quantize(vector, codebook: Codebook, m: int = SOFT_NEIGHBORS,
+def quantize(vectors, codebook: Codebook, m: int = SOFT_NEIGHBORS,
              sigma: float = SOFT_SIGMA):
-    """Hard and soft word assignment for a descriptor vector.
+    """Hard and soft word assignment for each row of (n, dim) vectors.
 
-    Returns (hard index, soft weights over all K words).  Soft weights
-    are a Gaussian of the distance over the m nearest words, normalized
-    to sum 1; ties in the hard assignment go to the lowest index.
+    Returns (hard indices (n,), soft weights (n, K)).  Soft weights are a
+    Gaussian of the distance over the m nearest words, normalized to sum
+    1 per row; when all m underflow the row is one-hot at the hard word.
+    An all-zero row (a flat patch) carries no word: its soft weights are
+    all zero.  Ties go to the lowest index.
     """
-    if isinstance(vector, Descriptor):
-        vector = vector.vector
-    vector = np.asarray(vector, dtype=np.float64)
-    d2 = ((codebook.words - vector) ** 2).sum(axis=1)
-    hard = int(d2.argmin())
-    m = min(m, codebook.K)
-    nearest = np.argsort(d2, kind="stable")[:m]
-    weights = np.exp(-d2[nearest] / (2.0 * sigma * sigma))
-    soft = np.zeros(codebook.K)
-    total = weights.sum()
-    if total > 0:
-        soft[nearest] = weights / total
-    else:
-        soft[hard] = 1.0
+    vectors = np.asarray(vectors, dtype=np.float64)
+    d2 = _sq_dist(vectors, codebook.words)
+    order = np.argsort(d2, axis=1, kind="stable")
+    hard = order[:, 0]
+    nearest = order[:, :min(m, codebook.K)]
+    weights = np.exp(-np.take_along_axis(d2, nearest, axis=1) / (2.0 * sigma * sigma))
+    total = weights.sum(axis=1, keepdims=True)
+    soft = np.zeros_like(d2)
+    np.put_along_axis(soft, nearest, weights / np.where(total > 0, total, 1.0), axis=1)
+    underflow = total[:, 0] == 0
+    soft[underflow, hard[underflow]] = 1.0
+    soft[~vectors.any(axis=1)] = 0.0
     return hard, soft
 
 
@@ -237,16 +224,16 @@ def bow_histogram(descriptors, codebook: Codebook, idf=None,
                   m: int = SOFT_NEIGHBORS, sigma: float = SOFT_SIGMA) -> np.ndarray:
     """Soft-assignment word counts, optionally idf-weighted, L1-normalized.
 
-    All-zero descriptors (flat patches) are dropped; a featureless image
-    yields the all-zero histogram.
+    descriptors: DESCRIPTOR records or plain (n, dim) vectors.  All-zero
+    descriptors (flat patches) count nothing; a featureless image yields
+    the all-zero histogram.
     """
-    counts = np.zeros(codebook.K)
-    for desc in descriptors:
-        vec = desc.vector if isinstance(desc, Descriptor) else np.asarray(desc)
-        if not np.any(vec):
-            continue
-        _, soft = quantize(vec, codebook, m=m, sigma=sigma)
-        counts += soft
+    if isinstance(descriptors, np.recarray):
+        vectors = descriptors.vector
+    else:
+        vectors = np.reshape(np.asarray(descriptors, dtype=np.float64),
+                             (-1, codebook.words.shape[1]))
+    counts = quantize(vectors, codebook, m=m, sigma=sigma)[1].sum(axis=0)
     if idf is not None:
         counts = counts * np.asarray(idf, dtype=np.float64)
     total = counts.sum()

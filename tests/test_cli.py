@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_acceptance import _oriented_texture
 from vvtrack import frames as fio
-from vvtrack import shadows, vocab
+from vvtrack import shadows, svm, vocab
 from vvtrack.cli import main
 
 
@@ -92,6 +93,11 @@ class TestDataErrors:
         ({"background": {"a": "x"}}, "background.a"),
         ({"tracker": {"sigma0": 5}}, "tracker.sigma0"),
         ({"seed": "x"}, "seed"),
+        ({"tracker": {"sigma0": [8.0, 8.0, -0.05]}}, "tracker.sigma0"),
+        ({"tracker": {"lost_patience": 0}}, "tracker.lost_patience"),
+        ({"tracker": {"window": 1}}, "tracker.window"),
+        ({"tracker": {"sigma_obs_sq": 0}}, "tracker.sigma_obs_sq"),
+        ({"tracker": {"fit_floor": 0}}, "tracker.fit_floor"),
     ])
     def test_bad_config_value(self, tmp_path, capsys, user, name):
         seq = _generate(tmp_path, frames=4)
@@ -271,6 +277,32 @@ class TestTrainCommands:
         rc = main(["train-svm", "--config", cfg, "--vocab", str(cb_path),
                    "--in", str(train_dir), "--out", str(model_path)])
         assert rc == 0 and model_path.exists()
-        from vvtrack import svm
         model = svm.load_model(model_path)
         assert model.classes == ["bright", "dark"]
+
+    def test_default_config_classifies_heldout_textures(self, tmp_path):
+        # criterion-13 textures: 8 training and 6 held-out images per class
+        rng = np.random.default_rng(0)
+        classes = ("horiz", "vert", "diag")
+        images, train_dir = tmp_path / "images", tmp_path / "train"
+        images.mkdir()
+        for cls in classes:
+            (train_dir / cls).mkdir(parents=True)
+            for k in range(8):
+                image = _oriented_texture(cls, rng)
+                fio.write_pnm(images / f"{cls}_{k:02d}.pgm", image)
+                fio.write_pnm(train_dir / cls / f"{k:02d}.pgm", image)
+        heldout = [(cls, _oriented_texture(cls, rng))
+                   for cls in classes for _ in range(6)]
+        cfg = tmp_path / "config.json"
+        cfg.write_text("{}")
+        cb_path, model_path = tmp_path / "cb.txt", tmp_path / "svm.txt"
+        assert main(["train-vocab", "--config", str(cfg), "--in", str(images),
+                     "--out", str(cb_path)]) == 0
+        assert main(["train-svm", "--config", str(cfg), "--vocab", str(cb_path),
+                     "--in", str(train_dir), "--out", str(model_path)]) == 0
+        codebook, model = vocab.load_codebook(cb_path), svm.load_model(model_path)
+        correct = sum(svm.predict(model, vocab.bow_histogram(
+            vocab.extract_descriptors(image), codebook))[0] == cls
+            for cls, image in heldout)
+        assert correct / len(heldout) >= 0.9

@@ -112,10 +112,21 @@ class TestValidation:
         ({"recognition": {"svm_path": 3}}, "recognition.svm_path"),
         ({"seed": "x"}, "seed"),
         ({"seed": 1.5}, "seed"),
+        ({"tracker": {"sigma0": [8.0, -1.0, 0.05]}}, "tracker.sigma0"),
+        ({"tracker": {"lost_patience": 0}}, "tracker.lost_patience"),
+        ({"tracker": {"window": 1}}, "tracker.window"),
+        ({"tracker": {"sigma_obs_sq": 0}}, "tracker.sigma_obs_sq"),
+        ({"tracker": {"fit_floor": 0.0}}, "tracker.fit_floor"),
     ])
     def test_bad_value_errors(self, user, name):
         with pytest.raises(ConfigError, match=name):
             merge_config(user)
+
+    def test_smallest_tracker_values_accepted(self):
+        tc = tracker_config(merge_config({"tracker": {
+            "lost_patience": 1, "window": 2, "sigma0": [0, 0, 0],
+            "sigma_obs_sq": 1e-6, "fit_floor": 1e-300}}))
+        assert (tc.lost_patience, tc.window, tc.sigma0) == (1, 2, (0.0, 0.0, 0.0))
 
     def test_int_accepted_for_float_default(self):
         tc = tracker_config(merge_config({"tracker": {"eta": 4, "sigma0": [4, 4, 1]}}))

@@ -9,7 +9,7 @@ from vvtrack.recognition import (Occurrence, OccurrenceTable, PartEdge,
                                  distance_transform_2d, learn_occurrences,
                                  match_parts, meanshift_modes, recognize_domain)
 from vvtrack.svm import train_svm
-from vvtrack.vocab import Codebook, Descriptor
+from vvtrack.vocab import Codebook
 
 
 def _textured_square(size=64, box=(20, 20, 24, 24), seed=0):
@@ -70,8 +70,9 @@ class TestCastVotes:
             entries={("c", 0): [Occurrence(dx=5.0, dy=-3.0, scale_ratio=2.0,
                                            desc_scale=16.0, weight=1.0)]},
             box_templates={"c": (32.0, 32.0)}, classes=["c"])
-        d = Descriptor(vector=np.eye(1, 128, 0)[0], x=10.0, y=20.0, scale=16.0)
-        votes = cast_votes([d], cb, table, "c")
+        d = np.rec.fromrecords([(np.eye(1, 128, 0)[0], 10.0, 20.0, 16.0)],
+                               dtype=vocab.DESCRIPTOR)
+        votes = cast_votes(d, cb, table, "c")
         assert votes.shape == (1, 4)
         x, y, s, w = votes[0]
         assert (x, y) == (15.0, 17.0)
@@ -84,15 +85,17 @@ class TestCastVotes:
             entries={("c", 0): [Occurrence(dx=4.0, dy=0.0, scale_ratio=1.0,
                                            desc_scale=16.0, weight=1.0)]},
             classes=["c"])
-        d = Descriptor(vector=np.eye(1, 128, 0)[0], x=0.0, y=0.0, scale=32.0)
-        votes = cast_votes([d], cb, table, "c")
+        d = np.rec.fromrecords([(np.eye(1, 128, 0)[0], 0.0, 0.0, 32.0)],
+                               dtype=vocab.DESCRIPTOR)
+        votes = cast_votes(d, cb, table, "c")
         assert votes[0][0] == pytest.approx(8.0)  # offset doubled at 2x scale
 
     def test_empty_without_matching_words(self):
         cb = Codebook(words=np.eye(2, 128), seed=0)
         table = OccurrenceTable(entries={}, classes=["c"])
-        d = Descriptor(vector=np.eye(1, 128, 0)[0], x=0, y=0, scale=16.0)
-        assert cast_votes([d], cb, table, "c").shape == (0, 4)
+        d = np.rec.fromrecords([(np.eye(1, 128, 0)[0], 0.0, 0.0, 16.0)],
+                               dtype=vocab.DESCRIPTOR)
+        assert cast_votes(d, cb, table, "c").shape == (0, 4)
 
 
 def _meanshift_from_every_vote(votes, b0):

@@ -9,7 +9,76 @@ from vvtrack.vocab import (Codebook, VocabularyError, bow_histogram,
                            kmeans, pmk, quantize)
 
 
+def _reference_cell_weights(patch):
+    """(16, patch, patch) bilinear weight of each pixel into each of the 4x4 cells."""
+    coords = (np.arange(patch) + 0.5) / (patch / 4.0) - 0.5
+    lo = np.floor(coords).astype(int)
+    frac = coords - lo
+    w = np.zeros((16, patch, patch))
+    for cy in range(4):
+        wy = np.where(lo == cy, 1.0 - frac, 0.0) + np.where(lo == cy - 1, frac, 0.0)
+        for cx in range(4):
+            wx = np.where(lo == cx, 1.0 - frac, 0.0) + np.where(lo == cx - 1, frac, 0.0)
+            w[cy * 4 + cx] = wy[:, None] * wx[None, :]
+    return w
+
+
+def _reference_descriptors(frame, grid_stride, patch):
+    """Reference: one descriptor per grid point, accumulated pixel by pixel.
+
+    Returns (vectors, xs, ys, scales) in row-major grid order.
+    """
+    h, w = frame.shape
+    gy, gx = np.gradient(frame)
+    mag = np.hypot(gx, gy)
+    obin = np.mod(np.arctan2(gy, gx), 2.0 * np.pi) / (2.0 * np.pi) * 8.0
+    b0 = np.floor(obin).astype(int) % 8
+    b1 = (b0 + 1) % 8
+    f1 = obin - np.floor(obin)
+    f0 = 1.0 - f1
+    cell_w = _reference_cell_weights(patch)
+    half = patch // 2
+    vectors, xs, ys, scales = [], [], [], []
+    for cy in range(half, h - patch + half + 1, grid_stride):
+        for cx in range(half, w - patch + half + 1, grid_stride):
+            sl = (slice(cy - half, cy - half + patch),
+                  slice(cx - half, cx - half + patch))
+            vec = np.zeros((16, 8))
+            pm0, pm1 = mag[sl] * f0[sl], mag[sl] * f1[sl]
+            for c in range(16):
+                np.add.at(vec[c], b0[sl].ravel(), (cell_w[c] * pm0).ravel())
+                np.add.at(vec[c], b1[sl].ravel(), (cell_w[c] * pm1).ravel())
+            vec = vec.ravel()
+            norm = np.linalg.norm(vec)
+            if norm > 0:
+                vec = np.minimum(vec / norm, vocab.CLIP)
+                norm2 = np.linalg.norm(vec)
+                if norm2 > 0:
+                    vec = vec / norm2
+            vectors.append(vec)
+            xs.append(float(cx))
+            ys.append(float(cy))
+            scales.append(float(patch))
+    return np.array(vectors), xs, ys, scales
+
+
 class TestExtractDescriptors:
+    @pytest.mark.parametrize("shape,stride,patch", [
+        ((64, 64), 8, 16), ((240, 320), 8, 16), ((33, 47), 3, 8),
+        ((64, 64), 5, 12), ((16, 16), 16, 16), ((21, 26), 2, 5),
+    ])
+    def test_matches_per_point_reference(self, shape, stride, patch):
+        frame = np.random.default_rng(17).random(shape)
+        frame[:, :shape[1] // 3] = 0.5  # flat patches give all-zero rows
+        descs = extract_descriptors(frame, grid_stride=stride, patch=patch)
+        vectors, xs, ys, scales = _reference_descriptors(frame, stride, patch)
+        assert isinstance(descs, np.recarray) and descs.dtype == vocab.DESCRIPTOR
+        assert descs.vector.shape == vectors.shape
+        assert np.abs(descs.vector - vectors).max() <= 1e-12
+        assert descs.x.tolist() == xs
+        assert descs.y.tolist() == ys
+        assert descs.scale.tolist() == scales
+
     def test_grid_count_and_geometry(self):
         rng = np.random.default_rng(0)
         frame = rng.random((64, 64))
@@ -118,11 +187,11 @@ class TestKmeans:
             tracemalloc.stop()
         assert peak < 32e6
 
-    def test_accepts_descriptor_list(self):
+    def test_accepts_descriptor_vectors(self):
         rng = np.random.default_rng(8)
         frame = rng.random((32, 32))
         descs = extract_descriptors(frame, grid_stride=8)
-        cb = kmeans(descs, 2, seed=0)
+        cb = kmeans(descs.vector, 2, seed=0)
         assert cb.words.shape == (2, 128)
 
 
@@ -133,34 +202,64 @@ class TestQuantize:
 
     def test_hard_assignment_nearest(self):
         cb = self._codebook()
-        hard, _ = quantize(np.array([0.9, 0.1]), cb)
-        assert hard == 1
+        hard, _ = quantize(np.array([[0.9, 0.1]]), cb)
+        assert hard.tolist() == [1]
 
     def test_hard_tie_lowest_index(self):
         cb = self._codebook()
-        hard, _ = quantize(np.array([0.5, 0.5]), cb)
-        assert hard == 0
+        hard, _ = quantize(np.array([[0.5, 0.5]]), cb)
+        assert hard.tolist() == [0]
 
     def test_soft_weights_sum_to_one(self):
         cb = self._codebook()
-        _, soft = quantize(np.array([0.7, 0.2]), cb, m=3)
+        _, soft = quantize(np.array([[0.7, 0.2]]), cb, m=3)
+        assert soft.shape == (1, 4)
         assert soft.sum() == pytest.approx(1.0)
         assert np.count_nonzero(soft) <= 3
 
     def test_soft_matches_direct_gaussian(self):
         cb = self._codebook()
         v = np.array([0.3, 0.6])
-        _, soft = quantize(v, cb, m=4, sigma=0.2)
+        _, soft = quantize(v[None], cb, m=4, sigma=0.2)
         d2 = ((cb.words - v) ** 2).sum(axis=1)
         expect = np.exp(-d2 / (2 * 0.2 ** 2))
         expect /= expect.sum()
-        assert np.allclose(soft, expect)
+        assert np.allclose(soft[0], expect)
 
     def test_exact_word_dominates(self):
         cb = self._codebook()
-        hard, soft = quantize(cb.words[2], cb, m=1)
-        assert hard == 2
-        assert soft[2] == pytest.approx(1.0)
+        hard, soft = quantize(cb.words[2:3], cb, m=1)
+        assert hard.tolist() == [2]
+        assert soft[0, 2] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_batch_rows_match_direct_differences(self, m):
+        cb = self._codebook()
+        rng = np.random.default_rng(18)
+        # an exact four-way tie, a row equal to a word, then random rows
+        vectors = np.vstack([[0.5, 0.5], cb.words[3], rng.random((30, 2))])
+        hard, soft = quantize(vectors, cb, m=m, sigma=0.3)
+        for v, h, row in zip(vectors, hard, soft):
+            d2 = ((cb.words - v) ** 2).sum(axis=1)
+            nearest = np.argsort(d2, kind="stable")[:m]
+            expect = np.zeros(cb.K)
+            expect[nearest] = np.exp(-d2[nearest] / (2 * 0.3 ** 2))
+            expect /= expect.sum()
+            assert h == d2.argmin()
+            assert np.allclose(row, expect, rtol=0, atol=1e-12)
+        assert hard[:2].tolist() == [0, 3]
+        assert np.count_nonzero(soft[0]) == m and soft[0, :m].all()
+
+    def test_underflowing_row_is_one_hot(self):
+        # every Gaussian weight underflows this far from the words
+        hard, soft = quantize(np.array([[40.0, 30.0]]), self._codebook())
+        assert hard.tolist() == [3]
+        assert soft[0].tolist() == [0.0, 0.0, 0.0, 1.0]
+
+    def test_zero_row_carries_no_word(self):
+        _, soft = quantize(np.array([[0.0, 0.0], [0.7, 0.2]]), self._codebook())
+        assert not soft[0].any()
+        assert soft[1].sum() == pytest.approx(1.0)
 
 
 class TestBowHistogram:
@@ -185,6 +284,25 @@ class TestBowHistogram:
         h1 = bow_histogram(vecs, cb)
         h2 = bow_histogram([vecs[1]], cb)
         assert np.allclose(h1, h2)
+
+    def test_memory_is_n_by_k(self):
+        # an (n, K, 128) temporary would be 2000 * 200 * 128 * 8 B = 410 MB
+        rng = np.random.default_rng(19)
+        vecs = rng.random((2000, 128))
+        cb = Codebook(words=rng.random((200, 128)), seed=0)
+        tracemalloc.start()
+        try:
+            bow_histogram(vecs, cb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
+    def test_records_and_vectors_agree(self):
+        rng = np.random.default_rng(20)
+        descs = extract_descriptors(rng.random((32, 32)), grid_stride=4)
+        cb = Codebook(words=rng.random((6, 128)), seed=0)
+        assert np.array_equal(bow_histogram(descs, cb), bow_histogram(descs.vector, cb))
 
     def test_idf_reweights(self):
         cb = self._codebook()
