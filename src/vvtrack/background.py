@@ -79,35 +79,11 @@ def init_background(first_frame: np.ndarray, **kwargs) -> BackgroundState:
     return state
 
 
-def radiometric_similarity(f1: np.ndarray, f2: np.ndarray, x: int, y: int,
-                           w: int = 1) -> float:
-    """Normalized cross-correlation of the (2w+1)^2 windows centred at (x, y).
-
-    Both windows constant: returns 1 when the window means agree to
-    within 1e-6, else 0.
-    """
-    f1 = validate_gray(f1)
-    f2 = validate_gray(f2)
-    h, width = f1.shape
-    if f1.shape != f2.shape:
-        raise BackgroundError("frame dimensions differ")
-    if x - w < 0 or y - w < 0 or x + w >= width or y + w >= h:
-        raise BackgroundError(f"window at ({x}, {y}) radius {w} outside frame")
-    w1 = f1[y - w : y + w + 1, x - w : x + w + 1]
-    w2 = f2[y - w : y + w + 1, x - w : x + w + 1]
-    m1, m2 = w1.mean(), w2.mean()
-    v1 = ((w1 - m1) ** 2).mean()
-    v2 = ((w2 - m2) ** 2).mean()
-    if v1 < EPS_VAR and v2 < EPS_VAR:
-        return 1.0 if abs(m1 - m2) < EPS_MEAN else 0.0
-    if v1 < EPS_VAR or v2 < EPS_VAR:
-        return 0.0
-    cov = (w1 * w2).mean() - m1 * m2
-    return float(cov / np.sqrt(v1 * v2))
-
-
 def similarity_map(f1: np.ndarray, f2: np.ndarray, w: int = 1) -> np.ndarray:
-    """Windowed NCC at every pixel (reflect borders), same rule as the scalar op."""
+    """Windowed NCC of the (2w+1)^2 windows at every pixel (reflect borders).
+
+    A flat window scores 0, or 1 where both are flat with equal means.
+    """
     size = 2 * w + 1
     mean = lambda f: ndimage.uniform_filter(f, size=size, mode="reflect")
     m1, m2 = mean(f1), mean(f2)
@@ -220,36 +196,3 @@ def clean_mask(mask: np.ndarray) -> np.ndarray:
     out = ndimage.binary_erosion(out, structure=se, border_value=1)
     return out
 
-
-def save_state(path, state: BackgroundState) -> None:
-    """Versioned text checkpoint: dimensions, B pixels, V, a, b, T_b."""
-    h, w = state.B.shape
-    with open(path, "w") as fh:
-        fh.write("vvtrack-background v1\n")
-        fh.write(f"{w} {h}\n")
-        fh.write(f"{float(state.a)!r} {float(state.b)!r} {float(state.T_b)!r} "
-                 f"{float(state.T_sim)!r} {state.window_radius}\n")
-        fh.write(" ".join(repr(float(v)) for v in state.V) + "\n")
-        for row in state.B:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_state(path) -> BackgroundState:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "vvtrack-background v1":
-            raise BackgroundError(f"{path}: bad checkpoint header {header!r}")
-        try:
-            w, h = (int(t) for t in fh.readline().split())
-            a, b, t_b, t_sim, radius = fh.readline().split()
-            v = [float(t) for t in fh.readline().split()]
-            frame = np.asarray([[float(t) for t in fh.readline().split()]
-                                for _ in range(h)], dtype=np.float64)
-            if frame.shape != (h, w):
-                raise BackgroundError(f"{path}: checkpoint pixel block has wrong shape")
-            state = BackgroundState(B=frame, a=float(a), b=float(b), T_b=float(t_b),
-                                    T_sim=float(t_sim), window_radius=int(radius))
-        except ValueError as exc:
-            raise BackgroundError(f"{path}: malformed checkpoint: {exc}") from None
-    state.V = v
-    return state

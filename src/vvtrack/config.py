@@ -10,6 +10,8 @@ from __future__ import annotations
 import copy
 import json
 
+from .tracker import PATCH_DIM, TrackerConfig
+
 
 class ConfigError(Exception):
     pass
@@ -133,6 +135,10 @@ def _validate(cfg: dict) -> None:
     bg = cfg["background"]
     if not 0.04 <= bg["a"] <= 0.06:
         raise ConfigError("background.a must lie in [0.04, 0.06]")
+    if bg["b"] < 0:
+        raise ConfigError("background.b must be >= 0")
+    if bg["window_radius"] < 1:
+        raise ConfigError("background.window_radius must be >= 1")
     sh = cfg["shadow"]
     if not 0.0 <= sh["t2"] < sh["t1"] <= 1.0:
         raise ConfigError("shadow.t1 and shadow.t2 need 0 <= t2 < t1 <= 1")
@@ -166,10 +172,13 @@ def _validate(cfg: dict) -> None:
         raise ConfigError("tracker.fit_floor must be > 0")
     if min(tr["sigma0"]) < 0:
         raise ConfigError("tracker.sigma0 entries must be >= 0")
+    if not 1 <= tr["q"] <= PATCH_DIM:
+        raise ConfigError(f"tracker.q must lie in [1, {PATCH_DIM}] (pixels per patch)")
+    for key in ("c_anneal", "tau", "eta"):
+        if tr[key] < 0:
+            raise ConfigError(f"tracker.{key} must be >= 0")
 
 
-def tracker_config(cfg: dict):
-    from .tracker import TrackerConfig
-
+def tracker_config(cfg: dict) -> TrackerConfig:
     tr = cfg["tracker"]
     return TrackerConfig(**{**tr, "sigma0": tuple(tr["sigma0"])})

@@ -96,6 +96,8 @@ def read_pnm(path) -> np.ndarray:
         raise FrameError(f"{path}: unsupported magic {magic!r} (need binary P5/P6)")
     if maxval != 255:
         raise FrameError(f"{path}: only maxval 255 supported, got {maxval}")
+    if width < 1 or height < 1:
+        raise FrameError(f"{path}: image dimensions must be >= 1, got {width}x{height}")
     channels = 1 if magic == b"P5" else 3
     n = width * height * channels
     raw = np.frombuffer(data, dtype=np.uint8, count=-1, offset=pos)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,7 +73,6 @@ class TrackingReport:
     id_switches: int
     n_frames: int
     n_matches: int
-    per_frame: list = field(default_factory=list)
 
 
 def evaluate_tracks(tracks, truth, iou_thr: float = 0.5) -> TrackingReport:
@@ -109,7 +108,6 @@ def evaluate_tracks(tracks, truth, iou_thr: float = 0.5) -> TrackingReport:
     fp_total = 0
     switches = 0
     last_id: dict[int, int] = {}
-    per_frame = []
     for f in common:
         trk = tracks_by_frame[f]
         tru = truth_by_frame[f]
@@ -128,7 +126,6 @@ def evaluate_tracks(tracks, truth, iou_thr: float = 0.5) -> TrackingReport:
             if obj in last_id and last_id[obj] != tid:
                 switches += 1
             last_id[obj] = tid
-        per_frame.append((f, len(matches), len(tboxes), len(trk) - len(matches)))
 
     return TrackingReport(
         success_rate=n_matched / n_truth if n_truth else 1.0,
@@ -137,7 +134,6 @@ def evaluate_tracks(tracks, truth, iou_thr: float = 0.5) -> TrackingReport:
         id_switches=switches,
         n_frames=len(common),
         n_matches=n_matched,
-        per_frame=per_frame,
     )
 
 

@@ -70,7 +70,10 @@ def detect_sequence(rgb_frames, cfg) -> list[DetectionResult]:
 
 def initial_detections(results: list[DetectionResult], burn_in: int,
                        max_objects: int = 8):
-    """First frame after burn-in with stable blobs seeds the trackers."""
+    """(frame, boxes of its largest blobs) for the first frame >= burn_in with any blob.
+
+    Blobs are not checked for persistence (ROADMAP open item 2).
+    """
     for res in results:
         if res.frame < burn_in:
             continue
@@ -116,9 +119,8 @@ def run_pipeline(in_dir, out_dir, cfg, seed: int | None = None):
     start, boxes = initial_detections(results, int(cfg["background"]["burn_in"]))
     codebook, model = load_models(cfg)
     labels = classify_boxes(grays[start], boxes, codebook, model, cfg)
-    detections = list(zip(boxes, labels))
 
-    records = track_sequence(grays[start:], detections,
+    records = track_sequence(grays[start:], boxes,
                              config=tracker_config(cfg), seed=seed)
     for r in records:
         r.frame += start

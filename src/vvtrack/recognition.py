@@ -11,6 +11,8 @@ import numpy as np
 from . import svm, vocab
 from .vocab import Codebook, extract_descriptors
 
+SCORE_FRACTION = 0.25  # hypotheses below this share of the best score are dropped
+
 
 class RecognitionError(Exception):
     pass
@@ -281,14 +283,13 @@ def classify_box(descriptors, box, codebook: Codebook, svm_model):
 
 
 def recognize_frame(frame: np.ndarray, codebook: Codebook,
-                    table: OccurrenceTable, svm_model=None, part_models=None,
-                    b0: float = 0.1, score_fraction: float = 0.25,
-                    grid_stride: int = 8, patch: int = 16,
-                    part_energy_max: float | None = None):
+                    table: OccurrenceTable, svm_model=None, b0: float = 0.1,
+                    grid_stride: int = 8, patch: int = 16):
     """Vote, find modes, and verify hypotheses by BoW classification.
 
-    Returns a list of (ObjectHypothesis, verified label); the SVM check
-    and part-model refinement run only when the models are supplied.
+    Returns (ObjectHypothesis, label) pairs, strongest first, scoring at
+    least SCORE_FRACTION of the best; a given svm_model relabels each from
+    its box's BoW.  Part models (match_parts) are not matched here.
     """
     descs = extract_descriptors(frame, grid_stride=grid_stride, patch=patch)
     hypotheses = []
@@ -302,7 +303,7 @@ def recognize_frame(frame: np.ndarray, codebook: Codebook,
     top = max(h.score for h in hypotheses)
     accepted = []
     for hyp in sorted(hypotheses, key=lambda h: (-h.score, str(h.label))):
-        if hyp.score < score_fraction * top:
+        if hyp.score < SCORE_FRACTION * top:
             continue
         label = hyp.label
         if svm_model is not None:
@@ -316,28 +317,6 @@ def recognize_frame(frame: np.ndarray, codebook: Codebook,
             svm_label = classify_box(descs, (x0, y0, x1, y1), codebook, svm_model)
             if svm_label is not None:
                 label = svm_label
-        if part_models and hyp.label in part_models:
-            model, costmaps = part_models[hyp.label]
-            _, energy = match_parts(model, costmaps)
-            if part_energy_max is not None and energy > part_energy_max:
-                continue
         accepted.append((hyp, label))
     return accepted
 
-
-def recognize_domain(frame: np.ndarray, codebook: Codebook, domain_svm,
-                     grid_stride: int = 8, patch: int = 16):
-    """Whole-frame BoW classified by the domain SVM.
-
-    Returns (label, distribution over domains, sums to 1); featureless
-    frames yield the 'unknown' label with a uniform distribution.
-    """
-    descs = extract_descriptors(frame, grid_stride=grid_stride, patch=patch)
-    hist = vocab.bow_histogram(descs, codebook)
-    n = len(domain_svm.classes)
-    if not np.any(hist):
-        return "unknown", np.full(n, 1.0 / n)
-    label, votes = svm.predict(domain_svm, hist)
-    total = votes.sum()
-    dist = votes / total if total > 0 else np.full(n, 1.0 / n)
-    return label, dist

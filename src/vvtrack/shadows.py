@@ -136,15 +136,6 @@ def masked_gradient(f_log: np.ndarray, mask: np.ndarray) -> GradientField:
     return g
 
 
-def _gradient_selection(f_log: np.ndarray, mask: np.ndarray, keep_masked: bool):
-    """Split the gradient field into the shadow-edge and shadow-free parts."""
-    full = forward_gradient(f_log)
-    removed = masked_gradient(f_log, mask)
-    if keep_masked:
-        return GradientField(gx=full.gx - removed.gx, gy=full.gy - removed.gy)
-    return removed
-
-
 def divergence(g: GradientField) -> np.ndarray:
     """Backward-difference divergence of a forward-difference field."""
     gx = g.gx.copy()
@@ -199,8 +190,9 @@ def split_shadow(frame: np.ndarray, masks: ShadowMasks):
     """
     gray = to_grayscale(frame)
     i_log = np.log(gray + LOG_OFFSET)
-    shadow_field = _gradient_selection(i_log, masks.mask, keep_masked=True)
-    s = poisson_reconstruct(shadow_field)
+    full = forward_gradient(i_log)
+    free = masked_gradient(i_log, masks.mask)
+    s = poisson_reconstruct(GradientField(gx=full.gx - free.gx, gy=full.gy - free.gy))
     S = np.exp(s - s.max())
     R = np.minimum(np.exp(i_log - s), 1.0)
     return S, R

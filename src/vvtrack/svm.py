@@ -35,7 +35,6 @@ class BinaryMachine:
     support_vectors: np.ndarray
     dual_coef: np.ndarray  # alpha_i * y_i
     bias: float
-    C: float
     c_offset: float
 
     def decision(self, x: np.ndarray) -> float:
@@ -119,7 +118,7 @@ def _smo(x: np.ndarray, y: np.ndarray, C: float, c_offset: float, tol: float,
         raise SvmError("sum alpha_i y_i != 0 after training")
     sv = alpha > 1e-8
     return BinaryMachine(support_vectors=x[sv].copy(), dual_coef=(alpha * y)[sv],
-                         bias=b, C=C, c_offset=c_offset)
+                         bias=b, c_offset=c_offset)
 
 
 @dataclass
@@ -304,7 +303,7 @@ def load_model(path) -> SvmModel:
                                   for _ in range(int(n))])
                 model.machines[(int(a), int(b))] = BinaryMachine(
                     support_vectors=svs.reshape(int(n), int(dim)),
-                    dual_coef=coef.reshape(int(n)), bias=float(bias), C=float(C),
+                    dual_coef=coef.reshape(int(n)), bias=float(bias),
                     c_offset=float(c_offset))
         except ValueError as exc:
             raise SvmError(f"{path}: malformed model: {exc}") from None

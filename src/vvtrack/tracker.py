@@ -44,16 +44,13 @@ class Species:
     gbest_fit: float
     mean_patch: np.ndarray
     particles: np.ndarray = None  # (N, 3)
-    velocities: np.ndarray = None
     pbest: np.ndarray = None
     pbest_fit: np.ndarray = None
     U: np.ndarray | None = None  # (PATCH_DIM, q) orthonormal basis
     window: list = field(default_factory=list)
     masked_rects: list = field(default_factory=list)
-    occluded_with: set = field(default_factory=set)
     lost_count: int = 0
     frames_tracked: int = 0
-    label: object = None
 
 
 @dataclass
@@ -128,8 +125,7 @@ def observe(frame: np.ndarray, sp: Species, state,
     return max(_power(patch, sp, config, mask), config.fit_floor)
 
 
-def init_species(frame: np.ndarray, sp_id: int, box, config: TrackerConfig,
-                 label=None) -> Species:
+def init_species(frame: np.ndarray, sp_id: int, box, config: TrackerConfig) -> Species:
     """Start a species at a detection box; the first patch seeds the model."""
     x, y, w, h = box
     if w <= 0 or h <= 0:
@@ -138,10 +134,9 @@ def init_species(frame: np.ndarray, sp_id: int, box, config: TrackerConfig,
     patch = sample_patch(frame, box).ravel()
     n = config.n_particles
     sp = Species(id=sp_id, template=(float(w), float(h)), gbest=state.copy(),
-                 gbest_fit=1.0, mean_patch=patch.copy(), label=label)
+                 gbest_fit=1.0, mean_patch=patch.copy())
     sp.window = [patch.copy()]
     sp.particles = np.tile(state, (n, 1))
-    sp.velocities = np.zeros((n, 3))
     sp.pbest = sp.particles.copy()
     sp.pbest_fit = np.full(n, 1.0)
     return sp
@@ -166,7 +161,6 @@ def step_particles(sp: Species, frame: np.ndarray, n_iter: int,
         v = v + r3[:, None] * np.asarray(force)
     if not config.track_scale:
         v[:, 2] = 0.0
-    sp.velocities = v
     sp.particles = sp.particles + v
     sp.particles[:, 2] = np.maximum(sp.particles[:, 2], 1e-3)
     for i in range(n):
@@ -219,8 +213,6 @@ def compete(arena: CompetitionArena, frame: np.ndarray,
                        key=lambda k: (-arena.interactive[k], k))
     loser = arena.pair[0] if arena.winner == arena.pair[1] else arena.pair[1]
     species[loser].masked_rects.append(arena.rect)
-    species[arena.winner].occluded_with.add(loser)
-    species[loser].occluded_with.add(arena.winner)
     return arena
 
 
@@ -297,10 +289,10 @@ def track_sequence(frames, detections, config: TrackerConfig | None = None,
                    seed: int = 0) -> list[TrackRecord]:
     """Track initial detections through a grayscale frame sequence.
 
-    detections: list of (x, y, w, h) boxes (optionally (box, label)
-    pairs) on the first frame.  Per frame: arenas are resolved first,
-    then each species runs the annealed swarm with early stopping, then
-    its appearance model updates selectively.  Deterministic for a seed.
+    detections: list of (x, y, w, h) boxes on the first frame; box k starts
+    species k.  Per frame: arenas are resolved first, then each species
+    runs the annealed swarm with early stopping, then its appearance
+    model updates selectively.  Deterministic for a seed.
     """
     if config is None:
         config = TrackerConfig()
@@ -308,10 +300,8 @@ def track_sequence(frames, detections, config: TrackerConfig | None = None,
         raise TrackerError("need at least one initial detection")
     frames = list(frames)
     rng = np.random.default_rng(seed)
-    species = []
-    for k, det in enumerate(detections):
-        box, label = det if isinstance(det, tuple) and len(det) == 2 else (det, None)
-        species.append(init_species(frames[0], k, box, config, label=label))
+    species = [init_species(frames[0], k, box, config)
+               for k, box in enumerate(detections)]
 
     records = [_record(0, sp) for sp in species]
 
@@ -321,7 +311,6 @@ def track_sequence(frames, detections, config: TrackerConfig | None = None,
         live = [active[k] for k in sorted(active)]
         for sp in live:
             sp.masked_rects = []
-            sp.occluded_with = set()
         arenas = detect_occlusion(live)
         sp_map = {sp.id: sp for sp in live}
         for arena in arenas:
@@ -334,7 +323,6 @@ def track_sequence(frames, detections, config: TrackerConfig | None = None,
             if not config.track_scale:
                 sp.particles[:, 2] = sp.gbest[2]
             sp.particles[:, 2] = np.maximum(sp.particles[:, 2], 1e-3)
-            sp.velocities = np.zeros((n, 3))
             sp.pbest = sp.particles.copy()
             sp.pbest_fit = np.array([observe(frame, sp, p, config)
                                      for p in sp.particles])

@@ -220,9 +220,9 @@ def quantize(vectors, codebook: Codebook, m: int = SOFT_NEIGHBORS,
     return hard, soft
 
 
-def bow_histogram(descriptors, codebook: Codebook, idf=None,
-                  m: int = SOFT_NEIGHBORS, sigma: float = SOFT_SIGMA) -> np.ndarray:
-    """Soft-assignment word counts, optionally idf-weighted, L1-normalized.
+def bow_histogram(descriptors, codebook: Codebook, m: int = SOFT_NEIGHBORS,
+                  sigma: float = SOFT_SIGMA) -> np.ndarray:
+    """Soft-assignment word counts, L1-normalized.
 
     descriptors: DESCRIPTOR records or plain (n, dim) vectors.  All-zero
     descriptors (flat patches) count nothing; a featureless image yields
@@ -234,19 +234,8 @@ def bow_histogram(descriptors, codebook: Codebook, idf=None,
         vectors = np.reshape(np.asarray(descriptors, dtype=np.float64),
                              (-1, codebook.words.shape[1]))
     counts = quantize(vectors, codebook, m=m, sigma=sigma)[1].sum(axis=0)
-    if idf is not None:
-        counts = counts * np.asarray(idf, dtype=np.float64)
     total = counts.sum()
     return counts / total if total > 0 else counts
-
-
-def idf_weights(histograms, n_images: int | None = None) -> np.ndarray:
-    """idf_i = log(N / (1 + n_i)) with n_i = images containing word i."""
-    hs = np.asarray(histograms, dtype=np.float64)
-    if n_images is None:
-        n_images = hs.shape[0]
-    n_i = (hs > 0).sum(axis=0)
-    return np.log(n_images / (1.0 + n_i))
 
 
 # ---------------------------------------------------------------------------

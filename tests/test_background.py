@@ -1,15 +1,43 @@
 import numpy as np
 import pytest
 
-from vvtrack import background as bg
-from vvtrack.background import (BackgroundError, clean_mask, diff_histogram,
-                                fit_adaptive_threshold, init_background,
-                                motion_masks, radiometric_similarity,
+from vvtrack.background import (EPS_MEAN, EPS_VAR, BackgroundError, clean_mask,
+                                diff_histogram, fit_adaptive_threshold,
+                                init_background, motion_masks, similarity_map,
                                 update_background)
+from vvtrack.frames import validate_gray
 
 
 def _frame(vals):
     return np.asarray(vals, dtype=np.float64)
+
+
+# Scalar oracle of similarity_map: one window pair evaluated directly.
+def radiometric_similarity(f1: np.ndarray, f2: np.ndarray, x: int, y: int,
+                           w: int = 1) -> float:
+    """Normalized cross-correlation of the (2w+1)^2 windows centred at (x, y).
+
+    Both windows constant: returns 1 when the window means agree to
+    within 1e-6, else 0.
+    """
+    f1 = validate_gray(f1)
+    f2 = validate_gray(f2)
+    h, width = f1.shape
+    if f1.shape != f2.shape:
+        raise BackgroundError("frame dimensions differ")
+    if x - w < 0 or y - w < 0 or x + w >= width or y + w >= h:
+        raise BackgroundError(f"window at ({x}, {y}) radius {w} outside frame")
+    w1 = f1[y - w : y + w + 1, x - w : x + w + 1]
+    w2 = f2[y - w : y + w + 1, x - w : x + w + 1]
+    m1, m2 = w1.mean(), w2.mean()
+    v1 = ((w1 - m1) ** 2).mean()
+    v2 = ((w2 - m2) ** 2).mean()
+    if v1 < EPS_VAR and v2 < EPS_VAR:
+        return 1.0 if abs(m1 - m2) < EPS_MEAN else 0.0
+    if v1 < EPS_VAR or v2 < EPS_VAR:
+        return 0.0
+    cov = (w1 * w2).mean() - m1 * m2
+    return float(cov / np.sqrt(v1 * v2))
 
 
 class TestRadiometricSimilarity:
@@ -38,6 +66,24 @@ class TestRadiometricSimilarity:
         f = np.zeros((4, 4))
         with pytest.raises(BackgroundError):
             radiometric_similarity(f, f, 0, 0, 1)
+
+
+class TestSimilarityMap:
+    @pytest.mark.parametrize("w", [1, 2])
+    def test_matches_scalar_oracle(self, w):
+        rng = np.random.default_rng(3)
+        f1 = rng.random((24, 24))
+        f2 = 0.6 * f1 + 0.4 * rng.random((24, 24))
+        f1[1:9, 1:9] = f2[1:9, 1:9] = 0.4  # flat and equal
+        f1[1:9, 13:21], f2[1:9, 13:21] = 0.3, 0.7  # flat, unequal means
+        f1[13:21, 1:9] = 0.5  # flat in f1 only
+        sim = similarity_map(f1, f2, w)
+        oracle = np.array([[radiometric_similarity(f1, f2, x, y, w)
+                            for x in range(w, 24 - w)] for y in range(w, 24 - w)])
+        assert np.abs(sim[w:24 - w, w:24 - w] - oracle).max() <= 1e-12
+        # each flat case is hit: window centres (5, 5), (17, 5), (5, 17)
+        assert oracle[5 - w, 5 - w] == 1.0
+        assert oracle[5 - w, 17 - w] == 0.0 and oracle[17 - w, 5 - w] == 0.0
 
 
 class TestMotionMasks:
@@ -254,25 +300,3 @@ def test_diff_histogram_counts_pixels():
     hist = diff_histogram(a, b)
     assert hist[10] == 16 and hist.sum() == 16
 
-
-def test_state_checkpoint_roundtrip(tmp_path):
-    rng = np.random.default_rng(11)
-    state = init_background(rng.random((6, 8)), a=0.045, b=0.2)
-    state.T_b = 0.07
-    state.V = [0.5, 0.4, 0.3]
-    bg.save_state(tmp_path / "state.txt", state)
-    loaded = bg.load_state(tmp_path / "state.txt")
-    assert np.array_equal(loaded.B, state.B)
-    assert loaded.V == state.V
-    assert (loaded.a, loaded.b, loaded.T_b) == (state.a, state.b, state.T_b)
-
-
-@pytest.mark.parametrize("text", [
-    "garbage\n",
-    "vvtrack-background v1\n2 x\n",
-    "vvtrack-background v1\n2 1\n0.05 0.1 0.1 0.3\n",
-], ids=["header", "dimensions", "short-parameter-line"])
-def test_state_checkpoint_malformed_errors(tmp_path, text):
-    (tmp_path / "state.txt").write_text(text)
-    with pytest.raises(BackgroundError, match="state.txt"):
-        bg.load_state(tmp_path / "state.txt")

@@ -63,6 +63,14 @@ class TestDataErrors:
         assert main(["detect", "--config", cfg, "--in", str(empty),
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_bad_pnm_dimensions(self, tmp_path, capsys):
+        seq = tmp_path / "seq"
+        seq.mkdir()
+        (seq / "frame_0000.pgm").write_bytes(b"P5\n-4 4\n255\n" + bytes(64))
+        assert main(["detect", "--config", _config(tmp_path), "--in", str(seq),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "frame_0000.pgm: image dimensions" in capsys.readouterr().err
+
     @pytest.mark.parametrize("shadow", [
         {"sigma": -1, "enabled": True},
         {"penumbra": "2", "enabled": True},
@@ -98,6 +106,14 @@ class TestDataErrors:
         ({"tracker": {"window": 1}}, "tracker.window"),
         ({"tracker": {"sigma_obs_sq": 0}}, "tracker.sigma_obs_sq"),
         ({"tracker": {"fit_floor": 0}}, "tracker.fit_floor"),
+        ({"tracker": {"q": 0}}, "tracker.q"),
+        ({"tracker": {"q": 2000}}, "tracker.q"),
+        ({"tracker": {"c_anneal": -0.3}}, "tracker.c_anneal"),
+        ({"tracker": {"tau": -0.1}}, "tracker.tau"),
+        ({"tracker": {"eta": -4.0}}, "tracker.eta"),
+        ({"background": {"window_radius": 0}}, "background.window_radius"),
+        ({"background": {"window_radius": -1}}, "background.window_radius"),
+        ({"background": {"b": -5.0}}, "background.b"),
     ])
     def test_bad_config_value(self, tmp_path, capsys, user, name):
         seq = _generate(tmp_path, frames=4)

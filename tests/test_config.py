@@ -117,16 +117,29 @@ class TestValidation:
         ({"tracker": {"window": 1}}, "tracker.window"),
         ({"tracker": {"sigma_obs_sq": 0}}, "tracker.sigma_obs_sq"),
         ({"tracker": {"fit_floor": 0.0}}, "tracker.fit_floor"),
+        ({"tracker": {"q": 0}}, "tracker.q"),
+        ({"tracker": {"q": 1025}}, "tracker.q"),
+        ({"tracker": {"c_anneal": -0.1}}, "tracker.c_anneal"),
+        ({"tracker": {"tau": -0.1}}, "tracker.tau"),
+        ({"tracker": {"eta": -1.0}}, "tracker.eta"),
+        ({"background": {"window_radius": 0}}, "background.window_radius"),
+        ({"background": {"window_radius": -2}}, "background.window_radius"),
+        ({"background": {"b": -5.0}}, "background.b"),
     ])
     def test_bad_value_errors(self, user, name):
         with pytest.raises(ConfigError, match=name):
             merge_config(user)
 
     def test_smallest_tracker_values_accepted(self):
-        tc = tracker_config(merge_config({"tracker": {
+        cfg = merge_config({"tracker": {
             "lost_patience": 1, "window": 2, "sigma0": [0, 0, 0],
-            "sigma_obs_sq": 1e-6, "fit_floor": 1e-300}}))
+            "sigma_obs_sq": 1e-6, "fit_floor": 1e-300, "q": 1, "c_anneal": 0,
+            "tau": 0, "eta": 0}, "background": {"window_radius": 1, "b": 0}})
+        tc = tracker_config(cfg)
         assert (tc.lost_patience, tc.window, tc.sigma0) == (1, 2, (0.0, 0.0, 0.0))
+        assert (tc.q, tc.c_anneal, tc.tau, tc.eta) == (1, 0.0, 0.0, 0.0)
+        assert (cfg["background"]["window_radius"], cfg["background"]["b"]) == (1, 0.0)
+        assert tracker_config(merge_config({"tracker": {"q": 1024}})).q == 1024
 
     def test_int_accepted_for_float_default(self):
         tc = tracker_config(merge_config({"tracker": {"eta": 4, "sigma0": [4, 4, 1]}}))

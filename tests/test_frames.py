@@ -76,6 +76,15 @@ def test_read_pnm_truncated_errors(tmp_path):
         read_pnm(tmp_path / "bad.pgm")
 
 
+@pytest.mark.parametrize("width,height", [(-4, 4), (0, 4), (4, -4)],
+                         ids=["-4x4", "0x4", "4x-4"])
+def test_read_pnm_bad_dimensions_errors(tmp_path, width, height):
+    (tmp_path / "bad.pgm").write_bytes(b"P5\n%d %d\n255\n" % (width, height)
+                                       + bytes(64))
+    with pytest.raises(FrameError, match="bad.pgm"):
+        read_pnm(tmp_path / "bad.pgm")
+
+
 def test_rle_roundtrip():
     rng = np.random.default_rng(1)
     for _ in range(20):

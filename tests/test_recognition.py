@@ -7,7 +7,7 @@ from vvtrack.recognition import (Occurrence, OccurrenceTable, PartEdge,
                                  PartModel, RecognitionError, balloon_density,
                                  cast_votes, distance_transform_1d,
                                  distance_transform_2d, learn_occurrences,
-                                 match_parts, meanshift_modes, recognize_domain)
+                                 match_parts, meanshift_modes)
 from vvtrack.svm import train_svm
 from vvtrack.vocab import Codebook
 
@@ -369,34 +369,3 @@ class TestRecognizeFrame:
         table = OccurrenceTable(classes=["sq"])
         assert rec.recognize_frame(np.full((32, 32), 0.5), cb, table) == []
 
-
-class TestRecognizeDomain:
-    def _domain_setup(self):
-        rng = np.random.default_rng(6)
-        smooth = [np.clip(0.5 + np.cumsum(rng.normal(0, 0.01, (32, 32)),
-                                          axis=1), 0, 1) for _ in range(4)]
-        noisy = [rng.random((32, 32)) for _ in range(4)]
-        all_frames = smooth + noisy
-        descs = []
-        for f in all_frames:
-            descs.extend(d.vector for d in vocab.extract_descriptors(f)
-                         if np.any(d.vector))
-        cb = vocab.kmeans(np.asarray(descs), 6, seed=0)
-        hists = [vocab.bow_histogram(vocab.extract_descriptors(f), cb)
-                 for f in all_frames]
-        labels = ["smooth"] * 4 + ["noisy"] * 4
-        model = train_svm(hists, labels, C=5.0, seed=0)
-        return cb, model
-
-    def test_classifies_each_domain(self):
-        cb, model = self._domain_setup()
-        rng = np.random.default_rng(7)
-        label, dist = recognize_domain(rng.random((32, 32)), cb, model)
-        assert label == "noisy"
-        assert dist.sum() == pytest.approx(1.0)
-
-    def test_featureless_frame_unknown(self):
-        cb, model = self._domain_setup()
-        label, dist = recognize_domain(np.full((32, 32), 0.5), cb, model)
-        assert label == "unknown"
-        assert np.allclose(dist, 0.5)

@@ -107,8 +107,8 @@ class TestInitSpecies:
     def test_initial_state(self):
         frame = _textured_frame((10, 12, 8, 6))
         cfg = TrackerConfig(n_particles=7)
-        sp = init_species(frame, 3, (10, 12, 8, 6), cfg, label="car")
-        assert sp.id == 3 and sp.label == "car"
+        sp = init_species(frame, 3, (10, 12, 8, 6), cfg)
+        assert sp.id == 3
         assert tuple(sp.gbest) == (14.0, 15.0, 1.0)
         assert sp.template == (8.0, 6.0)
         assert sp.particles.shape == (7, 3)
@@ -199,7 +199,6 @@ class TestOcclusionAndCompetition:
         assert arena.winner == 0
         assert sp1.masked_rects == [arena.rect]
         assert sum(arena.interactive.values()) == pytest.approx(1.0)
-        assert sp0.occluded_with == {1} and sp1.occluded_with == {0}
 
     def test_repulsion_points_away_and_scales(self):
         frame = np.full((64, 96), 0.5)
@@ -303,10 +302,3 @@ class TestTrackSequence:
     def test_empty_detections_error(self):
         with pytest.raises(TrackerError):
             track_sequence([np.zeros((32, 32))], [], TrackerConfig())
-
-    def test_labels_carried(self):
-        frames = _shifted_frames(3, step=(0, 0))
-        records = track_sequence(frames, [((20, 20, 16, 16), "car")],
-                                 TrackerConfig(track_scale=False), seed=0)
-        assert records  # label lives on the species, id 0 throughout
-        assert {r.id for r in records} == {0}

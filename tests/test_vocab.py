@@ -5,8 +5,8 @@ import pytest
 
 from vvtrack import vocab
 from vvtrack.vocab import (Codebook, VocabularyError, bow_histogram,
-                           build_pyramid, extract_descriptors, idf_weights,
-                           kmeans, pmk, quantize)
+                           build_pyramid, extract_descriptors, kmeans, pmk,
+                           quantize)
 
 
 def _reference_cell_weights(patch):
@@ -303,25 +303,6 @@ class TestBowHistogram:
         descs = extract_descriptors(rng.random((32, 32)), grid_stride=4)
         cb = Codebook(words=rng.random((6, 128)), seed=0)
         assert np.array_equal(bow_histogram(descs, cb), bow_histogram(descs.vector, cb))
-
-    def test_idf_reweights(self):
-        cb = self._codebook()
-        rng = np.random.default_rng(11)
-        vecs = rng.random((15, 4))
-        idf = np.linspace(0.1, 2.0, cb.K)
-        h_plain = bow_histogram(vecs, cb)
-        h_idf = bow_histogram(vecs, cb, idf=idf)
-        manual = h_plain * idf
-        manual /= manual.sum()
-        assert np.allclose(h_idf, manual)
-
-    def test_idf_weights_formula(self):
-        hists = np.array([[1.0, 0.0, 2.0],
-                          [0.5, 0.0, 0.0],
-                          [0.0, 0.0, 1.0]])
-        idf = idf_weights(hists)
-        # word counts across images: 2, 0, 2
-        assert np.allclose(idf, np.log(np.array([3 / 3, 3 / 1, 3 / 3])))
 
 
 class TestPyramidMatch:
