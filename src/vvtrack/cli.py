@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Subcommands: generate, train-vocab, train-svm, detect, track, eval,
-pipeline.  Exit codes: 0 success, 1 usage error, 2 data/model error.
+Subcommands: generate, train-vocab, train-svm, detect, eval, and
+pipeline (alias track: detect -> recognize -> track -> score).  Exit
+codes: 0 success, 1 usage error, 2 data/model error.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--frames", type=int, default=60)
     gen.add_argument("--seed", type=int, default=0)
 
-    for name in ("train-vocab", "train-svm", "detect", "track", "eval", "pipeline"):
-        p = sub.add_parser(name)
+    for name in ("train-vocab", "train-svm", "detect", "eval", "pipeline"):
+        p = sub.add_parser(name, aliases=["track"] if name == "pipeline" else [])
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
@@ -80,8 +81,7 @@ def cmd_generate(args) -> int:
 def _load_gray_images(directory):
     images = []
     for path in sorted(Path(directory).glob("*.p?m")):
-        frame = fio.read_pnm(path)
-        images.append(fio.to_grayscale(frame) if frame.ndim == 3 else frame)
+        images.append(fio.to_grayscale(fio.read_pnm(path)))
     if not images:
         raise FrameError(f"{directory}: no PGM/PPM images found")
     return images
@@ -121,10 +121,7 @@ def cmd_train_svm(args, cfg) -> int:
 
 
 def cmd_detect(args, cfg) -> int:
-    rgb_frames = fio.read_sequence(args.in_dir)
-    if rgb_frames[0].ndim == 2:
-        rgb_frames = [fio.gray_to_rgb(f) for f in rgb_frames]
-    results = pl.detect_sequence(rgb_frames, cfg)
+    results = pl.detect_sequence(fio.read_sequence(args.in_dir), cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for res in results:

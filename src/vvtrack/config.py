@@ -139,6 +139,8 @@ def _validate(cfg: dict) -> None:
         raise ConfigError("background.b must be >= 0")
     if bg["window_radius"] < 1:
         raise ConfigError("background.window_radius must be >= 1")
+    if not 0.0 <= bg["T_sim"] < 2.0:
+        raise ConfigError("background.T_sim must lie in [0, 2), the range of 1 - R")
     sh = cfg["shadow"]
     if not 0.0 <= sh["t2"] < sh["t1"] <= 1.0:
         raise ConfigError("shadow.t1 and shadow.t2 need 0 <= t2 < t1 <= 1")
@@ -156,6 +158,12 @@ def _validate(cfg: dict) -> None:
     if voc["patch"] < 4:
         raise ConfigError("vocabulary.patch must be >= 4, one pixel per cell "
                           "of the 4x4 grid")
+    cl = cfg["classifier"]
+    if cl["C"] <= 0:
+        raise ConfigError("classifier.C must be > 0")
+    if cl["c_offset"] < 0:
+        raise ConfigError("classifier.c_offset must be >= 0, or the cubic kernel "
+                          "is not positive semi-definite")
     tr = cfg["tracker"]
     if tr["n_particles"] < 1 or tr["n_iters"] < 1:
         raise ConfigError("tracker particle/iteration counts must be >= 1")

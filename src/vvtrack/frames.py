@@ -42,7 +42,12 @@ def validate_rgb(frame: np.ndarray) -> np.ndarray:
 
 
 def to_grayscale(frame: np.ndarray) -> np.ndarray:
-    """Luma conversion: 0.299 R + 0.587 G + 0.114 B, clamped to [0, 1]."""
+    """Luma conversion: 0.299 R + 0.587 G + 0.114 B, clamped to [0, 1].
+
+    A 2-D frame is already grayscale: it is validated and returned as is.
+    """
+    if np.ndim(frame) == 2:
+        return validate_gray(frame)
     frame = validate_rgb(frame)
     wr, wg, wb = GRAY_WEIGHTS
     gray = wr * frame[..., 0] + wg * frame[..., 1] + wb * frame[..., 2]

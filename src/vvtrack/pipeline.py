@@ -32,17 +32,20 @@ class DetectionResult:
     T_b: float
 
 
-def detect_sequence(rgb_frames, cfg) -> list[DetectionResult]:
-    """Motion masks and blobs over a sequence with the adaptive background.
+def detect_sequence(frames, cfg) -> list[DetectionResult]:
+    """Motion masks and blobs over a gray or RGB sequence with the adaptive background.
 
     Optionally runs the shadow-removal reconstruction per frame before
-    differencing (cfg["shadow"]["enabled"]).
+    differencing (cfg["shadow"]["enabled"]); that needs RGB frames.
     """
     bcfg = cfg["background"]
     scfg = cfg["shadow"]
     grays = []
-    for f in rgb_frames:
+    for t, f in enumerate(frames):
         if scfg["enabled"]:
+            if f.ndim != 3:
+                raise PipelineError(f"frame {t}: shadow removal needs RGB input, "
+                                    f"got a grayscale frame; disable shadow.enabled")
             _, R, _ = shadows.remove_shadow(f, sigma=scfg["sigma"], t1=scfg["t1"],
                                             t2=scfg["t2"], penumbra=scfg["penumbra"])
             grays.append(R)
@@ -110,12 +113,10 @@ def run_pipeline(in_dir, out_dir, cfg, seed: int | None = None):
         seed = int(cfg["seed"])
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rgb_frames = fio.read_sequence(in_dir)
-    if rgb_frames and rgb_frames[0].ndim == 2:
-        rgb_frames = [fio.gray_to_rgb(f) for f in rgb_frames]
-    grays = [fio.to_grayscale(f) for f in rgb_frames]
+    frames = fio.read_sequence(in_dir)
+    grays = [fio.to_grayscale(f) for f in frames]
 
-    results = detect_sequence(rgb_frames, cfg)
+    results = detect_sequence(frames, cfg)
     start, boxes = initial_detections(results, int(cfg["background"]["burn_in"]))
     codebook, model = load_models(cfg)
     labels = classify_boxes(grays[start], boxes, codebook, model, cfg)
@@ -130,7 +131,7 @@ def run_pipeline(in_dir, out_dir, cfg, seed: int | None = None):
                       "s": r.s, "w": r.w, "h": r.h, "fit": r.fit,
                       "label": None if labels[r.id] is None else str(labels[r.id])}
                      for r in records))
-    write_annotated(out_dir / "annotated", rgb_frames, records)
+    write_annotated(out_dir / "annotated", frames, records)
 
     report = None
     truth_path = Path(in_dir) / "truth.jsonl"
@@ -141,14 +142,15 @@ def run_pipeline(in_dir, out_dir, cfg, seed: int | None = None):
     return records, report
 
 
-def write_annotated(directory, rgb_frames, records) -> None:
+def write_annotated(directory, frames, records) -> None:
+    """One PPM per frame with each track's box drawn in its id's color."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     by_frame: dict[int, list] = {}
     for r in records:
         by_frame.setdefault(r.frame, []).append(r)
-    for t, frame in enumerate(rgb_frames):
-        canvas = frame.copy()
+    for t, frame in enumerate(frames):
+        canvas = fio.gray_to_rgb(frame) if frame.ndim == 2 else frame.copy()
         for r in by_frame.get(t, []):
             color = ID_COLORS[r.id % len(ID_COLORS)]
             x0 = int(max(0, r.cx - r.w / 2))

@@ -62,67 +62,74 @@ class CompetitionArena:
     winner: int | None = None
 
 
-def state_box(sp: Species, state) -> tuple[float, float, float, float]:
-    cx, cy, s = state
+def state_box(sp: Species, state):
+    """(x, y, w, h) of the box of each (cx, cy, s) state; each of shape (...)."""
+    cx, cy, s = np.moveaxis(np.asarray(state, dtype=np.float64), -1, 0)
     w = sp.template[0] * s
     h = sp.template[1] * s
     return (cx - w / 2.0, cy - h / 2.0, w, h)
 
 
 def _patch_axes(box):
-    """Column and row sample positions (xs, ys) of the PATCH x PATCH grid."""
-    x, y, w, h = box
+    """Column and row sample positions (xs, ys), each (..., PATCH), of the grid."""
+    x, y, w, h = (np.asarray(v, dtype=np.float64)[..., None] for v in box)
     us = np.linspace(0, 1, PATCH)
-    return x + us * max(w - 1, 1e-9), y + us * max(h - 1, 1e-9)
+    return x + us * np.maximum(w - 1, 1e-9), y + us * np.maximum(h - 1, 1e-9)
 
 
 def sample_patch(frame: np.ndarray, box) -> np.ndarray:
-    """Bilinear resample of a box region to PATCH x PATCH (edge clamp)."""
+    """Bilinear resample of each box region to (..., PATCH, PATCH) (edge clamp)."""
     xs, ys = _patch_axes(box)
-    coords = np.stack(np.meshgrid(ys, xs, indexing="ij"))
+    coords = np.stack(np.broadcast_arrays(ys[..., :, None], xs[..., None, :]))
     return ndimage.map_coordinates(frame, coords, order=1, mode="nearest")
 
 
 def _rect_mask(box, rects) -> np.ndarray:
-    """Boolean PATCH x PATCH mask of pixels whose centers fall in any rect."""
+    """(..., PATCH, PATCH) mask of the pixels whose centers fall in any rect."""
     xs, ys = _patch_axes(box)
-    mask = np.zeros((PATCH, PATCH), dtype=bool)
+    mask = np.zeros(xs.shape[:-1] + (PATCH, PATCH), dtype=bool)
     for rx, ry, rw, rh in rects:
-        mask |= (((ys >= ry) & (ys <= ry + rh))[:, None]
-                 & ((xs >= rx) & (xs <= rx + rw))[None, :])
+        mask |= (((ys >= ry) & (ys <= ry + rh))[..., :, None]
+                 & ((xs >= rx) & (xs <= rx + rw))[..., None, :])
     return mask
 
 
 def _project_residual(o: np.ndarray, U: np.ndarray | None) -> np.ndarray:
+    """o - UU^T o for each row vector of o (..., PATCH_DIM)."""
     if U is None or U.size == 0:
         return o
-    return o - U @ (U.T @ o)
+    return o - (o @ U) @ U.T
 
 
 def _power(patch: np.ndarray, sp: Species, config: TrackerConfig,
-           mask: np.ndarray | None = None) -> float:
-    """exp(-||o - UU^T o||^2 / sigma^2), o = patch - mean, masked pixels left out."""
+           mask: np.ndarray | None = None) -> np.ndarray:
+    """exp(-||o - UU^T o||^2 / sigma^2) per (..., PATCH_DIM) patch, o = patch - mean.
+
+    Pixels where mask is true are left out of the residual.
+    """
     res = _project_residual(patch - sp.mean_patch, sp.U)
     if mask is not None:
-        res[mask] = 0.0
-    return float(np.exp(-(res @ res) / config.sigma_obs_sq))
+        res = np.where(mask, 0.0, res)
+    return np.exp(-(res * res).sum(axis=-1) / config.sigma_obs_sq)
 
 
-def observe(frame: np.ndarray, sp: Species, state,
-            config: TrackerConfig) -> float:
+def observe(frame: np.ndarray, sp: Species, state, config: TrackerConfig):
     """Subspace reconstruction likelihood exp(-||o - UU^T o||^2 / sigma^2).
 
-    Boxes fully outside the frame floor at config.fit_floor; pixels under
-    the species' masked competition rects are excluded from the residual.
+    state is one (cx, cy, s) or a (..., 3) array of them; the fits have
+    shape (...).  Boxes fully outside the frame floor at config.fit_floor;
+    pixels under the species' masked competition rects are excluded from
+    the residual.
     """
-    box = state_box(sp, state)
-    h, w = frame.shape
-    if (box[0] + box[2] <= 0 or box[1] + box[3] <= 0
-            or box[0] >= w or box[1] >= h or box[2] <= 0 or box[3] <= 0):
-        return config.fit_floor
-    patch = sample_patch(frame, box).ravel()
-    mask = _rect_mask(box, sp.masked_rects).ravel() if sp.masked_rects else None
-    return max(_power(patch, sp, config, mask), config.fit_floor)
+    x, y, w, h = box = state_box(sp, state)
+    fh, fw = frame.shape
+    outside = ((x + w <= 0) | (y + h <= 0) | (x >= fw) | (y >= fh)
+               | (w <= 0) | (h <= 0))
+    shape = outside.shape + (PATCH_DIM,)
+    patch = sample_patch(frame, box).reshape(shape)
+    mask = _rect_mask(box, sp.masked_rects).reshape(shape) if sp.masked_rects else None
+    fits = np.maximum(_power(patch, sp, config, mask), config.fit_floor)
+    return np.where(outside, config.fit_floor, fits)[()]
 
 
 def init_species(frame: np.ndarray, sp_id: int, box, config: TrackerConfig) -> Species:
@@ -163,15 +170,23 @@ def step_particles(sp: Species, frame: np.ndarray, n_iter: int,
         v[:, 2] = 0.0
     sp.particles = sp.particles + v
     sp.particles[:, 2] = np.maximum(sp.particles[:, 2], 1e-3)
-    for i in range(n):
-        fit = observe(frame, sp, sp.particles[i], config)
-        if fit > sp.pbest_fit[i]:
-            sp.pbest_fit[i] = fit
-            sp.pbest[i] = sp.particles[i].copy()
-        if fit > sp.gbest_fit:
-            sp.gbest_fit = fit
-            sp.gbest = sp.particles[i].copy()
+    _evaluate(sp, frame, config)
     return sp
+
+
+def _evaluate(sp: Species, frame: np.ndarray, config: TrackerConfig) -> None:
+    """Score the whole swarm, then update pbest and gbest as a loop over
+    the particles in order would: pbest rises where a fit is strictly
+    greater, and gbest moves to the first best particle if it beats the
+    old gbest."""
+    fits = observe(frame, sp, sp.particles, config)
+    better = fits > sp.pbest_fit
+    sp.pbest_fit[better] = fits[better]
+    sp.pbest[better] = sp.particles[better]
+    best = int(fits.argmax())
+    if fits[best] > sp.gbest_fit:
+        sp.gbest_fit = float(fits[best])
+        sp.gbest = sp.particles[best].copy()
 
 
 def detect_occlusion(species: list[Species]) -> list[CompetitionArena]:
@@ -324,15 +339,9 @@ def track_sequence(frames, detections, config: TrackerConfig | None = None,
                 sp.particles[:, 2] = sp.gbest[2]
             sp.particles[:, 2] = np.maximum(sp.particles[:, 2], 1e-3)
             sp.pbest = sp.particles.copy()
-            sp.pbest_fit = np.array([observe(frame, sp, p, config)
-                                     for p in sp.particles])
-            best = int(sp.pbest_fit.argmax())
-            base_fit = observe(frame, sp, sp.gbest, config)
-            if sp.pbest_fit[best] > base_fit:
-                sp.gbest = sp.pbest[best].copy()
-                sp.gbest_fit = float(sp.pbest_fit[best])
-            else:
-                sp.gbest_fit = base_fit
+            sp.pbest_fit = np.full(n, -np.inf)
+            sp.gbest_fit = float(observe(frame, sp, sp.gbest, config))
+            _evaluate(sp, frame, config)
             my_arenas = [a for a in arenas if sp.id in a.pair]
             stall = 0
             prev_best = sp.gbest.copy()

@@ -31,6 +31,17 @@ def _generate(tmp_path, scene="one_rect", frames=8):
     return out
 
 
+def _generate_gray(tmp_path, scene="one_rect", frames=8):
+    """A generated sequence rewritten as P5 frames, with its truth.jsonl."""
+    rgb = _generate(tmp_path / "rgb", scene=scene, frames=frames)
+    out = tmp_path / "gray"
+    out.mkdir()
+    for path in sorted(rgb.glob("frame_*.ppm")):
+        fio.write_pnm(out / f"{path.stem}.pgm", fio.to_grayscale(fio.read_pnm(path)))
+    (out / "truth.jsonl").write_bytes((rgb / "truth.jsonl").read_bytes())
+    return out
+
+
 class TestUsageErrors:
     def test_no_command(self):
         assert main([]) == 1
@@ -114,6 +125,10 @@ class TestDataErrors:
         ({"background": {"window_radius": 0}}, "background.window_radius"),
         ({"background": {"window_radius": -1}}, "background.window_radius"),
         ({"background": {"b": -5.0}}, "background.b"),
+        ({"background": {"T_sim": 5.0}}, "background.T_sim"),
+        ({"background": {"T_sim": -1.0}}, "background.T_sim"),
+        ({"classifier": {"C": 0}}, "classifier.C"),
+        ({"classifier": {"c_offset": -1.0}}, "classifier.c_offset"),
     ])
     def test_bad_config_value(self, tmp_path, capsys, user, name):
         seq = _generate(tmp_path, frames=4)
@@ -205,7 +220,35 @@ class TestDetect:
         assert any(r["blobs"] for r in recs[2:])
 
 
+    def test_shadow_removal_refuses_grayscale(self, tmp_path, capsys):
+        seq = _generate_gray(tmp_path, scene="shadowed", frames=4)
+        cfg = _config(tmp_path, shadow={"enabled": True})
+        assert main(["detect", "--config", cfg, "--in", str(seq),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "shadow removal needs RGB input" in err
+
+
 class TestTrackAndEval:
+    def test_pipeline_on_grayscale_writes_rgb_annotations(self, tmp_path):
+        seq = _generate_gray(tmp_path, frames=8)
+        out = tmp_path / "trk"
+        assert main(["pipeline", "--config", _config(tmp_path),
+                     "--in", str(seq), "--out", str(out)]) == 0
+        annotated = sorted((out / "annotated").glob("frame_*.ppm"))
+        assert len(annotated) == 8
+        assert all(p.read_bytes()[:2] == b"P6" for p in annotated)
+        assert (out / "tracks.jsonl").read_text().strip()
+
+    def test_track_is_an_alias_of_pipeline(self, tmp_path):
+        seq = _generate(tmp_path, frames=6)
+        cfg = _config(tmp_path)
+        for name in ("track", "pipeline"):
+            assert main([name, "--config", cfg, "--in", str(seq),
+                         "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "track" / "tracks.jsonl").read_bytes() == \
+               (tmp_path / "pipeline" / "tracks.jsonl").read_bytes()
+
     def test_track_writes_outputs_and_metrics(self, tmp_path):
         seq = _generate(tmp_path, frames=8)
         out = tmp_path / "trk"

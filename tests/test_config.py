@@ -125,6 +125,13 @@ class TestValidation:
         ({"background": {"window_radius": 0}}, "background.window_radius"),
         ({"background": {"window_radius": -2}}, "background.window_radius"),
         ({"background": {"b": -5.0}}, "background.b"),
+        ({"background": {"T_sim": -0.1}}, "background.T_sim"),
+        ({"background": {"T_sim": 2.0}}, "background.T_sim"),
+        ({"background": {"T_sim": 5}}, "background.T_sim"),
+        ({"classifier": {"C": 0}}, "classifier.C"),
+        ({"classifier": {"C": -1.0}}, "classifier.C"),
+        ({"classifier": {"c_offset": -1.0}}, "classifier.c_offset"),
+        ({"classifier": {"c_offset": -5}}, "classifier.c_offset"),
     ])
     def test_bad_value_errors(self, user, name):
         with pytest.raises(ConfigError, match=name):
@@ -140,6 +147,13 @@ class TestValidation:
         assert (tc.q, tc.c_anneal, tc.tau, tc.eta) == (1, 0.0, 0.0, 0.0)
         assert (cfg["background"]["window_radius"], cfg["background"]["b"]) == (1, 0.0)
         assert tracker_config(merge_config({"tracker": {"q": 1024}})).q == 1024
+
+    def test_range_edges_accepted(self):
+        cfg = merge_config({"background": {"T_sim": 0},
+                            "classifier": {"c_offset": 0, "C": 1e-6}})
+        assert cfg["background"]["T_sim"] == 0.0
+        assert (cfg["classifier"]["c_offset"], cfg["classifier"]["C"]) == (0.0, 1e-6)
+        assert merge_config({"background": {"T_sim": 1.999}})["background"]["T_sim"] == 1.999
 
     def test_int_accepted_for_float_default(self):
         tc = tracker_config(merge_config({"tracker": {"eta": 4, "sigma0": [4, 4, 1]}}))

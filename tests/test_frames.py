@@ -25,6 +25,9 @@ def test_grayscale_idempotent_on_replicated_gray():
     gray = rng.random((5, 7))
     rgb = fio.gray_to_rgb(gray)
     assert np.allclose(to_grayscale(rgb), gray, atol=1e-12)
+    assert np.array_equal(to_grayscale(gray), gray)  # 2-D passes through
+    with pytest.raises(FrameError):
+        to_grayscale(gray + 1.0)
 
 
 def test_gray_max_bounded_by_channel_max():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from vvtrack import tracker as trk
 from vvtrack.tracker import (PATCH, PATCH_DIM, Species, TrackerConfig,
@@ -101,6 +102,165 @@ class TestObserve:
         masked = observe(corrupted, sp, sp.gbest, cfg)
         assert bad < masked
         assert masked == pytest.approx(1.0, abs=1e-6)
+
+
+def _oracle_observe(frame, sp, state, config):
+    """One state at a time: the observation model before swarms were batched.
+
+    Per-box meshgrid patch, residual U (U^T o), res . res, and an early
+    return at the floor for boxes outside the frame.
+    """
+    cx, cy, s = state
+    w, h = sp.template[0] * s, sp.template[1] * s
+    x, y = cx - w / 2.0, cy - h / 2.0
+    fh, fw = frame.shape
+    if x + w <= 0 or y + h <= 0 or x >= fw or y >= fh or w <= 0 or h <= 0:
+        return config.fit_floor
+    us = np.linspace(0, 1, PATCH)
+    xs, ys = x + us * max(w - 1, 1e-9), y + us * max(h - 1, 1e-9)
+    coords = np.stack(np.meshgrid(ys, xs, indexing="ij"))
+    patch = ndimage.map_coordinates(frame, coords, order=1, mode="nearest").ravel()
+    res = patch - sp.mean_patch
+    if sp.U is not None:
+        res = res - sp.U @ (sp.U.T @ res)
+    if sp.masked_rects:
+        mask = np.zeros((PATCH, PATCH), dtype=bool)
+        for rx, ry, rw, rh in sp.masked_rects:
+            mask |= (((ys >= ry) & (ys <= ry + rh))[:, None]
+                     & ((xs >= rx) & (xs <= rx + rw))[None, :])
+        res[mask.ravel()] = 0.0
+    return max(float(np.exp(-(res @ res) / config.sigma_obs_sq)), config.fit_floor)
+
+
+def _oracle_states(rng):
+    """(states, outside): 200+ states for a 16x12 template on a 64x96 frame."""
+    n = 20
+    inside = np.column_stack([rng.uniform(10, 86, 4 * n), rng.uniform(8, 56, 4 * n),
+                              rng.uniform(0.5, 2.0, 4 * n)])
+    scale = rng.uniform(0.5, 2.0, n)
+    edge = rng.uniform(-6, 6, n)
+    mid_x, mid_y = rng.uniform(10, 86, n), rng.uniform(8, 56, n)
+    straddle = np.concatenate([
+        np.column_stack([edge, mid_y, scale]),          # left edge
+        np.column_stack([96 + edge, mid_y, scale]),     # right edge
+        np.column_stack([mid_x, edge, scale]),          # top edge
+        np.column_stack([mid_x, 64 + edge, scale])])    # bottom edge
+    far = rng.uniform(0, 40, n // 2)
+    half = n // 2
+    outside = np.concatenate([
+        np.column_stack([-8 * scale[:half] - far, mid_y[:half], scale[:half]]),
+        np.column_stack([96 + 8 * scale[:half] + far, mid_y[:half], scale[:half]]),
+        np.column_stack([mid_x[:half], -6 * scale[:half] - far, scale[:half]]),
+        np.column_stack([mid_x[:half], 64 + 6 * scale[:half] + far, scale[:half]]),
+        # boxes that touch the frame from outside: x + w = 0, x = W, y + h = 0, y = H
+        [[-8.0, 30.0, 1.0], [104.0, 30.0, 1.0], [40.0, -6.0, 1.0], [40.0, 70.0, 1.0]]])
+    tiny = np.column_stack([rng.uniform(-1, 97, n), rng.uniform(-1, 65, n),
+                            np.full(n, 1e-3)])
+    states = np.concatenate([[[58.0, 40.0, 1.0]], inside, straddle, outside, tiny])
+    flags = np.zeros(len(states), dtype=bool)
+    first = 1 + len(inside) + len(straddle)
+    flags[first:first + len(outside)] = True
+    return states, flags
+
+
+class TestBatchedObserve:
+    @pytest.mark.parametrize("rank", [None, 8])
+    # the first rect's left and top edges fall on sample points of the
+    # state (58, 40, 1), whose box is (50, 34, 16, 12)
+    @pytest.mark.parametrize("rects", [[], [(50.0, 34.0, 10.0, 6.0),
+                                            (60.5, 30.0, 10.0, 40.0)]])
+    def test_matches_per_state_oracle(self, rank, rects):
+        rng = np.random.default_rng(11)
+        frame = _smooth_texture((64, 96), seed=3)
+        cfg = TrackerConfig()
+        sp = init_species(frame, 0, (40, 24, 16, 12), cfg)
+        if rank is not None:
+            sp.U = np.linalg.qr(rng.standard_normal((PATCH_DIM, rank)))[0]
+        sp.masked_rects = list(rects)
+        states, outside = _oracle_states(rng)
+        assert len(states) >= 200
+        fits = observe(frame, sp, states, cfg)
+        expected = np.array([_oracle_observe(frame, sp, st, cfg) for st in states])
+        assert fits.shape == (len(states),)
+        floored = expected == cfg.fit_floor
+        assert floored[outside].all() and not floored[~outside].all()
+        assert np.array_equal(fits[floored], expected[floored])
+        rel = np.abs(fits[~floored] - expected[~floored]) / expected[~floored]
+        assert rel.max() <= 1e-12
+        # any leading shape; a single state gives a scalar
+        grid = observe(frame, sp, states[:120].reshape(4, 30, 3), cfg)
+        assert np.allclose(grid, fits[:120].reshape(4, 30), rtol=1e-12, atol=0)
+        one = observe(frame, sp, states[0], cfg)
+        assert np.ndim(one) == 0
+        assert abs(one - expected[0]) <= 1e-12 * expected[0]
+
+    def test_sample_patch_batches_boxes(self):
+        frame = _smooth_texture((64, 96), seed=4)
+        sp = Species(id=0, template=(16.0, 12.0), gbest=np.zeros(3), gbest_fit=0.0,
+                     mean_patch=np.zeros(PATCH_DIM))
+        states = np.array([[30.0, 20.0, 1.0], [-3.0, 60.0, 1.7], [50.5, 33.2, 1e-3]])
+        patches = sample_patch(frame, state_box(sp, states))
+        assert patches.shape == (3, PATCH, PATCH)
+        for patch, st in zip(patches, states):
+            assert np.array_equal(patch, sample_patch(frame, state_box(sp, st)))
+
+
+def _sequential_update(sp, fits):
+    """The per-particle pbest/gbest loop that _evaluate replaced."""
+    for i in range(len(fits)):
+        fit = fits[i]
+        if fit > sp.pbest_fit[i]:
+            sp.pbest_fit[i] = fit
+            sp.pbest[i] = sp.particles[i].copy()
+        if fit > sp.gbest_fit:
+            sp.gbest_fit = fit
+            sp.gbest = sp.particles[i].copy()
+
+
+class TestEvaluate:
+    def _swarm(self, gbest_fit):
+        """Particles 3, 7 and 10 sit at different places in a flat region that
+        matches the flat template exactly (fit 1); the rest overlap texture."""
+        frame = np.full((64, 96), 0.5)
+        frame[:, 60:] = _smooth_texture((64, 36), seed=5)
+        cfg = TrackerConfig(n_particles=12)
+        sp = init_species(frame, 0, (10, 20, 16, 12), cfg)
+        rng = np.random.default_rng(2)
+        sp.particles = np.column_stack([rng.uniform(64, 88, 12),
+                                        rng.uniform(10, 54, 12), np.ones(12)])
+        sp.particles[[3, 7, 10]] = [[20.0, 30.0, 1.0], [40.0, 12.0, 1.0],
+                                    [30.0, 50.0, 1.0]]
+        fits = observe(frame, sp, sp.particles, cfg)
+        sp.pbest = rng.uniform(0, 50, (12, 3))
+        sp.pbest_fit = fits.copy()
+        sp.pbest_fit[[0, 2, 5]] -= 0.01  # strictly beaten: these rise
+        sp.pbest_fit[[1, 4]] += 0.01     # not beaten
+        # the other particles tie their pbest exactly: pbest stays
+        sp.gbest = np.array([1.0, 2.0, 1.0])
+        sp.gbest_fit = gbest_fit
+        return frame, cfg, sp, fits
+
+    @pytest.mark.parametrize("gbest_fit", [0.5, 1.0, 2.0])
+    def test_matches_sequential_loop_on_ties(self, gbest_fit):
+        frame, cfg, sp, fits = self._swarm(gbest_fit)
+        assert fits[3] == fits[7] == fits[10] == fits.max() == 1.0
+        assert (np.delete(fits, [3, 7, 10]) < 1.0).all()
+        ref = Species(id=0, template=sp.template, gbest=sp.gbest.copy(),
+                      gbest_fit=sp.gbest_fit, mean_patch=sp.mean_patch,
+                      particles=sp.particles.copy(), pbest=sp.pbest.copy(),
+                      pbest_fit=sp.pbest_fit.copy())
+        old_pbest = sp.pbest.copy()
+        _sequential_update(ref, fits)
+        trk._evaluate(sp, frame, cfg)
+        assert np.array_equal(sp.pbest, ref.pbest)
+        assert np.array_equal(sp.pbest_fit, ref.pbest_fit)
+        assert np.array_equal(sp.gbest, ref.gbest) and sp.gbest_fit == ref.gbest_fit
+        risen = np.flatnonzero((sp.pbest != old_pbest).any(axis=1))
+        assert list(risen) == [0, 2, 5]
+        if gbest_fit < 1.0:
+            assert np.array_equal(sp.gbest, [20.0, 30.0, 1.0])  # lowest index
+        else:
+            assert np.array_equal(sp.gbest, [1.0, 2.0, 1.0])
 
 
 class TestInitSpecies:
