@@ -32,6 +32,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take only non-negative ints."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="vvtrack")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -40,12 +48,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
     gen.add_argument("--scene", required=True, choices=sorted(scenes.SCENES))
     gen.add_argument("--frames", type=int, default=60)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_seed, default=0)
 
     for name in ("train-vocab", "train-svm", "detect", "eval", "pipeline"):
         p = sub.add_parser(name, aliases=["track"] if name == "pipeline" else [])
         p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help="override the config seed")
         if name == "train-vocab":
             p.add_argument("--in", dest="in_dir", required=True,

@@ -132,6 +132,8 @@ def _typed(name: str, default, value):
 
 
 def _validate(cfg: dict) -> None:
+    if cfg["seed"] < 0:
+        raise ConfigError("seed must be >= 0")
     bg = cfg["background"]
     if not 0.04 <= bg["a"] <= 0.06:
         raise ConfigError("background.a must lie in [0.04, 0.06]")
@@ -141,6 +143,8 @@ def _validate(cfg: dict) -> None:
         raise ConfigError("background.window_radius must be >= 1")
     if not 0.0 <= bg["T_sim"] < 2.0:
         raise ConfigError("background.T_sim must lie in [0, 2), the range of 1 - R")
+    if bg["burn_in"] < 0:
+        raise ConfigError("background.burn_in must be >= 0")
     sh = cfg["shadow"]
     if not 0.0 <= sh["t2"] < sh["t1"] <= 1.0:
         raise ConfigError("shadow.t1 and shadow.t2 need 0 <= t2 < t1 <= 1")

@@ -6,10 +6,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 PATCH = 32
 PATCH_DIM = PATCH * PATCH
+_GRID = np.linspace(0, 1, PATCH)  # sample positions across a box, as fractions
 
 
 class TrackerError(Exception):
@@ -73,15 +73,40 @@ def state_box(sp: Species, state):
 def _patch_axes(box):
     """Column and row sample positions (xs, ys), each (..., PATCH), of the grid."""
     x, y, w, h = (np.asarray(v, dtype=np.float64)[..., None] for v in box)
-    us = np.linspace(0, 1, PATCH)
-    return x + us * np.maximum(w - 1, 1e-9), y + us * np.maximum(h - 1, 1e-9)
+    return x + _GRID * np.maximum(w - 1, 1e-9), y + _GRID * np.maximum(h - 1, 1e-9)
+
+
+def _split_axis(v: np.ndarray, n: int):
+    """Lower and upper sample index and the fraction between them of each
+    position v clamped to [0, n - 1], as mode="nearest" of a linear spline.
+
+    At v = n - 1 both indices are n - 1, so no index leaves the axis.
+    """
+    v = np.minimum(np.maximum(v, 0.0), n - 1)
+    i0 = v.astype(np.intp)  # floor, as v >= 0
+    return i0, np.minimum(i0 + 1, n - 1), v - i0
 
 
 def sample_patch(frame: np.ndarray, box) -> np.ndarray:
-    """Bilinear resample of each box region to (..., PATCH, PATCH) (edge clamp)."""
+    """Bilinear resample of each box region to (..., PATCH, PATCH) (edge clamp).
+
+    The grid is separable, so each box needs only its PATCH column and
+    PATCH row positions: the four corners are gathered from the flat frame
+    and interpolated in x, then in y.
+    """
     xs, ys = _patch_axes(box)
-    coords = np.stack(np.broadcast_arrays(ys[..., :, None], xs[..., None, :]))
-    return ndimage.map_coordinates(frame, coords, order=1, mode="nearest")
+    fh, fw = frame.shape
+    x0, x1, fx = (a[..., None, :] for a in _split_axis(xs, fw))
+    y0, y1, fy = _split_axis(ys, fh)
+    flat = frame.ravel()
+
+    def row(yi):
+        start = (yi * fw)[..., :, None]
+        left = flat[start + x0]
+        return left + (flat[start + x1] - left) * fx
+
+    top = row(y0)
+    return top + (row(y1) - top) * fy[..., :, None]
 
 
 def _rect_mask(box, rects) -> np.ndarray:
@@ -119,7 +144,8 @@ def observe(frame: np.ndarray, sp: Species, state, config: TrackerConfig):
     state is one (cx, cy, s) or a (..., 3) array of them; the fits have
     shape (...).  Boxes fully outside the frame floor at config.fit_floor;
     pixels under the species' masked competition rects are excluded from
-    the residual.
+    the residual; a box with every pixel masked shows the species nothing
+    and floors too.
     """
     x, y, w, h = box = state_box(sp, state)
     fh, fw = frame.shape
@@ -129,7 +155,8 @@ def observe(frame: np.ndarray, sp: Species, state, config: TrackerConfig):
     patch = sample_patch(frame, box).reshape(shape)
     mask = _rect_mask(box, sp.masked_rects).reshape(shape) if sp.masked_rects else None
     fits = np.maximum(_power(patch, sp, config, mask), config.fit_floor)
-    return np.where(outside, config.fit_floor, fits)[()]
+    blind = outside if mask is None else outside | mask.all(axis=-1)
+    return np.where(blind, config.fit_floor, fits)[()]
 
 
 def init_species(frame: np.ndarray, sp_id: int, box, config: TrackerConfig) -> Species:

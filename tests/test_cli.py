@@ -129,6 +129,8 @@ class TestDataErrors:
         ({"background": {"T_sim": -1.0}}, "background.T_sim"),
         ({"classifier": {"C": 0}}, "classifier.C"),
         ({"classifier": {"c_offset": -1.0}}, "classifier.c_offset"),
+        ({"seed": -1}, "seed"),
+        ({"background": {"burn_in": -1}}, "background.burn_in"),
     ])
     def test_bad_config_value(self, tmp_path, capsys, user, name):
         seq = _generate(tmp_path, frames=4)
@@ -186,6 +188,31 @@ class TestDataErrors:
                      "--out", str(tmp_path / "eval.csv")]) == 2
         err = capsys.readouterr().err
         assert "no field 'cx'" in err and "'cy': 5.0" in err
+
+    def test_negative_config_seed_train_vocab(self, tmp_path, capsys):
+        images = tmp_path / "images"
+        images.mkdir()
+        fio.write_pnm(images / "a.pgm", np.random.default_rng(0).random((32, 32)))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"seed": -1, "vocabulary": {"K": 2}}))
+        assert main(["train-vocab", "--config", str(path), "--in", str(images),
+                     "--out", str(tmp_path / "cb.txt")]) == 2
+        assert "error: seed " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        "generate", "train-vocab", "train-svm", "detect", "eval", "pipeline", "track"])
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_flag_is_usage_error(self, tmp_path, capsys, command, seed):
+        args = {"generate": ["--out", str(tmp_path / "o"), "--scene", "one_rect"],
+                "train-vocab": ["--in", str(tmp_path), "--out", str(tmp_path / "cb")],
+                "train-svm": ["--vocab", "cb", "--in", str(tmp_path), "--out", "m"],
+                "eval": ["--tracks", "t", "--truth", "u", "--out", "e"]}.get(
+                    command, ["--in", str(tmp_path), "--out", str(tmp_path / "o")])
+        if command != "generate":
+            args += ["--config", _config(tmp_path)]
+        assert main([command, *args, "--seed", seed]) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestGenerate:

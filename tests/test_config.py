@@ -132,6 +132,8 @@ class TestValidation:
         ({"classifier": {"C": -1.0}}, "classifier.C"),
         ({"classifier": {"c_offset": -1.0}}, "classifier.c_offset"),
         ({"classifier": {"c_offset": -5}}, "classifier.c_offset"),
+        ({"seed": -1}, "seed"),
+        ({"background": {"burn_in": -1}}, "background.burn_in"),
     ])
     def test_bad_value_errors(self, user, name):
         with pytest.raises(ConfigError, match=name):

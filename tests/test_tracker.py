@@ -65,6 +65,47 @@ class TestStateBoxAndPatch:
         assert patch[:, -1] == pytest.approx(1.0)
         assert (np.diff(patch, axis=1) >= -1e-12).all()
 
+    @pytest.mark.parametrize("size,boxes", [
+        ((64, 96), [
+            (-5.0, 20.0, 16.0, 12.0), (88.3, 20.0, 16.0, 12.0),     # left, right edge
+            (30.0, -4.6, 16.0, 12.0), (30.0, 58.2, 16.0, 12.0),     # top, bottom edge
+            (-40.0, 20.0, 16.0, 12.0), (120.0, 20.0, 16.0, 12.0),   # fully outside
+            (30.0, -30.0, 16.0, 12.0), (30.0, 80.0, 16.0, 12.0),
+            (-30.0, -30.0, 10.0, 10.0), (100.0, 70.0, 10.0, 10.0),
+            # integer samples on the last column (95), the last row (63) or both
+            (64.0, 20.0, 32.0, 12.0), (20.0, 32.0, 16.0, 32.0),
+            (0.0, 0.0, 96.0, 64.0), (64.0, 32.0, 32.0, 32.0),
+            (40.3, 20.7, 0.016, 0.012), (95.0, 63.0, 0.016, 0.012),  # s = 1e-3
+            (10.25, 5.5, 37.0, 21.0)]),
+        ((1, 50), [(-3.0, -2.0, 20.0, 5.0), (10.5, 0.0, 16.0, 1.0),
+                   (40.0, -0.4, 16.0, 0.8), (60.0, 3.0, 8.0, 8.0),
+                   (0.0, 0.0, 50.0, 1.0), (20.1, 0.3, 0.016, 0.012)]),
+        ((50, 1), [(-2.0, -3.0, 5.0, 20.0), (0.0, 10.5, 1.0, 16.0),
+                   (-0.4, 40.0, 0.8, 16.0), (3.0, 60.0, 8.0, 8.0),
+                   (0.0, 0.0, 1.0, 50.0), (0.3, 20.1, 0.012, 0.016)]),
+    ], ids=["64x96", "1-row", "1-column"])
+    def test_sample_patch_matches_map_coordinates(self, size, boxes):
+        frame = np.random.default_rng(8).random(size)
+        boxes = np.array(boxes)
+
+        def reference(box):
+            x, y, w, h = box
+            us = np.linspace(0, 1, PATCH)
+            ys, xs = y + us * max(h - 1, 1e-9), x + us * max(w - 1, 1e-9)
+            coords = np.stack(np.meshgrid(ys, xs, indexing="ij"))
+            return ndimage.map_coordinates(frame, coords, order=1, mode="nearest")
+
+        expected = np.array([reference(box) for box in boxes])
+        one = sample_patch(frame, tuple(boxes[0]))
+        assert one.shape == (PATCH, PATCH)
+        assert np.abs(one - expected[0]).max() <= 1e-12
+        batch = sample_patch(frame, tuple(boxes.T))
+        assert batch.shape == (len(boxes), PATCH, PATCH)
+        assert np.abs(batch - expected).max() <= 1e-12
+        grid = sample_patch(frame, tuple(boxes[:6].reshape(2, 3, 4).transpose(2, 0, 1)))
+        assert grid.shape == (2, 3, PATCH, PATCH)
+        assert np.abs(grid - expected[:6].reshape(2, 3, PATCH, PATCH)).max() <= 1e-12
+
 
 class TestObserve:
     def test_perfect_match_fit_one(self):
@@ -103,12 +144,21 @@ class TestObserve:
         assert bad < masked
         assert masked == pytest.approx(1.0, abs=1e-6)
 
+    def test_fully_masked_box_floors(self):
+        frame = np.random.default_rng(0).random((64, 96))
+        cfg = TrackerConfig()
+        sp = init_species(frame, 0, (10, 10, 8, 8), cfg)
+        state = np.array([50.0, 30.0, 1.0])  # box (46, 26, 8, 8)
+        assert observe(frame, sp, state, cfg) > cfg.fit_floor
+        sp.masked_rects = [(40.0, 20.0, 20.0, 20.0)]
+        assert observe(frame, sp, state, cfg) == cfg.fit_floor
+
 
 def _oracle_observe(frame, sp, state, config):
     """One state at a time: the observation model before swarms were batched.
 
     Per-box meshgrid patch, residual U (U^T o), res . res, and an early
-    return at the floor for boxes outside the frame.
+    return at the floor for boxes outside the frame or wholly masked.
     """
     cx, cy, s = state
     w, h = sp.template[0] * s, sp.template[1] * s
@@ -128,6 +178,8 @@ def _oracle_observe(frame, sp, state, config):
         for rx, ry, rw, rh in sp.masked_rects:
             mask |= (((ys >= ry) & (ys <= ry + rh))[:, None]
                      & ((xs >= rx) & (xs <= rx + rw))[None, :])
+        if mask.all():
+            return config.fit_floor
         res[mask.ravel()] = 0.0
     return max(float(np.exp(-(res @ res) / config.sigma_obs_sq)), config.fit_floor)
 
