@@ -158,6 +158,10 @@ def fit_adaptive_threshold(hist: np.ndarray) -> NoiseModel:
     the squared deviation between the modelled mass and the observed
     histogram is accumulated over all 256 levels; the smallest T among
     minimizers wins.
+
+    An empty bin T adds exactly 0.0 to both cumulative sums, so its model
+    and error equal those of T - 1 bit for bit: the model is evaluated only
+    at T = 0 and the occupied bins, and each error is carried forward.
     """
     hist = np.asarray(hist, dtype=np.float64)
     if hist.shape != (256,):
@@ -173,26 +177,37 @@ def fit_adaptive_threshold(hist: np.ndarray) -> NoiseModel:
     sigma = np.sqrt(var / np.maximum(p_b, EPS_VAR))
     sigma = np.maximum(sigma, EPS_MEAN)
 
-    # Folded bin-integrated model mass at |d| (the d = 0 bin spans [-0.5, 0.5]).
-    hi = (d + 0.5)[None, :] / (sigma[:, None] * np.sqrt(2.0))
-    lo = np.maximum(d - 0.5, 0.0)[None, :] / (sigma[:, None] * np.sqrt(2.0))
-    model = p_b[:, None] * (erf(hi) - erf(lo))
-    errors = ((model - h[None, :]) ** 2).sum(axis=1)
+    occupied = hist != 0
+    occupied[0] = True
+    rows = np.flatnonzero(occupied)
+    # Folded bin-integrated model mass at |d|: the erf at the upper edge
+    # d + 0.5 minus the erf at the lower edge max(d - 0.5, 0), which is
+    # exactly the upper edge of bin d - 1 for d >= 1 (the d = 0 bin spans
+    # [-0.5, 0.5], so its lower edge is erf(0) = 0).
+    upper = erf((d + 0.5)[None, :] / (sigma[rows, None] * np.sqrt(2.0)))
+    model = p_b[rows, None] * np.diff(upper, axis=1, prepend=0.0)
+    row_errors = ((model - h[None, :]) ** 2).sum(axis=1)
+    errors = row_errors[np.searchsorted(rows, np.arange(256), "right") - 1]
     t_best = int(np.argmin(errors))  # argmin takes the first (smallest T) tie
     return NoiseModel(p_B=float(p_b[t_best]), sigma=float(sigma[t_best]),
                       histogram=hist, threshold=t_best, errors=errors)
 
 
 def clean_mask(mask: np.ndarray) -> np.ndarray:
-    """3x3 median filter, then opening, then closing (3x3 square element)."""
-    mask = np.asarray(mask, bool)
-    se = np.ones((3, 3), bool)
-    out = ndimage.median_filter(mask.astype(np.uint8), size=3) > 0
-    # symmetric border handling: erosion pads with 1s, dilation with 0s, so
-    # blobs touching the frame edge are not eaten by the structuring element
-    out = ndimage.binary_erosion(out, structure=se, border_value=1)
-    out = ndimage.binary_dilation(out, structure=se, border_value=0)
-    out = ndimage.binary_dilation(out, structure=se, border_value=0)
-    out = ndimage.binary_erosion(out, structure=se, border_value=1)
-    return out
+    """3x3 median filter, then opening, then closing (3x3 square element).
 
+    On a binary mask the 3x3 median is "at least 5 of the 9 set", counted
+    by two separable box sums with the median filter's reflect border.
+    Erosion pads with 1s and dilation with 0s, so blobs touching the frame
+    edge are not eaten by the structuring element; the closing's two 3x3
+    dilations are one 5x5 maximum.
+    """
+    out = np.asarray(mask, bool).astype(np.uint8)
+    ones = np.ones(3, np.uint8)
+    count = ndimage.correlate1d(out, ones, axis=0, mode="reflect")
+    count = ndimage.correlate1d(count, ones, axis=1, mode="reflect")
+    out = (count >= 5).view(np.uint8)
+    out = ndimage.minimum_filter(out, size=3, mode="constant", cval=1)
+    out = ndimage.maximum_filter(out, size=5, mode="constant", cval=0)
+    out = ndimage.minimum_filter(out, size=3, mode="constant", cval=1)
+    return out.view(bool)

@@ -52,9 +52,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("train-vocab", "train-svm", "detect", "eval", "pipeline"):
         p = sub.add_parser(name, aliases=["track"] if name == "pipeline" else [])
-        p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=_seed, default=None,
-                       help="override the config seed")
+        if name != "eval":
+            p.add_argument("--config", required=True)
+        if name in ("train-vocab", "train-svm", "pipeline"):
+            p.add_argument("--seed", type=_seed, default=None,
+                           help="override the config seed")
         if name == "train-vocab":
             p.add_argument("--in", dest="in_dir", required=True,
                            help="directory of training images")
@@ -143,8 +145,8 @@ def cmd_detect(args, cfg) -> int:
     return 0
 
 
-def cmd_track(args, cfg, seed) -> int:
-    records, report = pl.run_pipeline(args.in_dir, args.out, cfg, seed=seed)
+def cmd_track(args, cfg) -> int:
+    records, report = pl.run_pipeline(args.in_dir, args.out, cfg, seed=args.seed)
     print(f"tracked {len({r.id for r in records})} objects over "
           f"{len({r.frame for r in records})} frames")
     if report is not None:
@@ -174,8 +176,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "generate":
             return cmd_generate(args)
+        if args.command == "eval":
+            return cmd_eval(args)
         cfg = load_config(args.config)
-        seed = int(cfg["seed"] if args.seed is None else args.seed)
         if args.command == "train-vocab":
             return cmd_train_vocab(args, cfg)
         if args.command == "train-svm":
@@ -183,9 +186,7 @@ def main(argv=None) -> int:
         if args.command == "detect":
             return cmd_detect(args, cfg)
         if args.command in ("track", "pipeline"):
-            return cmd_track(args, cfg, seed)
-        if args.command == "eval":
-            return cmd_eval(args)
+            return cmd_track(args, cfg)
         raise AssertionError(f"unhandled command {args.command}")
     except (ConfigError, FrameError, OSError, pl.PipelineError,
             met.MetricsError, svm.SvmError, vocab.VocabularyError,

@@ -58,10 +58,7 @@ def detect_sequence(frames, cfg) -> list[DetectionResult]:
                                blobs=[], T_b=state.T_b)]
     for t in range(1, len(grays)):
         hist = bg.diff_histogram(grays[t], grays[t - 1])
-        try:
-            state.T_b = bg.fit_adaptive_threshold(hist).T_b
-        except bg.BackgroundError:
-            pass  # keep the previous threshold on a degenerate histogram
+        state.T_b = bg.fit_adaptive_threshold(hist).T_b
         masks = bg.motion_masks(grays[t], grays[t - 1], state)
         clean = bg.clean_mask(masks.M)
         blobs = shadows.extract_blobs(clean, min_area=int(scfg["min_blob_area"]))

@@ -5,7 +5,9 @@ from vvtrack.background import (EPS_MEAN, EPS_VAR, BackgroundError, clean_mask,
                                 diff_histogram, fit_adaptive_threshold,
                                 init_background, motion_masks, similarity_map,
                                 update_background)
+from vvtrack.config import default_config
 from vvtrack.frames import validate_gray
+from vvtrack.pipeline import detect_sequence
 
 
 def _frame(vals):
@@ -204,6 +206,44 @@ def _eq13_scan_oracle(hist):
     return best_t
 
 
+def _dense_fit_oracle(hist):
+    """The threshold fit evaluated densely: one model row for every T."""
+    from scipy.special import erf
+    h = hist / hist.sum()
+    d = np.arange(256, dtype=np.float64)
+    p_b = np.cumsum(h)
+    var = np.cumsum(d * d * h)
+    sigma = np.maximum(np.sqrt(var / np.maximum(p_b, EPS_VAR)), EPS_MEAN)
+    hi = (d + 0.5)[None, :] / (sigma[:, None] * np.sqrt(2.0))
+    lo = np.maximum(d - 0.5, 0.0)[None, :] / (sigma[:, None] * np.sqrt(2.0))
+    model = p_b[:, None] * (erf(hi) - erf(lo))
+    errors = ((model - h[None, :]) ** 2).sum(axis=1)
+    t_best = int(np.argmin(errors))
+    return errors, t_best, float(sigma[t_best]), float(p_b[t_best])
+
+
+def _oracle_histograms():
+    rng = np.random.default_rng(11)
+    leading_empty = np.zeros(256)
+    leading_empty[[3, 4, 9]] = [5, 2, 1]
+    long_runs = np.zeros(256)
+    long_runs[[0, 1, 80, 81, 200]] = [300, 40, 3, 1, 2]
+    spike_255 = np.zeros(256)
+    spike_255[255] = 7
+    single_bins = [np.eye(256)[k] * 50 for k in (0, 1, 17, 128)]
+    samples = np.abs(rng.normal(0.0, 6.0, 5000))
+    half_gauss = np.bincount(np.rint(samples).astype(int), minlength=256)[:256]
+    half_gauss = half_gauss + rng.integers(0, 3, 256) * (rng.random(256) < 0.2)
+    sparse = []
+    for _ in range(30):
+        hist = np.zeros(256)
+        idx = rng.integers(0, 256, rng.integers(1, 25))
+        hist[idx] = rng.integers(1, 200, idx.size)
+        sparse.append(hist)
+    return [leading_empty, long_runs, spike_255, *single_bins,
+            half_gauss.astype(float), *sparse]
+
+
 class TestAdaptiveThreshold:
     def test_delta_spike_at_zero(self):
         hist = np.zeros(256)
@@ -239,6 +279,25 @@ class TestAdaptiveThreshold:
         model = fit_adaptive_threshold(hist)
         ties = np.flatnonzero(model.errors == model.errors.min())
         assert model.threshold == ties[0]
+
+    def test_matches_dense_fit_bitwise(self):
+        for hist in _oracle_histograms():
+            model = fit_adaptive_threshold(hist)
+            errors, t_best, sigma, p_b = _dense_fit_oracle(hist)
+            assert model.errors.shape == (256,)
+            assert np.array_equal(model.errors, errors)
+            assert (model.threshold, model.sigma, model.p_B) == (t_best, sigma, p_b)
+
+
+def _ndimage_chain(mask):
+    """clean_mask as median filter, then binary erosion/dilation calls."""
+    from scipy import ndimage
+    se = np.ones((3, 3), bool)
+    out = ndimage.median_filter(mask.astype(np.uint8), size=3) > 0
+    out = ndimage.binary_erosion(out, structure=se, border_value=1)
+    out = ndimage.binary_dilation(out, structure=se, border_value=0)
+    out = ndimage.binary_dilation(out, structure=se, border_value=0)
+    return ndimage.binary_erosion(out, structure=se, border_value=1)
 
 
 class TestCleanMask:
@@ -293,6 +352,17 @@ class TestCleanMask:
         out = clean_mask(m)
         assert out[0:4, 0:4].all()
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 1), (2, 2), (24, 24),
+                                       (64, 337)], ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_matches_ndimage_chain(self, shape):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        for density in (0.05, 0.2, 0.35, 0.5, 0.65, 0.8):
+            for _ in range(4):
+                m = rng.random(shape) < density
+                out = clean_mask(m)
+                assert out.dtype == bool
+                assert np.array_equal(out, _ndimage_chain(m))
+
 
 def test_diff_histogram_counts_pixels():
     a = np.zeros((4, 4))
@@ -300,3 +370,10 @@ def test_diff_histogram_counts_pixels():
     hist = diff_histogram(a, b)
     assert hist[10] == 16 and hist.sum() == 16
 
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # mean of a 0-pixel frame
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (3, 0)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_detect_sequence_rejects_zero_pixel_frames(shape):
+    with pytest.raises(BackgroundError, match="all-zero histogram"):
+        detect_sequence([np.zeros(shape)] * 3, default_config())

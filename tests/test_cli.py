@@ -172,8 +172,7 @@ class TestDataErrors:
     def test_tracks_line_not_json(self, tmp_path, capsys):
         seq = _generate(tmp_path, frames=2)
         (tmp_path / "tracks.jsonl").write_text('{"frame": 0}\n{"frame": 1,\n')
-        assert main(["eval", "--config", _config(tmp_path),
-                     "--tracks", str(tmp_path / "tracks.jsonl"),
+        assert main(["eval", "--tracks", str(tmp_path / "tracks.jsonl"),
                      "--truth", str(seq / "truth.jsonl"),
                      "--out", str(tmp_path / "eval.csv")]) == 2
         assert "tracks.jsonl:2" in capsys.readouterr().err
@@ -182,8 +181,7 @@ class TestDataErrors:
         seq = _generate(tmp_path, frames=2)
         (tmp_path / "tracks.jsonl").write_text(
             json.dumps({"frame": 0, "id": 0, "cy": 5.0, "w": 4.0, "h": 4.0}) + "\n")
-        assert main(["eval", "--config", _config(tmp_path),
-                     "--tracks", str(tmp_path / "tracks.jsonl"),
+        assert main(["eval", "--tracks", str(tmp_path / "tracks.jsonl"),
                      "--truth", str(seq / "truth.jsonl"),
                      "--out", str(tmp_path / "eval.csv")]) == 2
         err = capsys.readouterr().err
@@ -297,8 +295,7 @@ class TestTrackAndEval:
         out = tmp_path / "trk"
         assert main(["track", "--config", _config(tmp_path),
                      "--in", str(seq), "--out", str(out)]) == 0
-        rc = main(["eval", "--config", _config(tmp_path),
-                   "--tracks", str(out / "tracks.jsonl"),
+        rc = main(["eval", "--tracks", str(out / "tracks.jsonl"),
                    "--truth", str(seq / "truth.jsonl"),
                    "--out", str(out / "eval.csv")])
         assert rc == 0
