@@ -27,8 +27,8 @@ def validate_gray(frame: np.ndarray) -> np.ndarray:
     frame = np.asarray(frame, dtype=np.float64)
     if frame.ndim != 2:
         raise FrameError(f"grayscale frame must be 2-D, got shape {frame.shape}")
-    if frame.size and (frame.min() < 0.0 or frame.max() > 1.0):
-        raise FrameError("grayscale intensities must lie in [0, 1]")
+    if not (frame.size and frame.min() >= 0.0 and frame.max() <= 1.0):
+        raise FrameError("grayscale frame needs pixels, with intensities in [0, 1]")
     return frame
 
 
@@ -36,8 +36,8 @@ def validate_rgb(frame: np.ndarray) -> np.ndarray:
     frame = np.asarray(frame, dtype=np.float64)
     if frame.ndim != 3 or frame.shape[2] != 3:
         raise FrameError(f"RGB frame must be (H, W, 3), got shape {frame.shape}")
-    if frame.size and (frame.min() < 0.0 or frame.max() > 1.0):
-        raise FrameError("RGB intensities must lie in [0, 1]")
+    if not (frame.size and frame.min() >= 0.0 and frame.max() <= 1.0):
+        raise FrameError("RGB frame needs pixels, with intensities in [0, 1]")
     return frame
 
 

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .frames import validate_gray
+
 PATCH = 32
 PATCH_DIM = PATCH * PATCH
 _GRID = np.linspace(0, 1, PATCH)  # sample positions across a box, as fractions
@@ -91,22 +93,51 @@ def sample_patch(frame: np.ndarray, box) -> np.ndarray:
     """Bilinear resample of each box region to (..., PATCH, PATCH) (edge clamp).
 
     The grid is separable, so each box needs only its PATCH column and
-    PATCH row positions: the four corners are gathered from the flat frame
-    and interpolated in x, then in y.
+    PATCH row positions.  While every box of the batch spans at most
+    2 * PATCH frame rows (upsampling), each row of a box's contiguous run
+    from its top row, clamped to the frame, is interpolated in x once, and
+    one batched product with a (PATCH, span) weight matrix mixes those
+    rows in y.  A taller batch interpolates rows y0 and y1 of every sample
+    and mixes each pair directly: there the rows are distinct anyway, and
+    a (PATCH, 2 * PATCH) product would only add work.
     """
     xs, ys = _patch_axes(box)
     fh, fw = frame.shape
     x0, x1, fx = (a[..., None, :] for a in _split_axis(xs, fw))
     y0, y1, fy = _split_axis(ys, fh)
+    base = y0[..., :1]
+    span = int((y1[..., -1:] - base).max(initial=0)) + 1
+    if span > 2 * PATCH:
+        return _lerp(_interp_rows(frame, y0, x0, x1, fx),
+                     _interp_rows(frame, y1, x0, x1, fx), fy[..., None])
+    rows = np.minimum(base + np.arange(span), fh - 1)
+    # Where the bottom edge clamps (y0 == y1), fy is 0 and the second
+    # write leaves weight 1 on that row.
+    wy = np.zeros(y0.shape + (span,))
+    np.put_along_axis(wy, (y1 - base)[..., None], fy[..., None], axis=-1)
+    np.put_along_axis(wy, (y0 - base)[..., None], (1.0 - fy)[..., None], axis=-1)
+    return wy @ _interp_rows(frame, rows, x0, x1, fx)
+
+
+def _interp_rows(frame, rows, x0, x1, fx):
+    """Frame rows (..., R) interpolated at the columns x0 + fx: (..., R, PATCH)."""
+    at = (rows * frame.shape[1])[..., :, None] + x0
     flat = frame.ravel()
+    left = flat[at]
+    at += x1 - x0
+    return _lerp(left, flat[at], fx)
 
-    def row(yi):
-        start = (yi * fw)[..., :, None]
-        left = flat[start + x0]
-        return left + (flat[start + x1] - left) * fx
 
-    top = row(y0)
-    return top + (row(y1) - top) * fy[..., :, None]
+def _lerp(a, b, t):
+    """a + (b - a) * t, computed in the buffers of a and b (both overwritten).
+
+    Working in place saves two temporaries as large as a; for tall boxes
+    the page faults of fresh temporaries cost as much as the arithmetic.
+    """
+    b -= a
+    b *= t
+    a += b
+    return a
 
 
 def _rect_mask(box, rects) -> np.ndarray:
@@ -340,7 +371,14 @@ def track_sequence(frames, detections, config: TrackerConfig | None = None,
         config = TrackerConfig()
     if not detections:
         raise TrackerError("need at least one initial detection")
-    frames = list(frames)
+    # One NaN pixel would reach every sample of a box whose rows span it.
+    frames = [validate_gray(f) for f in frames]
+    if not frames:
+        raise TrackerError("need at least one frame")
+    for t, frame in enumerate(frames):
+        if frame.shape != frames[0].shape:
+            raise TrackerError(f"frame {t} has shape {frame.shape}, "
+                               f"frame 0 has {frames[0].shape}")
     rng = np.random.default_rng(seed)
     species = [init_species(frames[0], k, box, config)
                for k, box in enumerate(detections)]

@@ -6,7 +6,7 @@ from vvtrack.background import (EPS_MEAN, EPS_VAR, BackgroundError, clean_mask,
                                 init_background, motion_masks, similarity_map,
                                 update_background)
 from vvtrack.config import default_config
-from vvtrack.frames import validate_gray
+from vvtrack.frames import FrameError, validate_gray
 from vvtrack.pipeline import detect_sequence
 
 
@@ -371,9 +371,8 @@ def test_diff_histogram_counts_pixels():
     assert hist[10] == 16 and hist.sum() == 16
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # mean of a 0-pixel frame
 @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (3, 0)],
                          ids=lambda s: f"{s[0]}x{s[1]}")
 def test_detect_sequence_rejects_zero_pixel_frames(shape):
-    with pytest.raises(BackgroundError, match="all-zero histogram"):
+    with pytest.raises(FrameError, match="needs pixels"):
         detect_sequence([np.zeros(shape)] * 3, default_config())

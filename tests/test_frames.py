@@ -30,6 +30,26 @@ def test_grayscale_idempotent_on_replicated_gray():
         to_grayscale(gray + 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.1])
+def test_validators_reject_non_finite_and_out_of_range(bad):
+    gray = np.full((2, 3), 0.5)
+    gray[1, 2] = bad
+    with pytest.raises(FrameError, match="intensities in"):
+        fio.validate_gray(gray)
+    rgb = np.full((2, 3, 3), 0.5)
+    rgb[0, 1, 2] = bad
+    with pytest.raises(FrameError, match="intensities in"):
+        fio.validate_rgb(rgb)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 4), (3, 0)])
+def test_validators_reject_zero_pixel_frames(shape):
+    with pytest.raises(FrameError, match="needs pixels"):
+        fio.validate_gray(np.zeros(shape))
+    with pytest.raises(FrameError, match="needs pixels"):
+        fio.validate_rgb(np.zeros(shape + (3,)))
+
+
 def test_gray_max_bounded_by_channel_max():
     rng = np.random.default_rng(4)
     rgb = rng.random((6, 6, 3))

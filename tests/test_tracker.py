@@ -3,6 +3,7 @@ import pytest
 from scipy import ndimage
 
 from vvtrack import tracker as trk
+from vvtrack.frames import FrameError
 from vvtrack.tracker import (PATCH, PATCH_DIM, Species, TrackerConfig,
                              TrackerError, detect_occlusion, compete,
                              init_species, observe, repulsion_force,
@@ -83,7 +84,20 @@ class TestStateBoxAndPatch:
         ((50, 1), [(-2.0, -3.0, 5.0, 20.0), (0.0, 10.5, 1.0, 16.0),
                    (-0.4, 40.0, 0.8, 16.0), (3.0, 60.0, 8.0, 8.0),
                    (0.0, 0.0, 1.0, 50.0), (0.3, 20.1, 0.012, 0.016)]),
-    ], ids=["64x96", "1-row", "1-column"])
+        # The first six boxes span at most 64 = 2 * PATCH rows, so as a batch
+        # they take contiguous row runs, some past the last row (239). Alone,
+        # a box spanning 65 or more rows, and the batch of all, mix the rows
+        # y0 and y1 of each sample instead.
+        ((240, 160), [
+            (20.0, 10.0, 30.0, 63.0),                               # spans 64 rows
+            (70.0, 220.0, 20.0, 40.0), (70.0, 200.0, 20.0, 40.0),   # clamped last row
+            (30.4, 120.2, 12.0, 12.0), (140.5, 231.3, 12.0, 12.0),
+            (-6.0, -8.5, 16.0, 30.0),
+            (60.5, 20.0, 30.0, 64.0),                               # spans 65 rows
+            (5.25, 40.6, 50.0, 100.0), (100.1, 60.3, 45.0, 150.0),
+            (10.0, 150.0, 30.0, 120.0), (40.0, -30.5, 20.0, 100.0),
+            (0.0, 0.0, 160.0, 240.0)]),
+    ], ids=["64x96", "1-row", "1-column", "240x160"])
     def test_sample_patch_matches_map_coordinates(self, size, boxes):
         frame = np.random.default_rng(8).random(size)
         boxes = np.array(boxes)
@@ -96,9 +110,10 @@ class TestStateBoxAndPatch:
             return ndimage.map_coordinates(frame, coords, order=1, mode="nearest")
 
         expected = np.array([reference(box) for box in boxes])
-        one = sample_patch(frame, tuple(boxes[0]))
-        assert one.shape == (PATCH, PATCH)
-        assert np.abs(one - expected[0]).max() <= 1e-12
+        for box, want in zip(boxes, expected):
+            one = sample_patch(frame, tuple(box))
+            assert one.shape == (PATCH, PATCH)
+            assert np.abs(one - want).max() <= 1e-12
         batch = sample_patch(frame, tuple(boxes.T))
         assert batch.shape == (len(boxes), PATCH, PATCH)
         assert np.abs(batch - expected).max() <= 1e-12
@@ -514,3 +529,25 @@ class TestTrackSequence:
     def test_empty_detections_error(self):
         with pytest.raises(TrackerError):
             track_sequence([np.zeros((32, 32))], [], TrackerConfig())
+
+    def test_rejects_nan_frame(self):
+        frames = _shifted_frames(4)
+        frames[2][30, 30] = np.nan
+        with pytest.raises(FrameError, match="intensities in"):
+            track_sequence(frames, [(20, 20, 16, 16)], TrackerConfig(n_iters=2))
+
+    def test_rejects_color_frame(self):
+        frames = _shifted_frames(3)
+        frames[1] = np.repeat(frames[1][..., None], 3, axis=2)
+        with pytest.raises(FrameError, match="2-D"):
+            track_sequence(frames, [(20, 20, 16, 16)], TrackerConfig(n_iters=2))
+
+    def test_rejects_mixed_frame_shapes(self):
+        frames = _shifted_frames(4)
+        frames[3] = frames[3][:, :80]
+        with pytest.raises(TrackerError, match=r"frame 3 has shape \(64, 80\)"):
+            track_sequence(frames, [(20, 20, 16, 16)], TrackerConfig(n_iters=2))
+
+    def test_no_frames_error(self):
+        with pytest.raises(TrackerError, match="at least one frame"):
+            track_sequence([], [(20, 20, 16, 16)], TrackerConfig())
