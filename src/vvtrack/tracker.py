@@ -94,12 +94,12 @@ def sample_patch(frame: np.ndarray, box) -> np.ndarray:
 
     The grid is separable, so each box needs only its PATCH column and
     PATCH row positions.  While every box of the batch spans at most
-    2 * PATCH frame rows (upsampling), each row of a box's contiguous run
-    from its top row, clamped to the frame, is interpolated in x once, and
-    one batched product with a (PATCH, span) weight matrix mixes those
-    rows in y.  A taller batch interpolates rows y0 and y1 of every sample
-    and mixes each pair directly: there the rows are distinct anyway, and
-    a (PATCH, 2 * PATCH) product would only add work.
+    PATCH frame rows, each row of a box's contiguous run from its top row,
+    clamped to the frame, is interpolated in x once, and one batched
+    product with a (PATCH, span) weight matrix mixes those rows in y.  A
+    taller batch interpolates rows y0 and y1 of every sample and mixes
+    each pair directly: past PATCH rows the product costs more than the
+    row evaluations it saves.
     """
     xs, ys = _patch_axes(box)
     fh, fw = frame.shape
@@ -107,7 +107,7 @@ def sample_patch(frame: np.ndarray, box) -> np.ndarray:
     y0, y1, fy = _split_axis(ys, fh)
     base = y0[..., :1]
     span = int((y1[..., -1:] - base).max(initial=0)) + 1
-    if span > 2 * PATCH:
+    if span > PATCH:
         return _lerp(_interp_rows(frame, y0, x0, x1, fx),
                      _interp_rows(frame, y1, x0, x1, fx), fy[..., None])
     rows = np.minimum(base + np.arange(span), fh - 1)

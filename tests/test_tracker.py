@@ -84,16 +84,17 @@ class TestStateBoxAndPatch:
         ((50, 1), [(-2.0, -3.0, 5.0, 20.0), (0.0, 10.5, 1.0, 16.0),
                    (-0.4, 40.0, 0.8, 16.0), (3.0, 60.0, 8.0, 8.0),
                    (0.0, 0.0, 1.0, 50.0), (0.3, 20.1, 0.012, 0.016)]),
-        # The first six boxes span at most 64 = 2 * PATCH rows, so as a batch
+        # The first six boxes span at most 32 = PATCH rows, so as a batch
         # they take contiguous row runs, some past the last row (239). Alone,
-        # a box spanning 65 or more rows, and the batch of all, mix the rows
-        # y0 and y1 of each sample instead.
+        # a box spanning 33 or more rows, and the batch of all (12-px boxes
+        # beside 100-px ones), mix the rows y0 and y1 of each sample instead.
         ((240, 160), [
-            (20.0, 10.0, 30.0, 63.0),                               # spans 64 rows
-            (70.0, 220.0, 20.0, 40.0), (70.0, 200.0, 20.0, 40.0),   # clamped last row
+            (20.0, 10.0, 30.0, 31.0),                               # spans 32 rows
+            (70.0, 220.0, 20.0, 20.0), (70.0, 208.0, 20.0, 32.0),   # clamped last row
             (30.4, 120.2, 12.0, 12.0), (140.5, 231.3, 12.0, 12.0),
             (-6.0, -8.5, 16.0, 30.0),
-            (60.5, 20.0, 30.0, 64.0),                               # spans 65 rows
+            (60.5, 20.0, 30.0, 32.0),                               # spans 33 rows
+            (20.0, 10.0, 30.0, 63.0), (60.5, 20.0, 30.0, 64.0),     # 64 and 65 rows
             (5.25, 40.6, 50.0, 100.0), (100.1, 60.3, 45.0, 150.0),
             (10.0, 150.0, 30.0, 120.0), (40.0, -30.5, 20.0, 100.0),
             (0.0, 0.0, 160.0, 240.0)]),
