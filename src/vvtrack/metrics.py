@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -83,21 +84,25 @@ def evaluate_tracks(tracks, truth, iou_thr: float = 0.5) -> TrackingReport:
     Success rate counts truth boxes matched above the threshold; an
     identity switch is a change in the track id matched to a truth object.
     """
-    def rec_get(r, key):
+    def rec_get(r, key, kind=object):
         try:
-            return r[key] if isinstance(r, dict) else getattr(r, key)
+            value = r[key] if isinstance(r, dict) else getattr(r, key)
         except (KeyError, AttributeError):
             raise MetricsError(f"record {r!r} has no field {key!r}") from None
+        if not isinstance(value, kind) or (key == "box" and (
+                len(value) != 4 or not all(isinstance(v, Real) for v in value))):
+            raise MetricsError(f"record {r!r}: field {key!r} is malformed")
+        return value
 
     tracks_by_frame: dict[int, list] = {}
     for r in tracks:
-        frame = int(rec_get(r, "frame"))
-        cx, cy = rec_get(r, "cx"), rec_get(r, "cy")
-        w, h = rec_get(r, "w"), rec_get(r, "h")
+        frame, tid = (int(rec_get(r, key, Integral)) for key in ("frame", "id"))
+        cx, cy, w, h = (rec_get(r, key, Real) for key in ("cx", "cy", "w", "h"))
         box = (cx - w / 2.0, cy - h / 2.0, w, h)
-        tracks_by_frame.setdefault(frame, []).append((int(rec_get(r, "id")), box))
+        tracks_by_frame.setdefault(frame, []).append((tid, box))
 
-    truth_by_frame = {int(rec_get(t, "frame")): rec_get(t, "objects") for t in truth}
+    truth_by_frame = {int(rec_get(t, "frame", Integral)):
+                      rec_get(t, "objects", (list, tuple)) for t in truth}
     common = sorted(set(tracks_by_frame) & set(truth_by_frame))
     if not common:
         raise MetricsError("tracks and truth share no frame range")
@@ -111,7 +116,7 @@ def evaluate_tracks(tracks, truth, iou_thr: float = 0.5) -> TrackingReport:
     for f in common:
         trk = tracks_by_frame[f]
         tru = truth_by_frame[f]
-        tboxes = [tuple(rec_get(o, "box")) for o in tru]
+        tboxes = [tuple(rec_get(o, "box", (list, tuple))) for o in tru]
         matches = _greedy_match([b for _, b in trk], tboxes, iou_thr)
         n_truth += len(tboxes)
         n_matched += len(matches)

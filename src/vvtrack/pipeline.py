@@ -90,6 +90,12 @@ def load_models(cfg):
         codebook = vocab.load_codebook(rcfg["codebook_path"])
     if rcfg["svm_path"]:
         model = svm.load_model(rcfg["svm_path"])
+    if codebook is not None and model is not None:
+        dims = {m.support_vectors.shape[1] for m in model.machines.values()}
+        if dims - {codebook.K}:
+            raise PipelineError(f"{rcfg['svm_path']}: model takes {sorted(dims)}-bin "
+                                f"histograms, codebook {rcfg['codebook_path']} has "
+                                f"K={codebook.K} words")
     return codebook, model
 
 

@@ -4,7 +4,7 @@ matching via generalized distance transforms."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,22 +18,11 @@ class RecognitionError(Exception):
     pass
 
 
-@dataclass
-class Occurrence:
-    dx: float  # object center minus feature location
-    dy: float
-    scale_ratio: float  # object scale / descriptor scale
-    desc_scale: float
-    weight: float
-
-
-@dataclass
-class OccurrenceTable:
-    """Per (class, word) lists of center offsets learned from training data."""
-
-    entries: dict = field(default_factory=dict)  # (class, word) -> [Occurrence]
-    box_templates: dict = field(default_factory=dict)  # class -> (w, h) at s=1
-    classes: list = field(default_factory=list)
+# One record per (training feature, word): object centre minus feature location,
+# object over descriptor scale, descriptor scale, soft weight (sums to 1 per word).
+OCCURRENCE = np.dtype([("word", np.intp), ("dx", np.float64), ("dy", np.float64),
+                       ("scale_ratio", np.float64), ("desc_scale", np.float64),
+                       ("weight", np.float64)])
 
 
 @dataclass
@@ -46,64 +35,54 @@ class ObjectHypothesis:
 
 
 def learn_occurrences(examples, codebook: Codebook, grid_stride: int = 8,
-                      patch: int = 16) -> OccurrenceTable:
-    """Record soft-weighted (offset, scale) occurrences per (class, word).
+                      patch: int = 16) -> dict:
+    """OCCURRENCE records per class, in first-seen class order.
 
     examples: iterable of (gray frame, class, (cx, cy), scale); scale is
-    the object box side in px.  Weights per (class, word) sum to 1.
+    the object box side in px.  Records are sorted by word, in learning
+    order within a word, and their weights sum to 1 per word.
     """
-    table = OccurrenceTable()
-    seen_desc = False
-    sizes: dict = {}
-    for frame, cls, center, scale in examples:
-        cx, cy = center
+    parts: dict = {}
+    for frame, cls, (cx, cy), scale in examples:
         descs = extract_descriptors(frame, grid_stride=grid_stride, patch=patch)
         _, soft = vocab.quantize(descs.vector, codebook)
-        seen_desc = seen_desc or bool(soft.any())
-        for x, y, s, row in zip(descs.x.tolist(), descs.y.tolist(),
-                                descs.scale.tolist(), soft):
-            for word in np.nonzero(row)[0].tolist():
-                occ = Occurrence(dx=cx - x, dy=cy - y, scale_ratio=scale / s,
-                                 desc_scale=s, weight=float(row[word]))
-                table.entries.setdefault((cls, word), []).append(occ)
-        sizes.setdefault(cls, []).append(scale)
-        if cls not in table.classes:
-            table.classes.append(cls)
-    if not seen_desc:
+        feat, word = np.nonzero(soft)
+        s = descs.scale[feat]
+        parts.setdefault(cls, []).append(np.rec.fromarrays(
+            [word, cx - descs.x[feat], cy - descs.y[feat], scale / s, s,
+             soft[feat, word]], dtype=OCCURRENCE))
+    table = {}
+    for cls, occs in parts.items():
+        occ = np.concatenate(occs)
+        table[cls] = occ = occ[np.argsort(occ["word"], kind="stable")]
+        occ["weight"] /= np.bincount(occ["word"], weights=occ["weight"])[occ["word"]]
+    if not any(len(occ) for occ in table.values()):
         raise RecognitionError("no descriptors in any training example")
-    for key, occs in table.entries.items():
-        total = sum(o.weight for o in occs)
-        if total > 0:
-            for o in occs:
-                o.weight /= total
-    for cls, ss in sizes.items():
-        side = float(np.mean(ss))
-        table.box_templates[cls] = (side, side)
     return table
 
 
-def cast_votes(descriptors, codebook: Codebook, table: OccurrenceTable,
-               cls) -> np.ndarray:
-    """Weighted (x, y, s, w) votes for object centers of one class.
+def cast_votes(descriptors, codebook: Codebook, occurrences: np.ndarray) -> np.ndarray:
+    """Weighted (x, y, s, w) votes for object centers from one class's records.
 
     Each feature spreads its soft word probability over that word's
-    stored occurrences; offsets scale with the feature/training scale
-    ratio.
+    records; offsets scale with the feature/training scale ratio.  Votes
+    run by feature, then word, then record.
     """
-    votes = []
     _, soft = vocab.quantize(descriptors.vector, codebook)
-    for x, y, s, row in zip(descriptors.x.tolist(), descriptors.y.tolist(),
-                            descriptors.scale.tolist(), soft):
-        for word in np.nonzero(row)[0].tolist():
-            occs = table.entries.get((cls, word))
-            if not occs:
-                continue
-            p_word = float(row[word])
-            for o in occs:
-                rel = s / o.desc_scale
-                votes.append((x + o.dx * rel, y + o.dy * rel,
-                              o.scale_ratio * s, o.weight * p_word))
-    return np.asarray(votes, dtype=np.float64).reshape(-1, 4)
+    feat, word = np.nonzero(soft)
+    words = occurrences["word"]
+    first = np.searchsorted(words, word)
+    count = np.searchsorted(words, word, side="right") - first
+    pair = np.repeat(np.arange(len(word)), count)
+    start = np.cumsum(count) - count  # each pair's first vote
+    occ = occurrences[first[pair] + np.arange(len(pair)) - start[pair]]
+    f = feat[pair]
+    s = descriptors.scale[f]
+    rel = s / occ["desc_scale"]
+    return np.column_stack([descriptors.x[f] + occ["dx"] * rel,
+                            descriptors.y[f] + occ["dy"] * rel,
+                            occ["scale_ratio"] * s,
+                            occ["weight"] * soft[feat, word][pair]])
 
 
 # ---------------------------------------------------------------------------
@@ -283,19 +262,18 @@ def classify_box(descriptors, box, codebook: Codebook, svm_model):
 
 
 def recognize_frame(frame: np.ndarray, codebook: Codebook,
-                    table: OccurrenceTable, svm_model=None, b0: float = 0.1,
+                    table: dict, svm_model=None, b0: float = 0.1,
                     grid_stride: int = 8, patch: int = 16):
     """Vote, find modes, and verify hypotheses by BoW classification.
 
     Returns (ObjectHypothesis, label) pairs, strongest first, scoring at
     least SCORE_FRACTION of the best; a given svm_model relabels each from
-    its box's BoW.  Part models (match_parts) are not matched here.
+    the BoW of its box, the square of side s around (x, y).  Part models (match_parts) are not matched here.
     """
     descs = extract_descriptors(frame, grid_stride=grid_stride, patch=patch)
     hypotheses = []
-    for cls in table.classes:
-        votes = cast_votes(descs, codebook, table, cls)
-        for mode in meanshift_modes(votes, b0=b0):
+    for cls, occurrences in table.items():
+        for mode in meanshift_modes(cast_votes(descs, codebook, occurrences), b0=b0):
             mode.label = cls
             hypotheses.append(mode)
     if not hypotheses:
@@ -307,14 +285,10 @@ def recognize_frame(frame: np.ndarray, codebook: Codebook,
             continue
         label = hyp.label
         if svm_model is not None:
-            w0, h0 = table.box_templates.get(hyp.label, (hyp.s, hyp.s))
-            scale = hyp.s / max(w0, 1e-9)
-            bw, bh = w0 * scale, h0 * scale
-            x0 = int(max(0, hyp.x - bw / 2))
-            y0 = int(max(0, hyp.y - bh / 2))
-            x1 = int(min(frame.shape[1], hyp.x + bw / 2))
-            y1 = int(min(frame.shape[0], hyp.y + bh / 2))
-            svm_label = classify_box(descs, (x0, y0, x1, y1), codebook, svm_model)
+            h, w = frame.shape
+            box = (int(max(0, hyp.x - hyp.s / 2)), int(max(0, hyp.y - hyp.s / 2)),
+                   int(min(w, hyp.x + hyp.s / 2)), int(min(h, hyp.y + hyp.s / 2)))
+            svm_label = classify_box(descs, box, codebook, svm_model)
             if svm_label is not None:
                 label = svm_label
         accepted.append((hyp, label))

@@ -51,7 +51,6 @@ class ShadowMasks:
 @dataclass
 class Blob:
     bbox: tuple[int, int, int, int]  # x, y, w, h
-    mask: np.ndarray  # restricted to bbox
     centroid: tuple[float, float]
     area: int
 
@@ -222,6 +221,6 @@ def extract_blobs(mask: np.ndarray, min_area: int = 25) -> list[Blob]:
         ys, xs = np.nonzero(component)
         centroid = (x0 + float(xs.mean()), y0 + float(ys.mean()))
         bbox = (x0, y0, slc[1].stop - x0, slc[0].stop - y0)
-        blobs.append(Blob(bbox=bbox, mask=component, centroid=centroid, area=area))
+        blobs.append(Blob(bbox=bbox, centroid=centroid, area=area))
     blobs.sort(key=lambda b: (-b.area, b.bbox[1], b.bbox[0]))
     return blobs

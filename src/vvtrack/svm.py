@@ -298,6 +298,8 @@ def load_model(path) -> SvmModel:
             model = SvmModel(classes=classes, C=float(C), c_offset=float(c_offset))
             for _ in range(int(n_machines)):
                 a, b, n, dim, bias = fh.readline().split()
+                if not 0 <= int(a) < int(b) < len(classes):
+                    raise ValueError(f"machine ({a}, {b}) is not a pair of the classes")
                 coef = np.asarray([float(t) for t in fh.readline().split()])
                 svs = np.asarray([[float(t) for t in fh.readline().split()]
                                   for _ in range(int(n))])
@@ -307,4 +309,9 @@ def load_model(path) -> SvmModel:
                     c_offset=float(c_offset))
         except ValueError as exc:
             raise SvmError(f"{path}: malformed model: {exc}") from None
+    finite = np.isfinite([model.C, model.c_offset]).all() and all(
+        np.isfinite(m.bias) and np.isfinite(m.dual_coef).all()
+        and np.isfinite(m.support_vectors).all() for m in model.machines.values())
+    if not finite:
+        raise SvmError(f"{path}: model has non-finite values")
     return model

@@ -206,6 +206,9 @@ def quantize(vectors, codebook: Codebook, m: int = SOFT_NEIGHBORS,
     all zero.  Ties go to the lowest index.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
+    if vectors.shape[1] != codebook.words.shape[1]:
+        raise VocabularyError(f"{vectors.shape[1]}-d vectors against a codebook "
+                              f"of {codebook.words.shape[1]}-d words")
     d2 = _sq_dist(vectors, codebook.words)
     order = np.argsort(d2, axis=1, kind="stable")
     hard = order[:, 0]
@@ -316,4 +319,6 @@ def load_codebook(path) -> Codebook:
             raise VocabularyError(f"{path}: malformed codebook: {exc}") from None
     if words.shape != (k, dim):
         raise VocabularyError(f"{path}: codebook centroid block has wrong shape")
+    if not np.isfinite(words).all():
+        raise VocabularyError(f"{path}: codebook has non-finite values")
     return Codebook(words=words, seed=seed)

@@ -169,6 +169,57 @@ class TestDataErrors:
                      "--out", str(tmp_path / "o")]) == 2
         assert "m.txt" in capsys.readouterr().err
 
+    @staticmethod
+    def _models(tmp_path, words, sv_dim):
+        """A codebook of the given words and a two-class model on sv_dim-bin
+        histograms, saved; returns a config naming both."""
+        vocab.save_codebook(tmp_path / "cb.txt", vocab.Codebook(words=words, seed=0))
+        machine = svm.BinaryMachine(support_vectors=np.full((1, sv_dim), 0.5),
+                                    dual_coef=np.ones(1), bias=0.0, c_offset=1.0)
+        svm.save_model(tmp_path / "m.txt",
+                       svm.SvmModel(classes=["a", "b"], machines={(0, 1): machine}))
+        return _config(tmp_path, recognition={"codebook_path": str(tmp_path / "cb.txt"),
+                                              "svm_path": str(tmp_path / "m.txt")})
+
+    def test_codebook_word_length_differs_from_descriptors(self, tmp_path, capsys):
+        seq = _generate(tmp_path, frames=8)
+        cfg = self._models(tmp_path, np.random.default_rng(0).random((2, 64)), 2)
+        assert main(["pipeline", "--config", cfg, "--in", str(seq),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "128-d vectors against a codebook of 64-d words" in capsys.readouterr().err
+
+    def test_model_histogram_length_differs_from_codebook(self, tmp_path, capsys):
+        seq = _generate(tmp_path, frames=8)
+        cfg = self._models(tmp_path, np.random.default_rng(0).random((10, 128)), 7)
+        assert main(["pipeline", "--config", cfg, "--in", str(seq),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "m.txt: model takes [7]-bin histograms" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "tracks.jsonl").exists()
+
+    def test_train_svm_with_wrong_word_length(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        for cls in ("a", "b"):
+            (tmp_path / "train" / cls).mkdir(parents=True)
+            fio.write_pnm(tmp_path / "train" / cls / "0.pgm", rng.random((32, 32)))
+        vocab.save_codebook(tmp_path / "cb.txt",
+                            vocab.Codebook(words=rng.random((2, 64)), seed=0))
+        assert main(["train-svm", "--config", _config(tmp_path),
+                     "--vocab", str(tmp_path / "cb.txt"),
+                     "--in", str(tmp_path / "train"),
+                     "--out", str(tmp_path / "m.txt")]) == 2
+        assert "against a codebook of 64-d words" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
+
+    def test_non_finite_codebook(self, tmp_path, capsys):
+        seq = _generate(tmp_path, frames=8)
+        words = np.random.default_rng(0).random((2, 128))
+        words[1, 5] = np.nan
+        cfg = self._models(tmp_path, words, 2)
+        assert main(["pipeline", "--config", cfg, "--in", str(seq),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "cb.txt: codebook has non-finite values" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "tracks.jsonl").exists()
+
     def test_tracks_line_not_json(self, tmp_path, capsys):
         seq = _generate(tmp_path, frames=2)
         (tmp_path / "tracks.jsonl").write_text('{"frame": 0}\n{"frame": 1,\n')
@@ -186,6 +237,23 @@ class TestDataErrors:
                      "--out", str(tmp_path / "eval.csv")]) == 2
         err = capsys.readouterr().err
         assert "no field 'cx'" in err and "'cy': 5.0" in err
+
+    @pytest.mark.parametrize("tracks,truth,field", [
+        ({}, {"objects": [{"id": 0, "box": [1, 2]}]}, "box"),
+        ({}, {"objects": [{"id": 0, "box": [1, 2, "3", 4]}]}, "box"),
+        ({"frame": "x"}, {}, "frame"),
+        ({}, {"objects": 5}, "objects"),
+    ], ids=["box-of-two", "string-in-box", "string-frame", "number-objects"])
+    def test_malformed_eval_record(self, tmp_path, capsys, tracks, truth, field):
+        track = {"frame": 0, "id": 0, "cx": 5.0, "cy": 5.0, "w": 4.0, "h": 4.0}
+        frame = {"frame": 0, "objects": [{"id": 0, "box": [3, 3, 4, 4]}]}
+        (tmp_path / "tracks.jsonl").write_text(json.dumps({**track, **tracks}) + "\n")
+        (tmp_path / "truth.jsonl").write_text(json.dumps({**frame, **truth}) + "\n")
+        assert main(["eval", "--tracks", str(tmp_path / "tracks.jsonl"),
+                     "--truth", str(tmp_path / "truth.jsonl"),
+                     "--out", str(tmp_path / "eval.csv")]) == 2
+        assert f"field {field!r} is malformed" in capsys.readouterr().err
+        assert not (tmp_path / "eval.csv").exists()
 
     def test_negative_config_seed_train_vocab(self, tmp_path, capsys):
         images = tmp_path / "images"

@@ -139,6 +139,29 @@ class TestEvaluateTracks:
         with pytest.raises(MetricsError):
             evaluate_tracks(tracks, truth)
 
+    @pytest.mark.parametrize("track,frame,field", [
+        ({}, {"objects": [{"id": 0, "box": [10, 10]}]}, "box"),
+        ({}, {"objects": [{"id": 0, "box": [10, "10", 10, 10]}]}, "box"),
+        ({}, {"objects": [{"id": 0, "box": 10}]}, "box"),
+        ({}, {"objects": 5}, "objects"),
+        ({}, {"frame": 0.5}, "frame"),
+        ({"frame": "x"}, {}, "frame"),
+        ({"id": None}, {}, "id"),
+        ({"cx": "15"}, {}, "cx"),
+        ({"h": [10]}, {}, "h"),
+    ])
+    def test_malformed_field_named(self, track, frame, field):
+        tracks = [{**_track(0, 0, 15.0, 15.0, 10, 10), **track}]
+        truth = [{**_truth_frame(0, [(0, (10, 10, 10, 10))]), **frame}]
+        with pytest.raises(MetricsError, match=f"field '{field}' is malformed"):
+            evaluate_tracks(tracks, truth)
+
+    def test_accepts_tuples_and_numpy_numbers(self):
+        tracks = [{**_track(0, 0, 15.0, 15.0, 10, 10), "frame": np.int64(0),
+                   "cx": np.float32(15.0)}]
+        truth = [{"frame": np.int32(0), "objects": ({"id": 0, "box": (10, 10, 10, 10)},)}]
+        assert evaluate_tracks(tracks, truth).success_rate == 1.0
+
     def test_accepts_attribute_records(self):
         from vvtrack.tracker import TrackRecord
         tracks = [TrackRecord(frame=0, id=0, cx=15.0, cy=15.0, s=1.0,

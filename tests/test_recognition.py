@@ -3,11 +3,10 @@ import pytest
 
 from vvtrack import recognition as rec
 from vvtrack import vocab
-from vvtrack.recognition import (Occurrence, OccurrenceTable, PartEdge,
-                                 PartModel, RecognitionError, balloon_density,
-                                 cast_votes, distance_transform_1d,
-                                 distance_transform_2d, learn_occurrences,
-                                 match_parts, meanshift_modes)
+from vvtrack.recognition import (OCCURRENCE, PartEdge, PartModel,
+                                 RecognitionError, balloon_density, cast_votes,
+                                 distance_transform_1d, distance_transform_2d,
+                                 learn_occurrences, match_parts, meanshift_modes)
 from vvtrack.svm import train_svm
 from vvtrack.vocab import Codebook
 
@@ -21,40 +20,83 @@ def _textured_square(size=64, box=(20, 20, 24, 24), seed=0):
     return frame
 
 
-class TestLearnOccurrences:
-    def _setup(self):
-        frames = [(_textured_square(seed=s), "sq", (32.0, 32.0), 24.0)
-                  for s in range(3)]
-        descs = []
-        for f, *_ in frames:
-            descs.extend(d.vector for d in vocab.extract_descriptors(f)
-                         if np.any(d.vector))
-        cb = vocab.kmeans(np.asarray(descs), 8, seed=0)
-        return frames, cb
+def _square_codebook(k, seed=0, n=3):
+    """Training squares and a k-word codebook of their descriptors."""
+    frames = [(_textured_square(seed=s), "sq", (32.0, 32.0), 24.0) for s in range(n)]
+    descs = np.concatenate([vocab.extract_descriptors(f).vector for f, *_ in frames])
+    return frames, vocab.kmeans(descs[descs.any(axis=1)], k, seed=seed)
 
+
+def _occurrence_loop(examples, codebook, grid_stride=8):
+    """Reference: (class, word) -> [(dx, dy, scale_ratio, desc_scale, weight)]
+    built one feature and word at a time, weights normalized per key."""
+    entries = {}
+    for frame, cls, (cx, cy), scale in examples:
+        descs = vocab.extract_descriptors(frame, grid_stride=grid_stride)
+        _, soft = vocab.quantize(descs.vector, codebook)
+        for x, y, s, row in zip(descs.x.tolist(), descs.y.tolist(),
+                                descs.scale.tolist(), soft):
+            for word in np.nonzero(row)[0].tolist():
+                entries.setdefault((cls, word), []).append(
+                    [cx - x, cy - y, scale / s, s, float(row[word])])
+    for occs in entries.values():
+        total = sum(o[4] for o in occs)
+        for o in occs:
+            o[4] /= total
+    return entries
+
+
+def _vote_loop(descriptors, codebook, entries, cls):
+    """Reference: the votes of cast_votes, one feature, word and occurrence
+    at a time."""
+    votes = []
+    _, soft = vocab.quantize(descriptors.vector, codebook)
+    for x, y, s, row in zip(descriptors.x.tolist(), descriptors.y.tolist(),
+                            descriptors.scale.tolist(), soft):
+        for word in np.nonzero(row)[0].tolist():
+            for dx, dy, ratio, desc_scale, weight in entries.get((cls, word), []):
+                rel = s / desc_scale
+                votes.append((x + dx * rel, y + dy * rel, ratio * s,
+                              weight * float(row[word])))
+    return np.asarray(votes, dtype=np.float64).reshape(-1, 4)
+
+
+def _records(*rows):
+    return np.rec.fromrecords(list(rows), dtype=OCCURRENCE)
+
+
+class TestLearnOccurrences:
     def test_weights_normalized_per_class_word(self):
-        frames, cb = self._setup()
+        frames, cb = _square_codebook(8)
         table = learn_occurrences(frames, cb)
-        assert table.classes == ["sq"]
-        for (cls, word), occs in table.entries.items():
-            assert cls == "sq"
-            assert sum(o.weight for o in occs) == pytest.approx(1.0)
+        assert list(table) == ["sq"]
+        occ = table["sq"]
+        assert np.all(np.diff(occ["word"]) >= 0)
+        sums = np.bincount(occ["word"], weights=occ["weight"])
+        assert sums[np.unique(occ["word"])] == pytest.approx(1.0)
 
     def test_offsets_point_to_center(self):
-        frames, cb = self._setup()
-        table = learn_occurrences(frames, cb)
+        frames, cb = _square_codebook(8)
+        occ = learn_occurrences(frames, cb)["sq"]
         # every stored offset must be center - some descriptor grid location
-        grid = {float(v) for v in range(8, 57, 8)}
-        for occs in table.entries.values():
-            for o in occs:
-                assert 32.0 - o.dx in grid
-                assert 32.0 - o.dy in grid
-                assert o.desc_scale == 16.0 and o.scale_ratio == 24.0 / 16.0
+        grid = np.arange(8.0, 57.0, 8.0)
+        assert np.isin(32.0 - occ["dx"], grid).all()
+        assert np.isin(32.0 - occ["dy"], grid).all()
+        assert np.all(occ["desc_scale"] == 16.0)
+        assert np.all(occ["scale_ratio"] == 24.0 / 16.0)
 
-    def test_box_template_is_mean_scale(self):
-        frames, cb = self._setup()
+    def test_records_match_per_item_loop(self):
+        frames, cb = _square_codebook(8)
+        # a second class, seen between two "sq" examples
+        frames.insert(1, (_textured_square(seed=7, box=(10, 30, 20, 20)),
+                          "other", (20.0, 40.0), 20.0))
         table = learn_occurrences(frames, cb)
-        assert table.box_templates["sq"] == (24.0, 24.0)
+        assert list(table) == ["sq", "other"]
+        entries = _occurrence_loop(frames, cb)
+        for cls, occ in table.items():
+            words = sorted(w for c, w in entries if c == cls)
+            expect = [(w, *o) for w in words for o in entries[(cls, w)]]
+            assert occ.tolist() == expect
 
     def test_featureless_training_errors(self):
         cb = Codebook(words=np.zeros((2, 128)), seed=0)
@@ -66,13 +108,10 @@ class TestLearnOccurrences:
 class TestCastVotes:
     def test_single_feature_vote_location(self):
         cb = Codebook(words=np.vstack([np.eye(1, 128, 0)]), seed=0)
-        table = OccurrenceTable(
-            entries={("c", 0): [Occurrence(dx=5.0, dy=-3.0, scale_ratio=2.0,
-                                           desc_scale=16.0, weight=1.0)]},
-            box_templates={"c": (32.0, 32.0)}, classes=["c"])
+        occ = _records((0, 5.0, -3.0, 2.0, 16.0, 1.0))
         d = np.rec.fromrecords([(np.eye(1, 128, 0)[0], 10.0, 20.0, 16.0)],
                                dtype=vocab.DESCRIPTOR)
-        votes = cast_votes(d, cb, table, "c")
+        votes = cast_votes(d, cb, occ)
         assert votes.shape == (1, 4)
         x, y, s, w = votes[0]
         assert (x, y) == (15.0, 17.0)
@@ -81,21 +120,50 @@ class TestCastVotes:
 
     def test_scale_ratio_rescales_offset(self):
         cb = Codebook(words=np.vstack([np.eye(1, 128, 0)]), seed=0)
-        table = OccurrenceTable(
-            entries={("c", 0): [Occurrence(dx=4.0, dy=0.0, scale_ratio=1.0,
-                                           desc_scale=16.0, weight=1.0)]},
-            classes=["c"])
+        occ = _records((0, 4.0, 0.0, 1.0, 16.0, 1.0))
         d = np.rec.fromrecords([(np.eye(1, 128, 0)[0], 0.0, 0.0, 32.0)],
                                dtype=vocab.DESCRIPTOR)
-        votes = cast_votes(d, cb, table, "c")
+        votes = cast_votes(d, cb, occ)
         assert votes[0][0] == pytest.approx(8.0)  # offset doubled at 2x scale
 
     def test_empty_without_matching_words(self):
-        cb = Codebook(words=np.eye(2, 128), seed=0)
-        table = OccurrenceTable(entries={}, classes=["c"])
+        # word 1 is so far away that its soft weight underflows to 0
+        cb = Codebook(words=np.vstack([np.eye(1, 128, 0), 10 * np.eye(1, 128, 1)]),
+                      seed=0)
         d = np.rec.fromrecords([(np.eye(1, 128, 0)[0], 0.0, 0.0, 16.0)],
                                dtype=vocab.DESCRIPTOR)
-        assert cast_votes(d, cb, table, "c").shape == (0, 4)
+        assert cast_votes(d, cb, _records((1, 1.0, 1.0, 1.0, 16.0, 1.0))).shape == (0, 4)
+        assert cast_votes(d, cb, np.zeros(0, dtype=OCCURRENCE)).shape == (0, 4)
+
+    def test_word_runs_expand_in_order(self):
+        # words 0 and 2 share one feature's soft weight; word 1 has no
+        # feature weight; each word's records vote in stored order
+        words = np.eye(3, 128)
+        cb = Codebook(words=words, seed=0)
+        vec = words[0] + words[2]
+        d = np.rec.fromrecords([(vec / np.linalg.norm(vec), 8.0, 8.0, 16.0)],
+                               dtype=vocab.DESCRIPTOR)
+        occ = _records((0, 1.0, 0.0, 1.0, 16.0, 0.25), (0, 2.0, 0.0, 1.0, 16.0, 0.75),
+                       (1, 3.0, 0.0, 1.0, 16.0, 1.0), (2, 4.0, 0.0, 1.0, 16.0, 1.0))
+        votes = cast_votes(d, cb, occ)
+        _, soft = vocab.quantize(d.vector, cb)
+        assert soft[0, 1] > 0  # word 1 is weighted too: its record votes
+        assert votes[:, 0].tolist() == [9.0, 10.0, 11.0, 12.0]
+        assert votes[:, 3].tolist() == [0.25 * soft[0, 0], 0.75 * soft[0, 0],
+                                        soft[0, 1], soft[0, 2]]
+
+    @pytest.mark.parametrize("k", [8, 10])
+    @pytest.mark.parametrize("stride", [8, 12])
+    def test_votes_equal_per_item_loop(self, k, stride):
+        frames, cb = _square_codebook(k)
+        table = learn_occurrences(frames, cb, grid_stride=stride)
+        entries = _occurrence_loop(frames, cb, grid_stride=stride)
+        test = vocab.extract_descriptors(
+            _textured_square(seed=9, box=(28, 12, 24, 24)), grid_stride=stride)
+        votes = cast_votes(test, cb, table["sq"])
+        expect = _vote_loop(test, cb, entries, "sq")
+        assert len(votes) > 100
+        assert np.array_equal(votes, expect)
 
 
 def _meanshift_from_every_vote(votes, b0):
@@ -364,8 +432,43 @@ class TestRecognizeFrame:
         assert found
         assert found[0][1] == "textured"
 
+    def test_svm_relabel_classifies_the_hyp_square(self, monkeypatch):
+        frames, cb = _square_codebook(10)
+        # a 6-px grid: descriptor centres fall on box edges, so an edge off
+        # by one pixel changes the classified set
+        table = learn_occurrences(frames, cb, grid_stride=6)
+        rng = np.random.default_rng(3)
+        flat = [np.clip(0.5 + rng.normal(0, 0.01, (64, 64)), 0, 1) for _ in range(3)]
+        hists = [vocab.bow_histogram(vocab.extract_descriptors(f), cb)
+                 for f in [f for f, *_ in frames] + flat]
+        model = train_svm(hists, ["textured"] * 3 + ["flat"] * 3, C=5.0, seed=0)
+        test_frame = _textured_square(seed=9, box=(28, 12, 24, 24))
+        descs = vocab.extract_descriptors(test_frame, grid_stride=6)
+        seen = []
+        histogram = vocab.bow_histogram
+
+        def spy(d, *args, **kwargs):
+            seen.append(np.column_stack([d.x, d.y]))
+            return histogram(d, *args, **kwargs)
+
+        monkeypatch.setattr(vocab, "bow_histogram", spy)
+        found = rec.recognize_frame(test_frame, cb, table, svm_model=model, b0=0.2,
+                                    grid_stride=6)
+        monkeypatch.undo()
+        assert len(found) >= 3 and len(seen) == len(found)
+        assert {label for _, label in found} == {"flat", "textured"}
+        for (hyp, label), centres in zip(found, seen):
+            # the hypothesis scale is the box side, cut to whole pixels
+            box = (int(max(0, hyp.x - hyp.s / 2)), int(max(0, hyp.y - hyp.s / 2)),
+                   int(min(64, hyp.x + hyp.s / 2)), int(min(64, hyp.y + hyp.s / 2)))
+            inside = ((box[0] <= descs.x) & (descs.x < box[2])
+                      & (box[1] <= descs.y) & (descs.y < box[3]))
+            assert inside.any()
+            assert np.array_equal(centres, np.column_stack([descs.x, descs.y])[inside])
+            assert label == rec.classify_box(descs, box, cb, model)
+
     def test_featureless_frame_no_hypotheses(self):
         cb = Codebook(words=np.zeros((2, 128)), seed=0)
-        table = OccurrenceTable(classes=["sq"])
+        table = {"sq": np.zeros(0, dtype=OCCURRENCE)}
         assert rec.recognize_frame(np.full((32, 32), 0.5), cb, table) == []
 

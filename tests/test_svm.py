@@ -194,7 +194,14 @@ def test_model_roundtrip(tmp_path):
 @pytest.mark.parametrize("text", [
     "garbage\n",
     "vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 2\n",
-], ids=["header", "short-machine-line"])
+    "vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 1 2 0.0\n1.0\nnan 0.5\n",
+    "vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 1 2 inf\n1.0\n0.5 0.5\n",
+    "vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 1 2 0.0\n-inf\n0.5 0.5\n",
+    "vvtrack-svm v1\na b\nnan 1.0 0\n",
+    "vvtrack-svm v1\na b\n1.0 1.0 1\n0 5 1 2 0.0\n1.0\n0.5 0.5\n",
+    "vvtrack-svm v1\na b\n1.0 1.0 1\n1 0 1 2 0.0\n1.0\n0.5 0.5\n",
+], ids=["header", "short-machine-line", "nan-support-vector", "inf-bias",
+        "inf-coefficient", "nan-C", "class-out-of-range", "pair-reversed"])
 def test_model_bad_header_errors(tmp_path, text):
     (tmp_path / "m.txt").write_text(text)
     with pytest.raises(SvmError):

@@ -200,6 +200,10 @@ class TestQuantize:
         words = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         return Codebook(words=words, seed=0)
 
+    def test_vector_length_must_match_words(self):
+        with pytest.raises(VocabularyError, match="3-d vectors against a codebook of 2-d"):
+            quantize(np.zeros((1, 3)), self._codebook())
+
     def test_hard_assignment_nearest(self):
         cb = self._codebook()
         hard, _ = quantize(np.array([[0.9, 0.1]]), cb)
@@ -377,7 +381,9 @@ def test_codebook_roundtrip(tmp_path):
     "vvtrack-codebook v1\n2 128 x\n",
     "vvtrack-codebook v1\n2 3 0\n0.1 0.2 0.3\n0.4 0.5\n",
     "vvtrack-codebook v1\n",
-], ids=["header", "counts", "short-row", "no-counts"])
+    "vvtrack-codebook v1\n2 2 0\n0.1 nan\n0.3 0.4\n",
+    "vvtrack-codebook v1\n2 2 0\n0.1 0.2\n-inf 0.4\n",
+], ids=["header", "counts", "short-row", "no-counts", "nan-word", "inf-word"])
 def test_codebook_bad_header_errors(tmp_path, text):
     (tmp_path / "cb.txt").write_text(text)
     with pytest.raises(VocabularyError):
