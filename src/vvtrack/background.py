@@ -79,19 +79,27 @@ def init_background(first_frame: np.ndarray, **kwargs) -> BackgroundState:
     return state
 
 
-def similarity_map(f1: np.ndarray, f2: np.ndarray, w: int = 1) -> np.ndarray:
+def box_moments(f: np.ndarray, w: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of the (2w+1)^2 window at every pixel (reflect borders)."""
+    size = 2 * w + 1
+    m = ndimage.uniform_filter(f, size=size, mode="reflect")
+    v = ndimage.uniform_filter(f * f, size=size, mode="reflect") - m * m
+    return m, np.maximum(v, 0.0)
+
+
+def similarity_map(f1: np.ndarray, f2: np.ndarray, w: int = 1,
+                   moments=None) -> np.ndarray:
     """Windowed NCC of the (2w+1)^2 windows at every pixel (reflect borders).
 
     A flat window scores 0, or 1 where both are flat with equal means.
+    ``moments`` is ``(box_moments(f1, w), box_moments(f2, w))`` when the
+    caller has them already: along a sequence each frame's are computed
+    once and serve as f1 of one pair and f2 of the next.
     """
-    size = 2 * w + 1
-    mean = lambda f: ndimage.uniform_filter(f, size=size, mode="reflect")
-    m1, m2 = mean(f1), mean(f2)
-    v1 = mean(f1 * f1) - m1 * m1
-    v2 = mean(f2 * f2) - m2 * m2
-    cov = mean(f1 * f2) - m1 * m2
-    v1 = np.maximum(v1, 0.0)
-    v2 = np.maximum(v2, 0.0)
+    if moments is None:
+        moments = box_moments(f1, w), box_moments(f2, w)
+    (m1, v1), (m2, v2) = moments
+    cov = ndimage.uniform_filter(f1 * f2, size=2 * w + 1, mode="reflect") - m1 * m2
     both_flat = (v1 < EPS_VAR) & (v2 < EPS_VAR)
     one_flat = ((v1 < EPS_VAR) | (v2 < EPS_VAR)) & ~both_flat
     denom = np.sqrt(np.maximum(v1 * v2, EPS_VAR**2))
@@ -102,12 +110,12 @@ def similarity_map(f1: np.ndarray, f2: np.ndarray, w: int = 1) -> np.ndarray:
 
 
 def motion_masks(curr: np.ndarray, prev: np.ndarray,
-                 state: BackgroundState) -> MotionMasks:
+                 state: BackgroundState, moments=None) -> MotionMasks:
     """Temporal, background-difference and fused masks for the current frame.
 
     The temporal mask fires on window DISSIMILARITY, (1 - R) > T_sim; the
     printed similarity inequality reads backwards physically and is
-    treated as a typo.
+    treated as a typo.  ``moments`` is passed on to similarity_map.
     """
     curr = validate_gray(curr)
     prev = validate_gray(prev)
@@ -115,7 +123,7 @@ def motion_masks(curr: np.ndarray, prev: np.ndarray,
         raise BackgroundError("frame dimensions do not match state")
     if not state.V:
         raise BackgroundError("background state not initialized")
-    sim = similarity_map(curr, prev, state.window_radius)
+    sim = similarity_map(curr, prev, state.window_radius, moments)
     i_m = (1.0 - sim) > state.T_sim
     f_m = np.abs(curr - state.B) > state.T_b
     return MotionMasks(I_m=i_m, F_m=f_m, M=i_m & f_m)

@@ -131,17 +131,26 @@ def cmd_train_svm(args, cfg) -> int:
 
 
 def cmd_detect(args, cfg) -> int:
-    results = pl.detect_sequence(fio.read_sequence(args.in_dir), cfg)
+    """Write each frame's mask and detections.jsonl record as its result arrives.
+
+    detections.jsonl appears only once every frame is done.
+    """
+    frames = fio.read_sequence(args.in_dir)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for res in results:
-        fio.write_mask_pgm(out / f"mask_{res.frame:04d}.pgm", res.mask)
-    fio.write_jsonl(out / "detections.jsonl", (
-        {"frame": res.frame, "T_b": res.T_b,
-         "blobs": [{"bbox": list(b.bbox), "area": b.area,
-                    "centroid": list(b.centroid)} for b in res.blobs]}
-        for res in results))
-    print(f"wrote {len(results)} masks to {out}")
+    written = 0
+
+    def records():
+        nonlocal written
+        for res in pl.iter_detections(frames, cfg):
+            fio.write_mask_pgm(out / f"mask_{res.frame:04d}.pgm", res.mask)
+            written += 1
+            yield {"frame": res.frame, "T_b": res.T_b,
+                   "blobs": [{"bbox": list(b.bbox), "area": b.area,
+                              "centroid": list(b.centroid)} for b in res.blobs]}
+
+    fio.write_jsonl(out / "detections.jsonl", records())
+    print(f"wrote {written} masks to {out}")
     return 0
 
 

@@ -2,13 +2,15 @@
 
 Unknown sections or keys are hard errors; silent typos in tolerance
 names are the classic failure mode.  Every value must have the type of
-its default (an int is also taken where the default is a float).
+its default (an int is also taken where the default is a float), and
+every number must be finite.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 
 from .tracker import PATCH_DIM, TrackerConfig
 
@@ -124,10 +126,12 @@ def _typed(name: str, default, value):
     if not ok:
         raise ConfigError(f"{name} must have the type of its default {default!r}, "
                           f"got {value!r}")
-    if isinstance(default, float):
-        return float(value)
-    if isinstance(default, list):
-        return [float(v) for v in value]
+    if isinstance(default, (float, list)):
+        # json reads NaN and Infinity literals as floats.
+        numbers = [float(v) for v in (value if isinstance(value, list) else [value])]
+        if not all(map(math.isfinite, numbers)):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+        return numbers if isinstance(default, list) else numbers[0]
     return value
 
 

@@ -13,6 +13,7 @@ import re
 import secrets
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -135,15 +136,20 @@ def write_mask_pgm(path, mask: np.ndarray) -> None:
     write_pnm(path, np.where(np.asarray(mask, bool), 1.0, 0.0))
 
 
-def read_sequence(directory, pattern: str = "frame_*.p?m") -> list[np.ndarray]:
-    """Load a numbered PGM/PPM sequence in strictly increasing index order.
+def read_sequence(directory, pattern: str = "frame_*.p?m",
+                  start: int = 0) -> Iterator[np.ndarray]:
+    """Frames of a numbered PGM/PPM sequence in increasing index order, read lazily.
 
-    The numeric index is the last run of digits in the file name.
+    The numeric index is the last run of digits in the file name.  The
+    paths are listed and ordered at the call, so a sequence with no frames
+    or an unindexed file name fails there; each frame is read only when
+    the iterator reaches it, and one whose dimensions differ from the
+    first frame read raises FrameError then.  The first ``start`` frames
+    are skipped without being read.
     """
     directory = Path(directory)
-    paths = sorted(directory.glob(pattern))
     indexed = []
-    for p in paths:
+    for p in sorted(directory.glob(pattern)):
         nums = re.findall(r"\d+", p.stem)
         if not nums:
             raise FrameError(f"{p}: file name carries no frame index")
@@ -151,16 +157,18 @@ def read_sequence(directory, pattern: str = "frame_*.p?m") -> list[np.ndarray]:
     if not indexed:
         raise FrameError(f"{directory}: no frames matching {pattern!r}")
     indexed.sort()
-    frames = []
+    return _read_frames([p for _, p in indexed[start:]])
+
+
+def _read_frames(paths):
     shape = None
-    for _, p in indexed:
+    for p in paths:
         frame = read_pnm(p)
         if shape is None:
             shape = frame.shape[:2]
         elif frame.shape[:2] != shape:
             raise FrameError(f"{p}: mixed dimensions {frame.shape[:2]} vs {shape}")
-        frames.append(frame)
-    return frames
+        yield frame
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -32,54 +34,73 @@ class DetectionResult:
     T_b: float
 
 
-def detect_sequence(frames, cfg) -> list[DetectionResult]:
-    """Motion masks and blobs over a gray or RGB sequence with the adaptive background.
+def iter_detections(frames, cfg) -> Iterator[DetectionResult]:
+    """Motion mask and blobs of each frame of a gray or RGB sequence, as it arrives.
 
-    Optionally runs the shadow-removal reconstruction per frame before
-    differencing (cfg["shadow"]["enabled"]); that needs RGB frames.
+    Holds one frame at a time: the background state, the previous gray
+    frame and that frame's box moments carry over to the next.  Each frame
+    is converted to gray once; with cfg["shadow"]["enabled"] that gray is
+    the shadow-free reconstruction, which needs RGB frames.
     """
     bcfg = cfg["background"]
     scfg = cfg["shadow"]
-    grays = []
+    w = int(bcfg["window_radius"])
+    state = None
     for t, f in enumerate(frames):
         if scfg["enabled"]:
             if f.ndim != 3:
                 raise PipelineError(f"frame {t}: shadow removal needs RGB input, "
                                     f"got a grayscale frame; disable shadow.enabled")
-            _, R, _ = shadows.remove_shadow(f, sigma=scfg["sigma"], t1=scfg["t1"],
-                                            t2=scfg["t2"], penumbra=scfg["penumbra"])
-            grays.append(R)
+            _, gray, _ = shadows.remove_shadow(f, sigma=scfg["sigma"], t1=scfg["t1"],
+                                               t2=scfg["t2"], penumbra=scfg["penumbra"])
         else:
-            grays.append(fio.to_grayscale(f))
-    state = bg.init_background(grays[0], a=bcfg["a"], b=bcfg["b"],
-                               T_sim=bcfg["T_sim"],
-                               window_radius=int(bcfg["window_radius"]))
-    results = [DetectionResult(frame=0, mask=np.zeros_like(grays[0], bool),
-                               blobs=[], T_b=state.T_b)]
-    for t in range(1, len(grays)):
-        hist = bg.diff_histogram(grays[t], grays[t - 1])
-        state.T_b = bg.fit_adaptive_threshold(hist).T_b
-        masks = bg.motion_masks(grays[t], grays[t - 1], state)
-        clean = bg.clean_mask(masks.M)
-        blobs = shadows.extract_blobs(clean, min_area=int(scfg["min_blob_area"]))
-        results.append(DetectionResult(frame=t, mask=clean, blobs=blobs,
-                                       T_b=state.T_b))
-        bg.update_background(state, grays[t])
+            gray = fio.to_grayscale(f)
+        if state is None:
+            state = bg.init_background(gray, a=bcfg["a"], b=bcfg["b"],
+                                       T_sim=bcfg["T_sim"], window_radius=w)
+            result = DetectionResult(frame=0, mask=np.zeros_like(gray, bool),
+                                     blobs=[], T_b=state.T_b)
+            moments = bg.box_moments(gray, w)
+        else:
+            hist = bg.diff_histogram(gray, prev)
+            state.T_b = bg.fit_adaptive_threshold(hist).T_b
+            prev_moments, moments = moments, bg.box_moments(gray, w)
+            masks = bg.motion_masks(gray, prev, state, (moments, prev_moments))
+            clean = bg.clean_mask(masks.M)
+            blobs = shadows.extract_blobs(clean, min_area=int(scfg["min_blob_area"]))
+            result = DetectionResult(frame=t, mask=clean, blobs=blobs, T_b=state.T_b)
+            bg.update_background(state, gray)
+        prev = gray
+        yield result
+
+
+def detect_sequence(frames, cfg, stop=None) -> list[DetectionResult]:
+    """iter_detections as a list, ending with the first result that ``stop`` accepts.
+
+    No frame after that result is read.
+    """
+    results = []
+    for result in iter_detections(frames, cfg):
+        results.append(result)
+        if stop is not None and stop(result):
+            break
     return results
+
+
+def _is_seed(result: DetectionResult, burn_in: int) -> bool:
+    """The seed frame is the first frame at or after burn-in with any blob."""
+    return result.frame >= burn_in and bool(result.blobs)
 
 
 def initial_detections(results: list[DetectionResult], burn_in: int,
                        max_objects: int = 8):
-    """(frame, boxes of its largest blobs) for the first frame >= burn_in with any blob.
+    """(frame, boxes of its largest blobs) for the seed frame (see _is_seed).
 
-    Blobs are not checked for persistence (ROADMAP open item 2).
+    Blobs are not checked for persistence (ROADMAP open item 4).
     """
     for res in results:
-        if res.frame < burn_in:
-            continue
-        if res.blobs:
-            boxes = [b.bbox for b in res.blobs[:max_objects]]
-            return res.frame, boxes
+        if _is_seed(res, burn_in):
+            return res.frame, [b.bbox for b in res.blobs[:max_objects]]
     raise PipelineError("no blobs detected after burn-in; nothing to track")
 
 
@@ -111,30 +132,36 @@ def classify_boxes(gray, boxes, codebook, model, cfg):
 
 
 def run_pipeline(in_dir, out_dir, cfg, seed: int | None = None):
-    """detect -> recognize -> track; returns (records, report or None)."""
+    """detect -> recognize -> track; returns (records, report or None).
+
+    Detection reads frames only up to the seed frame; tracking and the
+    annotated copies each stream the sequence again, one frame at a time.
+    """
     if seed is None:
         seed = int(cfg["seed"])
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    frames = fio.read_sequence(in_dir)
-    grays = [fio.to_grayscale(f) for f in frames]
-
-    results = detect_sequence(frames, cfg)
-    start, boxes = initial_detections(results, int(cfg["background"]["burn_in"]))
+    burn_in = int(cfg["background"]["burn_in"])
+    results = detect_sequence(fio.read_sequence(in_dir), cfg,
+                              stop=lambda res: _is_seed(res, burn_in))
+    start, boxes = initial_detections(results, burn_in)
     codebook, model = load_models(cfg)
-    labels = classify_boxes(grays[start], boxes, codebook, model, cfg)
+    grays = map(fio.to_grayscale, fio.read_sequence(in_dir, start=start))
+    first = next(grays)
+    labels = classify_boxes(first, boxes, codebook, model, cfg)
 
-    records = track_sequence(grays[start:], boxes,
+    records = track_sequence(itertools.chain([first], grays), boxes,
                              config=tracker_config(cfg), seed=seed)
     for r in records:
         r.frame += start
 
+    # tracks.jsonl is written last: a frame that fails to read leaves none.
+    write_annotated(out_dir / "annotated", fio.read_sequence(in_dir), records)
     fio.write_jsonl(out_dir / "tracks.jsonl",
                     ({"frame": r.frame, "id": r.id, "cx": r.cx, "cy": r.cy,
                       "s": r.s, "w": r.w, "h": r.h, "fit": r.fit,
                       "label": None if labels[r.id] is None else str(labels[r.id])}
                      for r in records))
-    write_annotated(out_dir / "annotated", frames, records)
 
     report = None
     truth_path = Path(in_dir) / "truth.jsonl"

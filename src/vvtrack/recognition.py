@@ -109,24 +109,27 @@ def meanshift_modes(votes: np.ndarray, b0: float = 0.1, max_iter: int = 100,
     """Mean-shift from each distinct vote; modes within b/2 merged keeping the best.
 
     Equal seeds follow equal trajectories, so each distinct (x, y, s) is
-    started once, in order of first occurrence; every vote still counts
-    in the window sums and the density.
+    started once, in order of first occurrence.  Window membership is
+    tested once per distinct position and spread to its votes; every vote
+    still counts, in its own order, in the window sums and the density.
     """
     if b0 <= 0:
         raise RecognitionError("bandwidth factor must be > 0")
     votes = np.asarray(votes, dtype=np.float64).reshape(-1, 4)
     if votes.shape[0] == 0:
         return []
-    _, first = np.unique(votes[:, :3], axis=0, return_index=True)
+    points, first, inverse = np.unique(votes[:, :3], axis=0, return_index=True,
+                                       return_inverse=True)
+    inverse = inverse.ravel()
     modes = []
-    for seed in votes[np.sort(first), :3]:
+    for seed in points[np.argsort(first)]:
         x = seed.copy()
         for _ in range(max_iter):
             b = b0 * x[2]
             if b <= 0:
                 break
-            d2 = ((votes[:, :3] - x) ** 2).sum(axis=1)
-            inside = d2 < b * b
+            d2 = ((points - x) ** 2).sum(axis=1)
+            inside = (d2 < b * b)[inverse]
             w = votes[inside, 3]
             if w.sum() <= 0:
                 break

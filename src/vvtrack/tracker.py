@@ -362,32 +362,35 @@ def track_sequence(frames, detections, config: TrackerConfig | None = None,
                    seed: int = 0) -> list[TrackRecord]:
     """Track initial detections through a grayscale frame sequence.
 
-    detections: list of (x, y, w, h) boxes on the first frame; box k starts
-    species k.  Per frame: arenas are resolved first, then each species
-    runs the annealed swarm with early stopping, then its appearance
-    model updates selectively.  Deterministic for a seed.
+    frames is any iterable, consumed one frame at a time; tracking stops
+    reading it once every species is lost.  detections: list of
+    (x, y, w, h) boxes on the first frame; box k starts species k.  Per
+    frame: arenas are resolved first, then each species runs the annealed
+    swarm with early stopping, then its appearance model updates
+    selectively.  Deterministic for a seed.
     """
     if config is None:
         config = TrackerConfig()
     if not detections:
         raise TrackerError("need at least one initial detection")
-    # One NaN pixel would reach every sample of a box whose rows span it.
-    frames = [validate_gray(f) for f in frames]
-    if not frames:
+    frames = iter(frames)
+    first = next(frames, None)
+    if first is None:
         raise TrackerError("need at least one frame")
-    for t, frame in enumerate(frames):
-        if frame.shape != frames[0].shape:
-            raise TrackerError(f"frame {t} has shape {frame.shape}, "
-                               f"frame 0 has {frames[0].shape}")
+    # One NaN pixel would reach every sample of a box whose rows span it.
+    first = validate_gray(first)
     rng = np.random.default_rng(seed)
-    species = [init_species(frames[0], k, box, config)
+    species = [init_species(first, k, box, config)
                for k, box in enumerate(detections)]
 
     records = [_record(0, sp) for sp in species]
 
     active = {sp.id: sp for sp in species}
-    for t in range(1, len(frames)):
-        frame = frames[t]
+    for t, frame in enumerate(frames, 1):
+        frame = validate_gray(frame)
+        if frame.shape != first.shape:
+            raise TrackerError(f"frame {t} has shape {frame.shape}, "
+                               f"frame 0 has {first.shape}")
         live = [active[k] for k in sorted(active)]
         for sp in live:
             sp.masked_rects = []

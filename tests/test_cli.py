@@ -131,6 +131,9 @@ class TestDataErrors:
         ({"classifier": {"c_offset": -1.0}}, "classifier.c_offset"),
         ({"seed": -1}, "seed"),
         ({"background": {"burn_in": -1}}, "background.burn_in"),
+        ({"tracker": {"sigma0": [float("nan"), 8, 0.05]}}, "tracker.sigma0"),
+        ({"background": {"b": float("nan")}}, "background.b"),
+        ({"tracker": {"fit_floor": float("inf")}}, "tracker.fit_floor"),
     ])
     def test_bad_config_value(self, tmp_path, capsys, user, name):
         seq = _generate(tmp_path, frames=4)
@@ -323,6 +326,19 @@ class TestDetect:
 
 
 class TestTrackAndEval:
+    def test_mixed_dimensions_after_the_seed_leave_no_tracks(self, tmp_path, capsys):
+        # Burn-in 2 seeds at frame 2: detection stops before the bad frame,
+        # so the tracker is the first to read it.
+        seq = _generate(tmp_path, frames=8)
+        bad = seq / "frame_0005.ppm"
+        fio.write_pnm(bad, fio.read_pnm(bad)[:, :40])
+        out = tmp_path / "trk"
+        assert main(["track", "--config", _config(tmp_path),
+                     "--in", str(seq), "--out", str(out)]) == 2
+        assert f"{bad.name}: mixed dimensions" in capsys.readouterr().err
+        assert not (out / "tracks.jsonl").exists()
+        assert not (out / "metrics.csv").exists()
+
     def test_pipeline_on_grayscale_writes_rgb_annotations(self, tmp_path):
         seq = _generate_gray(tmp_path, frames=8)
         out = tmp_path / "trk"

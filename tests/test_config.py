@@ -134,6 +134,12 @@ class TestValidation:
         ({"classifier": {"c_offset": -5}}, "classifier.c_offset"),
         ({"seed": -1}, "seed"),
         ({"background": {"burn_in": -1}}, "background.burn_in"),
+        ({"tracker": {"sigma0": [float("nan"), 8, 0.05]}}, "tracker.sigma0"),
+        ({"background": {"b": float("nan")}}, "background.b"),
+        ({"tracker": {"tau": float("nan")}}, "tracker.tau"),
+        ({"tracker": {"eta": float("inf")}}, "tracker.eta"),
+        ({"shadow": {"sigma": float("inf")}}, "shadow.sigma"),
+        ({"classifier": {"c_offset": float("inf")}}, "classifier.c_offset"),
     ])
     def test_bad_value_errors(self, user, name):
         with pytest.raises(ConfigError, match=name):

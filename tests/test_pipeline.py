@@ -1,0 +1,110 @@
+"""The streaming detect -> seed -> track -> annotate path of vvtrack.pipeline."""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from vvtrack import background as bg
+from vvtrack import frames as fio
+from vvtrack import pipeline as pl
+from vvtrack.cli import main
+from vvtrack.config import merge_config
+
+SMALL_TRACKER = {"n_particles": 8, "n_iters": 2, "track_scale": False}
+
+
+def _write_two_square_sequence(directory, n_frames, size=(240, 320), seed=0):
+    """Two 24-px squares bouncing across a noisy gray frame, one PGM at a time."""
+    directory.mkdir()
+    h, w = size
+    rng = np.random.default_rng(seed)
+    span = w - 64
+    for t in range(n_frames):
+        x = 20 + span - abs(span - 4 * t % (2 * span))  # 4 px/frame, reflected
+        frame = 0.55 + rng.normal(0.0, 0.02, size)
+        frame[60:84, x:x + 24] = 0.9
+        frame[160:184, w - 24 - x:w - x] = 0.15
+        fio.write_pnm(directory / f"frame_{t:04d}.pgm", np.clip(frame, 0.0, 1.0))
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def short_and_long(tmp_path_factory):
+    """A 240-frame 240x320 sequence and a directory linking its first 30 frames."""
+    root = tmp_path_factory.mktemp("stream")
+    long = root / "long"
+    _write_two_square_sequence(long, 240)
+    short = root / "short"
+    short.mkdir()
+    for path in sorted(long.glob("frame_*.pgm"))[:30]:
+        (short / path.name).symlink_to(path)
+    cfg = {"background": {"burn_in": 5}, "tracker": SMALL_TRACKER}
+    (root / "config.json").write_text(json.dumps(cfg))
+    return root, short, long
+
+
+def test_pipeline_memory_does_not_grow_with_sequence_length(short_and_long):
+    root, short, long = short_and_long
+    cfg = merge_config(json.loads((root / "config.json").read_text()))
+    peaks = {}
+    for name, seq in (("short", short), ("long", long)):
+        peaks[name] = _peak_bytes(lambda: pl.run_pipeline(seq, root / f"out_{name}", cfg))
+    assert len(list((root / "out_long" / "annotated").glob("*.ppm"))) == 240
+    # Holding the sequence would add 0.6 MB per float64 frame: 130 MB more.
+    assert peaks["long"] <= 1.1 * peaks["short"], peaks
+
+
+def test_detect_memory_does_not_grow_with_sequence_length(short_and_long):
+    root, short, long = short_and_long
+    peaks = {}
+    for name, seq in (("short", short), ("long", long)):
+        argv = ["detect", "--config", str(root / "config.json"), "--in", str(seq),
+                "--out", str(root / f"det_{name}")]
+        peaks[name] = _peak_bytes(lambda: main(argv))
+    assert len(fio.read_jsonl(root / "det_long" / "detections.jsonl")) == 240
+    assert peaks["long"] <= 1.1 * peaks["short"], peaks
+
+
+def test_pipeline_detects_no_frame_after_the_seed(tmp_path, monkeypatch):
+    seq = tmp_path / "seq"
+    assert main(["generate", "--out", str(seq), "--scene", "two_rect",
+                 "--frames", "16", "--seed", "0"]) == 0
+    cfg = merge_config({"background": {"burn_in": 3}, "tracker": SMALL_TRACKER})
+    calls = []
+    original = bg.motion_masks
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bg, "motion_masks", counting)
+    records, _ = pl.run_pipeline(seq, tmp_path / "out", cfg, seed=0)
+    start = min(r.frame for r in records)
+    assert 3 <= start < 15 and max(r.frame for r in records) == 15
+    # Frames 1 .. start are differenced against their predecessors; no later one.
+    assert len(calls) == start
+
+
+def test_detect_sequence_stops_reading_at_the_first_accepted_result():
+    rng = np.random.default_rng(0)
+    read = []
+
+    def frames():
+        for t in range(10):
+            read.append(t)
+            yield rng.random((16, 16))
+
+    results = pl.detect_sequence(frames(), merge_config({}),
+                                 stop=lambda res: res.frame == 4)
+    assert [r.frame for r in results] == [0, 1, 2, 3, 4]
+    assert read == [0, 1, 2, 3, 4]

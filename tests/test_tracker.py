@@ -509,6 +509,15 @@ class TestTrackSequence:
         assert [(r.frame, r.id, r.cx, r.cy, r.fit) for r in r1] == \
                [(r.frame, r.id, r.cx, r.cy, r.fit) for r in r2]
 
+    def test_generator_input_matches_list(self):
+        frames = _shifted_frames(8)
+        cfg = TrackerConfig(track_scale=False)
+        from_list = track_sequence(frames, [(20, 20, 16, 16)], cfg, seed=3)
+        from_generator = track_sequence((f for f in frames), [(20, 20, 16, 16)],
+                                        cfg, seed=3)
+        assert len(from_list) == 8
+        assert [vars(r) for r in from_generator] == [vars(r) for r in from_list]
+
     def test_two_objects_keep_ids(self):
         tex_a = _smooth_texture((14, 14), 6)
         tex_b = _smooth_texture((14, 14), 7) * 0.5  # darker, distinct look
