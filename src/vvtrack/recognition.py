@@ -108,10 +108,10 @@ def meanshift_modes(votes: np.ndarray, b0: float = 0.1, max_iter: int = 100,
                     shift_tol: float = 1e-3) -> list[ObjectHypothesis]:
     """Mean-shift from each distinct vote; modes within b/2 merged keeping the best.
 
-    Equal seeds follow equal trajectories, so each distinct (x, y, s) is
-    started once, in order of first occurrence.  Window membership is
-    tested once per distinct position and spread to its votes; every vote
-    still counts, in its own order, in the window sums and the density.
+    The weights of the votes at each distinct (x, y, s) are summed once,
+    and the window sums and the density run over the distinct positions
+    only.  Equal seeds follow equal trajectories, so each distinct
+    position is started once, in order of first occurrence.
     """
     if b0 <= 0:
         raise RecognitionError("bandwidth factor must be > 0")
@@ -120,7 +120,9 @@ def meanshift_modes(votes: np.ndarray, b0: float = 0.1, max_iter: int = 100,
         return []
     points, first, inverse = np.unique(votes[:, :3], axis=0, return_index=True,
                                        return_inverse=True)
-    inverse = inverse.ravel()
+    weight = np.bincount(inverse.ravel(), weights=votes[:, 3], minlength=len(points))
+    moments = points * weight[:, None]
+    collapsed = np.column_stack([points, weight])
     modes = []
     for seed in points[np.argsort(first)]:
         x = seed.copy()
@@ -128,17 +130,16 @@ def meanshift_modes(votes: np.ndarray, b0: float = 0.1, max_iter: int = 100,
             b = b0 * x[2]
             if b <= 0:
                 break
-            d2 = ((points - x) ** 2).sum(axis=1)
-            inside = (d2 < b * b)[inverse]
-            w = votes[inside, 3]
-            if w.sum() <= 0:
+            inside = ((points - x) ** 2).sum(axis=1) < b * b
+            w = weight[inside].sum()
+            if w <= 0:
                 break
-            new_x = (votes[inside, :3] * w[:, None]).sum(axis=0) / w.sum()
+            new_x = moments[inside].sum(axis=0) / w
             if np.linalg.norm(new_x - x) < shift_tol:
                 x = new_x
                 break
             x = new_x
-        score = balloon_density(x, votes, b0)
+        score = balloon_density(x, collapsed, b0)
         if score > 0:
             modes.append((x, score))
     merged: list[tuple[np.ndarray, float]] = []

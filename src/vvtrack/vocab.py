@@ -108,15 +108,19 @@ def _sse(points: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> float
     return float(((points - centroids[assign]) ** 2).sum())
 
 
-def _sq_dist(vectors: np.ndarray, words: np.ndarray) -> np.ndarray:
+def _sq_dist(vectors: np.ndarray, words: np.ndarray,
+             vector_sq: np.ndarray | None = None) -> np.ndarray:
     """(n, K) squared distances ‖x‖² − 2x·c + ‖c‖², from one matrix product.
 
-    Clamped at 0, which rounding can undershoot for x equal to a word.
-    Built in place, so the only (n, K) array is the result.
+    vector_sq is ‖x‖² per row, when the caller has it.  Clamped at 0,
+    which rounding can undershoot for x equal to a word.  Built in place,
+    so the only (n, K) array is the result.
     """
+    if vector_sq is None:
+        vector_sq = (vectors ** 2).sum(axis=1)
     d2 = vectors @ words.T
     d2 *= -2.0
-    d2 += (vectors ** 2).sum(axis=1)[:, None]
+    d2 += vector_sq[:, None]
     d2 += (words ** 2).sum(axis=1)
     return np.maximum(d2, 0.0, out=d2)
 
@@ -130,9 +134,10 @@ def kmeans(points, k: int, seed: int = 0, max_iter: int = 100,
            n_init: int = 5) -> Codebook:
     """Seeded k-means++ then Lloyd iterations until assignments fix.
 
-    Runs n_init restarts and keeps the lowest-SSE solution.  Empty
-    clusters are re-seeded to the point currently farthest from its
-    centroid.  The within-cluster SSE is asserted non-increasing.
+    Runs n_init restarts and keeps the lowest-SSE solution.  Once every
+    centroid has moved to its cluster mean, each empty cluster in turn is
+    re-seeded to the point then farthest from its centroid.  The
+    within-cluster SSE is asserted non-increasing.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < k:
@@ -142,53 +147,62 @@ def kmeans(points, k: int, seed: int = 0, max_iter: int = 100,
     if n_init < 1:
         raise VocabularyError("n_init must be >= 1")
     rng = np.random.default_rng(seed)
+    sq_norms = (pts ** 2).sum(axis=1)
     best_words = None
     best_sse = np.inf
     for _ in range(n_init):
-        words = _lloyd(pts, k, rng, max_iter)
-        sse = _sse(pts, words, _nearest(pts, words))
+        words, sse = _lloyd(pts, sq_norms, k, rng, max_iter)
         if sse < best_sse:
             best_sse = sse
             best_words = words
     return Codebook(words=best_words, seed=seed)
 
 
-def _lloyd(pts: np.ndarray, k: int, rng: np.random.Generator,
-           max_iter: int) -> np.ndarray:
+def _lloyd(pts: np.ndarray, sq_norms: np.ndarray, k: int,
+           rng: np.random.Generator, max_iter: int) -> tuple[np.ndarray, float]:
+    """One k-means++ seeding and its Lloyd steps: (centroids, their SSE)."""
     n = pts.shape[0]
 
-    # k-means++ seeding
+    # k-means++ seeding: one matrix-vector product per pick
     centroids = np.empty((k, pts.shape[1]))
     centroids[0] = pts[rng.integers(n)]
-    d2 = ((pts - centroids[0]) ** 2).sum(axis=1)
+    d2 = _sq_dist(pts, centroids[:1], sq_norms)[:, 0]
     for i in range(1, k):
         total = d2.sum()
         if total <= 0:
             centroids[i] = pts[rng.integers(n)]
         else:
             centroids[i] = pts[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((pts - centroids[i]) ** 2).sum(axis=1))
+        np.minimum(d2, _sq_dist(pts, centroids[i:i + 1], sq_norms)[:, 0], out=d2)
 
-    assign = None
-    prev_sse = np.inf
+    assign = _nearest(pts, centroids)
+    sse = _sse(pts, centroids, assign)
+    dim = pts.shape[1]
     for _ in range(max_iter):
+        # Per-cluster row sums, added in row order as a mean over axis 0 adds them.
+        counts = np.bincount(assign, minlength=k)
+        cells = (assign[:, None] * dim + np.arange(dim)).ravel()
+        sums = np.bincount(cells, weights=pts.ravel(), minlength=k * dim)
+        full = counts > 0
+        centroids[full] = sums.reshape(k, dim)[full] / counts[full, None]
+        # A cluster of equal rows takes that row: their mean can be an ulp off.
+        first = np.zeros(k, dtype=np.intp)
+        first[full] = np.unique(assign, return_index=True)[1]
+        equal = full.copy()
+        equal[assign[(pts != pts[first[assign]]).any(axis=1)]] = False
+        centroids[equal] = pts[first[equal]]
+        for c in np.flatnonzero(~full):
+            worst = int(((pts - centroids[assign]) ** 2).sum(axis=1).argmax())
+            centroids[c] = pts[worst]
+            assign[worst] = c
+        step_sse = _sse(pts, centroids, assign)
         new_assign = _nearest(pts, centroids)
         sse = _sse(pts, centroids, new_assign)
-        assert sse <= prev_sse + 1e-9, "k-means SSE increased"
-        prev_sse = sse
-        if assign is not None and np.array_equal(new_assign, assign):
+        assert sse <= step_sse + 1e-9, "k-means SSE increased"
+        if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        for c in range(k):
-            members = pts[assign == c]
-            if len(members):
-                centroids[c] = members.mean(axis=0)
-            else:
-                worst = int(((pts - centroids[assign]) ** 2).sum(axis=1).argmax())
-                centroids[c] = pts[worst]
-                assign[worst] = c
-        prev_sse = _sse(pts, centroids, assign)  # centroid step also lowers SSE
-    return centroids
+    return centroids, sse
 
 
 # ---------------------------------------------------------------------------

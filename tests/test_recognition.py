@@ -219,8 +219,30 @@ class TestMeanShift:
 
         monkeypatch.setattr(rec, "balloon_density", counting)
         modes = meanshift_modes(votes, b0=b0)
-        assert [(m.x, m.y, m.s, m.score) for m in modes] == expect
+        # the window sums add the weights of equal rows first: equal to rounding
+        assert len(modes) == len(expect)
+        for m, e in zip(modes, expect):
+            assert (m.x, m.y, m.s, m.score) == pytest.approx(e, rel=1e-12)
         assert len(calls) == len(lattice) + len(lone)
+
+    def test_half_weight_copies_give_identical_modes(self):
+        rng = np.random.default_rng(4)
+        # distinct positions, one vote each, windows overlapping (b = 2)
+        votes = np.vstack([
+            np.hstack([[50.0, 50.0, 20.0] + rng.normal(0, 0.8, (60, 3)),
+                       rng.uniform(0.1, 1.0, (60, 1))]),
+            np.hstack([[20.0, 70.0, 20.0] + rng.normal(0, 0.8, (30, 3)),
+                       rng.uniform(0.1, 1.0, (30, 1))])])
+        n = len(votes)
+        halves = votes.copy()
+        halves[:, 3] /= 2.0
+        # each copy lands somewhere after its original, so the seeds keep their order
+        key = np.concatenate([np.arange(n), np.arange(n) + rng.uniform(0.5, n, n)])
+        split = np.vstack([halves, halves])[np.argsort(key, kind="stable")]
+        modes = meanshift_modes(votes, b0=0.1)
+        assert len(modes) >= 2
+        assert ([(m.x, m.y, m.s, m.score) for m in meanshift_modes(split, b0=0.1)]
+                == [(m.x, m.y, m.s, m.score) for m in modes])
 
     def test_single_cluster_mode_at_mean(self):
         rng = np.random.default_rng(0)

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from test_acceptance import _oriented_texture
 from vvtrack import vocab
 from vvtrack.vocab import (Codebook, VocabularyError, bow_histogram,
                            build_pyramid, extract_descriptors, kmeans, pmk,
@@ -130,6 +131,65 @@ class TestExtractDescriptors:
             extract_descriptors(np.zeros((8, 8)), patch=16)
 
 
+def _reference_lloyd(pts, k, rng, max_iter, reseeds):
+    """Reference: k-means++ seeding by full differences, then Lloyd steps with a
+    masked mean per cluster; empty clusters re-seeded in index order, between
+    the means.  Appends each re-seeded cluster to reseeds."""
+    n = pts.shape[0]
+    centroids = np.empty((k, pts.shape[1]))
+    centroids[0] = pts[rng.integers(n)]
+    d2 = ((pts - centroids[0]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centroids[i] = pts[rng.integers(n)]
+        else:
+            centroids[i] = pts[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, ((pts - centroids[i]) ** 2).sum(axis=1))
+    assign = None
+    for _ in range(max_iter):
+        new_assign = vocab._nearest(pts, centroids)
+        if assign is not None and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for c in range(k):
+            members = pts[assign == c]
+            if len(members):
+                centroids[c] = members.mean(axis=0)
+            else:
+                worst = int(((pts - centroids[assign]) ** 2).sum(axis=1).argmax())
+                centroids[c] = pts[worst]
+                assign[worst] = c
+                reseeds.append(c)
+    return centroids
+
+
+def _reference_kmeans(pts, k, seed, reseeds):
+    """Reference: the restarts of kmeans over _reference_lloyd."""
+    rng = np.random.default_rng(seed)
+    best_words, best_sse = None, np.inf
+    for _ in range(5):
+        words = _reference_lloyd(pts, k, rng, 100, reseeds)
+        sse = vocab._sse(pts, words, vocab._nearest(pts, words))
+        if sse < best_sse:
+            best_words, best_sse = words, sse
+    return best_words
+
+
+def _texture_vectors():
+    """Non-zero descriptors of the train-vocab input of the CLI texture test:
+    8 textures per class, stored as 8-bit PGM, read in file-name order."""
+    rng = np.random.default_rng(0)
+    images = {}
+    for cls in ("horiz", "vert", "diag"):
+        for k in range(8):
+            image = np.rint(_oriented_texture(cls, rng) * 255.0) / 255.0
+            images[f"{cls}_{k:02d}"] = image
+    vectors = np.concatenate([extract_descriptors(images[name]).vector
+                              for name in sorted(images)])
+    return vectors[vectors.any(axis=1)]
+
+
 class TestKmeans:
     def test_separated_clusters_recovered(self):
         rng = np.random.default_rng(4)
@@ -164,6 +224,35 @@ class TestKmeans:
         # every point should be its own centroid (SSE 0)
         d = ((pts[:, None] - cb.words[None]) ** 2).sum(axis=2).min(axis=1)
         assert d.max() < 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_words_match_reference_on_random_points(self, seed):
+        pts = np.random.default_rng(seed).random((300, 16))
+        expect = _reference_kmeans(pts, 12, seed, [])
+        assert np.array_equal(kmeans(pts, 12, seed=seed).words, expect)
+
+    def test_words_match_reference_on_texture_descriptors(self):
+        # 1,176 descriptors, K = 200: a Lloyd step here empties a cluster,
+        # which the reference re-seeds before the later means and kmeans after
+        pts = _texture_vectors()
+        reseeds = []
+        expect = _reference_kmeans(pts, 200, 0, reseeds)
+        assert pts.shape == (1176, 128) and reseeds
+        assert np.array_equal(kmeans(pts, 200, seed=0).words, expect)
+
+    @pytest.mark.parametrize("pts,k", [
+        (np.random.default_rng(21).random((3, 16))[
+            np.random.default_rng(22).integers(0, 3, 40)], 5),
+        (np.repeat(np.random.default_rng(23).random((4, 8)), [1, 2, 3, 9], axis=0), 7),
+        (np.zeros((10, 8)), 4),
+    ], ids=["repeated-rows", "repeat-counts", "all-zero"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fewer_distinct_points_than_k(self, pts, k, seed):
+        cb = kmeans(pts, k, seed=seed)
+        assert cb.words.shape == (k, pts.shape[1])
+        assert (cb.words[:, None] == pts[None]).all(axis=2).any(axis=1).all()
+        assert ((pts[:, None] - cb.words[None]) ** 2).sum(axis=2).min(axis=1).sum() == 0.0
+        assert np.array_equal(kmeans(pts, k, seed=seed).words, cb.words)
 
     def test_too_few_points_errors(self):
         with pytest.raises(VocabularyError):
