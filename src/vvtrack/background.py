@@ -55,7 +55,6 @@ class NoiseModel:
 
     p_B: float
     sigma: float  # gray levels
-    histogram: np.ndarray
     threshold: int  # gray level T
     errors: np.ndarray  # fit error per candidate T
 
@@ -198,7 +197,7 @@ def fit_adaptive_threshold(hist: np.ndarray) -> NoiseModel:
     errors = row_errors[np.searchsorted(rows, np.arange(256), "right") - 1]
     t_best = int(np.argmin(errors))  # argmin takes the first (smallest T) tie
     return NoiseModel(p_B=float(p_b[t_best]), sigma=float(sigma[t_best]),
-                      histogram=hist, threshold=t_best, errors=errors)
+                      threshold=t_best, errors=errors)
 
 
 def clean_mask(mask: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ every number must be finite.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import math
 
@@ -48,21 +49,9 @@ DEFAULTS: dict = {
         "codebook_path": None,
         "svm_path": None,
     },
-    "tracker": {
-        "n_particles": 50,
-        "n_iters": 20,
-        "c_anneal": 0.3,
-        "sigma0": [8.0, 8.0, 0.05],
-        "q": 8,
-        "window": 16,
-        "update_every": 5,
-        "tau": 0.1,
-        "eta": 4.0,
-        "sigma_obs_sq": 51.2,
-        "fit_floor": 1e-12,
-        "lost_patience": 10,
-        "track_scale": True,
-    },
+    # TrackerConfig is the one declaration; JSON holds the sigma0 tuple as a list.
+    "tracker": {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+                for f in dataclasses.fields(TrackerConfig)},
     "seed": 0,
 }
 

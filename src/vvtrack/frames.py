@@ -249,7 +249,7 @@ def linear_trajectory(start, velocity, size, n_frames):
 
 def _silhouette(obj: SceneObject, box, width, height) -> np.ndarray:
     cx, cy, w, h = box
-    yy, xx = np.mgrid[0:height, 0:width]
+    yy, xx = np.ogrid[0:height, 0:width]
     if obj.shape == "rect":
         return (np.abs(xx - cx) <= w / 2) & (np.abs(yy - cy) <= h / 2)
     return ((xx - cx) / (w / 2)) ** 2 + ((yy - cy) / (h / 2)) ** 2 <= 1.0

@@ -8,6 +8,8 @@ from numbers import Integral, Real
 
 import numpy as np
 
+IOU_THRESHOLD = 0.5  # a box matches a truth box only above this IoU
+
 
 class MetricsError(Exception):
     pass
@@ -36,22 +38,23 @@ def mask_f1(pred: np.ndarray, truth: np.ndarray) -> float:
     return 1.0 if denom == 0 else 2 * tp / denom
 
 
-def blob_precision_recall(pred_boxes, truth_boxes, iou_thr: float = 0.5):
-    """Greedy IoU matching of detection boxes to truth boxes."""
-    matches = _greedy_match(pred_boxes, truth_boxes, iou_thr)
+def blob_precision_recall(pred_boxes, truth_boxes):
+    """Greedy IoU matching of detection boxes to truth boxes (see _greedy_match)."""
+    matches = _greedy_match(pred_boxes, truth_boxes)
     tp = len(matches)
     precision = tp / len(pred_boxes) if pred_boxes else 1.0
     recall = tp / len(truth_boxes) if truth_boxes else 1.0
     return precision, recall
 
 
-def _greedy_match(boxes_a, boxes_b, iou_thr):
-    """Greedy descending-IoU matching; ties by higher IoU then lower index."""
+def _greedy_match(boxes_a, boxes_b):
+    """Greedy descending-IoU matching of pairs above IOU_THRESHOLD; ties by
+    higher IoU then lower index."""
     pairs = []
     for i, a in enumerate(boxes_a):
         for j, b in enumerate(boxes_b):
             iou = box_iou(a, b)
-            if iou > iou_thr:
+            if iou > IOU_THRESHOLD:
                 pairs.append((iou, i, j))
     pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
     used_a: set = set()
@@ -76,12 +79,12 @@ class TrackingReport:
     n_matches: int
 
 
-def evaluate_tracks(tracks, truth, iou_thr: float = 0.5) -> TrackingReport:
+def evaluate_tracks(tracks, truth) -> TrackingReport:
     """Per-frame greedy IoU matching of track boxes to truth boxes.
 
     tracks: records with frame/id/box (objects with attributes or dicts).
     truth: per-frame records with "frame" and "objects" [{id, box}].
-    Success rate counts truth boxes matched above the threshold; an
+    Success rate counts truth boxes matched above IOU_THRESHOLD; an
     identity switch is a change in the track id matched to a truth object.
     """
     def rec_get(r, key, kind=object):
@@ -117,7 +120,7 @@ def evaluate_tracks(tracks, truth, iou_thr: float = 0.5) -> TrackingReport:
         trk = tracks_by_frame[f]
         tru = truth_by_frame[f]
         tboxes = [tuple(rec_get(o, "box", (list, tuple))) for o in tru]
-        matches = _greedy_match([b for _, b in trk], tboxes, iou_thr)
+        matches = _greedy_match([b for _, b in trk], tboxes)
         n_truth += len(tboxes)
         n_matched += len(matches)
         fp_total += len(trk) - len(matches)

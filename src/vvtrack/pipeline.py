@@ -20,6 +20,7 @@ ID_COLORS = [
     (1.0, 0.2, 0.2), (0.2, 1.0, 0.2), (0.2, 0.4, 1.0), (1.0, 1.0, 0.2),
     (1.0, 0.2, 1.0), (0.2, 1.0, 1.0), (1.0, 0.6, 0.2), (0.6, 0.2, 1.0),
 ]
+MAX_OBJECTS = 8  # trackers seeded at most, from the seed frame's largest blobs
 
 
 class PipelineError(Exception):
@@ -88,20 +89,11 @@ def detect_sequence(frames, cfg, stop=None) -> list[DetectionResult]:
 
 
 def _is_seed(result: DetectionResult, burn_in: int) -> bool:
-    """The seed frame is the first frame at or after burn-in with any blob."""
-    return result.frame >= burn_in and bool(result.blobs)
-
-
-def initial_detections(results: list[DetectionResult], burn_in: int,
-                       max_objects: int = 8):
-    """(frame, boxes of its largest blobs) for the seed frame (see _is_seed).
+    """The seed frame is the first frame at or after burn-in with any blob.
 
     Blobs are not checked for persistence (ROADMAP open item 4).
     """
-    for res in results:
-        if _is_seed(res, burn_in):
-            return res.frame, [b.bbox for b in res.blobs[:max_objects]]
-    raise PipelineError("no blobs detected after burn-in; nothing to track")
+    return result.frame >= burn_in and bool(result.blobs)
 
 
 def load_models(cfg):
@@ -142,9 +134,12 @@ def run_pipeline(in_dir, out_dir, cfg, seed: int | None = None):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     burn_in = int(cfg["background"]["burn_in"])
-    results = detect_sequence(fio.read_sequence(in_dir), cfg,
-                              stop=lambda res: _is_seed(res, burn_in))
-    start, boxes = initial_detections(results, burn_in)
+    last = detect_sequence(fio.read_sequence(in_dir), cfg,
+                           stop=lambda res: _is_seed(res, burn_in))[-1]
+    if not _is_seed(last, burn_in):
+        raise PipelineError("no blobs detected after burn-in; nothing to track")
+    start = last.frame
+    boxes = [b.bbox for b in last.blobs[:MAX_OBJECTS]]
     codebook, model = load_models(cfg)
     grays = map(fio.to_grayscale, fio.read_sequence(in_dir, start=start))
     first = next(grays)

@@ -12,6 +12,8 @@ from . import svm, vocab
 from .vocab import Codebook, extract_descriptors
 
 SCORE_FRACTION = 0.25  # hypotheses below this share of the best score are dropped
+SHIFT_MAX_ITER = 100  # mean-shift steps per seed; the last position is its mode
+SHIFT_TOL = 1e-3  # a seed has converged once a step moves it less than this
 
 
 class RecognitionError(Exception):
@@ -34,17 +36,17 @@ class ObjectHypothesis:
     score: float
 
 
-def learn_occurrences(examples, codebook: Codebook, grid_stride: int = 8,
-                      patch: int = 16) -> dict:
+def learn_occurrences(examples, codebook: Codebook, grid_stride: int = 8) -> dict:
     """OCCURRENCE records per class, in first-seen class order.
 
     examples: iterable of (gray frame, class, (cx, cy), scale); scale is
-    the object box side in px.  Records are sorted by word, in learning
-    order within a word, and their weights sum to 1 per word.
+    the object box side in px.  Each frame gives extract_descriptors'
+    default patches every grid_stride px.  Records are sorted by word, in
+    learning order within a word, and their weights sum to 1 per word.
     """
     parts: dict = {}
     for frame, cls, (cx, cy), scale in examples:
-        descs = extract_descriptors(frame, grid_stride=grid_stride, patch=patch)
+        descs = extract_descriptors(frame, grid_stride=grid_stride)
         _, soft = vocab.quantize(descs.vector, codebook)
         feat, word = np.nonzero(soft)
         s = descs.scale[feat]
@@ -104,14 +106,14 @@ def balloon_density(point, votes: np.ndarray, b0: float) -> float:
     return float((votes[inside, 3] * (1.0 - d2[inside])).sum()) / _ball_volume(b)
 
 
-def meanshift_modes(votes: np.ndarray, b0: float = 0.1, max_iter: int = 100,
-                    shift_tol: float = 1e-3) -> list[ObjectHypothesis]:
+def meanshift_modes(votes: np.ndarray, b0: float = 0.1) -> list[ObjectHypothesis]:
     """Mean-shift from each distinct vote; modes within b/2 merged keeping the best.
 
-    The weights of the votes at each distinct (x, y, s) are summed once,
-    and the window sums and the density run over the distinct positions
-    only.  Equal seeds follow equal trajectories, so each distinct
-    position is started once, in order of first occurrence.
+    A seed stops after SHIFT_MAX_ITER steps or a step shorter than
+    SHIFT_TOL.  The weights of the votes at each distinct (x, y, s) are
+    summed once, and the window sums and the density run over the
+    distinct positions only.  Equal seeds follow equal trajectories, so
+    each distinct position is started once, in order of first occurrence.
     """
     if b0 <= 0:
         raise RecognitionError("bandwidth factor must be > 0")
@@ -126,7 +128,7 @@ def meanshift_modes(votes: np.ndarray, b0: float = 0.1, max_iter: int = 100,
     modes = []
     for seed in points[np.argsort(first)]:
         x = seed.copy()
-        for _ in range(max_iter):
+        for _ in range(SHIFT_MAX_ITER):
             b = b0 * x[2]
             if b <= 0:
                 break
@@ -135,7 +137,7 @@ def meanshift_modes(votes: np.ndarray, b0: float = 0.1, max_iter: int = 100,
             if w <= 0:
                 break
             new_x = moments[inside].sum(axis=0) / w
-            if np.linalg.norm(new_x - x) < shift_tol:
+            if np.linalg.norm(new_x - x) < SHIFT_TOL:
                 x = new_x
                 break
             x = new_x
@@ -267,14 +269,17 @@ def classify_box(descriptors, box, codebook: Codebook, svm_model):
 
 def recognize_frame(frame: np.ndarray, codebook: Codebook,
                     table: dict, svm_model=None, b0: float = 0.1,
-                    grid_stride: int = 8, patch: int = 16):
+                    grid_stride: int = 8):
     """Vote, find modes, and verify hypotheses by BoW classification.
 
-    Returns (ObjectHypothesis, label) pairs, strongest first, scoring at
-    least SCORE_FRACTION of the best; a given svm_model relabels each from
-    the BoW of its box, the square of side s around (x, y).  Part models (match_parts) are not matched here.
+    Descriptors are extract_descriptors' default patches every
+    grid_stride px, as learn_occurrences takes them.  Returns
+    (ObjectHypothesis, label) pairs, strongest first, scoring at least
+    SCORE_FRACTION of the best; a given svm_model relabels each from the
+    BoW of its box, the square of side s around (x, y).  Part models
+    (match_parts) are not matched here.
     """
-    descs = extract_descriptors(frame, grid_stride=grid_stride, patch=patch)
+    descs = extract_descriptors(frame, grid_stride=grid_stride)
     hypotheses = []
     for cls, occurrences in table.items():
         for mode in meanshift_modes(cast_votes(descs, codebook, occurrences), b0=b0):

@@ -6,6 +6,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+KKT_TOL = 1e-3  # a sample violates KKT when y * error is off by more than this
+MAX_PASSES = 10000  # SMO scans before training gives up as not converged
+
 
 class SvmError(Exception):
     pass
@@ -42,8 +45,8 @@ class BinaryMachine:
         return float(self.dual_coef @ k + self.bias)
 
 
-def _smo(x: np.ndarray, y: np.ndarray, C: float, c_offset: float, tol: float,
-         max_passes: int, rng: np.random.Generator) -> BinaryMachine:
+def _smo(x: np.ndarray, y: np.ndarray, C: float, c_offset: float,
+         rng: np.random.Generator) -> BinaryMachine:
     """Simplified SMO: scan for KKT violators, random seeded partner choice.
 
     The dual objective is asserted non-decreasing after every accepted
@@ -60,12 +63,12 @@ def _smo(x: np.ndarray, y: np.ndarray, C: float, c_offset: float, tol: float,
 
     obj = dual_objective()
     clean_passes = 0
-    for n_pass in range(1, max_passes + 1):
+    for _ in range(MAX_PASSES):
         changed = 0
         for i in range(n):
             e_i = (alpha * y) @ K[:, i] + b - y[i]
-            if not ((y[i] * e_i < -tol and alpha[i] < C)
-                    or (y[i] * e_i > tol and alpha[i] > 0)):
+            if not ((y[i] * e_i < -KKT_TOL and alpha[i] < C)
+                    or (y[i] * e_i > KKT_TOL and alpha[i] > 0)):
                 continue
             j = int(rng.integers(n - 1))
             if j >= i:
@@ -110,7 +113,7 @@ def _smo(x: np.ndarray, y: np.ndarray, C: float, c_offset: float, tol: float,
         else:
             clean_passes = 0
     else:
-        raise SvmError(f"SMO did not converge within {max_passes} passes")
+        raise SvmError(f"SMO did not converge within {MAX_PASSES} passes")
 
     if not (alpha.min() >= -1e-9 and alpha.max() <= C + 1e-9):
         raise SvmError("box constraint violated after training")
@@ -132,8 +135,12 @@ class SvmModel:
 
 
 def train_svm(samples, labels, C: float = 1.0, c_offset: float = 1.0,
-              seed: int = 0, tol: float = 1e-3, max_passes: int = 10000) -> SvmModel:
-    """Train one-vs-one cubic-kernel machines over all class pairs."""
+              seed: int = 0) -> SvmModel:
+    """Train one-vs-one cubic-kernel machines over all class pairs.
+
+    Each machine runs SMO to KKT_TOL; one that needs more than
+    MAX_PASSES passes raises SvmError.
+    """
     x = np.asarray(samples, dtype=np.float64)
     labels = list(labels)
     classes = sorted(set(labels))
@@ -149,8 +156,7 @@ def train_svm(samples, labels, C: float = 1.0, c_offset: float = 1.0,
             ib = idx_by_class[classes[bcl]]
             xs = x[ia + ib]
             ys = np.concatenate([np.ones(len(ia)), -np.ones(len(ib))])
-            model.machines[(a, bcl)] = _smo(xs, ys, C, c_offset, tol,
-                                            max_passes, rng)
+            model.machines[(a, bcl)] = _smo(xs, ys, C, c_offset, rng)
     return model
 
 

@@ -12,6 +12,7 @@ from .frames import validate_gray
 PATCH = 32
 PATCH_DIM = PATCH * PATCH
 _GRID = np.linspace(0, 1, PATCH)  # sample positions across a box, as fractions
+STALL_ITERS = 3  # a swarm stops early after this many iterations without a new gbest
 
 
 class TrackerError(Exception):
@@ -33,7 +34,6 @@ class TrackerConfig:
     fit_floor: float = 1e-12
     lost_patience: int = 10
     track_scale: bool = True
-    stall_iters: int = 3  # early stop after this many unchanged gbest iters
 
 
 @dataclass
@@ -59,7 +59,6 @@ class Species:
 class CompetitionArena:
     pair: tuple[int, int]
     rect: tuple[float, float, float, float]  # overlap x, y, w, h
-    powers: dict = field(default_factory=dict)
     interactive: dict = field(default_factory=dict)
     winner: int | None = None
 
@@ -275,13 +274,12 @@ def compete(arena: CompetitionArena, frame: np.ndarray,
     if w <= 0 or h <= 0:
         raise TrackerError("competition arena has empty overlap")
     patch = sample_patch(frame, arena.rect).ravel()
-    for k in arena.pair:
-        arena.powers[k] = _power(patch, species[k], config)
-    total = sum(arena.powers.values())
+    powers = {k: _power(patch, species[k], config) for k in arena.pair}
+    total = sum(powers.values())
     if total <= 0:
         arena.interactive = {k: 0.5 for k in arena.pair}
     else:
-        arena.interactive = {k: p / total for k, p in arena.powers.items()}
+        arena.interactive = {k: p / total for k, p in powers.items()}
     arena.winner = min(arena.pair,
                        key=lambda k: (-arena.interactive[k], k))
     loser = arena.pair[0] if arena.winner == arena.pair[1] else arena.pair[1]
@@ -423,7 +421,7 @@ def track_sequence(frames, detections, config: TrackerConfig | None = None,
                 step_particles(sp, frame, it, rng, config, force=force)
                 if np.array_equal(sp.gbest, prev_best):
                     stall += 1
-                    if stall >= config.stall_iters:
+                    if stall >= STALL_ITERS:
                         break
                 else:
                     stall = 0

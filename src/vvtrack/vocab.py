@@ -136,8 +136,9 @@ def kmeans(points, k: int, seed: int = 0, max_iter: int = 100,
 
     Runs n_init restarts and keeps the lowest-SSE solution.  Once every
     centroid has moved to its cluster mean, each empty cluster in turn is
-    re-seeded to the point then farthest from its centroid.  The
-    within-cluster SSE is asserted non-increasing.
+    re-seeded to the point then farthest from its centroid; a step that
+    returns to the assignment it started from also ends the iterations.
+    The within-cluster SSE is asserted non-increasing.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < k:
@@ -184,6 +185,7 @@ def _lloyd(pts: np.ndarray, sq_norms: np.ndarray, k: int,
         cells = (assign[:, None] * dim + np.arange(dim)).ravel()
         sums = np.bincount(cells, weights=pts.ravel(), minlength=k * dim)
         full = counts > 0
+        start = assign if full.all() else assign.copy()
         centroids[full] = sums.reshape(k, dim)[full] / counts[full, None]
         # A cluster of equal rows takes that row: their mean can be an ulp off.
         first = np.zeros(k, dtype=np.intp)
@@ -199,7 +201,9 @@ def _lloyd(pts: np.ndarray, sq_norms: np.ndarray, k: int,
         new_assign = _nearest(pts, centroids)
         sse = _sse(pts, centroids, new_assign)
         assert sse <= step_sse + 1e-9, "k-means SSE increased"
-        if np.array_equal(new_assign, assign):
+        # A step is a function of the assignment it starts from, so one that
+        # gives that assignment back would repeat itself every later step.
+        if np.array_equal(new_assign, assign) or np.array_equal(new_assign, start):
             break
         assign = new_assign
     return centroids, sse
@@ -237,9 +241,8 @@ def quantize(vectors, codebook: Codebook, m: int = SOFT_NEIGHBORS,
     return hard, soft
 
 
-def bow_histogram(descriptors, codebook: Codebook, m: int = SOFT_NEIGHBORS,
-                  sigma: float = SOFT_SIGMA) -> np.ndarray:
-    """Soft-assignment word counts, L1-normalized.
+def bow_histogram(descriptors, codebook: Codebook) -> np.ndarray:
+    """Soft-assignment word counts (quantize's defaults), L1-normalized.
 
     descriptors: DESCRIPTOR records or plain (n, dim) vectors.  All-zero
     descriptors (flat patches) count nothing; a featureless image yields
@@ -250,7 +253,7 @@ def bow_histogram(descriptors, codebook: Codebook, m: int = SOFT_NEIGHBORS,
     else:
         vectors = np.reshape(np.asarray(descriptors, dtype=np.float64),
                              (-1, codebook.words.shape[1]))
-    counts = quantize(vectors, codebook, m=m, sigma=sigma)[1].sum(axis=0)
+    counts = quantize(vectors, codebook)[1].sum(axis=0)
     total = counts.sum()
     return counts / total if total > 0 else counts
 
@@ -266,7 +269,6 @@ class HistogramPyramid:
     levels: list[dict]
     cell0: float
     dim: int
-    n_points: int
 
     @property
     def n_levels(self) -> int:
@@ -287,8 +289,7 @@ def build_pyramid(points, n_levels: int, cell0: float = 1.0) -> HistogramPyramid
             key = tuple(int(v) for v in np.floor(p / side))
             hist[key] = hist.get(key, 0) + 1
         levels.append(hist)
-    return HistogramPyramid(levels=levels, cell0=cell0, dim=pts.shape[1],
-                            n_points=pts.shape[0])
+    return HistogramPyramid(levels=levels, cell0=cell0, dim=pts.shape[1])
 
 
 def _intersection(h1: dict, h2: dict) -> int:

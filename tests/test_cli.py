@@ -67,6 +67,12 @@ class TestDataErrors:
         assert main(["detect", "--config", str(path),
                      "--in", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
 
+    def test_tracker_constant_is_not_a_config_key(self, tmp_path, capsys):
+        cfg = _config(tmp_path, tracker={"stall_iters": 3})
+        assert main(["track", "--config", cfg, "--in", str(tmp_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "unknown key 'stall_iters'" in capsys.readouterr().err
+
     def test_empty_input_directory(self, tmp_path):
         cfg = _config(tmp_path)
         empty = tmp_path / "empty"
@@ -338,6 +344,14 @@ class TestTrackAndEval:
         assert f"{bad.name}: mixed dimensions" in capsys.readouterr().err
         assert not (out / "tracks.jsonl").exists()
         assert not (out / "metrics.csv").exists()
+
+    def test_no_blobs_after_burn_in_leaves_no_tracks(self, tmp_path, capsys):
+        seq = _generate(tmp_path, scene="static", frames=6)
+        out = tmp_path / "trk"
+        assert main(["track", "--config", _config(tmp_path),
+                     "--in", str(seq), "--out", str(out)]) == 2
+        assert "no blobs detected after burn-in" in capsys.readouterr().err
+        assert not (out / "tracks.jsonl").exists()
 
     def test_pipeline_on_grayscale_writes_rgb_annotations(self, tmp_path):
         seq = _generate_gray(tmp_path, frames=8)

@@ -4,6 +4,7 @@ import pytest
 
 from vvtrack.config import (ConfigError, default_config, load_config,
                             merge_config, tracker_config)
+from vvtrack.tracker import TrackerConfig
 
 
 # Keys that had no effect and were deleted; a config naming one is a typo.
@@ -200,3 +201,10 @@ def test_tracker_config_conversion():
     assert tc.sigma0 == (4.0, 4.0, 0.02)
     assert tc.track_scale is False
     assert tc.q == 8  # default carried through
+
+
+def test_tracker_defaults_are_declared_once():
+    assert tracker_config(default_config()) == TrackerConfig()
+    # The swarm's early-stop count is a tracker constant, not a config key.
+    with pytest.raises(ConfigError, match="unknown key"):
+        merge_config({"tracker": {"stall_iters": 3}})

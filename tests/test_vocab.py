@@ -254,6 +254,24 @@ class TestKmeans:
         assert ((pts[:, None] - cb.words[None]) ** 2).sum(axis=2).min(axis=1).sum() == 0.0
         assert np.array_equal(kmeans(pts, k, seed=seed).words, cb.words)
 
+    def test_lloyd_stops_when_a_step_returns_its_start(self, monkeypatch):
+        # 40 rows with 3 distinct values and K = 5: a re-seeded empty cluster's
+        # point goes back to its equal twin's cluster at the next assignment.
+        pts = np.random.default_rng(21).random((3, 16))[
+            np.random.default_rng(22).integers(0, 3, 40)]
+        one_step = kmeans(pts, 5, seed=0, max_iter=1).words
+        calls = []
+        nearest = vocab._nearest
+
+        def counting(*args):
+            calls.append(args)
+            return nearest(*args)
+
+        monkeypatch.setattr(vocab, "_nearest", counting)
+        words = kmeans(pts, 5, seed=0).words
+        assert len(calls) <= 2 * 5  # seeding plus one Lloyd step per restart
+        assert np.array_equal(words, one_step)
+
     def test_too_few_points_errors(self):
         with pytest.raises(VocabularyError):
             kmeans(np.zeros((3, 2)), 5)
