@@ -64,30 +64,24 @@ def gray_to_rgb(gray: np.ndarray) -> np.ndarray:
 # PGM / PPM
 # ---------------------------------------------------------------------------
 
+# One header token: skip whitespace and '#' comments (each ends at a
+# newline), then take a run of non-whitespace that does not start with '#'.
+_PNM_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n)*([^\s#]\S*)")
+
+
 def _read_pnm_header(data: bytes, path):
-    # Header tokens may be separated by whitespace and '#' comments.
-    pos = 0
-    tokens = []
-    while len(tokens) < 4:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise FrameError(f"{path}: truncated PNM header")
-        tokens.append(data[start:pos])
-    pos += 1  # single whitespace byte after maxval
+    tokens, pos = [], 0
+    while len(tokens) < 4 and (m := _PNM_TOKEN.match(data, pos)):
+        tokens.append(m[1])
+        pos = m.end()
+    if len(tokens) < 4 or pos == len(data):  # no whitespace byte after maxval
+        raise FrameError(f"{path}: truncated PNM header")
     magic = tokens[0]
     try:
         width, height, maxval = (int(t) for t in tokens[1:4])
     except ValueError:
         raise FrameError(f"{path}: non-numeric PNM header fields") from None
-    return magic, width, height, maxval, pos
+    return magic, width, height, maxval, pos + 1
 
 
 def read_pnm(path) -> np.ndarray:
@@ -180,27 +174,19 @@ def rle_encode(mask: np.ndarray) -> list[int]:
     flat = np.asarray(mask, bool).ravel()
     if flat.size == 0:
         return []
-    changes = np.flatnonzero(np.diff(flat.astype(np.int8)))
-    bounds = np.concatenate(([0], changes + 1, [flat.size]))
-    runs = np.diff(bounds).tolist()
-    if flat[0]:
-        runs = [0] + runs
-    return runs
+    starts = np.flatnonzero(np.diff(flat, prepend=False))  # runs after the first
+    return np.diff(starts, prepend=0, append=flat.size).tolist()
 
 
 def rle_decode(runs: list[int], shape: tuple[int, int]) -> np.ndarray:
-    total = shape[0] * shape[1]
-    flat = np.zeros(total, dtype=bool)
-    pos = 0
-    value = False
-    for run in runs:
-        if value:
-            flat[pos : pos + run] = True
-        pos += run
-        value = not value
-    if pos != total and runs:
-        raise FrameError(f"RLE length {pos} does not cover {shape}")
-    return flat.reshape(shape)
+    """Inverse of rle_encode; an empty run list decodes to an all-False mask."""
+    if not len(runs):
+        return np.zeros(shape, dtype=bool)
+    runs = np.asarray(runs)
+    if runs.min() < 0 or runs.sum() != shape[0] * shape[1]:
+        raise FrameError(f"RLE runs (sum {runs.sum()}, min {runs.min()}) "
+                         f"do not cover {shape}")
+    return np.repeat(np.arange(runs.size) % 2 == 1, runs).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from numbers import Integral, Real
 
 import numpy as np
@@ -149,9 +149,4 @@ def write_report_csv(path, report: TrackingReport) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["metric", "value"])
-        writer.writerow(["success_rate", report.success_rate])
-        writer.writerow(["mean_center_error", report.mean_center_error])
-        writer.writerow(["fp_per_frame", report.fp_per_frame])
-        writer.writerow(["id_switches", report.id_switches])
-        writer.writerow(["n_frames", report.n_frames])
-        writer.writerow(["n_matches", report.n_matches])
+        writer.writerows(asdict(report).items())

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -97,18 +97,24 @@ def _is_seed(result: DetectionResult, burn_in: int) -> bool:
 
 
 def load_models(cfg):
+    """The codebook and SVM that cfg["recognition"] names, or (None, None).
+
+    Naming one without the other is an error here, not in the config
+    check, so a config may name a codebook before its model is trained.
+    """
     rcfg = cfg["recognition"]
-    codebook = model = None
-    if rcfg["codebook_path"]:
-        codebook = vocab.load_codebook(rcfg["codebook_path"])
-    if rcfg["svm_path"]:
-        model = svm.load_model(rcfg["svm_path"])
-    if codebook is not None and model is not None:
-        dims = {m.support_vectors.shape[1] for m in model.machines.values()}
-        if dims - {codebook.K}:
-            raise PipelineError(f"{rcfg['svm_path']}: model takes {sorted(dims)}-bin "
-                                f"histograms, codebook {rcfg['codebook_path']} has "
-                                f"K={codebook.K} words")
+    if not (rcfg["codebook_path"] or rcfg["svm_path"]):
+        return None, None
+    if not (rcfg["codebook_path"] and rcfg["svm_path"]):
+        raise PipelineError("recognition needs both codebook_path and svm_path, "
+                            "or neither")
+    codebook = vocab.load_codebook(rcfg["codebook_path"])
+    model = svm.load_model(rcfg["svm_path"])
+    dims = {m.support_vectors.shape[1] for m in model.machines.values()}
+    if dims - {codebook.K}:
+        raise PipelineError(f"{rcfg['svm_path']}: model takes {sorted(dims)}-bin "
+                            f"histograms, codebook {rcfg['codebook_path']} has "
+                            f"K={codebook.K} words")
     return codebook, model
 
 
@@ -134,13 +140,13 @@ def run_pipeline(in_dir, out_dir, cfg, seed: int | None = None):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     burn_in = int(cfg["background"]["burn_in"])
+    codebook, model = load_models(cfg)
     last = detect_sequence(fio.read_sequence(in_dir), cfg,
                            stop=lambda res: _is_seed(res, burn_in))[-1]
     if not _is_seed(last, burn_in):
         raise PipelineError("no blobs detected after burn-in; nothing to track")
     start = last.frame
     boxes = [b.bbox for b in last.blobs[:MAX_OBJECTS]]
-    codebook, model = load_models(cfg)
     grays = map(fio.to_grayscale, fio.read_sequence(in_dir, start=start))
     first = next(grays)
     labels = classify_boxes(first, boxes, codebook, model, cfg)
@@ -153,10 +159,8 @@ def run_pipeline(in_dir, out_dir, cfg, seed: int | None = None):
     # tracks.jsonl is written last: a frame that fails to read leaves none.
     write_annotated(out_dir / "annotated", fio.read_sequence(in_dir), records)
     fio.write_jsonl(out_dir / "tracks.jsonl",
-                    ({"frame": r.frame, "id": r.id, "cx": r.cx, "cy": r.cy,
-                      "s": r.s, "w": r.w, "h": r.h, "fit": r.fit,
-                      "label": None if labels[r.id] is None else str(labels[r.id])}
-                     for r in records))
+                    (asdict(r) | {"label": None if labels[r.id] is None
+                                  else str(labels[r.id])} for r in records))
 
     report = None
     truth_path = Path(in_dir) / "truth.jsonl"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,14 +174,15 @@ def _pairwise(model: SvmModel, x):
     return votes, margins
 
 
-def predict(model: SvmModel, x) -> tuple:
-    """Majority vote over pairs; ties by summed margin, then class index.
+def _winner(votes, margins) -> int:
+    """Class index with the most votes; ties by summed margin, then class index."""
+    return min(range(len(votes)), key=lambda i: (-votes[i], -margins[i], i))
 
-    Returns (label, per-class vote scores).
-    """
+
+def predict(model: SvmModel, x) -> tuple:
+    """Majority vote over pairs (see _winner). Returns (label, per-class votes)."""
     votes, margins = _pairwise(model, x)
-    order = sorted(range(len(votes)), key=lambda i: (-votes[i], -margins[i], i))
-    return model.classes[order[0]], votes
+    return model.classes[_winner(votes, margins)], votes
 
 
 def class_scores(model: SvmModel, x) -> np.ndarray:
@@ -203,23 +205,15 @@ class EvalReport:
 
 def roc_curve(scores: np.ndarray, positives: np.ndarray):
     """Monotone staircase from (0, 0) to (1, 1), scores descending."""
-    order = np.argsort(-scores, kind="stable")
-    pos = positives[order]
-    n_pos = int(pos.sum())
-    n_neg = len(pos) - n_pos
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    for p in pos:
-        if p:
-            tp += 1
-        else:
-            fp += 1
-        points.append((fp / max(n_neg, 1), tp / max(n_pos, 1)))
+    pos = np.asarray(positives, bool)[np.argsort(-scores, kind="stable")]
+    tpr = np.cumsum(pos) / max(int(pos.sum()), 1)
+    fpr = np.cumsum(~pos) / max(int((~pos).sum()), 1)
+    points = [(0.0, 0.0), *zip(fpr.tolist(), tpr.tolist())]
     if points[-1] != (1.0, 1.0):
         points.append((1.0, 1.0))
-    auc = 0.0
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        auc += (x1 - x0) * 0.5 * (y0 + y1)
+    x, y = np.asarray(points).T
+    # cumsum adds the trapezoids left to right (np.sum would pair them up).
+    auc = float(np.cumsum(np.diff(x) * 0.5 * (y[:-1] + y[1:]))[-1])
     return points, auc
 
 
@@ -245,31 +239,26 @@ def cross_validate(samples, labels, n_folds: int = 5, seed: int = 0,
     x = np.asarray(samples, dtype=np.float64)
     labels = list(labels)
     classes = sorted(set(labels))
-    folds = stratified_folds(labels, n_folds, seed)
+    folds = np.asarray(stratified_folds(labels, n_folds, seed))
     n_cl = len(classes)
     cindex = {cl: i for i, cl in enumerate(classes)}
-    confusion = np.zeros((n_cl, n_cl), dtype=int)
-    all_scores = []
-    all_true = []
+    truth, predicted, scores = [], [], []
     for f in range(n_folds):
-        train_idx = [i for i in range(len(labels)) if folds[i] != f]
-        test_idx = [i for i in range(len(labels)) if folds[i] == f]
-        model = train_svm(x[train_idx], [labels[i] for i in train_idx],
+        train, test = np.flatnonzero(folds != f), np.flatnonzero(folds == f)
+        model = train_svm(x[train], [labels[i] for i in train],
                           C=C, c_offset=c_offset, seed=seed + f)
-        for i in test_idx:
-            label, _ = predict(model, x[i])
-            confusion[cindex[labels[i]], cindex[label]] += 1
-            all_scores.append(class_scores(model, x[i]))
-            all_true.append(cindex[labels[i]])
-    all_scores = np.asarray(all_scores)
-    all_true = np.asarray(all_true)
-    roc = {}
-    auc = {}
-    for cl in classes:
-        ci = cindex[cl]
-        points, a = roc_curve(all_scores[:, ci], all_true == ci)
-        roc[cl] = points
-        auc[cl] = a
+        for i in test:
+            votes, margins = _pairwise(model, x[i])
+            truth.append(cindex[labels[i]])
+            predicted.append(_winner(votes, margins))
+            scores.append(margins)
+    confusion = np.zeros((n_cl, n_cl), dtype=int)
+    np.add.at(confusion, (truth, predicted), 1)
+    scores = np.asarray(scores)
+    truth = np.asarray(truth)
+    roc, auc = {}, {}
+    for ci, cl in enumerate(classes):
+        roc[cl], auc[cl] = roc_curve(scores[:, ci], truth == ci)
     accuracy = float(np.trace(confusion)) / max(confusion.sum(), 1)
     return EvalReport(classes=classes, confusion=confusion, accuracy=accuracy,
                       roc=roc, auc=auc)
@@ -280,6 +269,11 @@ def cross_validate(samples, labels, n_folds: int = 5, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 def save_model(path, model: SvmModel) -> None:
+    """Write the model as text; the classes line holds the names space-separated."""
+    bad = [c for c in model.classes if not (isinstance(c, str) and c.split() == [c])]
+    if bad:
+        raise SvmError(f"class names must be non-empty strings without whitespace "
+                       f"to be saved, got {bad!r}")
     with open(path, "w") as fh:
         fh.write("vvtrack-svm v1\n")
         fh.write(" ".join(str(c) for c in model.classes) + "\n")
@@ -301,11 +295,15 @@ def load_model(path) -> SvmModel:
         try:
             classes = fh.readline().split()
             C, c_offset, n_machines = fh.readline().split()
+            pairs = set(itertools.combinations(range(len(classes)), 2))
+            if len(classes) < 2 or int(n_machines) != len(pairs):
+                raise ValueError(f"{len(classes)} classes need one machine per pair, "
+                                 f"not {n_machines} machines")
             model = SvmModel(classes=classes, C=float(C), c_offset=float(c_offset))
-            for _ in range(int(n_machines)):
+            for _ in pairs:
                 a, b, n, dim, bias = fh.readline().split()
-                if not 0 <= int(a) < int(b) < len(classes):
-                    raise ValueError(f"machine ({a}, {b}) is not a pair of the classes")
+                if (int(a), int(b)) not in pairs.difference(model.machines):
+                    raise ValueError(f"machine ({a}, {b}) is a repeat or not a class pair")
                 coef = np.asarray([float(t) for t in fh.readline().split()])
                 svs = np.asarray([[float(t) for t in fh.readline().split()]
                                   for _ in range(int(n))])

@@ -219,6 +219,36 @@ class TestDataErrors:
         assert "against a codebook of 64-d words" in capsys.readouterr().err
         assert not (tmp_path / "m.txt").exists()
 
+    @pytest.mark.parametrize("named", ["codebook_path", "svm_path"])
+    def test_recognition_with_only_one_model_path(self, tmp_path, capsys, named):
+        seq = _generate(tmp_path, frames=8)
+        self._models(tmp_path, np.random.default_rng(0).random((2, 128)), 2)
+        path = tmp_path / ("cb.txt" if named == "codebook_path" else "m.txt")
+        cfg = _config(tmp_path, recognition={named: str(path)})
+        assert main(["track", "--config", cfg, "--in", str(seq),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "needs both codebook_path and svm_path" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "tracks.jsonl").exists()
+
+    def test_train_svm_class_name_with_space(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        for cls in ("red car", "bus"):
+            (tmp_path / "train" / cls).mkdir(parents=True)
+            for k in range(2):
+                fio.write_pnm(tmp_path / "train" / cls / f"{k}.pgm", rng.random((32, 32)))
+        vocab.save_codebook(tmp_path / "cb.txt",
+                            vocab.Codebook(words=rng.random((4, 128)), seed=0))
+        # A shared config may name the codebook before the model exists.
+        cfg = _config(tmp_path, recognition={"codebook_path": str(tmp_path / "cb.txt")})
+        args = ["train-svm", "--config", cfg, "--vocab", str(tmp_path / "cb.txt"),
+                "--in", str(tmp_path / "train"), "--out", str(tmp_path / "m.txt")]
+        assert main(args) == 2
+        assert "'red car'" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
+        (tmp_path / "train" / "red car").rename(tmp_path / "train" / "red_car")
+        assert main(args) == 0
+        assert svm.load_model(tmp_path / "m.txt").classes == ["bus", "red_car"]
+
     def test_non_finite_codebook(self, tmp_path, capsys):
         seq = _generate(tmp_path, frames=8)
         words = np.random.default_rng(0).random((2, 128))

@@ -93,10 +93,24 @@ def test_read_sequence_mixed_dimensions_errors(tmp_path):
         list(read_sequence(tmp_path, "frame_*.pgm"))
 
 
-def test_read_pnm_truncated_errors(tmp_path):
-    (tmp_path / "bad.pgm").write_bytes(b"P5\n4 4\n255\nxx")
-    with pytest.raises(FrameError):
+@pytest.mark.parametrize("data", [b"P5\n4 4\n255\nxx", b"P5 1 1 255"],
+                         ids=["short-pixels", "no-byte-after-maxval"])
+def test_read_pnm_truncated_errors(tmp_path, data):
+    (tmp_path / "bad.pgm").write_bytes(data)
+    with pytest.raises(FrameError, match="bad.pgm: truncated"):
         read_pnm(tmp_path / "bad.pgm")
+
+
+def test_read_pnm_header_comments(tmp_path):
+    path = tmp_path / "c.pgm"
+    path.write_bytes(b"P5\n# c\n3 # w\n2\n255\n" + bytes(range(0, 60, 10)))
+    assert np.array_equal(read_pnm(path), np.arange(0, 60, 10).reshape(2, 3) / 255)
+    path.write_bytes(b"P5\n3 2\n# 255")  # maxval only inside a trailing comment
+    with pytest.raises(FrameError, match="truncated PNM header"):
+        read_pnm(path)
+    path.write_bytes(b"P5\n2#x 2\n255\n" + bytes(4))  # '#' inside a token is no comment
+    with pytest.raises(FrameError, match="non-numeric"):
+        read_pnm(path)
 
 
 @pytest.mark.parametrize("width,height", [(-4, 4), (0, 4), (4, -4)],
@@ -113,6 +127,19 @@ def test_rle_roundtrip():
     for _ in range(20):
         mask = rng.random((7, 11)) > 0.6
         assert np.array_equal(rle_decode(rle_encode(mask), mask.shape), mask)
+
+
+def test_rle_runs_start_with_zeros():
+    assert rle_encode(np.array([[1, 1, 0], [0, 1, 1]])) == [0, 2, 2, 2]
+    assert rle_encode(np.zeros((2, 3))) == [6]
+    assert rle_encode(np.ones((2, 3))) == [0, 6]
+
+
+@pytest.mark.parametrize("runs", [[5, 6], [5, 2, 6], [5, -2, 9]],
+                         ids=["short", "long", "negative-run"])
+def test_rle_decode_rejects_runs_not_covering_the_shape(runs):
+    with pytest.raises(FrameError, match="RLE"):
+        rle_decode(runs, (3, 4))
 
 
 def _single_rect_scene(n, velocity=(2, 0)):

@@ -200,9 +200,100 @@ def test_model_roundtrip(tmp_path):
     "vvtrack-svm v1\na b\nnan 1.0 0\n",
     "vvtrack-svm v1\na b\n1.0 1.0 1\n0 5 1 2 0.0\n1.0\n0.5 0.5\n",
     "vvtrack-svm v1\na b\n1.0 1.0 1\n1 0 1 2 0.0\n1.0\n0.5 0.5\n",
+    "vvtrack-svm v1\na b c\n1.0 1.0 0\n",
+    "vvtrack-svm v1\na b c\n1.0 1.0 3\n" + "0 1 1 2 0.0\n1.0\n0.5 0.5\n" * 2
+    + "1 2 1 2 0.0\n1.0\n0.5 0.5\n",
+    "vvtrack-svm v1\na\n1.0 1.0 0\n",
 ], ids=["header", "short-machine-line", "nan-support-vector", "inf-bias",
-        "inf-coefficient", "nan-C", "class-out-of-range", "pair-reversed"])
+        "inf-coefficient", "nan-C", "class-out-of-range", "pair-reversed",
+        "no-machines", "repeated-pair", "one-class"])
 def test_model_bad_header_errors(tmp_path, text):
     (tmp_path / "m.txt").write_text(text)
     with pytest.raises(SvmError):
         sv.load_model(tmp_path / "m.txt")
+
+
+@pytest.mark.parametrize("classes", [["red car", "bus"], ["", "bus"], [0, 1]],
+                         ids=["space", "empty", "not-str"])
+def test_save_model_rejects_class_names_that_do_not_read_back(tmp_path, classes):
+    model = train_svm(*_two_blob_data(seed=15, n=5), seed=0)
+    model.classes = classes
+    with pytest.raises(SvmError, match="class names"):
+        sv.save_model(tmp_path / "m.txt", model)
+    assert not (tmp_path / "m.txt").exists()
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity with the per-item loops that roc_curve and cross_validate replace
+# ---------------------------------------------------------------------------
+
+def _loop_roc_curve(scores, positives):
+    order = np.argsort(-scores, kind="stable")
+    pos = positives[order]
+    n_pos = int(pos.sum())
+    n_neg = len(pos) - n_pos
+    points = [(0.0, 0.0)]
+    tp = fp = 0
+    for p in pos:
+        if p:
+            tp += 1
+        else:
+            fp += 1
+        points.append((fp / max(n_neg, 1), tp / max(n_pos, 1)))
+    if points[-1] != (1.0, 1.0):
+        points.append((1.0, 1.0))
+    auc = 0.0
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        auc += (x1 - x0) * 0.5 * (y0 + y1)
+    return points, auc
+
+
+def _loop_cross_validate(x, labels, n_folds, seed):
+    classes = sorted(set(labels))
+    folds = stratified_folds(labels, n_folds, seed)
+    confusion = np.zeros((len(classes), len(classes)), dtype=int)
+    scores, true = [], []
+    for f in range(n_folds):
+        train = [i for i in range(len(labels)) if folds[i] != f]
+        model = train_svm(x[train], [labels[i] for i in train], seed=seed + f)
+        for i in (i for i in range(len(labels)) if folds[i] == f):
+            label, _ = predict(model, x[i])
+            confusion[classes.index(labels[i]), classes.index(label)] += 1
+            scores.append(class_scores(model, x[i]))
+            true.append(classes.index(labels[i]))
+    scores, true = np.asarray(scores), np.asarray(true)
+    roc = {cl: _loop_roc_curve(scores[:, ci], true == ci)
+           for ci, cl in enumerate(classes)}
+    return confusion, float(np.trace(confusion)) / confusion.sum(), roc
+
+
+def _three_class_data(seed, n=10):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(3 * n, 4)) + np.repeat(np.eye(3, 4) * 1.5, n, axis=0)
+    return x, [cl for cl in ("p", "q", "r") for _ in range(n)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_roc_curve_is_bit_identical_to_the_loop(seed):
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(0, 4, 40).astype(float)  # many tied scores
+    positives = rng.random(40) > 0.5
+    for pos in (positives, np.ones(40, bool), np.zeros(40, bool)):
+        assert roc_curve(scores, pos) == _loop_roc_curve(scores, pos)
+    scores = rng.normal(size=25)
+    assert roc_curve(scores, scores > 0.3) == _loop_roc_curve(scores, scores > 0.3)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cross_validate_is_bit_identical_to_the_loop(seed, monkeypatch):
+    x, labels = _three_class_data(seed)
+    confusion, accuracy, roc = _loop_cross_validate(x, labels, 3, seed)
+    calls = []
+    pairwise = sv._pairwise
+    monkeypatch.setattr(sv, "_pairwise", lambda *a: calls.append(1) or pairwise(*a))
+    report = cross_validate(x, labels, n_folds=3, seed=seed)
+    assert len(calls) == len(labels)  # one scoring pass per held-out sample
+    assert np.array_equal(report.confusion, confusion)
+    assert report.accuracy == accuracy
+    assert report.roc == {cl: points for cl, (points, _) in roc.items()}
+    assert report.auc == {cl: auc for cl, (_, auc) in roc.items()}
