@@ -83,7 +83,8 @@ def evaluate_tracks(tracks, truth) -> TrackingReport:
     """Per-frame greedy IoU matching of track boxes to truth boxes.
 
     tracks: records with frame/id/box (objects with attributes or dicts).
-    truth: per-frame records with "frame" and "objects" [{id, box}].
+    truth: per-frame records with "frame" and "objects" [{id, box}], at
+    most one record per frame; object ids are integers.
     Success rate counts truth boxes matched above IOU_THRESHOLD; an
     identity switch is a change in the track id matched to a truth object.
     """
@@ -104,8 +105,12 @@ def evaluate_tracks(tracks, truth) -> TrackingReport:
         box = (cx - w / 2.0, cy - h / 2.0, w, h)
         tracks_by_frame.setdefault(frame, []).append((tid, box))
 
-    truth_by_frame = {int(rec_get(t, "frame", Integral)):
-                      rec_get(t, "objects", (list, tuple)) for t in truth}
+    truth_by_frame: dict[int, list] = {}
+    for t in truth:
+        frame = int(rec_get(t, "frame", Integral))
+        if frame in truth_by_frame:
+            raise MetricsError(f"truth lists frame {frame} more than once")
+        truth_by_frame[frame] = rec_get(t, "objects", (list, tuple))
     common = sorted(set(tracks_by_frame) & set(truth_by_frame))
     if not common:
         raise MetricsError("tracks and truth share no frame range")
@@ -120,13 +125,14 @@ def evaluate_tracks(tracks, truth) -> TrackingReport:
         trk = tracks_by_frame[f]
         tru = truth_by_frame[f]
         tboxes = [tuple(rec_get(o, "box", (list, tuple))) for o in tru]
+        tids = [int(rec_get(o, "id", Integral)) for o in tru]
         matches = _greedy_match([b for _, b in trk], tboxes)
         n_truth += len(tboxes)
         n_matched += len(matches)
         fp_total += len(trk) - len(matches)
         for i, j, _ in matches:
             tid = trk[i][0]
-            obj = rec_get(tru[j], "id")
+            obj = tids[j]
             bx, by, bw, bh = trk[i][1]
             ox, oy, ow, oh = tboxes[j]
             center_errors.append(np.hypot((bx + bw / 2) - (ox + ow / 2),

@@ -185,11 +185,6 @@ def predict(model: SvmModel, x) -> tuple:
     return model.classes[_winner(votes, margins)], votes
 
 
-def class_scores(model: SvmModel, x) -> np.ndarray:
-    """Summed signed pairwise margins per class (one-vs-rest proxy score)."""
-    return _pairwise(model, x)[1]
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------

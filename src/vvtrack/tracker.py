@@ -3,7 +3,9 @@ subspace appearance models, and competition over occluded regions."""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -33,7 +35,7 @@ class TrackerConfig:
     sigma_obs_sq: float = 51.2  # residual-norm scale (0.05 * 1024)
     fit_floor: float = 1e-12
     lost_patience: int = 10
-    track_scale: bool = True
+    track_scale: bool = False  # the scale likelihood favours shrinking boxes
 
 
 @dataclass
@@ -45,11 +47,11 @@ class Species:
     gbest: np.ndarray  # (cx, cy, s)
     gbest_fit: float
     mean_patch: np.ndarray
-    particles: np.ndarray = None  # (N, 3)
+    particles: np.ndarray = None  # (N, 3), drawn each frame by _seed_swarm
     pbest: np.ndarray = None
     pbest_fit: np.ndarray = None
     U: np.ndarray | None = None  # (PATCH_DIM, q) orthonormal basis
-    window: list = field(default_factory=list)
+    window: deque = field(default_factory=deque)  # last config.window patches
     masked_rects: list = field(default_factory=list)
     lost_count: int = 0
     frames_tracked: int = 0
@@ -151,7 +153,7 @@ def _rect_mask(box, rects) -> np.ndarray:
 
 def _project_residual(o: np.ndarray, U: np.ndarray | None) -> np.ndarray:
     """o - UU^T o for each row vector of o (..., PATCH_DIM)."""
-    if U is None or U.size == 0:
+    if U is None:
         return o
     return o - (o @ U) @ U.T
 
@@ -194,16 +196,27 @@ def init_species(frame: np.ndarray, sp_id: int, box, config: TrackerConfig) -> S
     x, y, w, h = box
     if w <= 0 or h <= 0:
         raise TrackerError("detection box must have positive size")
-    state = np.array([x + w / 2.0, y + h / 2.0, 1.0])
     patch = sample_patch(frame, box).ravel()
+    return Species(id=sp_id, template=(float(w), float(h)),
+                   gbest=np.array([x + w / 2.0, y + h / 2.0, 1.0]), gbest_fit=1.0,
+                   mean_patch=patch, window=deque([patch], maxlen=config.window))
+
+
+def _sigma(config: TrackerConfig) -> np.ndarray:
+    """Disturbance std devs of (cx, cy, s); a zero s entry freezes the scale."""
+    return np.multiply(config.sigma0, (1.0, 1.0, config.track_scale))
+
+
+def _seed_swarm(sp: Species, frame: np.ndarray, rng: np.random.Generator,
+                config: TrackerConfig) -> None:
+    """Scatter a fresh swarm around the carried-over gbest and score it."""
     n = config.n_particles
-    sp = Species(id=sp_id, template=(float(w), float(h)), gbest=state.copy(),
-                 gbest_fit=1.0, mean_patch=patch.copy())
-    sp.window = [patch.copy()]
-    sp.particles = np.tile(state, (n, 1))
+    sp.particles = sp.gbest + rng.standard_normal((n, 3)) * _sigma(config)
+    sp.particles[:, 2] = np.maximum(sp.particles[:, 2], 1e-3)
     sp.pbest = sp.particles.copy()
-    sp.pbest_fit = np.full(n, 1.0)
-    return sp
+    sp.pbest_fit = np.full(n, -np.inf)
+    sp.gbest_fit = float(observe(frame, sp, sp.gbest, config))
+    _evaluate(sp, frame, config)
 
 
 def step_particles(sp: Species, frame: np.ndarray, n_iter: int,
@@ -212,19 +225,17 @@ def step_particles(sp: Species, frame: np.ndarray, n_iter: int,
     """One swarm iteration: Gaussian attraction plus annealed disturbance.
 
     v <- |r1|(p - x) + |r2|(g - x) [+ |r3| F] + eps with eps covariance
-    sigma0^2 * exp(-c * n_iter).
+    sigma0^2 * exp(-c * n_iter), its scale entry 0 unless config.track_scale.
     """
     n = config.n_particles
     r1 = np.abs(rng.standard_normal((n, 3)))
     r2 = np.abs(rng.standard_normal((n, 3)))
-    std = np.asarray(config.sigma0) * np.exp(-config.c_anneal * n_iter / 2.0)
+    std = _sigma(config) * np.exp(-config.c_anneal * n_iter / 2.0)
     eps = rng.standard_normal((n, 3)) * std
     v = (r1 * (sp.pbest - sp.particles) + r2 * (sp.gbest - sp.particles) + eps)
     if force is not None:
         r3 = np.abs(rng.standard_normal(n))
         v = v + r3[:, None] * np.asarray(force)
-    if not config.track_scale:
-        v[:, 2] = 0.0
     sp.particles = sp.particles + v
     sp.particles[:, 2] = np.maximum(sp.particles[:, 2], 1e-3)
     _evaluate(sp, frame, config)
@@ -249,17 +260,14 @@ def _evaluate(sp: Species, frame: np.ndarray, config: TrackerConfig) -> None:
 def detect_occlusion(species: list[Species]) -> list[CompetitionArena]:
     """An arena per species pair whose current gbest boxes intersect."""
     arenas = []
-    for i, a in enumerate(species):
-        for b in species[i + 1:]:
-            ba = state_box(a, a.gbest)
-            bb = state_box(b, b.gbest)
-            x0 = max(ba[0], bb[0])
-            y0 = max(ba[1], bb[1])
-            x1 = min(ba[0] + ba[2], bb[0] + bb[2])
-            y1 = min(ba[1] + ba[3], bb[1] + bb[3])
-            if x1 > x0 and y1 > y0:
-                arenas.append(CompetitionArena(pair=(a.id, b.id),
-                                               rect=(x0, y0, x1 - x0, y1 - y0)))
+    for a, b in combinations(species, 2):
+        ax, ay, aw, ah = state_box(a, a.gbest)
+        bx, by, bw, bh = state_box(b, b.gbest)
+        x0, y0 = max(ax, bx), max(ay, by)
+        x1, y1 = min(ax + aw, bx + bw), min(ay + ah, by + bh)
+        if x1 > x0 and y1 > y0:
+            arenas.append(CompetitionArena(pair=(a.id, b.id),
+                                           rect=(x0, y0, x1 - x0, y1 - y0)))
     return arenas
 
 
@@ -291,20 +299,15 @@ def repulsion_force(sp: Species, other: Species, arena: CompetitionArena,
                     config: TrackerConfig, rng: np.random.Generator) -> np.ndarray:
     """eta * overlap ratio * unit vector from the other species toward sp."""
     _, _, ow, oh = arena.rect
-    box = state_box(sp, sp.gbest)
-    area = box[2] * box[3]
-    ratio = (ow * oh) / area if area > 0 else 0.0
-    if ratio <= 0:
-        return np.zeros(3)
+    _, _, w, h = state_box(sp, sp.gbest)
+    ratio = (ow * oh) / (w * h)  # > 0: arenas overlap, and s >= 1e-3
     d = sp.gbest[:2] - other.gbest[:2]
     norm = np.linalg.norm(d)
     if norm < 1e-12:
         angle = rng.uniform(0.0, 2.0 * np.pi)
         d = np.array([np.cos(angle), np.sin(angle)])
         norm = 1.0
-    unit = d / norm
-    return np.array([config.eta * ratio * unit[0],
-                     config.eta * ratio * unit[1], 0.0])
+    return np.append(config.eta * ratio * (d / norm), 0.0)
 
 
 def selective_update(sp: Species, frame: np.ndarray,
@@ -324,8 +327,6 @@ def selective_update(sp: Species, frame: np.ndarray,
     reject = overlap & (np.abs(patch - rec) >= config.tau)
     merged = np.where(reject, rec, patch)
     sp.window.append(merged)
-    if len(sp.window) > config.window:
-        sp.window.pop(0)
     sp.frames_tracked += 1
     if sp.frames_tracked % config.update_every == 0 and len(sp.window) >= 2:
         data = np.stack(sp.window, axis=1)  # (PATCH_DIM, W)
@@ -378,46 +379,29 @@ def track_sequence(frames, detections, config: TrackerConfig | None = None,
     # One NaN pixel would reach every sample of a box whose rows span it.
     first = validate_gray(first)
     rng = np.random.default_rng(seed)
-    species = [init_species(first, k, box, config)
-               for k, box in enumerate(detections)]
-
-    records = [_record(0, sp) for sp in species]
-
-    active = {sp.id: sp for sp in species}
+    # Species ids are the detection indices, so insertion order is id order.
+    active = {k: init_species(first, k, box, config) for k, box in enumerate(detections)}
+    records = [_record(0, sp) for sp in active.values()]
     for t, frame in enumerate(frames, 1):
         frame = validate_gray(frame)
         if frame.shape != first.shape:
             raise TrackerError(f"frame {t} has shape {frame.shape}, "
                                f"frame 0 has {first.shape}")
-        live = [active[k] for k in sorted(active)]
-        for sp in live:
+        for sp in active.values():
             sp.masked_rects = []
-        arenas = detect_occlusion(live)
-        sp_map = {sp.id: sp for sp in live}
+        arenas = detect_occlusion(list(active.values()))
         for arena in arenas:
-            compete(arena, frame, sp_map, config)
-        for sp in live:
-            # Re-seed the swarm around the carried-over best state.
-            n = config.n_particles
-            sp.particles = sp.gbest + rng.standard_normal((n, 3)) * np.asarray(
-                config.sigma0)
-            if not config.track_scale:
-                sp.particles[:, 2] = sp.gbest[2]
-            sp.particles[:, 2] = np.maximum(sp.particles[:, 2], 1e-3)
-            sp.pbest = sp.particles.copy()
-            sp.pbest_fit = np.full(n, -np.inf)
-            sp.gbest_fit = float(observe(frame, sp, sp.gbest, config))
-            _evaluate(sp, frame, config)
-            my_arenas = [a for a in arenas if sp.id in a.pair]
+            compete(arena, frame, active, config)
+        for sp in active.values():
+            _seed_swarm(sp, frame, rng, config)
+            partners = [(a, active[a.pair[0] if a.pair[1] == sp.id else a.pair[1]])
+                        for a in arenas if sp.id in a.pair]
             stall = 0
             prev_best = sp.gbest.copy()
             for it in range(config.n_iters):
-                force = None
-                for arena in my_arenas:
-                    other = sp_map[arena.pair[0] if arena.pair[1] == sp.id
-                                   else arena.pair[1]]
-                    f = repulsion_force(sp, other, arena, config, rng)
-                    force = f if force is None else force + f
+                forces = [repulsion_force(sp, other, a, config, rng)
+                          for a, other in partners]
+                force = sum(forces[1:], forces[0]) if forces else None
                 step_particles(sp, frame, it, rng, config, force=force)
                 if np.array_equal(sp.gbest, prev_best):
                     stall += 1
@@ -432,9 +416,8 @@ def track_sequence(frames, detections, config: TrackerConfig | None = None,
             else:
                 sp.lost_count = 0
             records.append(_record(t, sp))
-        for sp in list(active.values()):
-            if sp.lost_count >= config.lost_patience:
-                del active[sp.id]
+        active = {k: sp for k, sp in active.items()
+                  if sp.lost_count < config.lost_patience}
         if not active:
             break
     return records

@@ -282,7 +282,8 @@ class TestDataErrors:
         ({}, {"objects": [{"id": 0, "box": [1, 2, "3", 4]}]}, "box"),
         ({"frame": "x"}, {}, "frame"),
         ({}, {"objects": 5}, "objects"),
-    ], ids=["box-of-two", "string-in-box", "string-frame", "number-objects"])
+        ({}, {"objects": [{"id": [1], "box": [3, 3, 4, 4]}]}, "id"),
+    ], ids=["box-of-two", "string-in-box", "string-frame", "number-objects", "list-id"])
     def test_malformed_eval_record(self, tmp_path, capsys, tracks, truth, field):
         track = {"frame": 0, "id": 0, "cx": 5.0, "cy": 5.0, "w": 4.0, "h": 4.0}
         frame = {"frame": 0, "objects": [{"id": 0, "box": [3, 3, 4, 4]}]}
@@ -292,6 +293,18 @@ class TestDataErrors:
                      "--truth", str(tmp_path / "truth.jsonl"),
                      "--out", str(tmp_path / "eval.csv")]) == 2
         assert f"field {field!r} is malformed" in capsys.readouterr().err
+        assert not (tmp_path / "eval.csv").exists()
+
+    def test_repeated_truth_frame(self, tmp_path, capsys):
+        seq = _generate(tmp_path, frames=2)
+        lines = (seq / "truth.jsonl").read_text().splitlines()
+        (tmp_path / "truth.jsonl").write_text("\n".join(lines + lines[:1]) + "\n")
+        (tmp_path / "tracks.jsonl").write_text(json.dumps(
+            {"frame": 0, "id": 0, "cx": 5.0, "cy": 5.0, "w": 4.0, "h": 4.0}) + "\n")
+        assert main(["eval", "--tracks", str(tmp_path / "tracks.jsonl"),
+                     "--truth", str(tmp_path / "truth.jsonl"),
+                     "--out", str(tmp_path / "eval.csv")]) == 2
+        assert "truth lists frame 0 more than once" in capsys.readouterr().err
         assert not (tmp_path / "eval.csv").exists()
 
     def test_negative_config_seed_train_vocab(self, tmp_path, capsys):

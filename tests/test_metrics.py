@@ -156,6 +156,22 @@ class TestEvaluateTracks:
         with pytest.raises(MetricsError, match=f"field '{field}' is malformed"):
             evaluate_tracks(tracks, truth)
 
+    @pytest.mark.parametrize("obj_id", [[1], "0", 0.5, None],
+                             ids=["list", "str", "float", "none"])
+    def test_truth_object_id_must_be_an_integer(self, obj_id):
+        tracks = [_track(0, 0, 15.0, 15.0, 10, 10)]
+        truth = [{"frame": 0, "objects": [{"id": obj_id, "box": [10, 10, 10, 10]}]}]
+        with pytest.raises(MetricsError, match="field 'id' is malformed"):
+            evaluate_tracks(tracks, truth)
+
+    def test_repeated_truth_frame_errors(self):
+        # A later record would otherwise replace the earlier one: the
+        # matched track would count as a false positive.
+        tracks = [_track(0, 0, 15.0, 15.0, 10, 10)]
+        truth = [_truth_frame(0, [(0, (10, 10, 10, 10))]), _truth_frame(0, [])]
+        with pytest.raises(MetricsError, match="truth lists frame 0 more than once"):
+            evaluate_tracks(tracks, truth)
+
     def test_accepts_tuples_and_numpy_numbers(self):
         tracks = [{**_track(0, 0, 15.0, 15.0, 10, 10), "frame": np.int64(0),
                    "cx": np.float32(15.0)}]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vvtrack import svm as sv
-from vvtrack.svm import (SvmError, class_scores, cross_validate, cubic_kernel,
+from vvtrack.svm import (SvmError, cross_validate, cubic_kernel,
                          gram_matrix, predict, roc_curve, stratified_folds,
                          train_svm)
 
@@ -97,7 +97,7 @@ class TestPredict:
     def test_scores_antisymmetric_pairwise(self):
         x, labels = _two_blob_data(seed=8)
         model = train_svm(x, labels, seed=0)
-        s = class_scores(model, x[0])
+        s = sv._pairwise(model, x[0])[1]
         # binary case: the two class scores are exact negatives
         assert s[0] == pytest.approx(-s[1])
 
@@ -188,7 +188,7 @@ def test_model_roundtrip(tmp_path):
     assert (loaded.C, loaded.c_offset) == (2.0, 0.5)
     for xi in x:
         assert predict(loaded, xi)[0] == predict(model, xi)[0]
-        assert np.allclose(class_scores(loaded, xi), class_scores(model, xi))
+        assert np.allclose(sv._pairwise(loaded, xi)[1], sv._pairwise(model, xi)[1])
 
 
 @pytest.mark.parametrize("text", [
@@ -259,7 +259,7 @@ def _loop_cross_validate(x, labels, n_folds, seed):
         for i in (i for i in range(len(labels)) if folds[i] == f):
             label, _ = predict(model, x[i])
             confusion[classes.index(labels[i]), classes.index(label)] += 1
-            scores.append(class_scores(model, x[i]))
+            scores.append(sv._pairwise(model, x[i])[1])
             true.append(classes.index(labels[i]))
     scores, true = np.asarray(scores), np.asarray(true)
     roc = {cl: _loop_roc_curve(scores[:, ci], true == ci)

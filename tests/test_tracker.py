@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from vvtrack import scenes
 from vvtrack import tracker as trk
-from vvtrack.frames import FrameError
+from vvtrack.frames import FrameError, generate_synthetic, to_grayscale
+from vvtrack.metrics import evaluate_tracks
 from vvtrack.tracker import (PATCH, PATCH_DIM, Species, TrackerConfig,
                              TrackerError, detect_occlusion, compete,
                              init_species, observe, repulsion_force,
@@ -30,6 +32,21 @@ def _smooth_texture(shape, seed):
     if peak > 0:
         tex /= peak
     return tex * 0.8 + 0.1
+
+
+def _cross2(seed, n=40):
+    """Gray cross2 frames, the frame-0 truth boxes, and the truth records."""
+    frames, truth = generate_synthetic(scenes.build_scene("cross2", n, seed=seed), n)
+    boxes = [tuple(o["box"]) for o in truth[0]["objects"]]
+    return [to_grayscale(f) for f in frames], boxes, truth
+
+
+def _seeded_swarm(frame, box, cfg, seed):
+    """A species at box whose first swarm is drawn as track_sequence draws it."""
+    sp = init_species(frame, 0, box, cfg)
+    rng = np.random.default_rng(seed)
+    trk._seed_swarm(sp, frame, rng, cfg)
+    return sp, rng
 
 
 def _shifted_frames(n, start=(20, 20, 16, 16), step=(2, 0), seed=0):
@@ -339,8 +356,8 @@ class TestInitSpecies:
         assert sp.id == 3
         assert tuple(sp.gbest) == (14.0, 15.0, 1.0)
         assert sp.template == (8.0, 6.0)
-        assert sp.particles.shape == (7, 3)
-        assert len(sp.window) == 1
+        assert sp.particles is None  # drawn each frame by _seed_swarm
+        assert len(sp.window) == 1 and sp.window.maxlen == cfg.window
         assert sp.U is None
 
     def test_degenerate_box_errors(self):
@@ -349,12 +366,25 @@ class TestInitSpecies:
 
 
 class TestStepParticles:
+    @pytest.mark.parametrize("track_scale", [False, True])
+    def test_seed_swarm_scatters_and_scores(self, track_scale):
+        frame = _textured_frame((30, 20, 16, 16))
+        cfg = TrackerConfig(n_particles=20, track_scale=track_scale)
+        sp = init_species(frame, 0, (27, 19, 16, 16), cfg)
+        start = sp.gbest.copy()
+        trk._seed_swarm(sp, frame, np.random.default_rng(4), cfg)
+        fits = observe(frame, sp, sp.particles, cfg)
+        assert sp.particles.shape == (20, 3)
+        assert np.array_equal(sp.pbest, sp.particles)
+        assert np.array_equal(sp.pbest_fit, fits)
+        assert sp.gbest_fit == max(observe(frame, sp, start, cfg), fits.max())
+        frozen = (sp.particles[:, 2] == 1.0).all()
+        assert frozen == (not track_scale)
+
     def test_gbest_monotone_nondecreasing(self):
         frame = _textured_frame((30, 20, 16, 16))
         cfg = TrackerConfig(n_particles=20)
-        sp = init_species(frame, 0, (26, 18, 16, 16), cfg)  # slightly off
-        sp.gbest_fit = observe(frame, sp, sp.gbest, cfg)
-        rng = np.random.default_rng(0)
+        sp, rng = _seeded_swarm(frame, (26, 18, 16, 16), cfg, 0)  # slightly off
         prev = sp.gbest_fit
         for it in range(10):
             step_particles(sp, frame, it, rng, cfg)
@@ -371,20 +401,17 @@ class TestStepParticles:
     def test_scale_frozen_without_track_scale(self):
         frame = _textured_frame((30, 20, 16, 16))
         cfg = TrackerConfig(n_particles=10, track_scale=False)
-        sp = init_species(frame, 0, (30, 20, 16, 16), cfg)
-        rng = np.random.default_rng(1)
+        sp, rng = _seeded_swarm(frame, (30, 20, 16, 16), cfg, 1)
         for it in range(5):
             step_particles(sp, frame, it, rng, cfg)
-        assert np.allclose(sp.particles[:, 2], 1.0)
+        assert (sp.particles[:, 2] == 1.0).all() and (sp.pbest[:, 2] == 1.0).all()
 
     def test_deterministic_for_seed(self):
         frame = _textured_frame((30, 20, 16, 16))
-        cfg = TrackerConfig(n_particles=10)
+        cfg = TrackerConfig(n_particles=10, track_scale=True)
 
         def run():
-            sp = init_species(frame, 0, (28, 19, 16, 16), cfg)
-            sp.gbest_fit = observe(frame, sp, sp.gbest, cfg)
-            rng = np.random.default_rng(2)
+            sp, rng = _seeded_swarm(frame, (28, 19, 16, 16), cfg, 2)
             for it in range(5):
                 step_particles(sp, frame, it, rng, cfg)
             return sp.gbest.copy(), sp.gbest_fit
@@ -535,6 +562,29 @@ class TestTrackSequence:
         assert abs(last[0].cy - 17.0) < 5
         assert abs(last[1].cx - (70 - 18 + 7)) < 5
         assert abs(last[1].cy - 47.0) < 5
+
+    def test_zero_scale_disturbance_matches_frozen_scale(self, monkeypatch):
+        # Both freeze s through a zero disturbance entry, so every record,
+        # fit included, is equal; arenas and repulsion fire on this sequence.
+        calls = []
+        force = trk.repulsion_force
+        monkeypatch.setattr(trk, "repulsion_force",
+                            lambda *a: calls.append(1) or force(*a))
+        grays, boxes, _ = _cross2(0)
+        frozen = track_sequence(grays, boxes, TrackerConfig(
+            n_particles=30, n_iters=10, track_scale=False), seed=0)
+        assert calls
+        zero = track_sequence(grays, boxes, TrackerConfig(
+            n_particles=30, n_iters=10, track_scale=True, sigma0=(8.0, 8.0, 0.0)),
+            seed=0)
+        assert [vars(r) for r in zero] == [vars(r) for r in frozen]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_default_config_tracks_cross2(self, seed):
+        grays, boxes, truth = _cross2(seed)
+        records = track_sequence(grays, boxes, TrackerConfig(), seed=seed)
+        assert evaluate_tracks(records, truth).success_rate >= 0.7
+        assert all(0.5 <= r.s <= 2.0 for r in records)
 
     def test_empty_detections_error(self):
         with pytest.raises(TrackerError):
