@@ -91,7 +91,7 @@ def detect_sequence(frames, cfg, stop=None) -> list[DetectionResult]:
 def _is_seed(result: DetectionResult, burn_in: int) -> bool:
     """The seed frame is the first frame at or after burn-in with any blob.
 
-    Blobs are not checked for persistence (ROADMAP open item 4).
+    Blobs are not checked for persistence (ROADMAP open item 3).
     """
     return result.frame >= burn_in and bool(result.blobs)
 
@@ -172,7 +172,10 @@ def run_pipeline(in_dir, out_dir, cfg, seed: int | None = None):
 
 
 def write_annotated(directory, frames, records) -> None:
-    """One PPM per frame with each track's box drawn in its id's color."""
+    """One PPM per frame with each track's box drawn in its id's color.
+
+    A box is clipped to the frame; one that misses the frame is not drawn.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     by_frame: dict[int, list] = {}
@@ -180,12 +183,15 @@ def write_annotated(directory, frames, records) -> None:
         by_frame.setdefault(r.frame, []).append(r)
     for t, frame in enumerate(frames):
         canvas = fio.gray_to_rgb(frame) if frame.ndim == 2 else frame.copy()
+        fh, fw = frame.shape[:2]
         for r in by_frame.get(t, []):
             color = ID_COLORS[r.id % len(ID_COLORS)]
-            x0 = int(max(0, r.cx - r.w / 2))
-            x1 = int(min(frame.shape[1] - 1, r.cx + r.w / 2))
-            y0 = int(max(0, r.cy - r.h / 2))
-            y1 = int(min(frame.shape[0] - 1, r.cy + r.h / 2))
+            left, right = r.cx - r.w / 2, r.cx + r.w / 2
+            top, bottom = r.cy - r.h / 2, r.cy + r.h / 2
+            if not (right >= 0 and bottom >= 0 and left <= fw - 1 and top <= fh - 1):
+                continue
+            x0, x1 = int(max(0, left)), int(min(fw - 1, right))
+            y0, y1 = int(max(0, top)), int(min(fh - 1, bottom))
             canvas[y0, x0:x1 + 1] = color
             canvas[y1, x0:x1 + 1] = color
             canvas[y0:y1 + 1, x0] = color

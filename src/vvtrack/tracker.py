@@ -67,7 +67,8 @@ class CompetitionArena:
 
 def state_box(sp: Species, state):
     """(x, y, w, h) of the box of each (cx, cy, s) state; each of shape (...)."""
-    cx, cy, s = np.moveaxis(np.asarray(state, dtype=np.float64), -1, 0)
+    state = np.asarray(state, dtype=np.float64)
+    cx, cy, s = state[..., 0], state[..., 1], state[..., 2]
     w = sp.template[0] * s
     h = sp.template[1] * s
     return (cx - w / 2.0, cy - h / 2.0, w, h)
@@ -111,13 +112,11 @@ def sample_patch(frame: np.ndarray, box) -> np.ndarray:
     if span > PATCH:
         return _lerp(_interp_rows(frame, y0, x0, x1, fx),
                      _interp_rows(frame, y1, x0, x1, fx), fy[..., None])
-    rows = np.minimum(base + np.arange(span), fh - 1)
-    # Where the bottom edge clamps (y0 == y1), fy is 0 and the second
-    # write leaves weight 1 on that row.
-    wy = np.zeros(y0.shape + (span,))
-    np.put_along_axis(wy, (y1 - base)[..., None], fy[..., None], axis=-1)
-    np.put_along_axis(wy, (y0 - base)[..., None], (1.0 - fy)[..., None], axis=-1)
-    return wy @ _interp_rows(frame, rows, x0, x1, fx)
+    rows = base + np.arange(span)
+    # Tent weights max(0, 1 - |v - r|) at the clamped positions v = y0 + fy;
+    # v <= fh - 1, so rows of the run past the frame's last row weigh 0.
+    wy = np.maximum(1.0 - np.abs((y0 + fy)[..., None] - rows[..., None, :]), 0.0)
+    return wy @ _interp_rows(frame, np.minimum(rows, fh - 1), x0, x1, fx)
 
 
 def _interp_rows(frame, rows, x0, x1, fx):
@@ -162,12 +161,20 @@ def _power(patch: np.ndarray, sp: Species, config: TrackerConfig,
            mask: np.ndarray | None = None) -> np.ndarray:
     """exp(-||o - UU^T o||^2 / sigma^2) per (..., PATCH_DIM) patch, o = patch - mean.
 
-    Pixels where mask is true are left out of the residual.
+    Pixels where mask is true are left out of the residual.  Unmasked, the
+    energy is ||o||^2 - ||U^T o||^2 (U orthonormal), clamped at 0 against
+    rounding, so no residual as large as o is formed.
     """
-    res = _project_residual(patch - sp.mean_patch, sp.U)
+    o = patch - sp.mean_patch
     if mask is not None:
-        res = np.where(mask, 0.0, res)
-    return np.exp(-(res * res).sum(axis=-1) / config.sigma_obs_sq)
+        res = np.where(mask, 0.0, _project_residual(o, sp.U))
+        energy = np.einsum("...i,...i->...", res, res)
+    else:
+        energy = np.einsum("...i,...i->...", o, o)
+        if sp.U is not None:
+            c = o @ sp.U
+            energy = np.maximum(energy - np.einsum("...i,...i->...", c, c), 0.0)
+    return np.exp(-energy / config.sigma_obs_sq)
 
 
 def observe(frame: np.ndarray, sp: Species, state, config: TrackerConfig):
@@ -209,14 +216,16 @@ def _sigma(config: TrackerConfig) -> np.ndarray:
 
 def _seed_swarm(sp: Species, frame: np.ndarray, rng: np.random.Generator,
                 config: TrackerConfig) -> None:
-    """Scatter a fresh swarm around the carried-over gbest and score it."""
+    """Scatter a fresh swarm around the carried-over gbest and score both
+    in one batch, the gbest as row 0."""
     n = config.n_particles
     sp.particles = sp.gbest + rng.standard_normal((n, 3)) * _sigma(config)
     sp.particles[:, 2] = np.maximum(sp.particles[:, 2], 1e-3)
     sp.pbest = sp.particles.copy()
     sp.pbest_fit = np.full(n, -np.inf)
-    sp.gbest_fit = float(observe(frame, sp, sp.gbest, config))
-    _evaluate(sp, frame, config)
+    fits = observe(frame, sp, np.vstack([sp.gbest, sp.particles]), config)
+    sp.gbest_fit = float(fits[0])
+    _update_bests(sp, fits[1:])
 
 
 def step_particles(sp: Species, frame: np.ndarray, n_iter: int,
@@ -238,16 +247,14 @@ def step_particles(sp: Species, frame: np.ndarray, n_iter: int,
         v = v + r3[:, None] * np.asarray(force)
     sp.particles = sp.particles + v
     sp.particles[:, 2] = np.maximum(sp.particles[:, 2], 1e-3)
-    _evaluate(sp, frame, config)
+    _update_bests(sp, observe(frame, sp, sp.particles, config))
     return sp
 
 
-def _evaluate(sp: Species, frame: np.ndarray, config: TrackerConfig) -> None:
-    """Score the whole swarm, then update pbest and gbest as a loop over
-    the particles in order would: pbest rises where a fit is strictly
-    greater, and gbest moves to the first best particle if it beats the
-    old gbest."""
-    fits = observe(frame, sp, sp.particles, config)
+def _update_bests(sp: Species, fits: np.ndarray) -> None:
+    """Update pbest and gbest from the swarm's fits as a loop over the
+    particles in order would: pbest rises where a fit is strictly greater,
+    and gbest moves to the first best particle if it beats the old gbest."""
     better = fits > sp.pbest_fit
     sp.pbest_fit[better] = fits[better]
     sp.pbest[better] = sp.particles[better]

@@ -108,3 +108,23 @@ def test_detect_sequence_stops_reading_at_the_first_accepted_result():
                                  stop=lambda res: res.frame == 4)
     assert [r.frame for r in results] == [0, 1, 2, 3, 4]
     assert read == [0, 1, 2, 3, 4]
+
+
+def test_write_annotated_clips_boxes_and_skips_off_frame_ones(tmp_path):
+    from vvtrack.tracker import TrackRecord
+
+    def read(t):
+        return np.rint(fio.read_pnm(tmp_path / f"frame_{t:04d}.ppm") * 255.0)
+
+    frame = np.full((20, 30), 0.5)
+    blank = fio.gray_to_rgb(frame)
+    off = [TrackRecord(0, 0, cx, cy, 1.0, 10.0, 6.0, 1.0)
+           for cx, cy in [(-20.0, 10.0), (45.0, 10.0), (15.0, -9.0), (15.0, 30.0)]]
+    clipped = TrackRecord(1, 1, -2.0, 17.0, 1.0, 10.0, 8.0, 1.0)  # x -7..3, y 13..21
+    pl.write_annotated(tmp_path, [frame, frame], off + [clipped])
+    assert np.array_equal(read(0), np.rint(blank * 255.0))
+    expected = blank.copy()
+    color = pl.ID_COLORS[1]
+    expected[13, 0:4] = expected[19, 0:4] = color
+    expected[13:20, 0] = expected[13:20, 3] = color
+    assert np.array_equal(read(1), np.rint(expected * 255.0))

@@ -115,7 +115,14 @@ class TestStateBoxAndPatch:
             (5.25, 40.6, 50.0, 100.0), (100.1, 60.3, 45.0, 150.0),
             (10.0, 150.0, 30.0, 120.0), (40.0, -30.5, 20.0, 100.0),
             (0.0, 0.0, 160.0, 240.0)]),
-    ], ids=["64x96", "1-row", "1-column", "240x160"])
+        # Taller boxes than the frame: as a batch, the run of a box that
+        # starts low ends past the last row (11), where the tent weights
+        # must be 0 so the clamped copies of row 11 add nothing.
+        ((12, 40), [
+            (2.0, -1.5, 12.0, 14.0), (10.3, 4.6, 8.0, 20.0),
+            (20.0, 9.2, 10.0, 30.0), (-3.0, 6.0, 16.0, 17.5),
+            (30.5, -10.0, 9.0, 26.0), (5.0, 11.0, 6.0, 14.0)]),
+    ], ids=["64x96", "1-row", "1-column", "240x160", "12x40"])
     def test_sample_patch_matches_map_coordinates(self, size, boxes):
         frame = np.random.default_rng(8).random(size)
         boxes = np.array(boxes)
@@ -176,6 +183,30 @@ class TestObserve:
         masked = observe(corrupted, sp, sp.gbest, cfg)
         assert bad < masked
         assert masked == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("rank", [1, 3, 8])
+    def test_in_subspace_fit_clamped_at_one(self, rank):
+        """Patches mean + U a with ||a|| = 1e3 lie in the subspace, so the
+        energy ||o||^2 - ||U^T o||^2 cancels from 1e6 to rounding noise of
+        either sign.  The clamp keeps every fit <= 1; what noise is left
+        stays within the dot-product rounding bound PATCH_DIM * eps * ||o||^2.
+        """
+        rng = np.random.default_rng(rank)
+        cfg = TrackerConfig()
+        sp = Species(id=0, template=(16.0, 12.0), gbest=np.zeros(3), gbest_fit=0.0,
+                     mean_patch=rng.random(PATCH_DIM))
+        sp.U = np.linalg.qr(rng.standard_normal((PATCH_DIM, rank)))[0]
+        a = rng.standard_normal((50, rank))
+        a *= 1e3 / np.linalg.norm(a, axis=1, keepdims=True)
+        patches = sp.mean_patch + a @ sp.U.T
+        o = patches - sp.mean_patch
+        c = o @ sp.U
+        raw = np.einsum("...i,...i->...", o, o) - np.einsum("...i,...i->...", c, c)
+        assert (raw < 0).any()  # without the clamp some fits would exceed 1
+        fits = trk._power(patches, sp, cfg)
+        assert (fits <= 1.0).all()
+        bound = PATCH_DIM * np.finfo(float).eps * 1e6 / cfg.sigma_obs_sq
+        assert (1.0 - fits <= bound).all()
 
     def test_fully_masked_box_floors(self):
         frame = np.random.default_rng(0).random((64, 96))
@@ -249,7 +280,7 @@ def _oracle_states(rng):
 
 
 class TestBatchedObserve:
-    @pytest.mark.parametrize("rank", [None, 8])
+    @pytest.mark.parametrize("rank", [None, 1, 3, 8])
     # the first rect's left and top edges fall on sample points of the
     # state (58, 40, 1), whose box is (50, 34, 16, 12)
     @pytest.mark.parametrize("rects", [[], [(50.0, 34.0, 10.0, 6.0),
@@ -291,7 +322,7 @@ class TestBatchedObserve:
 
 
 def _sequential_update(sp, fits):
-    """The per-particle pbest/gbest loop that _evaluate replaced."""
+    """The per-particle pbest/gbest loop that _update_bests replaced."""
     for i in range(len(fits)):
         fit = fits[i]
         if fit > sp.pbest_fit[i]:
@@ -336,7 +367,7 @@ class TestEvaluate:
                       pbest_fit=sp.pbest_fit.copy())
         old_pbest = sp.pbest.copy()
         _sequential_update(ref, fits)
-        trk._evaluate(sp, frame, cfg)
+        trk._update_bests(sp, fits)
         assert np.array_equal(sp.pbest, ref.pbest)
         assert np.array_equal(sp.pbest_fit, ref.pbest_fit)
         assert np.array_equal(sp.gbest, ref.gbest) and sp.gbest_fit == ref.gbest_fit
