@@ -4,6 +4,9 @@ The motion mask fuses a temporal test (windowed radiometric similarity
 between consecutive frames) with a background-difference test against a
 recursively updated background image, thresholded by an adaptive level
 fitted to the frame-difference noise histogram.
+
+scipy is imported inside the functions that call it, so importing this
+module loads none of it.
 """
 
 from __future__ import annotations
@@ -11,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
-from scipy.special import erf
 
 from .frames import validate_gray
 
@@ -80,6 +81,8 @@ def init_background(first_frame: np.ndarray, **kwargs) -> BackgroundState:
 
 def box_moments(f: np.ndarray, w: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Mean and variance of the (2w+1)^2 window at every pixel (reflect borders)."""
+    from scipy import ndimage
+
     size = 2 * w + 1
     m = ndimage.uniform_filter(f, size=size, mode="reflect")
     v = ndimage.uniform_filter(f * f, size=size, mode="reflect") - m * m
@@ -95,6 +98,8 @@ def similarity_map(f1: np.ndarray, f2: np.ndarray, w: int = 1,
     caller has them already: along a sequence each frame's are computed
     once and serve as f1 of one pair and f2 of the next.
     """
+    from scipy import ndimage
+
     if moments is None:
         moments = box_moments(f1, w), box_moments(f2, w)
     (m1, v1), (m2, v2) = moments
@@ -170,6 +175,8 @@ def fit_adaptive_threshold(hist: np.ndarray) -> NoiseModel:
     and error equal those of T - 1 bit for bit: the model is evaluated only
     at T = 0 and the occupied bins, and each error is carried forward.
     """
+    from scipy.special import erf
+
     hist = np.asarray(hist, dtype=np.float64)
     if hist.shape != (256,):
         raise BackgroundError("histogram must have exactly 256 bins")
@@ -209,6 +216,8 @@ def clean_mask(mask: np.ndarray) -> np.ndarray:
     edge are not eaten by the structuring element; the closing's two 3x3
     dilations are one 5x5 maximum.
     """
+    from scipy import ndimage
+
     out = np.asarray(mask, bool).astype(np.uint8)
     ones = np.ones(3, np.uint8)
     count = ndimage.correlate1d(out, ones, axis=0, mode="reflect")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import asdict, dataclass
 from numbers import Integral, Real
 
@@ -69,6 +70,24 @@ def _greedy_match(boxes_a, boxes_b):
     return matches
 
 
+# Field checks for evaluate_tracks. A bool (JSON true/false) is no number.
+def _integer(v) -> bool:
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+def _finite(v) -> bool:
+    return isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _size(v) -> bool:
+    return _finite(v) and v > 0
+
+
+def _box(v) -> bool:
+    return (isinstance(v, (list, tuple)) and len(v) == 4 and all(map(_finite, v))
+            and v[2] > 0 and v[3] > 0)
+
+
 @dataclass
 class TrackingReport:
     success_rate: float
@@ -82,35 +101,38 @@ class TrackingReport:
 def evaluate_tracks(tracks, truth) -> TrackingReport:
     """Per-frame greedy IoU matching of track boxes to truth boxes.
 
-    tracks: records with frame/id/box (objects with attributes or dicts).
-    truth: per-frame records with "frame" and "objects" [{id, box}], at
-    most one record per frame; object ids are integers.
+    tracks: records with frame/id/cx/cy/w/h (objects with attributes or
+    dicts). truth: per-frame records with "frame" and "objects" [{id, box}],
+    at most one record per frame. Frames and ids are integers, coordinates
+    finite and sizes positive; any other value raises MetricsError.
     Success rate counts truth boxes matched above IOU_THRESHOLD; an
     identity switch is a change in the track id matched to a truth object.
     """
-    def rec_get(r, key, kind=object):
+    def rec_get(r, key, valid):
         try:
             value = r[key] if isinstance(r, dict) else getattr(r, key)
         except (KeyError, AttributeError):
             raise MetricsError(f"record {r!r} has no field {key!r}") from None
-        if not isinstance(value, kind) or (key == "box" and (
-                len(value) != 4 or not all(isinstance(v, Real) for v in value))):
+        if not valid(value):
             raise MetricsError(f"record {r!r}: field {key!r} is malformed")
         return value
 
     tracks_by_frame: dict[int, list] = {}
     for r in tracks:
-        frame, tid = (int(rec_get(r, key, Integral)) for key in ("frame", "id"))
-        cx, cy, w, h = (rec_get(r, key, Real) for key in ("cx", "cy", "w", "h"))
+        frame, tid = (int(rec_get(r, key, _integer)) for key in ("frame", "id"))
+        cx, cy = (rec_get(r, key, _finite) for key in ("cx", "cy"))
+        w, h = (rec_get(r, key, _size) for key in ("w", "h"))
         box = (cx - w / 2.0, cy - h / 2.0, w, h)
         tracks_by_frame.setdefault(frame, []).append((tid, box))
 
-    truth_by_frame: dict[int, list] = {}
+    truth_by_frame: dict[int, tuple] = {}
     for t in truth:
-        frame = int(rec_get(t, "frame", Integral))
+        frame = int(rec_get(t, "frame", _integer))
         if frame in truth_by_frame:
             raise MetricsError(f"truth lists frame {frame} more than once")
-        truth_by_frame[frame] = rec_get(t, "objects", (list, tuple))
+        objects = rec_get(t, "objects", lambda v: isinstance(v, (list, tuple)))
+        truth_by_frame[frame] = ([tuple(rec_get(o, "box", _box)) for o in objects],
+                                 [int(rec_get(o, "id", _integer)) for o in objects])
     common = sorted(set(tracks_by_frame) & set(truth_by_frame))
     if not common:
         raise MetricsError("tracks and truth share no frame range")
@@ -123,9 +145,7 @@ def evaluate_tracks(tracks, truth) -> TrackingReport:
     last_id: dict[int, int] = {}
     for f in common:
         trk = tracks_by_frame[f]
-        tru = truth_by_frame[f]
-        tboxes = [tuple(rec_get(o, "box", (list, tuple))) for o in tru]
-        tids = [int(rec_get(o, "id", Integral)) for o in tru]
+        tboxes, tids = truth_by_frame[f]
         matches = _greedy_match([b for _, b in trk], tboxes)
         n_truth += len(tboxes)
         n_matched += len(matches)

@@ -5,6 +5,9 @@ scaling, so edges present in the original frame but absent from the
 invariant channels are illumination edges.  Zeroing those gradients in
 the log image and integrating back through a Poisson solve yields the
 shadow-free image; keeping only those gradients yields the shadow image.
+
+scipy is imported inside the functions that call it, so importing this
+module loads none of it.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .frames import to_grayscale, validate_gray, validate_rgb
 
@@ -67,6 +69,8 @@ def invariant_images(frame: np.ndarray) -> InvariantImages:
 
 def edge_strength(frame: np.ndarray, sigma: float = 1.0) -> np.ndarray:
     """Gaussian-smoothed Sobel gradient magnitude, normalized to peak 1."""
+    from scipy import ndimage
+
     frame = validate_gray(frame)
     if sigma < 0:
         raise ShadowError("sigma must be >= 0")
@@ -94,6 +98,8 @@ def hard_shadow_mask(e_ori: np.ndarray, e_inv1: np.ndarray, e_inv2: np.ndarray,
 def shadow_masks(frame: np.ndarray, sigma: float = 1.0, t1: float = 0.3,
                  t2: float = 0.1, penumbra: int = 2) -> ShadowMasks:
     """Full shadow-edge mask: hard edges plus a dilated penumbra band."""
+    from scipy import ndimage
+
     inv = invariant_images(frame)
     e_ori = edge_strength(to_grayscale(frame), sigma)
     e1 = edge_strength(np.clip(inv.inv1, 0.0, 1.0), sigma)
@@ -157,7 +163,7 @@ def poisson_reconstruct(g: GradientField, tol: float = 1e-6) -> np.ndarray:
     transform.  Zeroing the constant mode gauge-fixes s to zero mean.
     Raises unless the relative residual is within tol (NaN input raises).
     """
-    from scipy import fft  # lazy: ~40 ms to import and only shadow removal solves
+    from scipy import fft  # lazy, like every scipy import: other commands never load it
 
     b = divergence(g)
     b = b - b.mean()  # Neumann compatibility
@@ -207,6 +213,8 @@ def remove_shadow(frame: np.ndarray, sigma: float = 1.0, t1: float = 0.3,
 
 def extract_blobs(mask: np.ndarray, min_area: int = 25) -> list[Blob]:
     """8-connected components >= min_area, largest first (ties: scan order)."""
+    from scipy import ndimage
+
     mask = np.asarray(mask, bool)
     labels, n = ndimage.label(mask, structure=np.ones((3, 3), bool))
     blobs = []

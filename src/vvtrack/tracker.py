@@ -112,11 +112,16 @@ def sample_patch(frame: np.ndarray, box) -> np.ndarray:
     if span > PATCH:
         return _lerp(_interp_rows(frame, y0, x0, x1, fx),
                      _interp_rows(frame, y1, x0, x1, fx), fy[..., None])
-    rows = base + np.arange(span)
-    # Tent weights max(0, 1 - |v - r|) at the clamped positions v = y0 + fy;
-    # v <= fh - 1, so rows of the run past the frame's last row weigh 0.
-    wy = np.maximum(1.0 - np.abs((y0 + fy)[..., None] - rows[..., None, :]), 0.0)
-    return wy @ _interp_rows(frame, np.minimum(rows, fh - 1), x0, x1, fx)
+    # Each sample weighs fy on row y1 and 1 - fy on row y0 of the run, written
+    # through flat indices in that order: a sample clamped to the last row
+    # (y1 == y0, fy = 0) keeps weight 1, and rows past the frame weigh 0.
+    wy = np.zeros(fy.shape + (span,))
+    flat = wy.reshape(-1)
+    at = (y0 - base) + span * np.arange(fy.size).reshape(fy.shape)
+    flat[at + (y1 - y0)] = fy
+    flat[at] = 1.0 - fy
+    rows = np.minimum(base + np.arange(span), fh - 1)
+    return wy @ _interp_rows(frame, rows, x0, x1, fx)
 
 
 def _interp_rows(frame, rows, x0, x1, fx):

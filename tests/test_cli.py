@@ -283,7 +283,9 @@ class TestDataErrors:
         ({"frame": "x"}, {}, "frame"),
         ({}, {"objects": 5}, "objects"),
         ({}, {"objects": [{"id": [1], "box": [3, 3, 4, 4]}]}, "id"),
-    ], ids=["box-of-two", "string-in-box", "string-frame", "number-objects", "list-id"])
+        ({"w": -4.0}, {}, "w"),
+    ], ids=["box-of-two", "string-in-box", "string-frame", "number-objects", "list-id",
+            "negative-width"])
     def test_malformed_eval_record(self, tmp_path, capsys, tracks, truth, field):
         track = {"frame": 0, "id": 0, "cx": 5.0, "cy": 5.0, "w": 4.0, "h": 4.0}
         frame = {"frame": 0, "objects": [{"id": 0, "box": [3, 3, 4, 4]}]}

@@ -149,6 +149,19 @@ class TestEvaluateTracks:
         ({"id": None}, {}, "id"),
         ({"cx": "15"}, {}, "cx"),
         ({"h": [10]}, {}, "h"),
+        ({"cx": np.nan}, {}, "cx"),
+        ({"cy": np.inf}, {}, "cy"),
+        ({"cx": -np.inf}, {}, "cx"),
+        ({"w": -10}, {}, "w"),
+        ({"h": 0}, {}, "h"),
+        ({"w": np.nan}, {}, "w"),
+        ({}, {"objects": [{"id": 0, "box": [10, 10, np.nan, 10]}]}, "box"),
+        ({}, {"objects": [{"id": 0, "box": [np.inf, 10, 10, 10]}]}, "box"),
+        ({}, {"objects": [{"id": 0, "box": [10, 10, 10, 0]}]}, "box"),
+        ({}, {"objects": [{"id": 0, "box": [10, 10, -10, 10]}]}, "box"),
+        ({"frame": True}, {}, "frame"),
+        ({}, {"frame": False}, "frame"),
+        ({"id": True}, {}, "id"),
     ])
     def test_malformed_field_named(self, track, frame, field):
         tracks = [{**_track(0, 0, 15.0, 15.0, 10, 10), **track}]
@@ -156,12 +169,19 @@ class TestEvaluateTracks:
         with pytest.raises(MetricsError, match=f"field '{field}' is malformed"):
             evaluate_tracks(tracks, truth)
 
-    @pytest.mark.parametrize("obj_id", [[1], "0", 0.5, None],
-                             ids=["list", "str", "float", "none"])
+    @pytest.mark.parametrize("obj_id", [[1], "0", 0.5, None, True],
+                             ids=["list", "str", "float", "none", "bool"])
     def test_truth_object_id_must_be_an_integer(self, obj_id):
         tracks = [_track(0, 0, 15.0, 15.0, 10, 10)]
         truth = [{"frame": 0, "objects": [{"id": obj_id, "box": [10, 10, 10, 10]}]}]
         with pytest.raises(MetricsError, match="field 'id' is malformed"):
+            evaluate_tracks(tracks, truth)
+
+    def test_truth_checked_on_frames_without_tracks(self):
+        tracks = [_track(0, 0, 15.0, 15.0, 10, 10)]
+        truth = [_truth_frame(0, [(0, (10, 10, 10, 10))]),
+                 _truth_frame(5, [(0, (10, 10, np.nan, 10))])]
+        with pytest.raises(MetricsError, match="field 'box' is malformed"):
             evaluate_tracks(tracks, truth)
 
     def test_repeated_truth_frame_errors(self):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from vvtrack import shadows as sh
 from vvtrack.config import merge_config
@@ -222,7 +223,7 @@ class TestSplitShadow:
         S, R = split_shadow(frame, masks)
         lit = ~shadow_px
         # interior of the shadow should be darker in S than lit background
-        inner = sh.ndimage.binary_erosion(shadow_px, iterations=2)
+        inner = ndimage.binary_erosion(shadow_px, iterations=2)
         if inner.any():
             assert S[inner].mean() < S[lit].mean() - 0.1
 
