@@ -13,7 +13,8 @@ import dataclasses
 import json
 import math
 
-from .tracker import PATCH_DIM, TrackerConfig
+from .svm import DEFAULT_C
+from .tracker import TrackerConfig, TrackerError
 
 
 class ConfigError(Exception):
@@ -42,7 +43,7 @@ DEFAULTS: dict = {
         "patch": 16,
     },
     "classifier": {
-        "C": 5.0,
+        "C": DEFAULT_C,
         "c_offset": 1.0,
     },
     "recognition": {
@@ -161,27 +162,10 @@ def _validate(cfg: dict) -> None:
     if cl["c_offset"] < 0:
         raise ConfigError("classifier.c_offset must be >= 0, or the cubic kernel "
                           "is not positive semi-definite")
-    tr = cfg["tracker"]
-    if tr["n_particles"] < 1 or tr["n_iters"] < 1:
-        raise ConfigError("tracker particle/iteration counts must be >= 1")
-    if tr["update_every"] < 1:
-        raise ConfigError("tracker.update_every must be >= 1")
-    if tr["lost_patience"] < 1:
-        raise ConfigError("tracker.lost_patience must be >= 1")
-    if tr["window"] < 2:
-        raise ConfigError("tracker.window must be >= 2, the fewest patches "
-                          "the subspace is updated from")
-    if tr["sigma_obs_sq"] <= 0:
-        raise ConfigError("tracker.sigma_obs_sq must be > 0")
-    if tr["fit_floor"] <= 0:
-        raise ConfigError("tracker.fit_floor must be > 0")
-    if min(tr["sigma0"]) < 0:
-        raise ConfigError("tracker.sigma0 entries must be >= 0")
-    if not 1 <= tr["q"] <= PATCH_DIM:
-        raise ConfigError(f"tracker.q must lie in [1, {PATCH_DIM}] (pixels per patch)")
-    for key in ("c_anneal", "tau", "eta"):
-        if tr[key] < 0:
-            raise ConfigError(f"tracker.{key} must be >= 0")
+    try:
+        tracker_config(cfg)  # TrackerConfig checks its own values
+    except TrackerError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def tracker_config(cfg: dict) -> TrackerConfig:

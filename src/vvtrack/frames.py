@@ -135,8 +135,9 @@ def read_sequence(directory, pattern: str = "frame_*.p?m",
     """Frames of a numbered PGM/PPM sequence in increasing index order, read lazily.
 
     The numeric index is the last run of digits in the file name.  The
-    paths are listed and ordered at the call, so a sequence with no frames
-    or an unindexed file name fails there; each frame is read only when
+    paths are listed and ordered at the call, so a sequence with no frames,
+    an unindexed file name or two files with the same index fails there
+    (frame positions must match the indices); each frame is read only when
     the iterator reaches it, and one whose dimensions differ from the
     first frame read raises FrameError then.  The first ``start`` frames
     are skipped without being read.
@@ -151,6 +152,9 @@ def read_sequence(directory, pattern: str = "frame_*.p?m",
     if not indexed:
         raise FrameError(f"{directory}: no frames matching {pattern!r}")
     indexed.sort()
+    for (i, p), (j, q) in zip(indexed, indexed[1:]):
+        if i == j:
+            raise FrameError(f"{p} and {q} carry the same frame index {i}")
     return _read_frames([p for _, p in indexed[start:]])
 
 

@@ -32,12 +32,6 @@ class PoissonConvergenceError(ShadowError):
 
 
 @dataclass
-class InvariantImages:
-    inv1: np.ndarray  # normalized r channel
-    inv2: np.ndarray  # normalized g channel
-
-
-@dataclass
 class GradientField:
     gx: np.ndarray
     gy: np.ndarray
@@ -46,8 +40,7 @@ class GradientField:
 @dataclass
 class ShadowMasks:
     HS: np.ndarray  # hard-shadow edges
-    VS: np.ndarray  # penumbra band
-    mask: np.ndarray  # HS | VS
+    VS: np.ndarray  # penumbra band: HS dilated, so it contains HS
 
 
 @dataclass
@@ -57,14 +50,11 @@ class Blob:
     area: int
 
 
-def invariant_images(frame: np.ndarray) -> InvariantImages:
-    """Per-pixel L2 channel normalization; black pixels map to zero."""
+def invariant_images(frame: np.ndarray) -> np.ndarray:
+    """(H, W, 2) L2-normalized r and g channels; black pixels map to zero."""
     frame = validate_rgb(frame)
-    norm = np.sqrt((frame ** 2).sum(axis=2))
-    safe = np.where(norm > 0, norm, 1.0)
-    inv1 = np.where(norm > 0, frame[..., 0] / safe, 0.0)
-    inv2 = np.where(norm > 0, frame[..., 1] / safe, 0.0)
-    return InvariantImages(inv1=inv1, inv2=inv2)
+    norm = np.sqrt((frame ** 2).sum(axis=2, keepdims=True))
+    return frame[..., :2] / np.where(norm > 0, norm, 1.0)
 
 
 def edge_strength(frame: np.ndarray, sigma: float = 1.0) -> np.ndarray:
@@ -97,19 +87,19 @@ def hard_shadow_mask(e_ori: np.ndarray, e_inv1: np.ndarray, e_inv2: np.ndarray,
 
 def shadow_masks(frame: np.ndarray, sigma: float = 1.0, t1: float = 0.3,
                  t2: float = 0.1, penumbra: int = 2) -> ShadowMasks:
-    """Full shadow-edge mask: hard edges plus a dilated penumbra band."""
+    """Hard shadow edges and the penumbra band dilated from them."""
     from scipy import ndimage
 
-    inv = invariant_images(frame)
+    inv = np.clip(invariant_images(frame), 0.0, 1.0)
     e_ori = edge_strength(to_grayscale(frame), sigma)
-    e1 = edge_strength(np.clip(inv.inv1, 0.0, 1.0), sigma)
-    e2 = edge_strength(np.clip(inv.inv2, 0.0, 1.0), sigma)
+    e1 = edge_strength(inv[..., 0], sigma)
+    e2 = edge_strength(inv[..., 1], sigma)
     hs = hard_shadow_mask(e_ori, e1, e2, t1, t2)
     if penumbra > 0 and hs.any():
         vs = ndimage.binary_dilation(hs, iterations=penumbra)
     else:
         vs = hs.copy()
-    return ShadowMasks(HS=hs, VS=vs, mask=hs | vs)
+    return ShadowMasks(HS=hs, VS=vs)
 
 
 def forward_gradient(frame: np.ndarray) -> GradientField:
@@ -121,24 +111,20 @@ def forward_gradient(frame: np.ndarray) -> GradientField:
     return GradientField(gx=gx, gy=gy)
 
 
-def masked_gradient(f_log: np.ndarray, mask: np.ndarray) -> GradientField:
-    """Forward-difference gradients with edges under the mask removed.
+def masked_gradient(g: GradientField, mask: np.ndarray) -> GradientField:
+    """A copy of the forward-difference field g with edges under the mask removed.
 
     A gradient sample spans two pixels; it is zeroed when either endpoint
     is masked so a one-pixel-wide edge mask still kills the step.
     """
-    f_log = np.asarray(f_log, dtype=np.float64)
     mask = np.asarray(mask, bool)
-    if f_log.shape != mask.shape:
+    if g.gx.shape != mask.shape:
         raise ShadowError("mask dimensions do not match frame")
-    g = forward_gradient(f_log)
     kill_x = mask.copy()
     kill_x[:, :-1] |= mask[:, 1:]
     kill_y = mask.copy()
     kill_y[:-1, :] |= mask[1:, :]
-    g.gx[kill_x] = 0.0
-    g.gy[kill_y] = 0.0
-    return g
+    return GradientField(gx=np.where(kill_x, 0.0, g.gx), gy=np.where(kill_y, 0.0, g.gy))
 
 
 def divergence(g: GradientField) -> np.ndarray:
@@ -196,7 +182,7 @@ def split_shadow(frame: np.ndarray, masks: ShadowMasks):
     gray = to_grayscale(frame)
     i_log = np.log(gray + LOG_OFFSET)
     full = forward_gradient(i_log)
-    free = masked_gradient(i_log, masks.mask)
+    free = masked_gradient(full, masks.VS)
     s = poisson_reconstruct(GradientField(gx=full.gx - free.gx, gy=full.gy - free.gy))
     S = np.exp(s - s.max())
     R = np.minimum(np.exp(i_log - s), 1.0)

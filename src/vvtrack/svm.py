@@ -9,6 +9,7 @@ import numpy as np
 
 KKT_TOL = 1e-3  # a sample violates KKT when y * error is off by more than this
 MAX_PASSES = 10000  # SMO scans before training gives up as not converged
+DEFAULT_C = 5.0  # box constraint; 1.0 underfits L1-normalized histograms
 
 
 class SvmError(Exception):
@@ -39,11 +40,6 @@ class BinaryMachine:
     support_vectors: np.ndarray
     dual_coef: np.ndarray  # alpha_i * y_i
     bias: float
-    c_offset: float
-
-    def decision(self, x: np.ndarray) -> float:
-        k = gram_matrix(self.support_vectors, np.atleast_2d(x), self.c_offset)[:, 0]
-        return float(self.dual_coef @ k + self.bias)
 
 
 def _smo(x: np.ndarray, y: np.ndarray, C: float, c_offset: float,
@@ -121,8 +117,7 @@ def _smo(x: np.ndarray, y: np.ndarray, C: float, c_offset: float,
     if abs((alpha * y).sum()) > 1e-8:
         raise SvmError("sum alpha_i y_i != 0 after training")
     sv = alpha > 1e-8
-    return BinaryMachine(support_vectors=x[sv].copy(), dual_coef=(alpha * y)[sv],
-                         bias=b, c_offset=c_offset)
+    return BinaryMachine(support_vectors=x[sv].copy(), dual_coef=(alpha * y)[sv], bias=b)
 
 
 @dataclass
@@ -131,11 +126,11 @@ class SvmModel:
 
     classes: list
     machines: dict = field(default_factory=dict)  # (i, j) -> BinaryMachine
-    C: float = 1.0
-    c_offset: float = 1.0
+    C: float = DEFAULT_C
+    c_offset: float = 1.0  # the kernel offset of every machine
 
 
-def train_svm(samples, labels, C: float = 1.0, c_offset: float = 1.0,
+def train_svm(samples, labels, C: float = DEFAULT_C, c_offset: float = 1.0,
               seed: int = 0) -> SvmModel:
     """Train one-vs-one cubic-kernel machines over all class pairs.
 
@@ -149,15 +144,11 @@ def train_svm(samples, labels, C: float = 1.0, c_offset: float = 1.0,
         raise SvmError("need at least two classes")
     model = SvmModel(classes=classes, C=C, c_offset=c_offset)
     rng = np.random.default_rng(seed)
-    idx_by_class = {cl: [i for i, l in enumerate(labels) if l == cl]
-                    for cl in classes}
-    for a in range(len(classes)):
-        for bcl in range(a + 1, len(classes)):
-            ia = idx_by_class[classes[a]]
-            ib = idx_by_class[classes[bcl]]
-            xs = x[ia + ib]
-            ys = np.concatenate([np.ones(len(ia)), -np.ones(len(ib))])
-            model.machines[(a, bcl)] = _smo(xs, ys, C, c_offset, rng)
+    rows = [np.flatnonzero([l == cl for l in labels]) for cl in classes]
+    for a, b in itertools.combinations(range(len(classes)), 2):
+        ys = np.repeat([1.0, -1.0], [len(rows[a]), len(rows[b])])
+        model.machines[(a, b)] = _smo(x[np.concatenate([rows[a], rows[b]])], ys,
+                                      C, c_offset, rng)
     return model
 
 
@@ -166,8 +157,9 @@ def _pairwise(model: SvmModel, x):
     x = np.asarray(x, dtype=np.float64)
     votes = np.zeros(len(model.classes))
     margins = np.zeros(len(model.classes))
-    for (a, b), machine in model.machines.items():
-        f = machine.decision(x)
+    for (a, b), m in model.machines.items():
+        k = gram_matrix(m.support_vectors, np.atleast_2d(x), model.c_offset)[:, 0]
+        f = float(m.dual_coef @ k + m.bias)
         votes[a if f >= 0 else b] += 1
         margins[a] += f
         margins[b] -= f
@@ -227,7 +219,7 @@ def stratified_folds(labels, n_folds: int, seed: int) -> list[int]:
 
 
 def cross_validate(samples, labels, n_folds: int = 5, seed: int = 0,
-                   C: float = 1.0, c_offset: float = 1.0) -> EvalReport:
+                   C: float = DEFAULT_C, c_offset: float = 1.0) -> EvalReport:
     """Stratified k-fold CV: confusion over held-out folds, per-class ROC."""
     if n_folds < 2:
         raise SvmError("need at least two folds")
@@ -304,8 +296,7 @@ def load_model(path) -> SvmModel:
                                   for _ in range(int(n))])
                 model.machines[(int(a), int(b))] = BinaryMachine(
                     support_vectors=svs.reshape(int(n), int(dim)),
-                    dual_coef=coef.reshape(int(n)), bias=float(bias),
-                    c_offset=float(c_offset))
+                    dual_coef=coef.reshape(int(n)), bias=float(bias))
         except ValueError as exc:
             raise SvmError(f"{path}: malformed model: {exc}") from None
     finite = np.isfinite([model.C, model.c_offset]).all() and all(

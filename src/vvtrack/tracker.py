@@ -37,6 +37,29 @@ class TrackerConfig:
     lost_patience: int = 10
     track_scale: bool = False  # the scale likelihood favours shrinking boxes
 
+    def __post_init__(self):
+        """Raise TrackerError for a value the tracker cannot run with."""
+        if self.n_particles < 1 or self.n_iters < 1:
+            raise TrackerError("tracker particle/iteration counts must be >= 1")
+        if self.update_every < 1:
+            raise TrackerError("tracker.update_every must be >= 1")
+        if self.lost_patience < 1:
+            raise TrackerError("tracker.lost_patience must be >= 1")
+        if self.window < 2:
+            raise TrackerError("tracker.window must be >= 2, the fewest patches "
+                               "the subspace is updated from")
+        if self.sigma_obs_sq <= 0:
+            raise TrackerError("tracker.sigma_obs_sq must be > 0")
+        if self.fit_floor <= 0:
+            raise TrackerError("tracker.fit_floor must be > 0")
+        if min(self.sigma0) < 0:
+            raise TrackerError("tracker.sigma0 entries must be >= 0")
+        if not 1 <= self.q <= PATCH_DIM:
+            raise TrackerError(f"tracker.q must lie in [1, {PATCH_DIM}] (pixels per patch)")
+        for key in ("c_anneal", "tau", "eta"):
+            if getattr(self, key) < 0:
+                raise TrackerError(f"tracker.{key} must be >= 0")
+
 
 @dataclass
 class Species:

@@ -88,6 +88,15 @@ class TestDataErrors:
                      "--out", str(tmp_path / "o")]) == 2
         assert "frame_0000.pgm: image dimensions" in capsys.readouterr().err
 
+    def test_repeated_frame_index(self, tmp_path, capsys):
+        seq = _generate(tmp_path, frames=4)
+        (seq / "frame_2.ppm").write_bytes((seq / "frame_0002.ppm").read_bytes())
+        out = tmp_path / "o"
+        assert main(["detect", "--config", _config(tmp_path), "--in", str(seq),
+                     "--out", str(out)]) == 2
+        assert "carry the same frame index 2" in capsys.readouterr().err
+        assert not (out / "detections.jsonl").exists()
+
     @pytest.mark.parametrize("shadow", [
         {"sigma": -1, "enabled": True},
         {"penumbra": "2", "enabled": True},
@@ -184,7 +193,7 @@ class TestDataErrors:
         histograms, saved; returns a config naming both."""
         vocab.save_codebook(tmp_path / "cb.txt", vocab.Codebook(words=words, seed=0))
         machine = svm.BinaryMachine(support_vectors=np.full((1, sv_dim), 0.5),
-                                    dual_coef=np.ones(1), bias=0.0, c_offset=1.0)
+                                    dual_coef=np.ones(1), bias=0.0)
         svm.save_model(tmp_path / "m.txt",
                        svm.SvmModel(classes=["a", "b"], machines={(0, 1): machine}))
         return _config(tmp_path, recognition={"codebook_path": str(tmp_path / "cb.txt"),

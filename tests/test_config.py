@@ -1,9 +1,11 @@
+import inspect
 import json
 
 import pytest
 
 from vvtrack.config import (ConfigError, default_config, load_config,
                             merge_config, tracker_config)
+from vvtrack.svm import SvmModel, cross_validate, train_svm
 from vvtrack.tracker import TrackerConfig
 
 
@@ -208,3 +210,12 @@ def test_tracker_defaults_are_declared_once():
     # The swarm's early-stop count is a tracker constant, not a config key.
     with pytest.raises(ConfigError, match="unknown key"):
         merge_config({"tracker": {"stall_iters": 3}})
+
+
+def test_classifier_defaults_are_declared_once():
+    # A library caller trains with the C and kernel offset the CLI uses.
+    classifier = default_config()["classifier"]
+    for fn in (train_svm, cross_validate):
+        defaults = inspect.signature(fn).parameters
+        assert {k: defaults[k].default for k in classifier} == classifier
+    assert {k: getattr(SvmModel(classes=[]), k) for k in classifier} == classifier

@@ -86,6 +86,16 @@ def test_read_sequence_empty_directory_errors(tmp_path):
         read_sequence(tmp_path, "frame_*.ppm")
 
 
+def test_read_sequence_repeated_index_errors(tmp_path):
+    # frame_1 and frame_001 both claim index 1; reading both would shift
+    # every later frame off its index.
+    for name in ("frame_1.pgm", "frame_001.pgm", "frame_2.pgm"):
+        write_pnm(tmp_path / name, np.zeros((3, 3)))
+    with pytest.raises(FrameError, match="frame_001.pgm and .*frame_1.pgm carry the "
+                                         "same frame index 1"):
+        read_sequence(tmp_path, "frame_*.pgm")
+
+
 def test_read_sequence_mixed_dimensions_errors(tmp_path):
     write_pnm(tmp_path / "frame_000.pgm", np.zeros((3, 3)))
     write_pnm(tmp_path / "frame_001.pgm", np.zeros((4, 4)))

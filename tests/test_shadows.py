@@ -23,8 +23,8 @@ class TestInvariantImages:
         frame = rng.random((6, 6, 3)) * 0.9 + 0.05
         inv = invariant_images(frame)
         norm = np.sqrt((frame ** 2).sum(axis=2))
-        assert np.allclose(inv.inv1, frame[..., 0] / norm)
-        assert np.allclose(inv.inv2, frame[..., 1] / norm)
+        assert np.allclose(inv[..., 0], frame[..., 0] / norm)
+        assert np.allclose(inv[..., 1], frame[..., 1] / norm)
 
     def test_intensity_scale_invariance(self):
         rng = np.random.default_rng(1)
@@ -32,15 +32,15 @@ class TestInvariantImages:
         dim = np.clip(frame * 0.4, 0, 1)
         a = invariant_images(frame)
         b = invariant_images(dim)
-        assert np.allclose(a.inv1, b.inv1, atol=1e-12)
-        assert np.allclose(a.inv2, b.inv2, atol=1e-12)
+        assert np.allclose(a[..., 0], b[..., 0], atol=1e-12)
+        assert np.allclose(a[..., 1], b[..., 1], atol=1e-12)
 
     def test_black_pixels_map_to_zero(self):
         frame = np.zeros((4, 4, 3))
         frame[0, 0] = (0.2, 0.3, 0.1)
         inv = invariant_images(frame)
-        assert inv.inv1[1, 1] == 0.0 and inv.inv2[1, 1] == 0.0
-        assert inv.inv1[0, 0] > 0
+        assert inv[1, 1, 0] == 0.0 and inv[1, 1, 1] == 0.0
+        assert inv[0, 0, 0] > 0
 
 
 class TestEdgeStrength:
@@ -102,7 +102,22 @@ class TestHardShadowMask:
         m = shadow_masks(frame, sigma=1.0, penumbra=2)
         assert m.VS.sum() > m.HS.sum()
         assert not (m.HS & ~m.VS).any()
-        assert np.array_equal(m.mask, m.HS | m.VS)
+
+    @pytest.mark.parametrize("penumbra", [0, 1, 2, 3])
+    def test_penumbra_band_contains_hard_edges(self, penumbra):
+        # split_shadow masks VS alone, so VS must keep every HS pixel.
+        rng = np.random.default_rng(penumbra)
+        noise = [rng.random((24, 24, 3)) for _ in range(4)]
+        scene = build_scene("shadowed", 6, seed=penumbra, noise=0.01)
+        frames = noise + generate_synthetic(scene, 6)[0]
+        fired = 0
+        for frame in frames:
+            m = shadow_masks(frame, sigma=1.0, penumbra=penumbra)
+            assert not (m.HS & ~m.VS).any()
+            if penumbra == 0:
+                assert np.array_equal(m.VS, m.HS)
+            fired += int(m.HS.any())
+        assert fired == len(frames)  # hard edges fire on every frame, so the check bites
 
 
 class TestGradients:
@@ -118,14 +133,14 @@ class TestGradients:
         f[:, 3:] = 1.0
         mask = np.zeros((4, 6), bool)
         mask[:, 3] = True
-        g = masked_gradient(f, mask)
+        g = masked_gradient(forward_gradient(f), mask)
         assert g.gx[:, 2].tolist() == [0.0] * 4  # left endpoint unmasked, right masked
         assert g.gx[:, 3].tolist() == [0.0] * 4
         assert not g.gx.any()
 
     def test_mask_shape_mismatch_errors(self):
         with pytest.raises(ShadowError):
-            masked_gradient(np.zeros((4, 4)), np.zeros((3, 4), bool))
+            masked_gradient(forward_gradient(np.zeros((4, 4))), np.zeros((3, 4), bool))
 
     def test_divergence_adjointness(self):
         # <div g, u> == -<g, grad u> over interior supports (discrete
@@ -212,7 +227,7 @@ class TestSplitShadow:
         rng = np.random.default_rng(8)
         frame = np.clip(rng.random((16, 16, 3)) * 0.3 + 0.4, 0, 1)
         masks = shadow_masks(frame, sigma=1.0, t1=0.999999, t2=0.0)
-        assert not masks.mask.any()  # thresholds chosen so nothing fires
+        assert not masks.VS.any()  # thresholds chosen so nothing fires
         S, _ = split_shadow(frame, masks)
         assert np.allclose(S, 1.0)
 

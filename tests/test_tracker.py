@@ -4,6 +4,7 @@ from scipy import ndimage
 
 from vvtrack import scenes
 from vvtrack import tracker as trk
+from vvtrack.config import ConfigError, merge_config
 from vvtrack.frames import FrameError, generate_synthetic, to_grayscale
 from vvtrack.metrics import evaluate_tracks
 from vvtrack.tracker import (PATCH, PATCH_DIM, Species, TrackerConfig,
@@ -545,6 +546,36 @@ class TestSelectiveUpdate:
         assert reject.sum() > 100  # the gate actually fired
         assert np.allclose(stored[reject], clean[reject], atol=1e-12)
         assert np.allclose(stored[~reject], corrupt_patch[~reject], atol=1e-12)
+
+
+BAD_CONFIG_VALUES = [
+    ("n_particles", 0, "particle/iteration counts"),
+    ("n_iters", 0, "particle/iteration counts"),
+    ("update_every", 0, "tracker.update_every"),
+    ("lost_patience", 0, "tracker.lost_patience"),
+    ("window", 1, "tracker.window"),
+    ("sigma_obs_sq", 0.0, "tracker.sigma_obs_sq"),
+    ("fit_floor", 0.0, "tracker.fit_floor"),
+    ("sigma0", (8.0, -1.0, 0.05), "tracker.sigma0"),
+    ("q", 0, "tracker.q"),
+    ("q", PATCH_DIM + 1, "tracker.q"),
+    ("c_anneal", -0.1, "tracker.c_anneal"),
+    ("tau", -0.1, "tracker.tau"),
+    ("eta", -1.0, "tracker.eta"),
+]
+
+
+@pytest.mark.parametrize("key,value,name", BAD_CONFIG_VALUES,
+                         ids=[f"{key}={value}" for key, value, _ in BAD_CONFIG_VALUES])
+def test_tracker_config_built_directly_is_checked(key, value, name):
+    # Library callers build TrackerConfig without the config file; the same
+    # check fires, with the message the config reports.
+    with pytest.raises(TrackerError, match=name) as built:
+        TrackerConfig(**{key: value})
+    user = list(value) if isinstance(value, tuple) else value
+    with pytest.raises(ConfigError) as merged:
+        merge_config({"tracker": {key: user}})
+    assert str(merged.value) == str(built.value)
 
 
 class TestTrackSequence:
