@@ -158,6 +158,8 @@ def update_background(state: BackgroundState, curr: np.ndarray) -> BackgroundSta
 
 def diff_histogram(curr: np.ndarray, prev: np.ndarray) -> np.ndarray:
     """256-bin histogram of |curr - prev| in gray levels (bin k holds |d| = k)."""
+    if curr.shape != prev.shape:
+        raise BackgroundError(f"frame dimensions differ: {curr.shape} vs {prev.shape}")
     d = np.clip(np.rint(np.abs(curr - prev) * 255.0), 0, 255).astype(np.intp)
     return np.bincount(d.ravel(), minlength=256).astype(np.float64)
 

@@ -99,11 +99,11 @@ def _load_gray_images(directory):
 
 def cmd_train_vocab(args, cfg) -> int:
     vcfg = cfg["vocabulary"]
-    seed = int(cfg["seed"] if args.seed is None else args.seed)
     vectors = np.concatenate([vocab.extract_descriptors(
         image, grid_stride=int(vcfg["grid_stride"]), patch=int(vcfg["patch"])).vector
         for image in _load_gray_images(args.in_dir)])
-    codebook = vocab.kmeans(vectors[vectors.any(axis=1)], int(vcfg["K"]), seed=seed)
+    codebook = vocab.kmeans(vectors[vectors.any(axis=1)], int(vcfg["K"]),
+                            seed=cfg["seed"])
     vocab.save_codebook(args.out, codebook)
     print(f"codebook with K={codebook.K} written to {args.out}")
     return 0
@@ -112,7 +112,6 @@ def cmd_train_vocab(args, cfg) -> int:
 def cmd_train_svm(args, cfg) -> int:
     vcfg = cfg["vocabulary"]
     ccfg = cfg["classifier"]
-    seed = int(cfg["seed"] if args.seed is None else args.seed)
     codebook = vocab.load_codebook(args.vocab)
     samples, labels = [], []
     root = Path(args.in_dir)
@@ -124,7 +123,7 @@ def cmd_train_svm(args, cfg) -> int:
             samples.append(vocab.bow_histogram(descs, codebook))
             labels.append(class_dir.name)
     model = svm.train_svm(samples, labels, C=float(ccfg["C"]),
-                          c_offset=float(ccfg["c_offset"]), seed=seed)
+                          c_offset=float(ccfg["c_offset"]), seed=cfg["seed"])
     svm.save_model(args.out, model)
     print(f"SVM over classes {model.classes} written to {args.out}")
     return 0
@@ -155,7 +154,7 @@ def cmd_detect(args, cfg) -> int:
 
 
 def cmd_track(args, cfg) -> int:
-    records, report = pl.run_pipeline(args.in_dir, args.out, cfg, seed=args.seed)
+    records, report = pl.run_pipeline(args.in_dir, args.out, cfg)
     print(f"tracked {len({r.id for r in records})} objects over "
           f"{len({r.frame for r in records})} frames")
     if report is not None:
@@ -188,6 +187,8 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return cmd_eval(args)
         cfg = load_config(args.config)
+        if getattr(args, "seed", None) is not None:
+            cfg["seed"] = args.seed
         if args.command == "train-vocab":
             return cmd_train_vocab(args, cfg)
         if args.command == "train-svm":

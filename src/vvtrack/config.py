@@ -13,7 +13,7 @@ import dataclasses
 import json
 import math
 
-from .svm import DEFAULT_C
+from .svm import DEFAULT_C, DEFAULT_C_OFFSET
 from .tracker import TrackerConfig, TrackerError
 
 
@@ -44,7 +44,7 @@ DEFAULTS: dict = {
     },
     "classifier": {
         "C": DEFAULT_C,
-        "c_offset": 1.0,
+        "c_offset": DEFAULT_C_OFFSET,
     },
     "recognition": {
         "codebook_path": None,

@@ -18,6 +18,7 @@ from typing import Iterator
 import numpy as np
 
 GRAY_WEIGHTS = (0.299, 0.587, 0.114)
+FRAME_GLOB = "frame_*.p?m"  # the files of a sequence directory (see read_sequence)
 
 
 class FrameError(Exception):
@@ -130,8 +131,7 @@ def write_mask_pgm(path, mask: np.ndarray) -> None:
     write_pnm(path, np.where(np.asarray(mask, bool), 1.0, 0.0))
 
 
-def read_sequence(directory, pattern: str = "frame_*.p?m",
-                  start: int = 0) -> Iterator[np.ndarray]:
+def read_sequence(directory, start: int = 0) -> Iterator[np.ndarray]:
     """Frames of a numbered PGM/PPM sequence in increasing index order, read lazily.
 
     The numeric index is the last run of digits in the file name.  The
@@ -144,13 +144,13 @@ def read_sequence(directory, pattern: str = "frame_*.p?m",
     """
     directory = Path(directory)
     indexed = []
-    for p in sorted(directory.glob(pattern)):
+    for p in sorted(directory.glob(FRAME_GLOB)):
         nums = re.findall(r"\d+", p.stem)
         if not nums:
             raise FrameError(f"{p}: file name carries no frame index")
         indexed.append((int(nums[-1]), p))
     if not indexed:
-        raise FrameError(f"{directory}: no frames matching {pattern!r}")
+        raise FrameError(f"{directory}: no frames matching {FRAME_GLOB!r}")
     indexed.sort()
     for (i, p), (j, q) in zip(indexed, indexed[1:]):
         if i == j:

@@ -1,98 +1,58 @@
-"""Named synthetic scenes used by the CLI and the test harness."""
+"""Named synthetic scenes (64x64 or 96x64 frames) for the CLI and the tests."""
 
 from __future__ import annotations
 
 from .frames import SceneObject, SyntheticScene, linear_trajectory
 
 
-def static(n_frames: int, seed: int = 0, size=(64, 64),
-           noise: float = 0.02) -> SyntheticScene:
+def _moving(n_frames, shape, start, vx, size, albedo, **shadow) -> SceneObject:
+    """An object moving along x at vx px/frame from the center start."""
+    return SceneObject(shape=shape, albedo=albedo, **shadow,
+                       trajectory=linear_trajectory(start, (vx, 0), size, n_frames))
+
+
+def static(n_frames: int, seed: int = 0, noise: float = 0.02) -> SyntheticScene:
     """Empty noisy background; every truth motion mask is empty."""
-    w, h = size
-    return SyntheticScene(width=w, height=h, background=0.5,
+    return SyntheticScene(width=64, height=64, background=0.5,
                           noise_sigma=noise, seed=seed)
 
 
-def one_rect(n_frames: int, seed: int = 0, size=(64, 64),
-             noise: float = 0.02) -> SyntheticScene:
-    """One rectangle drifting right at 2 px/frame."""
-    w, h = size
-    obj = SceneObject(
-        shape="rect",
-        trajectory=linear_trajectory((12, h // 2), (2 if n_frames <= (w - 24) // 2
-                                                    else (w - 24) / n_frames, 0),
-                                     (10, 10), n_frames),
-        albedo=(0.75, 0.68, 0.72),
-    )
-    return SyntheticScene(width=w, height=h, background=0.5, objects=[obj],
+def one_rect(n_frames: int, seed: int = 0, noise: float = 0.02) -> SyntheticScene:
+    """One rectangle drifting right at 2 px/frame (slower past 20 frames)."""
+    vx = 2 if n_frames <= 20 else 40 / n_frames
+    obj = _moving(n_frames, "rect", (12, 32), vx, (10, 10), (0.75, 0.68, 0.72))
+    return SyntheticScene(width=64, height=64, background=0.5, objects=[obj],
                           noise_sigma=noise, seed=seed)
 
 
-def cross2(n_frames: int, seed: int = 0, size=(96, 64),
-           noise: float = 0.01) -> SyntheticScene:
+def cross2(n_frames: int, seed: int = 0, noise: float = 0.01) -> SyntheticScene:
     """Two distinct-appearance rectangles crossing paths once."""
-    w, h = size
-    span = w - 24
-    vx = span / max(n_frames - 1, 1)
-    a = SceneObject(
-        shape="rect",
-        trajectory=linear_trajectory((12, h // 2 - 4), (vx, 0), (12, 12), n_frames),
-        albedo=(0.95, 0.9, 0.2),
-    )
-    b = SceneObject(
-        shape="ellipse",
-        trajectory=linear_trajectory((w - 12, h // 2 + 4), (-vx, 0), (12, 12),
-                                     n_frames),
-        albedo=(0.15, 0.25, 0.9),
-    )
-    return SyntheticScene(width=w, height=h, background=0.55, objects=[a, b],
+    vx = 72 / max(n_frames - 1, 1)
+    objects = [_moving(n_frames, "rect", (12, 28), vx, (12, 12), (0.95, 0.9, 0.2)),
+               _moving(n_frames, "ellipse", (84, 36), -vx, (12, 12), (0.15, 0.25, 0.9))]
+    return SyntheticScene(width=96, height=64, background=0.55, objects=objects,
                           noise_sigma=noise, seed=seed)
 
 
-def two_rect(n_frames: int, seed: int = 0, size=(96, 64),
-             noise: float = 0.01) -> SyntheticScene:
+def two_rect(n_frames: int, seed: int = 0, noise: float = 0.01) -> SyntheticScene:
     """Two well-separated objects on parallel tracks (no crossing)."""
-    w, h = size
-    span = w - 28
-    vx = span / max(n_frames - 1, 1)
-    a = SceneObject(
-        shape="rect",
-        trajectory=linear_trajectory((14, 16), (vx, 0), (12, 12), n_frames),
-        albedo=(0.9, 0.85, 0.2),
-    )
-    b = SceneObject(
-        shape="ellipse",
-        trajectory=linear_trajectory((w - 14, h - 16), (-vx, 0), (14, 12), n_frames),
-        albedo=(0.15, 0.2, 0.85),
-    )
-    return SyntheticScene(width=w, height=h, background=0.55, objects=[a, b],
+    vx = 68 / max(n_frames - 1, 1)
+    objects = [_moving(n_frames, "rect", (14, 16), vx, (12, 12), (0.9, 0.85, 0.2)),
+               _moving(n_frames, "ellipse", (82, 48), -vx, (14, 12), (0.15, 0.2, 0.85))]
+    return SyntheticScene(width=96, height=64, background=0.55, objects=objects,
                           noise_sigma=noise, seed=seed)
 
 
-def shadowed(n_frames: int, seed: int = 0, size=(64, 64),
-             noise: float = 0.0, attenuation: float = 0.5) -> SyntheticScene:
+def shadowed(n_frames: int, seed: int = 0, noise: float = 0.0) -> SyntheticScene:
     """One colored rectangle casting an offset multiplicative shadow."""
-    w, h = size
-    span = max(w - 36, 1)
-    vx = span / max(n_frames - 1, 1) if n_frames > 1 else 0
-    obj = SceneObject(
-        shape="rect",
-        trajectory=linear_trajectory((14, h // 2 - 6), (vx, 0), (12, 12), n_frames),
-        albedo=(0.85, 0.3, 0.25),
-        shadow_offset=(4, 8),
-        shadow_attenuation=attenuation,
-    )
-    return SyntheticScene(width=w, height=h, background=0.6, objects=[obj],
+    vx = 28 / (n_frames - 1) if n_frames > 1 else 0
+    obj = _moving(n_frames, "rect", (14, 26), vx, (12, 12), (0.85, 0.3, 0.25),
+                  shadow_offset=(4, 8))
+    return SyntheticScene(width=64, height=64, background=0.6, objects=[obj],
                           noise_sigma=noise, seed=seed)
 
 
-SCENES = {
-    "static": static,
-    "one_rect": one_rect,
-    "two_rect": two_rect,
-    "cross2": cross2,
-    "shadowed": shadowed,
-}
+SCENES = {f.__name__: f for f in (static, one_rect, two_rect, cross2, shadowed)}
 
 
 def build_scene(name: str, n_frames: int, seed: int = 0, **kwargs):

@@ -10,24 +10,15 @@ import numpy as np
 KKT_TOL = 1e-3  # a sample violates KKT when y * error is off by more than this
 MAX_PASSES = 10000  # SMO scans before training gives up as not converged
 DEFAULT_C = 5.0  # box constraint; 1.0 underfits L1-normalized histograms
+DEFAULT_C_OFFSET = 1.0  # kernel offset c of (x.y + c)^3
 
 
 class SvmError(Exception):
     pass
 
 
-def cubic_kernel(x: np.ndarray, y: np.ndarray, c: float = 1.0) -> float:
-    """Degree-3 polynomial kernel (x.y + c)^3 with offset c >= 0."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise SvmError(f"dimension mismatch {x.shape} vs {y.shape}")
-    if c < 0:
-        raise SvmError("kernel offset c must be >= 0")
-    return float((x @ y + c) ** 3)
-
-
-def gram_matrix(xs: np.ndarray, ys: np.ndarray | None = None, c: float = 1.0):
+def gram_matrix(xs: np.ndarray, ys: np.ndarray | None = None, c=DEFAULT_C_OFFSET):
+    """Cubic kernel (x.y + c)^3 of every row x of xs with every row y of ys (or xs)."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = xs if ys is None else np.asarray(ys, dtype=np.float64)
     return (xs @ ys.T + c) ** 3
@@ -127,11 +118,19 @@ class SvmModel:
     classes: list
     machines: dict = field(default_factory=dict)  # (i, j) -> BinaryMachine
     C: float = DEFAULT_C
-    c_offset: float = 1.0  # the kernel offset of every machine
+    c_offset: float = DEFAULT_C_OFFSET  # the kernel offset of every machine
+
+    def __post_init__(self):
+        if len(set(self.classes)) != len(self.classes):
+            raise SvmError(f"repeated class names in {self.classes!r}")
+        if not self.C > 0:
+            raise SvmError(f"C must be > 0, got {self.C!r}")
+        if not self.c_offset >= 0:
+            raise SvmError(f"kernel offset must be >= 0, got {self.c_offset!r}")
 
 
-def train_svm(samples, labels, C: float = DEFAULT_C, c_offset: float = 1.0,
-              seed: int = 0) -> SvmModel:
+def train_svm(samples, labels, C: float = DEFAULT_C,
+              c_offset: float = DEFAULT_C_OFFSET, seed: int = 0) -> SvmModel:
     """Train one-vs-one cubic-kernel machines over all class pairs.
 
     Each machine runs SMO to KKT_TOL; one that needs more than
@@ -155,6 +154,9 @@ def train_svm(samples, labels, C: float = DEFAULT_C, c_offset: float = 1.0,
 def _pairwise(model: SvmModel, x):
     """Per-class votes and summed signed margins over the one-vs-one machines."""
     x = np.asarray(x, dtype=np.float64)
+    dims = {m.support_vectors.shape[1] for m in model.machines.values()}
+    if x.ndim != 1 or dims != {x.size}:
+        raise SvmError(f"model takes {sorted(dims)}-bin histograms, got shape {x.shape}")
     votes = np.zeros(len(model.classes))
     margins = np.zeros(len(model.classes))
     for (a, b), m in model.machines.items():
@@ -219,7 +221,8 @@ def stratified_folds(labels, n_folds: int, seed: int) -> list[int]:
 
 
 def cross_validate(samples, labels, n_folds: int = 5, seed: int = 0,
-                   C: float = DEFAULT_C, c_offset: float = 1.0) -> EvalReport:
+                   C: float = DEFAULT_C,
+                   c_offset: float = DEFAULT_C_OFFSET) -> EvalReport:
     """Stratified k-fold CV: confusion over held-out folds, per-class ROC."""
     if n_folds < 2:
         raise SvmError("need at least two folds")
@@ -297,7 +300,7 @@ def load_model(path) -> SvmModel:
                 model.machines[(int(a), int(b))] = BinaryMachine(
                     support_vectors=svs.reshape(int(n), int(dim)),
                     dual_coef=coef.reshape(int(n)), bias=float(bias))
-        except ValueError as exc:
+        except (ValueError, SvmError) as exc:
             raise SvmError(f"{path}: malformed model: {exc}") from None
     finite = np.isfinite([model.C, model.c_offset]).all() and all(
         np.isfinite(m.bias) and np.isfinite(m.dual_coef).all()

@@ -371,6 +371,15 @@ def test_diff_histogram_counts_pixels():
     assert hist[10] == 16 and hist.sum() == 16
 
 
+@pytest.mark.parametrize("shape", [(16, 17), (1, 16)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_detect_sequence_rejects_a_frame_of_another_shape(shape):
+    # (1, 16) broadcasts against (16, 16): the check must not rely on numpy failing.
+    with pytest.raises(BackgroundError, match="frame dimensions differ"):
+        detect_sequence([np.zeros((16, 16)), np.zeros(shape)], default_config())
+    with pytest.raises(BackgroundError, match="frame dimensions differ"):
+        diff_histogram(np.zeros(shape), np.zeros((16, 16)))
+
+
 @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (3, 0)],
                          ids=lambda s: f"{s[0]}x{s[1]}")
 def test_detect_sequence_rejects_zero_pixel_frames(shape):

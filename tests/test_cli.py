@@ -187,6 +187,20 @@ class TestDataErrors:
                      "--out", str(tmp_path / "o")]) == 2
         assert "m.txt" in capsys.readouterr().err
 
+    def test_svm_model_training_never_writes(self, tmp_path, capsys):
+        # Repeated class names, C < 0 and a negative kernel offset all at once.
+        seq = _generate(tmp_path, frames=4)
+        vocab.save_codebook(tmp_path / "cb.txt",
+                            vocab.Codebook(words=np.eye(2, 128), seed=0))
+        (tmp_path / "m.txt").write_text("vvtrack-svm v1\na a\n-3.0 -1.0 1\n"
+                                        "0 1 1 2 0.0\n1.0\n0.5 0.5\n")
+        cfg = _config(tmp_path, recognition={"codebook_path": str(tmp_path / "cb.txt"),
+                                             "svm_path": str(tmp_path / "m.txt")})
+        assert main(["track", "--config", cfg, "--in", str(seq),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "m.txt: malformed model: repeated class names" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "tracks.jsonl").exists()
+
     @staticmethod
     def _models(tmp_path, words, sv_dim):
         """A codebook of the given words and a two-class model on sv_dim-bin
@@ -491,6 +505,18 @@ class TestTrackAndEval:
                      "--out", str(out2), "--seed", "3"]) == 0
         assert (out1 / "tracks.jsonl").read_text() == \
                (out2 / "tracks.jsonl").read_text()
+
+    def test_seed_flag_acts_as_the_config_seed(self, tmp_path):
+        seq = _generate(tmp_path, frames=6)
+        flag, keyed = tmp_path / "flag", tmp_path / "keyed"
+        assert main(["track", "--config", _config(tmp_path), "--in", str(seq),
+                     "--out", str(flag), "--seed", "3"]) == 0
+        cfg = tmp_path / "seeded.json"
+        cfg.write_text(json.dumps({**json.loads(Path(_config(tmp_path)).read_text()),
+                                   "seed": 3}))
+        assert main(["track", "--config", str(cfg), "--in", str(seq),
+                     "--out", str(keyed)]) == 0
+        assert (flag / "tracks.jsonl").read_bytes() == (keyed / "tracks.jsonl").read_bytes()
 
 
 class TestTrainCommands:

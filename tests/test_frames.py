@@ -75,7 +75,7 @@ def test_pnm_255_maps_to_one(tmp_path):
 def test_read_sequence_orders_by_index(tmp_path):
     for i in (2, 0, 1):
         write_pnm(tmp_path / f"frame_{i:03d}.ppm", np.full((3, 3, 3), i / 10))
-    frames = list(read_sequence(tmp_path, "frame_*.ppm"))
+    frames = list(read_sequence(tmp_path))
     assert len(frames) == 3
     values = [round(float(f.mean()) * 10) for f in frames]
     assert values == [0, 1, 2]
@@ -83,7 +83,7 @@ def test_read_sequence_orders_by_index(tmp_path):
 
 def test_read_sequence_empty_directory_errors(tmp_path):
     with pytest.raises(FrameError):
-        read_sequence(tmp_path, "frame_*.ppm")
+        read_sequence(tmp_path)
 
 
 def test_read_sequence_repeated_index_errors(tmp_path):
@@ -93,14 +93,14 @@ def test_read_sequence_repeated_index_errors(tmp_path):
         write_pnm(tmp_path / name, np.zeros((3, 3)))
     with pytest.raises(FrameError, match="frame_001.pgm and .*frame_1.pgm carry the "
                                          "same frame index 1"):
-        read_sequence(tmp_path, "frame_*.pgm")
+        read_sequence(tmp_path)
 
 
 def test_read_sequence_mixed_dimensions_errors(tmp_path):
     write_pnm(tmp_path / "frame_000.pgm", np.zeros((3, 3)))
     write_pnm(tmp_path / "frame_001.pgm", np.zeros((4, 4)))
     with pytest.raises(FrameError):
-        list(read_sequence(tmp_path, "frame_*.pgm"))
+        list(read_sequence(tmp_path))
 
 
 @pytest.mark.parametrize("data", [b"P5\n4 4\n255\nxx", b"P5 1 1 255"],

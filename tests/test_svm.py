@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 
 from vvtrack import svm as sv
-from vvtrack.svm import (SvmError, cross_validate, cubic_kernel,
-                         gram_matrix, predict, roc_curve, stratified_folds,
-                         train_svm)
+from vvtrack.svm import (SvmError, cross_validate, gram_matrix, predict,
+                         roc_curve, stratified_folds, train_svm)
+
+
+# Scalar oracle of gram_matrix: one kernel value evaluated directly.
+def cubic_kernel(x: np.ndarray, y: np.ndarray, c: float = 1.0) -> float:
+    """Degree-3 polynomial kernel (x.y + c)^3."""
+    return float((np.asarray(x, dtype=np.float64) @ np.asarray(y, dtype=np.float64)
+                  + c) ** 3)
 
 
 class TestCubicKernel:
@@ -35,12 +41,19 @@ class TestCubicKernel:
         assert eig.min() > -1e-8
 
     def test_dimension_mismatch_errors(self):
-        with pytest.raises(SvmError):
-            cubic_kernel(np.zeros(3), np.zeros(4))
+        model = train_svm(*_two_blob_data(seed=0, n=5), seed=0)
+        with pytest.raises(SvmError, match=r"model takes \[2\]-bin histograms"):
+            predict(model, np.zeros(3))
 
     def test_negative_offset_errors(self):
-        with pytest.raises(SvmError):
-            cubic_kernel(np.zeros(3), np.zeros(3), c=-1.0)
+        # Without the check this trains a machine on a non-PSD Gram matrix.
+        with pytest.raises(SvmError, match="offset must be >= 0"):
+            train_svm(*_two_blob_data(seed=0, n=5), c_offset=-1.0, seed=0)
+
+    @pytest.mark.parametrize("C", [0.0, -1.0])
+    def test_non_positive_C_errors(self, C):
+        with pytest.raises(SvmError, match="C must be > 0"):
+            train_svm(*_two_blob_data(seed=0, n=5), C=C, seed=0)
 
 
 def _two_blob_data(seed=0, n=30, sep=3.0):
@@ -210,6 +223,18 @@ def test_model_roundtrip(tmp_path):
 def test_model_bad_header_errors(tmp_path, text):
     (tmp_path / "m.txt").write_text(text)
     with pytest.raises(SvmError):
+        sv.load_model(tmp_path / "m.txt")
+
+
+@pytest.mark.parametrize("line, match", [
+    ("a a\n1.0 1.0 1", "repeated class names"),
+    ("a b\n0.0 1.0 1", "C must be > 0"),
+    ("a b\n-3.0 1.0 1", "C must be > 0"),
+    ("a b\n1.0 -1.0 1", "kernel offset must be >= 0"),
+], ids=["repeated-class", "zero-C", "negative-C", "negative-offset"])
+def test_load_model_rejects_what_training_never_writes(tmp_path, line, match):
+    (tmp_path / "m.txt").write_text(f"vvtrack-svm v1\n{line}\n0 1 1 2 0.0\n1.0\n0.5 0.5\n")
+    with pytest.raises(SvmError, match=f"m.txt: malformed model: {match}"):
         sv.load_model(tmp_path / "m.txt")
 
 
