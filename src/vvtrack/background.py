@@ -73,9 +73,8 @@ class MotionMasks:
 
 def init_background(first_frame: np.ndarray, **kwargs) -> BackgroundState:
     """First frame becomes the background verbatim; V seeded with its mean."""
-    first_frame = validate_gray(first_frame)
-    state = BackgroundState(B=first_frame.copy(), **kwargs)
-    state.V = [float(first_frame.mean())]
+    state = BackgroundState(B=np.array(first_frame), **kwargs)
+    state.V = [float(state.B.mean())]
     return state
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -80,9 +81,15 @@ def cmd_generate(args) -> int:
     scene = scenes.build_scene(args.scene, args.frames, seed=args.seed)
     frames, truth = fio.generate_synthetic(scene, args.frames)
     out = Path(args.out)
+    names = [f"frame_{t:04d}.ppm" for t in range(len(frames))]
+    stale = sorted({p.name for p in out.glob(fio.FRAME_GLOB)} - set(names))
+    if stale:
+        # read_sequence would splice them onto the new sequence.
+        raise FrameError(f"{out} holds {len(stale)} frames this run would not "
+                         f"replace, first {stale[0]}; write to another directory")
     out.mkdir(parents=True, exist_ok=True)
-    for t, frame in enumerate(frames):
-        fio.write_pnm(out / f"frame_{t:04d}.ppm", frame)
+    for name, frame in zip(names, frames):
+        fio.write_pnm(out / name, frame)
     fio.write_truth(out / "truth.jsonl", truth)
     print(f"wrote {len(frames)} frames to {out}")
     return 0
@@ -100,10 +107,9 @@ def _load_gray_images(directory):
 def cmd_train_vocab(args, cfg) -> int:
     vcfg = cfg["vocabulary"]
     vectors = np.concatenate([vocab.extract_descriptors(
-        image, grid_stride=int(vcfg["grid_stride"]), patch=int(vcfg["patch"])).vector
+        image, grid_stride=vcfg["grid_stride"], patch=vcfg["patch"]).vector
         for image in _load_gray_images(args.in_dir)])
-    codebook = vocab.kmeans(vectors[vectors.any(axis=1)], int(vcfg["K"]),
-                            seed=cfg["seed"])
+    codebook = vocab.kmeans(vectors[vectors.any(axis=1)], vcfg["K"], seed=cfg["seed"])
     vocab.save_codebook(args.out, codebook)
     print(f"codebook with K={codebook.K} written to {args.out}")
     return 0
@@ -117,13 +123,12 @@ def cmd_train_svm(args, cfg) -> int:
     root = Path(args.in_dir)
     for class_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         for image in _load_gray_images(class_dir):
-            descs = vocab.extract_descriptors(
-                image, grid_stride=int(vcfg["grid_stride"]),
-                patch=int(vcfg["patch"]))
+            descs = vocab.extract_descriptors(image, grid_stride=vcfg["grid_stride"],
+                                              patch=vcfg["patch"])
             samples.append(vocab.bow_histogram(descs, codebook))
             labels.append(class_dir.name)
-    model = svm.train_svm(samples, labels, C=float(ccfg["C"]),
-                          c_offset=float(ccfg["c_offset"]), seed=cfg["seed"])
+    model = svm.train_svm(samples, labels, C=ccfg["C"], c_offset=ccfg["c_offset"],
+                          seed=cfg["seed"])
     svm.save_model(args.out, model)
     print(f"SVM over classes {model.classes} written to {args.out}")
     return 0
@@ -145,8 +150,7 @@ def cmd_detect(args, cfg) -> int:
             fio.write_mask_pgm(out / f"mask_{res.frame:04d}.pgm", res.mask)
             written += 1
             yield {"frame": res.frame, "T_b": res.T_b,
-                   "blobs": [{"bbox": list(b.bbox), "area": b.area,
-                              "centroid": list(b.centroid)} for b in res.blobs]}
+                   "blobs": [asdict(b) for b in res.blobs]}
 
     fio.write_jsonl(out / "detections.jsonl", records())
     print(f"wrote {written} masks to {out}")
@@ -203,7 +207,3 @@ def main(argv=None) -> int:
             bgmod.BackgroundError, shadows.ShadowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

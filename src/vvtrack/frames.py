@@ -343,14 +343,18 @@ write_truth = write_jsonl
 
 
 def read_jsonl(path) -> list:
-    """One JSON value per non-blank line; FrameError names path:line otherwise."""
+    """One JSON value per non-blank line; FrameError names path:line otherwise,
+    or only the path where the bytes do not decode as text."""
     records = []
     with open(path) as fh:
-        for n, line in enumerate(fh, 1):
-            line = line.strip()
-            if line:
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise FrameError(f"{path}:{n}: not JSON: {exc}") from None
+        try:
+            for n, line in enumerate(fh, 1):
+                line = line.strip()
+                if line:
+                    try:
+                        records.append(json.loads(line))
+                    except json.JSONDecodeError as exc:
+                        raise FrameError(f"{path}:{n}: not JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise FrameError(f"{path}: not text: {exc}") from None
     return records

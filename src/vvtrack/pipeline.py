@@ -45,8 +45,8 @@ def iter_detections(frames, cfg) -> Iterator[DetectionResult]:
     """
     bcfg = cfg["background"]
     scfg = cfg["shadow"]
-    w = int(bcfg["window_radius"])
-    state = None
+    w = bcfg["window_radius"]
+    state = moments = None
     for t, f in enumerate(frames):
         if scfg["enabled"]:
             if f.ndim != 3:
@@ -56,19 +56,18 @@ def iter_detections(frames, cfg) -> Iterator[DetectionResult]:
                                                t2=scfg["t2"], penumbra=scfg["penumbra"])
         else:
             gray = fio.to_grayscale(f)
+        prev_moments, moments = moments, bg.box_moments(gray, w)
         if state is None:
             state = bg.init_background(gray, a=bcfg["a"], b=bcfg["b"],
                                        T_sim=bcfg["T_sim"], window_radius=w)
             result = DetectionResult(frame=0, mask=np.zeros_like(gray, bool),
                                      blobs=[], T_b=state.T_b)
-            moments = bg.box_moments(gray, w)
         else:
             hist = bg.diff_histogram(gray, prev)
             state.T_b = bg.fit_adaptive_threshold(hist).T_b
-            prev_moments, moments = moments, bg.box_moments(gray, w)
             masks = bg.motion_masks(gray, prev, state, (moments, prev_moments))
             clean = bg.clean_mask(masks.M)
-            blobs = shadows.extract_blobs(clean, min_area=int(scfg["min_blob_area"]))
+            blobs = shadows.extract_blobs(clean, min_area=scfg["min_blob_area"])
             result = DetectionResult(frame=t, mask=clean, blobs=blobs, T_b=state.T_b)
             bg.update_background(state, gray)
         prev = gray
@@ -123,8 +122,8 @@ def classify_boxes(gray, boxes, codebook, model, cfg):
     if codebook is None or model is None:
         return [None] * len(boxes)
     vcfg = cfg["vocabulary"]
-    descs = recognition.extract_descriptors(gray, grid_stride=int(vcfg["grid_stride"]),
-                                            patch=int(vcfg["patch"]))
+    descs = recognition.extract_descriptors(gray, grid_stride=vcfg["grid_stride"],
+                                            patch=vcfg["patch"])
     return [recognition.classify_box(descs, (x, y, x + w, y + h), codebook, model)
             for x, y, w, h in boxes]
 
@@ -136,10 +135,10 @@ def run_pipeline(in_dir, out_dir, cfg, seed: int | None = None):
     annotated copies each stream the sequence again, one frame at a time.
     """
     if seed is None:
-        seed = int(cfg["seed"])
+        seed = cfg["seed"]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    burn_in = int(cfg["background"]["burn_in"])
+    burn_in = cfg["background"]["burn_in"]
     codebook, model = load_models(cfg)
     last = detect_sequence(fio.read_sequence(in_dir), cfg,
                            stop=lambda res: _is_seed(res, burn_in))[-1]

@@ -46,8 +46,8 @@ class ShadowMasks:
 @dataclass
 class Blob:
     bbox: tuple[int, int, int, int]  # x, y, w, h
-    centroid: tuple[float, float]
     area: int
+    centroid: tuple[float, float]
 
 
 def invariant_images(frame: np.ndarray) -> np.ndarray:

@@ -279,10 +279,10 @@ def save_model(path, model: SvmModel) -> None:
 
 def load_model(path) -> SvmModel:
     with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "vvtrack-svm v1":
-            raise SvmError(f"{path}: bad model header {header!r}")
-        try:
+        try:  # a ValueError here includes bytes that do not decode as text
+            header = fh.readline().strip()
+            if header != "vvtrack-svm v1":
+                raise ValueError(f"bad model header {header!r}")
             classes = fh.readline().split()
             C, c_offset, n_machines = fh.readline().split()
             pairs = set(itertools.combinations(range(len(classes)), 2))

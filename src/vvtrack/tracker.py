@@ -258,11 +258,12 @@ def _seed_swarm(sp: Species, frame: np.ndarray, rng: np.random.Generator,
 
 def step_particles(sp: Species, frame: np.ndarray, n_iter: int,
                    rng: np.random.Generator, config: TrackerConfig,
-                   force=None) -> Species:
+                   force=None) -> bool:
     """One swarm iteration: Gaussian attraction plus annealed disturbance.
 
     v <- |r1|(p - x) + |r2|(g - x) [+ |r3| F] + eps with eps covariance
     sigma0^2 * exp(-c * n_iter), its scale entry 0 unless config.track_scale.
+    Returns whether the gbest moved.
     """
     n = config.n_particles
     r1 = np.abs(rng.standard_normal((n, 3)))
@@ -275,21 +276,23 @@ def step_particles(sp: Species, frame: np.ndarray, n_iter: int,
         v = v + r3[:, None] * np.asarray(force)
     sp.particles = sp.particles + v
     sp.particles[:, 2] = np.maximum(sp.particles[:, 2], 1e-3)
-    _update_bests(sp, observe(frame, sp, sp.particles, config))
-    return sp
+    return _update_bests(sp, observe(frame, sp, sp.particles, config))
 
 
-def _update_bests(sp: Species, fits: np.ndarray) -> None:
+def _update_bests(sp: Species, fits: np.ndarray) -> bool:
     """Update pbest and gbest from the swarm's fits as a loop over the
     particles in order would: pbest rises where a fit is strictly greater,
-    and gbest moves to the first best particle if it beats the old gbest."""
+    and gbest moves to the first best particle if it beats the old gbest.
+    Returns whether the gbest moved."""
     better = fits > sp.pbest_fit
     sp.pbest_fit[better] = fits[better]
     sp.pbest[better] = sp.particles[better]
     best = int(fits.argmax())
-    if fits[best] > sp.gbest_fit:
-        sp.gbest_fit = float(fits[best])
-        sp.gbest = sp.particles[best].copy()
+    if fits[best] <= sp.gbest_fit:
+        return False
+    sp.gbest_fit = float(fits[best])
+    sp.gbest = sp.particles[best].copy()
+    return True
 
 
 def detect_occlusion(species: list[Species]) -> list[CompetitionArena]:
@@ -432,19 +435,13 @@ def track_sequence(frames, detections, config: TrackerConfig | None = None,
             partners = [(a, active[a.pair[0] if a.pair[1] == sp.id else a.pair[1]])
                         for a in arenas if sp.id in a.pair]
             stall = 0
-            prev_best = sp.gbest.copy()
             for it in range(config.n_iters):
-                forces = [repulsion_force(sp, other, a, config, rng)
-                          for a, other in partners]
-                force = sum(forces[1:], forces[0]) if forces else None
-                step_particles(sp, frame, it, rng, config, force=force)
-                if np.array_equal(sp.gbest, prev_best):
-                    stall += 1
-                    if stall >= STALL_ITERS:
-                        break
-                else:
-                    stall = 0
-                    prev_best = sp.gbest.copy()
+                force = sum(repulsion_force(sp, other, a, config, rng)
+                            for a, other in partners) if partners else None
+                moved = step_particles(sp, frame, it, rng, config, force=force)
+                stall = 0 if moved else stall + 1
+                if stall >= STALL_ITERS:
+                    break
             selective_update(sp, frame, arenas, config)
             if sp.gbest_fit < config.fit_floor * (1.0 + 1e-9):
                 sp.lost_count += 1

@@ -264,10 +264,9 @@ def bow_histogram(descriptors, codebook: Codebook) -> np.ndarray:
 
 @dataclass
 class HistogramPyramid:
-    """Multi-resolution histograms over point space, bin side doubling per level."""
+    """Histograms over point space, unit bins at level 0 and doubling per level."""
 
     levels: list[dict]
-    cell0: float
     dim: int
 
     @property
@@ -275,7 +274,7 @@ class HistogramPyramid:
         return len(self.levels)
 
 
-def build_pyramid(points, n_levels: int, cell0: float = 1.0) -> HistogramPyramid:
+def build_pyramid(points, n_levels: int) -> HistogramPyramid:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -283,13 +282,13 @@ def build_pyramid(points, n_levels: int, cell0: float = 1.0) -> HistogramPyramid
         raise VocabularyError("need at least one pyramid level")
     levels = []
     for i in range(n_levels):
-        side = cell0 * (2.0 ** i)
+        side = 2.0 ** i
         hist: dict = {}
         for p in pts:
             key = tuple(int(v) for v in np.floor(p / side))
             hist[key] = hist.get(key, 0) + 1
         levels.append(hist)
-    return HistogramPyramid(levels=levels, cell0=cell0, dim=pts.shape[1])
+    return HistogramPyramid(levels=levels, dim=pts.shape[1])
 
 
 def _intersection(h1: dict, h2: dict) -> int:
@@ -298,7 +297,7 @@ def _intersection(h1: dict, h2: dict) -> int:
 
 def pmk(py: HistogramPyramid, pz: HistogramPyramid) -> float:
     """New-match counting kernel: sum_i 2^-i (I_i - I_{i-1}), I_{-1} = 0."""
-    if (py.n_levels != pz.n_levels or py.cell0 != pz.cell0 or py.dim != pz.dim):
+    if py.n_levels != pz.n_levels or py.dim != pz.dim:
         raise VocabularyError("pyramid geometries differ")
     score = 0.0
     prev = 0
@@ -323,10 +322,10 @@ def save_codebook(path, codebook: Codebook) -> None:
 
 def load_codebook(path) -> Codebook:
     with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "vvtrack-codebook v1":
-            raise VocabularyError(f"{path}: bad codebook header {header!r}")
-        try:
+        try:  # a ValueError here includes bytes that do not decode as text
+            header = fh.readline().strip()
+            if header != "vvtrack-codebook v1":
+                raise VocabularyError(f"{path}: bad codebook header {header!r}")
             k, dim, seed = (int(t) for t in fh.readline().split())
             words = np.asarray([[float(t) for t in fh.readline().split()]
                                 for _ in range(k)])

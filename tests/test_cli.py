@@ -332,6 +332,55 @@ class TestDataErrors:
         assert "truth lists frame 0 more than once" in capsys.readouterr().err
         assert not (tmp_path / "eval.csv").exists()
 
+    @pytest.mark.parametrize("case", [
+        "eval --tracks", "eval --truth", "train-vocab --config", "train-svm --config",
+        "detect --config", "track --config", "train-svm --vocab",
+        "recognition.codebook_path", "recognition.svm_path", "truth.jsonl"])
+    def test_input_that_is_not_text(self, tmp_path, capsys, case):
+        """Bytes that do not decode as text are a data error naming the file,
+        and the command's last output is not written."""
+        seq = _generate(tmp_path, frames=4)
+        bad = str(tmp_path / "bin.txt")
+        Path(bad).write_bytes(b"\xff\xfe")
+        vocab.save_codebook(tmp_path / "cb.txt",
+                            vocab.Codebook(words=np.eye(2, 128), seed=0))
+        cb = str(tmp_path / "cb.txt")
+        (tmp_path / "tracks.jsonl").write_text(json.dumps(
+            {"frame": 0, "id": 0, "cx": 5.0, "cy": 5.0, "w": 4.0, "h": 4.0}) + "\n")
+        recognition = {"recognition.codebook_path": {"codebook_path": bad, "svm_path": bad},
+                       "recognition.svm_path": {"codebook_path": cb, "svm_path": bad}}
+        cfg = _config(tmp_path, recognition=recognition.get(case, {}))
+        out = tmp_path / "o"
+        if case == "truth.jsonl":
+            (seq / "truth.jsonl").write_bytes(b"\xff\xfe")
+        args, written = {
+            "eval --tracks": (["eval", "--tracks", bad, "--truth", str(seq / "truth.jsonl"),
+                               "--out", str(out)], out),
+            "eval --truth": (["eval", "--tracks", str(tmp_path / "tracks.jsonl"),
+                              "--truth", bad, "--out", str(out)], out),
+            "train-vocab --config": (["train-vocab", "--config", bad, "--in", str(seq),
+                                      "--out", str(out)], out),
+            "train-svm --config": (["train-svm", "--config", bad, "--vocab", cb,
+                                    "--in", str(tmp_path), "--out", str(out)], out),
+            "detect --config": (["detect", "--config", bad, "--in", str(seq),
+                                 "--out", str(out)], out / "detections.jsonl"),
+            "track --config": (["track", "--config", bad, "--in", str(seq),
+                                "--out", str(out)], out / "tracks.jsonl"),
+            "train-svm --vocab": (["train-svm", "--config", cfg, "--vocab", bad,
+                                   "--in", str(tmp_path), "--out", str(out)], out),
+            "recognition.codebook_path": (["track", "--config", cfg, "--in", str(seq),
+                                           "--out", str(out)], out / "tracks.jsonl"),
+            "recognition.svm_path": (["track", "--config", cfg, "--in", str(seq),
+                                      "--out", str(out)], out / "tracks.jsonl"),
+            "truth.jsonl": (["track", "--config", cfg, "--in", str(seq),
+                             "--out", str(out)], out / "metrics.csv"),
+        }[case]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert ("truth.jsonl" if case == "truth.jsonl" else "bin.txt") in err
+        assert "Traceback" not in err
+        assert not written.exists()
+
     def test_negative_config_seed_train_vocab(self, tmp_path, capsys):
         images = tmp_path / "images"
         images.mkdir()
@@ -366,6 +415,18 @@ class TestGenerate:
         assert (out / "truth.jsonl").exists()
         frame = fio.read_pnm(ppms[0])
         assert frame.ndim == 3
+
+    def test_refuses_a_directory_holding_a_longer_sequence(self, tmp_path, capsys):
+        out = _generate(tmp_path, scene="two_rect", frames=6)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        args = ["generate", "--out", str(out), "--scene", "cross2", "--seed", "0"]
+        assert main(args + ["--frames", "3"]) == 2
+        assert "first frame_0003.ppm" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        # A run that replaces every frame there may write over them.
+        assert main(args + ["--frames", "6"]) == 0
+        assert len(list(fio.read_sequence(out))) == 6
+        assert len(fio.read_jsonl(out / "truth.jsonl")) == 6
 
     def test_deterministic_for_seed(self, tmp_path):
         a = _generate(tmp_path / "a", frames=3)

@@ -423,6 +423,21 @@ class TestStepParticles:
             assert sp.gbest_fit >= prev - 1e-15
             prev = sp.gbest_fit
 
+    def test_step_reports_whether_the_gbest_moved(self):
+        first, frame = _shifted_frames(2, step=(4, 0))
+        cfg = TrackerConfig(n_particles=20)
+        sp = init_species(first, 0, (20, 20, 16, 16), cfg)
+        rng = np.random.default_rng(0)
+        trk._seed_swarm(sp, frame, rng, cfg)
+        reported = []
+        for it in range(10):
+            gbest, fit = sp.gbest.copy(), sp.gbest_fit
+            moved = step_particles(sp, frame, it, rng, cfg)
+            assert moved is (not np.array_equal(sp.gbest, gbest))
+            assert moved is (sp.gbest_fit > fit)
+            reported.append(moved)
+        assert True in reported and False in reported
+
     def test_annealing_shrinks_disturbance(self):
         cfg = TrackerConfig()
         s0 = np.asarray(cfg.sigma0) * np.exp(-cfg.c_anneal * 0 / 2.0)
@@ -579,6 +594,25 @@ def test_tracker_config_built_directly_is_checked(key, value, name):
 
 
 class TestTrackSequence:
+    def test_swarm_stops_after_stall_iters_without_a_new_gbest(self, monkeypatch):
+        """Where every fit floors no step beats the seeded gbest, so each
+        species-frame observes once to seed and STALL_ITERS times to step."""
+        first = np.zeros((64, 96))
+        first[20:36, 30:46] = 1.0
+        dark = np.zeros_like(first)
+        cfg = TrackerConfig(n_particles=10, n_iters=10, sigma_obs_sq=1.0)
+        observed = []
+        real = trk.observe
+
+        def counting(frame, *args):
+            observed.append(frame is dark)
+            return real(frame, *args)
+
+        monkeypatch.setattr(trk, "observe", counting)
+        records = track_sequence([first, dark, dark, dark], [(30, 20, 16, 16)], cfg)
+        assert [r.fit for r in records if r.frame > 0] == [cfg.fit_floor] * 3
+        assert observed.count(True) == 3 * (1 + trk.STALL_ITERS)
+
     def test_follows_translating_texture(self):
         frames = _shifted_frames(12, start=(20, 20, 16, 16), step=(2, 0))
         cfg = TrackerConfig(track_scale=False)

@@ -419,7 +419,7 @@ class TestBowHistogram:
 class TestPyramidMatch:
     def test_identical_sets_score_equals_count(self):
         pts = np.array([[0.3, 0.3], [5.2, 1.1], [9.9, 9.9]])
-        p = build_pyramid(pts, n_levels=4, cell0=1.0)
+        p = build_pyramid(pts, n_levels=4)
         assert pmk(p, p) == pytest.approx(3.0)
 
     def test_matches_bruteforce_on_random_sets(self):
@@ -427,8 +427,8 @@ class TestPyramidMatch:
         for _ in range(10):
             a = rng.random((15, 2)) * 16
             b = rng.random((12, 2)) * 16
-            pa = build_pyramid(a, n_levels=5, cell0=1.0)
-            pb = build_pyramid(b, n_levels=5, cell0=1.0)
+            pa = build_pyramid(a, n_levels=5)
+            pb = build_pyramid(b, n_levels=5)
             # brute-force: histogram intersection per level, new matches
             score = 0.0
             prev = 0
