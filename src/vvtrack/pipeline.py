@@ -35,13 +35,16 @@ class DetectionResult:
     T_b: float
 
 
-def iter_detections(frames, cfg) -> Iterator[DetectionResult]:
-    """Motion mask and blobs of each frame of a gray or RGB sequence, as it arrives.
+def iter_detections(frames, cfg, first: int = 0) -> Iterator[DetectionResult]:
+    """Motion mask and blobs of each frame from ``first`` on, as it arrives.
 
     Holds one frame at a time: the background state, the previous gray
     frame and that frame's box moments carry over to the next.  Each frame
     is converted to gray once; with cfg["shadow"]["enabled"] that gray is
-    the shadow-free reconstruction, which needs RGB frames.
+    the shadow-free reconstruction, which needs RGB frames.  A frame before
+    ``first`` only trains the background (frame 0 initializes it) and
+    yields nothing; the background and every result from ``first`` on are
+    those of a run from frame 0.
     """
     bcfg = cfg["background"]
     scfg = cfg["shadow"]
@@ -56,13 +59,18 @@ def iter_detections(frames, cfg) -> Iterator[DetectionResult]:
                                                t2=scfg["t2"], penumbra=scfg["penumbra"])
         else:
             gray = fio.to_grayscale(f)
-        prev_moments, moments = moments, bg.box_moments(gray, w)
         if state is None:
             state = bg.init_background(gray, a=bcfg["a"], b=bcfg["b"],
                                        T_sim=bcfg["T_sim"], window_radius=w)
             result = DetectionResult(frame=0, mask=np.zeros_like(gray, bool),
                                      blobs=[], T_b=state.T_b)
+        elif t < first:
+            bg.update_background(state, gray)
         else:
+            # Frame 0 and the frames before ``first`` leave their box moments
+            # to the next frame, which needs only its predecessor's.
+            prev_moments = bg.box_moments(prev, w) if moments is None else moments
+            moments = bg.box_moments(gray, w)
             hist = bg.diff_histogram(gray, prev)
             state.T_b = bg.fit_adaptive_threshold(hist).T_b
             masks = bg.motion_masks(gray, prev, state, (moments, prev_moments))
@@ -71,28 +79,22 @@ def iter_detections(frames, cfg) -> Iterator[DetectionResult]:
             result = DetectionResult(frame=t, mask=clean, blobs=blobs, T_b=state.T_b)
             bg.update_background(state, gray)
         prev = gray
-        yield result
+        if t >= first:
+            yield result
 
 
-def detect_sequence(frames, cfg, stop=None) -> list[DetectionResult]:
-    """iter_detections as a list, ending with the first result that ``stop`` accepts.
+def detect_sequence(frames, cfg, stop=None, first: int = 0) -> list[DetectionResult]:
+    """iter_detections from ``first`` as a list, ending with the first result
+    that ``stop`` accepts.
 
     No frame after that result is read.
     """
     results = []
-    for result in iter_detections(frames, cfg):
+    for result in iter_detections(frames, cfg, first):
         results.append(result)
         if stop is not None and stop(result):
             break
     return results
-
-
-def _is_seed(result: DetectionResult, burn_in: int) -> bool:
-    """The seed frame is the first frame at or after burn-in with any blob.
-
-    Blobs are not checked for persistence (ROADMAP open item 3).
-    """
-    return result.frame >= burn_in and bool(result.blobs)
 
 
 def load_models(cfg):
@@ -138,12 +140,15 @@ def run_pipeline(in_dir, out_dir, cfg, seed: int | None = None):
         seed = cfg["seed"]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    burn_in = cfg["background"]["burn_in"]
     codebook, model = load_models(cfg)
-    last = detect_sequence(fio.read_sequence(in_dir), cfg,
-                           stop=lambda res: _is_seed(res, burn_in))[-1]
-    if not _is_seed(last, burn_in):
+    # The seed frame is the first frame at or after burn-in with any blob;
+    # blobs are not checked for persistence (ROADMAP open item 3).
+    results = detect_sequence(fio.read_sequence(in_dir), cfg,
+                              stop=lambda res: bool(res.blobs),
+                              first=cfg["background"]["burn_in"])
+    if not (results and results[-1].blobs):
         raise PipelineError("no blobs detected after burn-in; nothing to track")
+    last = results[-1]
     start = last.frame
     boxes = [b.bbox for b in last.blobs[:MAX_OBJECTS]]
     grays = map(fio.to_grayscale, fio.read_sequence(in_dir, start=start))
@@ -155,17 +160,20 @@ def run_pipeline(in_dir, out_dir, cfg, seed: int | None = None):
     for r in records:
         r.frame += start
 
-    # tracks.jsonl is written last: a frame that fails to read leaves none.
+    # The truth is read after tracking, so it is not held meanwhile, and
+    # scored before any output is written, so a truth file that fails to
+    # read or score leaves no tracks.jsonl.
+    report = None
+    truth_path = Path(in_dir) / "truth.jsonl"
+    if truth_path.exists():
+        report = met.evaluate_tracks(records, fio.read_jsonl(truth_path))
+    # tracks.jsonl is written after the annotated frames: a frame that fails
+    # to read leaves none.
     write_annotated(out_dir / "annotated", fio.read_sequence(in_dir), records)
     fio.write_jsonl(out_dir / "tracks.jsonl",
                     (asdict(r) | {"label": None if labels[r.id] is None
                                   else str(labels[r.id])} for r in records))
-
-    report = None
-    truth_path = Path(in_dir) / "truth.jsonl"
-    if truth_path.exists():
-        truth = fio.read_jsonl(truth_path)
-        report = met.evaluate_tracks(records, truth)
+    if report is not None:
         met.write_report_csv(out_dir / "metrics.csv", report)
     return records, report
 

@@ -380,6 +380,9 @@ class TestDataErrors:
         assert ("truth.jsonl" if case == "truth.jsonl" else "bin.txt") in err
         assert "Traceback" not in err
         assert not written.exists()
+        if case == "truth.jsonl":
+            assert not (out / "tracks.jsonl").exists()
+            assert not (out / "annotated").exists()
 
     def test_negative_config_seed_train_vocab(self, tmp_path, capsys):
         images = tmp_path / "images"
@@ -480,6 +483,18 @@ class TestTrackAndEval:
         assert main(["track", "--config", _config(tmp_path),
                      "--in", str(seq), "--out", str(out)]) == 2
         assert "no blobs detected after burn-in" in capsys.readouterr().err
+        assert not (out / "tracks.jsonl").exists()
+
+    @pytest.mark.parametrize("burn_in", [6, 9])
+    def test_burn_in_past_the_last_frame_leaves_no_tracks(self, tmp_path, capsys,
+                                                           burn_in):
+        seq = _generate(tmp_path, frames=6)
+        out = tmp_path / "trk"
+        cfg = _config(tmp_path, background={"burn_in": burn_in})
+        assert main(["track", "--config", cfg, "--in", str(seq), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "no blobs detected after burn-in" in err
+        assert "Traceback" not in err
         assert not (out / "tracks.jsonl").exists()
 
     def test_pipeline_on_grayscale_writes_rgb_annotations(self, tmp_path):

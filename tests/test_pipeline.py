@@ -9,6 +9,7 @@ import pytest
 from vvtrack import background as bg
 from vvtrack import frames as fio
 from vvtrack import pipeline as pl
+from vvtrack import scenes
 from vvtrack.cli import main
 from vvtrack.config import merge_config
 
@@ -80,19 +81,25 @@ def test_pipeline_detects_no_frame_after_the_seed(tmp_path, monkeypatch):
     assert main(["generate", "--out", str(seq), "--scene", "two_rect",
                  "--frames", "16", "--seed", "0"]) == 0
     cfg = merge_config({"background": {"burn_in": 3}, "tracker": SMALL_TRACKER})
-    calls = []
-    original = bg.motion_masks
+    calls = {"motion_masks": 0, "update_background": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(name):
+        original = getattr(bg, name)
 
-    monkeypatch.setattr(bg, "motion_masks", counting)
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(bg, name, counting(name))
     records, _ = pl.run_pipeline(seq, tmp_path / "out", cfg, seed=0)
     start = min(r.frame for r in records)
     assert 3 <= start < 15 and max(r.frame for r in records) == 15
-    # Frames 1 .. start are differenced against their predecessors; no later one.
-    assert len(calls) == start
+    # Frames burn_in .. start are differenced against their predecessors, no
+    # earlier or later one; frames 1 .. start each update the background.
+    assert calls["motion_masks"] == start - 3 + 1
+    assert calls["update_background"] == start
 
 
 def test_detect_sequence_stops_reading_at_the_first_accepted_result():
@@ -108,6 +115,23 @@ def test_detect_sequence_stops_reading_at_the_first_accepted_result():
                                  stop=lambda res: res.frame == 4)
     assert [r.frame for r in results] == [0, 1, 2, 3, 4]
     assert read == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("scene, shadow", [("two_rect", False), ("shadowed", True)])
+def test_detection_from_a_later_frame_matches_the_run_from_frame_0(scene, shadow):
+    n = 12
+    frames, _ = fio.generate_synthetic(scenes.build_scene(scene, n, seed=0), n)
+    cfg = merge_config({"shadow": {"enabled": shadow}})
+    full = pl.detect_sequence(frames, cfg)
+    assert [r.frame for r in full] == list(range(n))
+    assert all(r.blobs for r in full[7:])
+    for first in (0, 1, 2, 7, n, n + 3):
+        later = pl.detect_sequence(frames, cfg, first=first)
+        assert [r.frame for r in later] == list(range(first, n))
+        for got, want in zip(later, full[first:]):
+            assert got.T_b == want.T_b
+            assert np.array_equal(got.mask, want.mask)
+            assert got.blobs == want.blobs
 
 
 def test_write_annotated_clips_boxes_and_skips_off_frame_ones(tmp_path):
