@@ -50,9 +50,13 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--scene", required=True, choices=sorted(scenes.SCENES))
     gen.add_argument("--frames", type=int, default=60)
     gen.add_argument("--seed", type=_seed, default=0)
+    gen.set_defaults(run=cmd_generate)
 
-    for name in ("train-vocab", "train-svm", "detect", "eval", "pipeline"):
+    for name, run in (("train-vocab", cmd_train_vocab), ("train-svm", cmd_train_svm),
+                      ("detect", cmd_detect), ("eval", cmd_eval),
+                      ("pipeline", cmd_track)):
         p = sub.add_parser(name, aliases=["track"] if name == "pipeline" else [])
+        p.set_defaults(run=run)
         if name != "eval":
             p.add_argument("--config", required=True)
         if name in ("train-vocab", "train-svm", "pipeline"):
@@ -77,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args, cfg) -> int:
     scene = scenes.build_scene(args.scene, args.frames, seed=args.seed)
     frames, truth = fio.generate_synthetic(scene, args.frames)
     out = Path(args.out)
@@ -167,7 +171,7 @@ def cmd_track(args, cfg) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, cfg) -> int:
     tracks = fio.read_jsonl(args.tracks)
     truth = fio.read_jsonl(args.truth)
     report = met.evaluate_tracks(tracks, truth)
@@ -186,22 +190,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0,) else 0
     try:
-        if args.command == "generate":
-            return cmd_generate(args)
-        if args.command == "eval":
-            return cmd_eval(args)
-        cfg = load_config(args.config)
-        if getattr(args, "seed", None) is not None:
-            cfg["seed"] = args.seed
-        if args.command == "train-vocab":
-            return cmd_train_vocab(args, cfg)
-        if args.command == "train-svm":
-            return cmd_train_svm(args, cfg)
-        if args.command == "detect":
-            return cmd_detect(args, cfg)
-        if args.command in ("track", "pipeline"):
-            return cmd_track(args, cfg)
-        raise AssertionError(f"unhandled command {args.command}")
+        cfg = None
+        if "config" in args:
+            cfg = load_config(args.config)
+            if getattr(args, "seed", None) is not None:
+                cfg["seed"] = args.seed
+        return args.run(args, cfg)
     except (ConfigError, FrameError, OSError, pl.PipelineError,
             met.MetricsError, svm.SvmError, vocab.VocabularyError,
             bgmod.BackgroundError, shadows.ShadowError) as exc:

@@ -18,6 +18,7 @@ from typing import Iterator
 import numpy as np
 
 GRAY_WEIGHTS = (0.299, 0.587, 0.114)
+SHADOW_ATTENUATION = 0.5  # a cast shadow multiplies the background by this
 FRAME_GLOB = "frame_*.p?m"  # the files of a sequence directory (see read_sequence)
 
 
@@ -203,27 +204,25 @@ class SceneObject:
 
     trajectory holds one (cx, cy, w, h) box per frame; albedo is an RGB
     triple; the shadow is the object silhouette shifted by shadow_offset,
-    multiplying the background by shadow_attenuation.
+    rounded to whole pixels, multiplying the background by
+    SHADOW_ATTENUATION.
     """
 
     shape: str  # "rect" | "ellipse"
     trajectory: list[tuple[float, float, float, float]]
     albedo: tuple[float, float, float] = (0.9, 0.9, 0.9)
     shadow_offset: tuple[float, float] | None = None
-    shadow_attenuation: float = 0.5
 
     def __post_init__(self):
         if self.shape not in ("rect", "ellipse"):
             raise FrameError(f"unknown shape {self.shape!r}")
-        if self.shadow_offset is not None and not 0.0 < self.shadow_attenuation < 1.0:
-            raise FrameError("shadow attenuation must lie in (0, 1)")
 
 
 @dataclass
 class SyntheticScene:
     width: int
     height: int
-    background: float | np.ndarray = 0.5
+    background: float = 0.5
     objects: list[SceneObject] = field(default_factory=list)
     noise_sigma: float = 0.0
     seed: int = 0
@@ -237,9 +236,11 @@ def linear_trajectory(start, velocity, size, n_frames):
     return [(cx + vx * t, cy + vy * t, w, h) for t in range(n_frames)]
 
 
-def _silhouette(obj: SceneObject, box, width, height) -> np.ndarray:
+def _silhouette(obj: SceneObject, box, width, height, dx=0, dy=0) -> np.ndarray:
+    """Pixels of the frame covered by the object at box, moved by whole
+    pixels (dx, dy)."""
     cx, cy, w, h = box
-    yy, xx = np.ogrid[0:height, 0:width]
+    yy, xx = np.ogrid[-dy:height - dy, -dx:width - dx]
     if obj.shape == "rect":
         return (np.abs(xx - cx) <= w / 2) & (np.abs(yy - cy) <= h / 2)
     return ((xx - cx) / (w / 2)) ** 2 + ((yy - cy) / (h / 2)) ** 2 <= 1.0
@@ -267,10 +268,7 @@ def generate_synthetic(scene: SyntheticScene, n_frames: int):
         raise FrameError("n_frames must be >= 1")
     _check_in_bounds(scene, n_frames)
     rng = np.random.default_rng(scene.seed)
-    bg = np.asarray(scene.background, dtype=np.float64)
-    if bg.ndim == 0:
-        bg = np.full((scene.height, scene.width), float(bg))
-    bg_rgb = np.repeat(bg[..., None], 3, axis=2)
+    bg_rgb = np.full((scene.height, scene.width, 3), float(scene.background))
 
     frames = []
     truth = []
@@ -279,23 +277,16 @@ def generate_synthetic(scene: SyntheticScene, n_frames: int):
         motion = np.zeros((scene.height, scene.width), dtype=bool)
         shadow = np.zeros_like(motion)
         boxes = []
-        sils = []
-        for obj in scene.objects:
-            sils.append(_silhouette(obj, obj.trajectory[t], scene.width, scene.height))
         # Shadows first so objects draw on top of any cast shadow.
-        for obj, sil in zip(scene.objects, sils):
+        for obj in scene.objects:
             if obj.shadow_offset is None:
                 continue
-            dx, dy = obj.shadow_offset
-            cast = np.zeros_like(sil)
-            ys, xs = np.nonzero(sil)
-            ys2 = ys + int(round(dy))
-            xs2 = xs + int(round(dx))
-            keep = (ys2 >= 0) & (ys2 < scene.height) & (xs2 >= 0) & (xs2 < scene.width)
-            cast[ys2[keep], xs2[keep]] = True
-            frame[cast] = bg_rgb[cast] * obj.shadow_attenuation
+            dx, dy = (int(round(v)) for v in obj.shadow_offset)
+            cast = _silhouette(obj, obj.trajectory[t], scene.width, scene.height, dx, dy)
+            frame[cast] = bg_rgb[cast] * SHADOW_ATTENUATION
             shadow |= cast
-        for k, (obj, sil) in enumerate(zip(scene.objects, sils)):
+        for k, obj in enumerate(scene.objects):
+            sil = _silhouette(obj, obj.trajectory[t], scene.width, scene.height)
             frame[sil] = np.asarray(obj.albedo, dtype=np.float64)
             motion |= sil
             cx, cy, w, h = obj.trajectory[t]

@@ -268,16 +268,15 @@ def classify_box(descriptors, box, codebook: Codebook, svm_model):
 
 
 def recognize_frame(frame: np.ndarray, codebook: Codebook,
-                    table: dict, svm_model=None, b0: float = 0.1,
-                    grid_stride: int = 8):
-    """Vote, find modes, and verify hypotheses by BoW classification.
+                    table: dict, b0: float = 0.1, grid_stride: int = 8):
+    """Vote and find modes per class.
 
     Descriptors are extract_descriptors' default patches every
     grid_stride px, as learn_occurrences takes them.  Returns
-    (ObjectHypothesis, label) pairs, strongest first, scoring at least
-    SCORE_FRACTION of the best; a given svm_model relabels each from the
-    BoW of its box, the square of side s around (x, y).  Part models
-    (match_parts) are not matched here.
+    (ObjectHypothesis, label) pairs, strongest first (ties by label),
+    scoring at least SCORE_FRACTION of the best; each label is the class
+    that voted for its hypothesis.  Part models (match_parts) are not
+    matched here.
     """
     descs = extract_descriptors(frame, grid_stride=grid_stride)
     hypotheses = []
@@ -288,18 +287,6 @@ def recognize_frame(frame: np.ndarray, codebook: Codebook,
     if not hypotheses:
         return []
     top = max(h.score for h in hypotheses)
-    accepted = []
-    for hyp in sorted(hypotheses, key=lambda h: (-h.score, str(h.label))):
-        if hyp.score < SCORE_FRACTION * top:
-            continue
-        label = hyp.label
-        if svm_model is not None:
-            h, w = frame.shape
-            box = (int(max(0, hyp.x - hyp.s / 2)), int(max(0, hyp.y - hyp.s / 2)),
-                   int(min(w, hyp.x + hyp.s / 2)), int(min(h, hyp.y + hyp.s / 2)))
-            svm_label = classify_box(descs, box, codebook, svm_model)
-            if svm_label is not None:
-                label = svm_label
-        accepted.append((hyp, label))
-    return accepted
-
+    return [(hyp, hyp.label)
+            for hyp in sorted(hypotheses, key=lambda h: (-h.score, str(h.label)))
+            if hyp.score >= SCORE_FRACTION * top]

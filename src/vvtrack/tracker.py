@@ -73,7 +73,8 @@ class Species:
     particles: np.ndarray = None  # (N, 3), drawn each frame by _seed_swarm
     pbest: np.ndarray = None
     pbest_fit: np.ndarray = None
-    U: np.ndarray | None = None  # (PATCH_DIM, q) orthonormal basis
+    # (PATCH_DIM, q) orthonormal basis; q = 0 until the first subspace update
+    U: np.ndarray = field(default_factory=lambda: np.zeros((PATCH_DIM, 0)))
     window: deque = field(default_factory=deque)  # last config.window patches
     masked_rects: list = field(default_factory=list)
     lost_count: int = 0
@@ -178,10 +179,8 @@ def _rect_mask(box, rects) -> np.ndarray:
     return mask
 
 
-def _project_residual(o: np.ndarray, U: np.ndarray | None) -> np.ndarray:
+def _project_residual(o: np.ndarray, U: np.ndarray) -> np.ndarray:
     """o - UU^T o for each row vector of o (..., PATCH_DIM)."""
-    if U is None:
-        return o
     return o - (o @ U) @ U.T
 
 
@@ -198,10 +197,9 @@ def _power(patch: np.ndarray, sp: Species, config: TrackerConfig,
         res = np.where(mask, 0.0, _project_residual(o, sp.U))
         energy = np.einsum("...i,...i->...", res, res)
     else:
-        energy = np.einsum("...i,...i->...", o, o)
-        if sp.U is not None:
-            c = o @ sp.U
-            energy = np.maximum(energy - np.einsum("...i,...i->...", c, c), 0.0)
+        c = o @ sp.U
+        energy = np.maximum(np.einsum("...i,...i->...", o, o)
+                            - np.einsum("...i,...i->...", c, c), 0.0)
     return np.exp(-energy / config.sigma_obs_sq)
 
 
@@ -359,8 +357,8 @@ def selective_update(sp: Species, frame: np.ndarray,
     """
     box = state_box(sp, sp.gbest)
     patch = sample_patch(frame, box).ravel()
-    rec = sp.mean_patch + (patch - sp.mean_patch
-                           - _project_residual(patch - sp.mean_patch, sp.U))
+    o = patch - sp.mean_patch
+    rec = sp.mean_patch + (o - _project_residual(o, sp.U))
     overlap = _rect_mask(box, [a.rect for a in arenas if sp.id in a.pair]).ravel()
     reject = overlap & (np.abs(patch - rec) >= config.tau)
     merged = np.where(reject, rec, patch)
@@ -371,9 +369,7 @@ def selective_update(sp: Species, frame: np.ndarray,
         sp.mean_patch = data.mean(axis=1)
         centered = data - sp.mean_patch[:, None]
         u, svals, _ = np.linalg.svd(centered, full_matrices=False)
-        rank = int((svals > 1e-10).sum())
-        q = min(config.q, rank)
-        sp.U = u[:, :q] if q > 0 else None
+        sp.U = u[:, :min(config.q, int((svals > 1e-10).sum()))]
     return sp
 
 

@@ -8,6 +8,7 @@ on a dense grid, L2-normalized with the usual 0.2 clip.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -266,7 +267,7 @@ def bow_histogram(descriptors, codebook: Codebook) -> np.ndarray:
 class HistogramPyramid:
     """Histograms over point space, unit bins at level 0 and doubling per level."""
 
-    levels: list[dict]
+    levels: list[Counter]
     dim: int
 
     @property
@@ -280,19 +281,9 @@ def build_pyramid(points, n_levels: int) -> HistogramPyramid:
         pts = pts[:, None]
     if n_levels < 1:
         raise VocabularyError("need at least one pyramid level")
-    levels = []
-    for i in range(n_levels):
-        side = 2.0 ** i
-        hist: dict = {}
-        for p in pts:
-            key = tuple(int(v) for v in np.floor(p / side))
-            hist[key] = hist.get(key, 0) + 1
-        levels.append(hist)
+    levels = [Counter(map(tuple, np.floor(pts / 2.0 ** i).astype(np.int64).tolist()))
+              for i in range(n_levels)]
     return HistogramPyramid(levels=levels, dim=pts.shape[1])
-
-
-def _intersection(h1: dict, h2: dict) -> int:
-    return sum(min(c, h2[k]) for k, c in h1.items() if k in h2)
 
 
 def pmk(py: HistogramPyramid, pz: HistogramPyramid) -> float:
@@ -302,7 +293,7 @@ def pmk(py: HistogramPyramid, pz: HistogramPyramid) -> float:
     score = 0.0
     prev = 0
     for i in range(py.n_levels):
-        inter = _intersection(py.levels[i], pz.levels[i])
+        inter = (py.levels[i] & pz.levels[i]).total()
         score += (2.0 ** -i) * (inter - prev)
         prev = inter
     return score

@@ -66,8 +66,7 @@ def test_criterion_02_shadow_removal_ratio():
         obj = fio.SceneObject(
             shape="rect", trajectory=[(x, y, 12, 12)],
             albedo=(0.85, 0.3, 0.25),
-            shadow_offset=(int(rng.integers(3, 7)), int(rng.integers(6, 12))),
-            shadow_attenuation=0.5)
+            shadow_offset=(int(rng.integers(3, 7)), int(rng.integers(6, 12))))
         scene = fio.SyntheticScene(width=64, height=64, background=0.6,
                                    objects=[obj], noise_sigma=0.0)
         frames, truth = fio.generate_synthetic(scene, 1)

@@ -152,10 +152,12 @@ class TestUpdateBackground:
     def test_full_replacement_at_alpha_one(self):
         f0 = np.zeros((4, 4))
         f1 = np.ones((4, 4))
-        state = init_background(f0, a=0.05, b=0.1)
-        state.a = 0.05
-        # force alpha = 1 by direct arithmetic check of the filter form
-        state.B = state.B + 1.0 * (f1 - state.B)
+        state = init_background(f0, a=0.05, b=1.0)
+        for _ in range(5):
+            update_background(state, f0)
+        assert np.array_equal(state.B, f0)
+        # E(t) = 1, E(t-5) = 0: alpha = a + b |1 - 0| / 1 = 1.05, cut to 1
+        update_background(state, f1)
         assert np.array_equal(state.B, f1)
 
     def test_recursive_filter_arithmetic(self):

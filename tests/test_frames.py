@@ -198,7 +198,7 @@ def test_synthetic_shadow_attenuates_background():
     obj = SceneObject(shape="rect",
                       trajectory=[(16, 16, 8, 8)],
                       albedo=(0.9, 0.2, 0.2),
-                      shadow_offset=(6, 6), shadow_attenuation=0.5)
+                      shadow_offset=(6, 6))
     scene = SyntheticScene(width=32, height=32, background=0.6, objects=[obj])
     frames, truth = generate_synthetic(scene, 1)
     shadow = rle_decode(truth[0]["shadow_rle"], (32, 32))
@@ -206,6 +206,40 @@ def test_synthetic_shadow_attenuates_background():
     assert shadow.sum() > 0
     assert not (shadow & motion).any()  # truth marks object pixels only
     assert np.allclose(frames[0][shadow], 0.3)
+
+
+def _scatter_shadow(sil, offset):
+    """Reference: each silhouette pixel moved by the rounded offset, the
+    ones landing outside the frame dropped."""
+    height, width = sil.shape
+    cast = np.zeros_like(sil)
+    ys, xs = np.nonzero(sil)
+    ys2 = ys + int(round(offset[1]))
+    xs2 = xs + int(round(offset[0]))
+    keep = (ys2 >= 0) & (ys2 < height) & (xs2 >= 0) & (xs2 < width)
+    cast[ys2[keep], xs2[keep]] = True
+    return cast
+
+
+@pytest.mark.parametrize("shape", ["rect", "ellipse"])
+@pytest.mark.parametrize("offset", [
+    (6, 4), (-5, 3), (4, -7), (-6, -5), (2.6, -1.4),  # inside the frame
+    (25, 0), (-12, 0), (0, 12), (0, -12), (-12, -10),  # partly outside
+    (45, 0), (-25, 0), (0, 20), (0, -20)])  # wholly outside
+def test_cast_shadow_is_the_scattered_silhouette(shape, offset):
+    box = (14.5, 11.0, 9.0, 7.0)  # spans x 10..19, y 7.5..14.5 of a 40 x 24 frame
+    albedo = (0.9, 0.2, 0.2)
+    obj = SceneObject(shape=shape, trajectory=[box], albedo=albedo,
+                      shadow_offset=offset)
+    scene = SyntheticScene(width=40, height=24, background=0.6, objects=[obj])
+    frames, truth = generate_synthetic(scene, 1)
+    sil = rle_decode(truth[0]["motion_rle"], (24, 40))
+    cast = _scatter_shadow(sil, offset)
+    assert np.array_equal(rle_decode(truth[0]["shadow_rle"], (24, 40)), cast & ~sil)
+    expected = np.full((24, 40, 3), 0.6)
+    expected[cast] *= fio.SHADOW_ATTENUATION
+    expected[sil] = albedo
+    assert np.array_equal(frames[0], expected)
 
 
 def test_write_jsonl_honours_umask(tmp_path):

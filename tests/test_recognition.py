@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vvtrack import recognition as rec
-from vvtrack import vocab
+from vvtrack import svm, vocab
 from vvtrack.recognition import (OCCURRENCE, PartEdge, PartModel,
                                  RecognitionError, balloon_density, cast_votes,
                                  distance_transform_1d, distance_transform_2d,
@@ -436,61 +436,68 @@ class TestRecognizeFrame:
         # true center is (40, 24)
         assert abs(hyp.x - 40.0) < 8.0 and abs(hyp.y - 24.0) < 8.0
 
-    def test_svm_model_labels_the_hypotheses(self):
-        train = [(_textured_square(seed=s, box=(20, 20, 24, 24)),
-                  "sq", (32.0, 32.0), 24.0) for s in range(3)]
-        descs = [d.vector for f, *_ in train for d in vocab.extract_descriptors(f)
-                 if np.any(d.vector)]
-        cb = vocab.kmeans(np.asarray(descs), 10, seed=0)
-        table = learn_occurrences(train, cb, grid_stride=12)
-        rng = np.random.default_rng(3)
-        flat = [np.clip(0.5 + rng.normal(0, 0.01, (64, 64)), 0, 1) for _ in range(3)]
-        hists = [vocab.bow_histogram(vocab.extract_descriptors(f), cb)
-                 for f in [f for f, *_ in train] + flat]
-        model = train_svm(hists, ["textured"] * 3 + ["flat"] * 3, C=5.0, seed=0)
-        test_frame = _textured_square(seed=9, box=(28, 12, 24, 24))
-        found = rec.recognize_frame(test_frame, cb, table, svm_model=model,
-                                    b0=0.4, grid_stride=12)
-        assert found
-        assert found[0][1] == "textured"
-
-    def test_svm_relabel_classifies_the_hyp_square(self, monkeypatch):
+    def test_matches_per_class_vote_oracle(self):
         frames, cb = _square_codebook(10)
-        # a 6-px grid: descriptor centres fall on box edges, so an edge off
-        # by one pixel changes the classified set
-        table = learn_occurrences(frames, cb, grid_stride=6)
-        rng = np.random.default_rng(3)
-        flat = [np.clip(0.5 + rng.normal(0, 0.01, (64, 64)), 0, 1) for _ in range(3)]
-        hists = [vocab.bow_histogram(vocab.extract_descriptors(f), cb)
-                 for f in [f for f, *_ in frames] + flat]
-        model = train_svm(hists, ["textured"] * 3 + ["flat"] * 3, C=5.0, seed=0)
+        # class "b" is trained on squares centred off their boxes, so its
+        # votes land elsewhere and both classes propose hypotheses
+        shifted = [(f, "b", (26.0, 38.0), 24.0) for f, *_ in frames]
+        table = learn_occurrences(frames + shifted, cb, grid_stride=6)
         test_frame = _textured_square(seed=9, box=(28, 12, 24, 24))
+        found = rec.recognize_frame(test_frame, cb, table, b0=0.2, grid_stride=6)
+
         descs = vocab.extract_descriptors(test_frame, grid_stride=6)
-        seen = []
-        histogram = vocab.bow_histogram
-
-        def spy(d, *args, **kwargs):
-            seen.append(np.column_stack([d.x, d.y]))
-            return histogram(d, *args, **kwargs)
-
-        monkeypatch.setattr(vocab, "bow_histogram", spy)
-        found = rec.recognize_frame(test_frame, cb, table, svm_model=model, b0=0.2,
-                                    grid_stride=6)
-        monkeypatch.undo()
-        assert len(found) >= 3 and len(seen) == len(found)
-        assert {label for _, label in found} == {"flat", "textured"}
-        for (hyp, label), centres in zip(found, seen):
-            # the hypothesis scale is the box side, cut to whole pixels
-            box = (int(max(0, hyp.x - hyp.s / 2)), int(max(0, hyp.y - hyp.s / 2)),
-                   int(min(64, hyp.x + hyp.s / 2)), int(min(64, hyp.y + hyp.s / 2)))
-            inside = ((box[0] <= descs.x) & (descs.x < box[2])
-                      & (box[1] <= descs.y) & (descs.y < box[3]))
-            assert inside.any()
-            assert np.array_equal(centres, np.column_stack([descs.x, descs.y])[inside])
-            assert label == rec.classify_box(descs, box, cb, model)
+        modes = [(m.x, m.y, m.s, m.score, cls) for cls, occ in table.items()
+                 for m in meanshift_modes(cast_votes(descs, cb, occ), b0=0.2)]
+        top = max(m[3] for m in modes)
+        expected = sorted((m for m in modes if m[3] >= rec.SCORE_FRACTION * top),
+                          key=lambda m: (-m[3], m[4]))
+        assert len(expected) < len(modes)  # the score filter drops some
+        assert {m[4] for m in expected} == {"sq", "b"}
+        assert [(h.x, h.y, h.s, h.score, label) for h, label in found] == expected
+        assert all(label == h.label for h, label in found)
 
     def test_featureless_frame_no_hypotheses(self):
         cb = Codebook(words=np.zeros((2, 128)), seed=0)
         table = {"sq": np.zeros(0, dtype=OCCURRENCE)}
         assert rec.recognize_frame(np.full((32, 32), 0.5), cb, table) == []
 
+
+class TestClassifyBox:
+    def _model(self, frames, cb):
+        rng = np.random.default_rng(3)
+        flat = [np.clip(0.5 + rng.normal(0, 0.01, (64, 64)), 0, 1) for _ in range(3)]
+        hists = [vocab.bow_histogram(vocab.extract_descriptors(f), cb)
+                 for f in [f for f, *_ in frames] + flat]
+        return train_svm(hists, ["textured"] * 3 + ["flat"] * 3, C=5.0, seed=0)
+
+    def test_classifies_the_descriptors_centred_in_the_half_open_box(self, monkeypatch):
+        frames, cb = _square_codebook(10)
+        model = self._model(frames, cb)
+        test_frame = _textured_square(seed=9, box=(28, 12, 24, 24))
+        # a 6-px grid: centres 8, 14, ..., 56 fall on both edges of the box
+        descs = vocab.extract_descriptors(test_frame, grid_stride=6)
+        box = (20, 14, 44, 38)
+        seen = []
+        histogram = vocab.bow_histogram
+
+        def spy(d, *args, **kwargs):
+            seen.append(d)
+            return histogram(d, *args, **kwargs)
+
+        monkeypatch.setattr(vocab, "bow_histogram", spy)
+        label = rec.classify_box(descs, box, cb, model)
+        monkeypatch.undo()
+        (chosen,) = seen
+        assert sorted(set(chosen.x.tolist())) == [20, 26, 32, 38]
+        assert sorted(set(chosen.y.tolist())) == [14, 20, 26, 32]
+        assert len(chosen) == 16
+        assert label == svm.predict(model, histogram(chosen, cb))[0] == "textured"
+
+    def test_featureless_box_has_no_label(self):
+        frames, cb = _square_codebook(10)
+        test_frame = _textured_square(seed=9, box=(28, 12, 24, 24))
+        descs = vocab.extract_descriptors(test_frame, grid_stride=6)
+        box = (0, 50, 64, 64)  # centre rows 50 and 56, their patches all flat
+        inside = (box[1] <= descs.y) & (descs.y < box[3])
+        assert inside.sum() == 18 and not descs.vector[inside].any()
+        assert rec.classify_box(descs, box, cb, self._model(frames, cb)) is None

@@ -207,7 +207,7 @@ class TestSplitShadow:
     def _shadow_frame(self):
         obj = SceneObject(shape="rect", trajectory=[(14, 20, 12, 12)],
                           albedo=(0.85, 0.3, 0.25),
-                          shadow_offset=(4, 10), shadow_attenuation=0.5)
+                          shadow_offset=(4, 10))
         scene = SyntheticScene(width=48, height=48, background=0.6,
                                objects=[obj], noise_sigma=0.0)
         frames, truth = generate_synthetic(scene, 1)

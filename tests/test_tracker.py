@@ -218,6 +218,32 @@ class TestObserve:
         sp.masked_rects = [(40.0, 20.0, 20.0, 20.0)]
         assert observe(frame, sp, state, cfg) == cfg.fit_floor
 
+    def test_empty_basis_before_the_first_update(self):
+        """Until the first subspace update U has no columns: the fit is
+        exp(-sum o^2 / sigma^2) over the unmasked pixels, and the
+        reconstruction is the mean patch itself, so the update stores the
+        patch with each rejected overlap pixel taken from the mean."""
+        frame = _smooth_texture((64, 96), seed=5)
+        cfg = TrackerConfig()
+        state = np.array([49.0, 31.0, 1.0])  # the start box moved by (1, 1)
+        for rects, n_kept in (([], PATCH_DIM), ([(40.0, 20.0, 8.0, 30.0)], 544)):
+            sp = init_species(frame, 0, (40, 24, 16, 12), cfg)
+            assert sp.U.shape == (PATCH_DIM, 0)
+            sp.masked_rects = rects
+            box = state_box(sp, state)
+            o = sample_patch(frame, box).ravel() - sp.mean_patch
+            kept = ~trk._rect_mask(box, rects).ravel()
+            assert kept.sum() == n_kept
+            expected = np.exp(-(o[kept] ** 2).sum() / cfg.sigma_obs_sq)
+            assert observe(frame, sp, state, cfg) == pytest.approx(expected, rel=1e-12)
+        sp.gbest = state
+        arena = trk.CompetitionArena(pair=(0, 1), rect=rects[0])
+        selective_update(sp, frame, [arena], cfg)
+        patch = sample_patch(frame, box).ravel()
+        reject = ~kept & (np.abs(patch - sp.mean_patch) >= cfg.tau)
+        assert reject.sum() == 100
+        assert np.array_equal(sp.window[-1], np.where(reject, sp.mean_patch, patch))
+
 
 def _oracle_observe(frame, sp, state, config):
     """One state at a time: the observation model before swarms were batched.
@@ -390,7 +416,7 @@ class TestInitSpecies:
         assert sp.template == (8.0, 6.0)
         assert sp.particles is None  # drawn each frame by _seed_swarm
         assert len(sp.window) == 1 and sp.window.maxlen == cfg.window
-        assert sp.U is None
+        assert sp.U.shape == (PATCH_DIM, 0)
 
     def test_degenerate_box_errors(self):
         with pytest.raises(TrackerError):
@@ -532,10 +558,9 @@ class TestSelectiveUpdate:
         sp = init_species(frames[0], 0, (20, 20, 16, 16), cfg)
         selective_update(sp, frames[1], [], cfg)
         selective_update(sp, frames[2], [], cfg)
-        assert sp.U is None  # frames_tracked = 2 < 3
+        assert sp.U.shape == (PATCH_DIM, 0)  # frames_tracked = 2 < 3
         selective_update(sp, frames[3], [], cfg)
-        assert sp.U is not None
-        assert sp.U.shape[0] == PATCH_DIM and sp.U.shape[1] <= 4
+        assert sp.U.shape[0] == PATCH_DIM and 1 <= sp.U.shape[1] <= 4
         # orthonormal columns
         assert np.allclose(sp.U.T @ sp.U, np.eye(sp.U.shape[1]), atol=1e-10)
 
@@ -552,7 +577,7 @@ class TestSelectiveUpdate:
         stored = sp.window[-1].reshape(PATCH, PATCH)
         clean = sample_patch(frame, state_box(sp, sp.gbest))
         corrupt_patch = sample_patch(corrupted, state_box(sp, sp.gbest))
-        # with U = None the reconstruction is the template itself, so
+        # with an empty basis the reconstruction is the template itself, so
         # overlap pixels differing from it by >= tau keep the template
         # and everything else takes the new observation
         overlap = np.zeros((PATCH, PATCH), bool)
