@@ -176,8 +176,9 @@ def cmd_eval(args, cfg) -> int:
     truth = fio.read_jsonl(args.truth)
     report = met.evaluate_tracks(tracks, truth)
     met.write_report_csv(args.out, report)
+    err = report.mean_center_error
     print(f"success rate {report.success_rate:.3f}, "
-          f"mean center error {report.mean_center_error:.2f} px, "
+          f"mean center error {'n/a' if err is None else f'{err:.2f} px'}, "
           f"fp/frame {report.fp_per_frame:.3f}, "
           f"id switches {report.id_switches}")
     return 0

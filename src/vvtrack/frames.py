@@ -2,7 +2,8 @@
 
 Frames are numpy float64 arrays with intensities in [0, 1]: grayscale
 frames are (H, W), RGB frames are (H, W, 3).  Files on disk are binary
-8-bit PGM (P5) / PPM (P6) with maxval 255.
+8-bit PGM (P5) / PPM (P6) with maxval 255; read_pnm_bytes gives their
+pixels as uint8 arrays.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ def _read_pnm_header(data: bytes, path):
     return magic, width, height, maxval, pos + 1
 
 
-def read_pnm(path) -> np.ndarray:
-    """Read a binary P5 (gray) or P6 (RGB) file into a [0, 1] float array."""
+def read_pnm_bytes(path) -> np.ndarray:
+    """Read a binary P5 (gray) or P6 (RGB) file into a read-only uint8 array."""
     path = Path(path)
     try:
         data = path.read_bytes()
@@ -105,15 +106,23 @@ def read_pnm(path) -> np.ndarray:
     raw = np.frombuffer(data, dtype=np.uint8, count=-1, offset=pos)
     if raw.size < n:
         raise FrameError(f"{path}: truncated pixel data ({raw.size} of {n} bytes)")
-    pixels = raw[:n].astype(np.float64) / 255.0
-    if channels == 1:
-        return pixels.reshape(height, width)
-    return pixels.reshape(height, width, 3)
+    return raw[:n].reshape((height, width) if channels == 1 else (height, width, 3))
+
+
+def read_pnm(path) -> np.ndarray:
+    """Read a binary P5 (gray) or P6 (RGB) file into a [0, 1] float array."""
+    pixels = read_pnm_bytes(path).astype(np.float64)
+    pixels /= 255.0
+    return pixels
 
 
 def write_pnm(path, frame: np.ndarray) -> None:
-    """Write a [0, 1] float array as binary P5 (2-D) or P6 (3-D) with maxval 255."""
-    frame = np.asarray(frame, dtype=np.float64)
+    """Write a frame as binary P5 (2-D) or P6 (3-D) with maxval 255.
+
+    A uint8 array is written as it is; any other array holds [0, 1]
+    intensities, rounded to the nearest of the 256 levels.
+    """
+    frame = np.asarray(frame)
     if frame.ndim == 2:
         magic = b"P5"
         h, w = frame.shape
@@ -122,17 +131,20 @@ def write_pnm(path, frame: np.ndarray) -> None:
         h, w = frame.shape[:2]
     else:
         raise FrameError(f"cannot write frame of shape {frame.shape}")
-    data = np.clip(np.rint(frame * 255.0), 0, 255).astype(np.uint8)
+    if frame.dtype != np.uint8:
+        frame = np.multiply(frame, 255.0, dtype=np.float64)
+        np.rint(frame, out=frame)
+        frame = np.clip(frame, 0, 255, out=frame).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(magic + b"\n%d %d\n255\n" % (w, h))
-        fh.write(data.tobytes())
+        fh.write(frame.tobytes())
 
 
 def write_mask_pgm(path, mask: np.ndarray) -> None:
     write_pnm(path, np.where(np.asarray(mask, bool), 1.0, 0.0))
 
 
-def read_sequence(directory, start: int = 0) -> Iterator[np.ndarray]:
+def read_sequence(directory, start: int = 0, raw: bool = False) -> Iterator[np.ndarray]:
     """Frames of a numbered PGM/PPM sequence in increasing index order, read lazily.
 
     The numeric index is the last run of digits in the file name.  The
@@ -141,7 +153,8 @@ def read_sequence(directory, start: int = 0) -> Iterator[np.ndarray]:
     (frame positions must match the indices); each frame is read only when
     the iterator reaches it, and one whose dimensions differ from the
     first frame read raises FrameError then.  The first ``start`` frames
-    are skipped without being read.
+    are skipped without being read.  Each frame is read by read_pnm, or
+    with ``raw`` by read_pnm_bytes.
     """
     directory = Path(directory)
     indexed = []
@@ -156,13 +169,13 @@ def read_sequence(directory, start: int = 0) -> Iterator[np.ndarray]:
     for (i, p), (j, q) in zip(indexed, indexed[1:]):
         if i == j:
             raise FrameError(f"{p} and {q} carry the same frame index {i}")
-    return _read_frames([p for _, p in indexed[start:]])
+    return _read_frames([p for _, p in indexed[start:]], raw)
 
 
-def _read_frames(paths):
+def _read_frames(paths, raw):
     shape = None
     for p in paths:
-        frame = read_pnm(p)
+        frame = read_pnm_bytes(p) if raw else read_pnm(p)
         if shape is None:
             shape = frame.shape[:2]
         elif frame.shape[:2] != shape:

@@ -91,7 +91,7 @@ def _box(v) -> bool:
 @dataclass
 class TrackingReport:
     success_rate: float
-    mean_center_error: float
+    mean_center_error: float | None  # None when no box matched
     fp_per_frame: float
     id_switches: int
     n_frames: int
@@ -105,7 +105,8 @@ def evaluate_tracks(tracks, truth) -> TrackingReport:
     dicts). truth: per-frame records with "frame" and "objects" [{id, box}],
     at most one record per frame. Frames and ids are integers, coordinates
     finite and sizes positive; any other value raises MetricsError.
-    Success rate counts truth boxes matched above IOU_THRESHOLD; an
+    Success rate counts truth boxes matched above IOU_THRESHOLD, and the
+    mean center error averages over those matches (None without any); an
     identity switch is a change in the track id matched to a truth object.
     """
     def rec_get(r, key, valid):
@@ -163,7 +164,7 @@ def evaluate_tracks(tracks, truth) -> TrackingReport:
 
     return TrackingReport(
         success_rate=n_matched / n_truth if n_truth else 1.0,
-        mean_center_error=float(np.mean(center_errors)) if center_errors else 0.0,
+        mean_center_error=float(np.mean(center_errors)) if center_errors else None,
         fp_per_frame=fp_total / len(common),
         id_switches=switches,
         n_frames=len(common),
@@ -172,6 +173,7 @@ def evaluate_tracks(tracks, truth) -> TrackingReport:
 
 
 def write_report_csv(path, report: TrackingReport) -> None:
+    """One metric,value row per report field; a None value is an empty field."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["metric", "value"])

@@ -20,6 +20,7 @@ ID_COLORS = [
     (1.0, 0.2, 0.2), (0.2, 1.0, 0.2), (0.2, 0.4, 1.0), (1.0, 1.0, 0.2),
     (1.0, 0.2, 1.0), (0.2, 1.0, 1.0), (1.0, 0.6, 0.2), (0.6, 0.2, 1.0),
 ]
+_ID_COLORS_8BIT = np.rint(np.multiply(ID_COLORS, 255.0)).astype(np.uint8)
 MAX_OBJECTS = 8  # trackers seeded at most, from the seed frame's largest blobs
 
 
@@ -134,7 +135,8 @@ def run_pipeline(in_dir, out_dir, cfg, seed: int | None = None):
     """detect -> recognize -> track; returns (records, report or None).
 
     Detection reads frames only up to the seed frame; tracking and the
-    annotated copies each stream the sequence again, one frame at a time.
+    annotated copies (drawn on the 8-bit pixels) each stream the sequence
+    again, one frame at a time.
     """
     if seed is None:
         seed = cfg["seed"]
@@ -169,7 +171,7 @@ def run_pipeline(in_dir, out_dir, cfg, seed: int | None = None):
         report = met.evaluate_tracks(records, fio.read_jsonl(truth_path))
     # tracks.jsonl is written after the annotated frames: a frame that fails
     # to read leaves none.
-    write_annotated(out_dir / "annotated", fio.read_sequence(in_dir), records)
+    write_annotated(out_dir / "annotated", fio.read_sequence(in_dir, raw=True), records)
     fio.write_jsonl(out_dir / "tracks.jsonl",
                     (asdict(r) | {"label": None if labels[r.id] is None
                                   else str(labels[r.id])} for r in records))
@@ -179,7 +181,7 @@ def run_pipeline(in_dir, out_dir, cfg, seed: int | None = None):
 
 
 def write_annotated(directory, frames, records) -> None:
-    """One PPM per frame with each track's box drawn in its id's color.
+    """One PPM per uint8 frame with each track's box drawn in its id's color.
 
     A box is clipped to the frame; one that misses the frame is not drawn.
     """
@@ -189,10 +191,11 @@ def write_annotated(directory, frames, records) -> None:
     for r in records:
         by_frame.setdefault(r.frame, []).append(r)
     for t, frame in enumerate(frames):
-        canvas = fio.gray_to_rgb(frame) if frame.ndim == 2 else frame.copy()
+        canvas = (np.repeat(frame[..., None], 3, axis=2) if frame.ndim == 2
+                  else frame.copy())
         fh, fw = frame.shape[:2]
         for r in by_frame.get(t, []):
-            color = ID_COLORS[r.id % len(ID_COLORS)]
+            color = _ID_COLORS_8BIT[r.id % len(_ID_COLORS_8BIT)]
             left, right = r.cx - r.w / 2, r.cx + r.w / 2
             top, bottom = r.cy - r.h / 2, r.cy + r.h / 2
             if not (right >= 0 and bottom >= 0 and left <= fw - 1 and top <= fh - 1):

@@ -98,39 +98,39 @@ def state_box(sp: Species, state):
     return (cx - w / 2.0, cy - h / 2.0, w, h)
 
 
-def _patch_axes(box):
-    """Column and row sample positions (xs, ys), each (..., PATCH), of the grid."""
-    x, y, w, h = (np.asarray(v, dtype=np.float64)[..., None] for v in box)
-    return x + _GRID * np.maximum(w - 1, 1e-9), y + _GRID * np.maximum(h - 1, 1e-9)
-
-
-def _split_axis(v: np.ndarray, n: int):
-    """Lower and upper sample index and the fraction between them of each
-    position v clamped to [0, n - 1], as mode="nearest" of a linear spline.
-
-    At v = n - 1 both indices are n - 1, so no index leaves the axis.
-    """
-    v = np.minimum(np.maximum(v, 0.0), n - 1)
-    i0 = v.astype(np.intp)  # floor, as v >= 0
-    return i0, np.minimum(i0 + 1, n - 1), v - i0
+def _positions(box) -> np.ndarray:
+    """Sample positions (..., 2, PATCH) of the grid across each box (see
+    sample_patch): columns in row 0, rows in row 1."""
+    if not isinstance(box, np.ndarray):
+        box = np.stack(box, axis=-1)
+    return box[..., :2, None] + _GRID * np.maximum(box[..., 2:, None] - 1, 1e-9)
 
 
 def sample_patch(frame: np.ndarray, box) -> np.ndarray:
     """Bilinear resample of each box region to (..., PATCH, PATCH) (edge clamp).
 
-    The grid is separable, so each box needs only its PATCH column and
-    PATCH row positions.  While every box of the batch spans at most
-    PATCH frame rows, each row of a box's contiguous run from its top row,
-    clamped to the frame, is interpolated in x once, and one batched
-    product with a (PATCH, span) weight matrix mixes those rows in y.  A
-    taller batch interpolates rows y0 and y1 of every sample and mixes
-    each pair directly: past PATCH rows the product costs more than the
-    row evaluations it saves.
+    box holds the fields (x, y, w, h), as four arrays of shape (...) or as
+    one (..., 4) array.  The grid is separable, so each box needs only its
+    PATCH column and PATCH row positions, clamped to the frame and split
+    into a lower index floor(v), an upper index min(floor(v) + 1, n - 1)
+    and the fraction between them, for both axes at once.  While
+    every box of the batch spans at most PATCH frame rows, each row of a
+    box's contiguous run from its top row, clamped to the frame, is
+    interpolated in x once, and one batched product with a (PATCH, span)
+    weight matrix mixes those rows in y.  A taller batch interpolates rows
+    y0 and y1 of every sample and mixes each pair directly: past PATCH rows
+    the product costs more than the row evaluations it saves.
     """
-    xs, ys = _patch_axes(box)
     fh, fw = frame.shape
-    x0, x1, fx = (a[..., None, :] for a in _split_axis(xs, fw))
-    y0, y1, fy = _split_axis(ys, fh)
+    last = np.array([[fw - 1], [fh - 1]])
+    v = _positions(box)
+    np.maximum(v, 0.0, out=v)
+    np.minimum(v, last, out=v)
+    i0 = v.astype(np.intp)  # floor, as v >= 0
+    i1 = np.minimum(i0 + 1, last)  # at v = n - 1 both indices are n - 1
+    v -= i0
+    x0, x1, fx = i0[..., :1, :], i1[..., :1, :], v[..., :1, :]
+    y0, y1, fy = i0[..., 1, :], i1[..., 1, :], v[..., 1, :]
     base = y0[..., :1]
     span = int((y1[..., -1:] - base).max(initial=0)) + 1
     if span > PATCH:
@@ -152,9 +152,9 @@ def _interp_rows(frame, rows, x0, x1, fx):
     """Frame rows (..., R) interpolated at the columns x0 + fx: (..., R, PATCH)."""
     at = (rows * frame.shape[1])[..., :, None] + x0
     flat = frame.ravel()
-    left = flat[at]
+    left = flat.take(at)
     at += x1 - x0
-    return _lerp(left, flat[at], fx)
+    return _lerp(left, flat.take(at), fx)
 
 
 def _lerp(a, b, t):
@@ -171,7 +171,8 @@ def _lerp(a, b, t):
 
 def _rect_mask(box, rects) -> np.ndarray:
     """(..., PATCH, PATCH) mask of the pixels whose centers fall in any rect."""
-    xs, ys = _patch_axes(box)
+    v = _positions(box)
+    xs, ys = v[..., 0, :], v[..., 1, :]
     mask = np.zeros(xs.shape[:-1] + (PATCH, PATCH), dtype=bool)
     for rx, ry, rw, rh in rects:
         mask |= (((ys >= ry) & (ys <= ry + rh))[..., :, None]
@@ -188,11 +189,13 @@ def _power(patch: np.ndarray, sp: Species, config: TrackerConfig,
            mask: np.ndarray | None = None) -> np.ndarray:
     """exp(-||o - UU^T o||^2 / sigma^2) per (..., PATCH_DIM) patch, o = patch - mean.
 
-    Pixels where mask is true are left out of the residual.  Unmasked, the
-    energy is ||o||^2 - ||U^T o||^2 (U orthonormal), clamped at 0 against
-    rounding, so no residual as large as o is formed.
+    patch is centred in place, so it holds o afterwards.  Pixels where mask
+    is true are left out of the residual.  Unmasked, the energy is
+    ||o||^2 - ||U^T o||^2 (U orthonormal), clamped at 0 against rounding,
+    so no residual as large as o is formed.
     """
-    o = patch - sp.mean_patch
+    o = patch
+    o -= sp.mean_patch
     if mask is not None:
         res = np.where(mask, 0.0, _project_residual(o, sp.U))
         energy = np.einsum("...i,...i->...", res, res)
@@ -212,10 +215,12 @@ def observe(frame: np.ndarray, sp: Species, state, config: TrackerConfig):
     the residual; a box with every pixel masked shows the species nothing
     and floors too.
     """
-    x, y, w, h = box = state_box(sp, state)
+    state = np.asarray(state, dtype=np.float64)
+    wh = state[..., 2:] * sp.template
+    corner = state[..., :2] - wh / 2.0
     fh, fw = frame.shape
-    outside = ((x + w <= 0) | (y + h <= 0) | (x >= fw) | (y >= fh)
-               | (w <= 0) | (h <= 0))
+    outside = ((corner + wh <= 0) | (corner >= (fw, fh)) | (wh <= 0)).any(axis=-1)
+    box = np.concatenate((corner, wh), axis=-1)
     shape = outside.shape + (PATCH_DIM,)
     patch = sample_patch(frame, box).reshape(shape)
     mask = _rect_mask(box, sp.masked_rects).reshape(shape) if sp.masked_rects else None
@@ -318,7 +323,7 @@ def compete(arena: CompetitionArena, frame: np.ndarray,
     if w <= 0 or h <= 0:
         raise TrackerError("competition arena has empty overlap")
     patch = sample_patch(frame, arena.rect).ravel()
-    powers = {k: _power(patch, species[k], config) for k in arena.pair}
+    powers = {k: _power(patch.copy(), species[k], config) for k in arena.pair}
     total = sum(powers.values())
     if total <= 0:
         arena.interactive = {k: 0.5 for k in arena.pair}
@@ -357,12 +362,13 @@ def selective_update(sp: Species, frame: np.ndarray,
     """
     box = state_box(sp, sp.gbest)
     patch = sample_patch(frame, box).ravel()
-    o = patch - sp.mean_patch
-    rec = sp.mean_patch + (o - _project_residual(o, sp.U))
-    overlap = _rect_mask(box, [a.rect for a in arenas if sp.id in a.pair]).ravel()
-    reject = overlap & (np.abs(patch - rec) >= config.tau)
-    merged = np.where(reject, rec, patch)
-    sp.window.append(merged)
+    rects = [a.rect for a in arenas if sp.id in a.pair]
+    if rects:
+        o = patch - sp.mean_patch
+        rec = sp.mean_patch + (o - _project_residual(o, sp.U))
+        reject = _rect_mask(box, rects).ravel() & (np.abs(patch - rec) >= config.tau)
+        patch = np.where(reject, rec, patch)
+    sp.window.append(patch)
     sp.frames_tracked += 1
     if sp.frames_tracked % config.update_every == 0 and len(sp.window) >= 2:
         data = np.stack(sp.window, axis=1)  # (PATCH_DIM, W)

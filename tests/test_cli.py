@@ -543,6 +543,17 @@ class TestTrackAndEval:
         assert rc == 0
         assert (out / "eval.csv").exists()
 
+    def test_eval_without_a_match_prints_no_center_error(self, tmp_path, capsys):
+        seq = _generate(tmp_path, frames=4)
+        tracks = tmp_path / "tracks.jsonl"
+        fio.write_jsonl(tracks, [{"frame": 0, "id": 0, "cx": 2.0, "cy": 2.0,
+                                  "w": 2.0, "h": 2.0}])
+        assert main(["eval", "--tracks", str(tracks), "--truth",
+                     str(seq / "truth.jsonl"), "--out", str(tmp_path / "m.csv")]) == 0
+        out = capsys.readouterr().out
+        assert "success rate 0.000, mean center error n/a, fp/frame 1.000" in out
+        assert b"mean_center_error,\r\n" in (tmp_path / "m.csv").read_bytes()
+
     def test_track_labels_boxes_with_trained_models(self, tmp_path):
         seq = _generate(tmp_path, frames=8)
         rng = np.random.default_rng(1)

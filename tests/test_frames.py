@@ -66,6 +66,19 @@ def test_pnm_roundtrip_gray_and_rgb(tmp_path):
     assert np.allclose(read_pnm(tmp_path / "c.ppm"), rgb)
 
 
+@pytest.mark.parametrize("shape", [(5, 9), (4, 6, 3)], ids=["pgm", "ppm"])
+def test_write_pnm_of_8bit_pixels_reproduces_the_file(tmp_path, shape):
+    """A uint8 frame from read_pnm_bytes is written as it is, so it gives
+    back the file write_pnm made from floats, whose read_pnm it is *255."""
+    frame = np.random.default_rng(1).random(shape)
+    write_pnm(tmp_path / "float.pnm", frame)
+    pixels = fio.read_pnm_bytes(tmp_path / "float.pnm")
+    assert pixels.dtype == np.uint8 and pixels.shape == shape
+    assert np.array_equal(pixels, read_pnm(tmp_path / "float.pnm") * 255.0)
+    write_pnm(tmp_path / "bytes.pnm", pixels)
+    assert (tmp_path / "bytes.pnm").read_bytes() == (tmp_path / "float.pnm").read_bytes()
+
+
 def test_pnm_255_maps_to_one(tmp_path):
     (tmp_path / "p.ppm").write_bytes(b"P6\n1 1\n255\n" + bytes([255, 0, 0]))
     frame = read_pnm(tmp_path / "p.ppm")

@@ -106,6 +106,17 @@ class TestEvaluateTracks:
         rep = evaluate_tracks(tracks, truth)
         assert rep.mean_center_error == pytest.approx(3.0)
 
+    def test_no_match_has_no_center_error(self):
+        """A track that never overlaps the truth has no center error to
+        report, not the 0.0 px of perfect centring; its CSV field is empty."""
+        tracks = [_track(t, 0, 60.0, 60.0, 10, 10) for t in range(3)]
+        truth = [_truth_frame(t, [(0, (10, 10, 10, 10))]) for t in range(3)]
+        rep = evaluate_tracks(tracks, truth)
+        assert rep.success_rate == 0.0
+        assert rep.n_matches == 0
+        assert rep.fp_per_frame == 1.0
+        assert rep.mean_center_error is None
+
     def test_false_positive_counted(self):
         tracks = [_track(0, 0, 15.0, 15.0, 10, 10),
                   _track(0, 1, 50.0, 50.0, 10, 10)]
@@ -217,3 +228,13 @@ def test_report_csv_roundtrip(tmp_path):
     assert float(rows["mean_center_error"]) == 1.5
     assert int(rows["id_switches"]) == 2
     assert int(rows["n_frames"]) == 20
+
+
+def test_report_csv_leaves_a_missing_center_error_empty(tmp_path):
+    rep = TrackingReport(success_rate=0.0, mean_center_error=None,
+                         fp_per_frame=1.0, id_switches=0, n_frames=3, n_matches=0)
+    write_report_csv(tmp_path / "m.csv", rep)
+    with open(tmp_path / "m.csv") as fh:
+        rows = {r[0]: r[1] for r in csv.reader(fh) if r}
+    assert rows["mean_center_error"] == ""
+    assert float(rows["success_rate"]) == 0.0

@@ -141,14 +141,57 @@ def test_write_annotated_clips_boxes_and_skips_off_frame_ones(tmp_path):
         return np.rint(fio.read_pnm(tmp_path / f"frame_{t:04d}.ppm") * 255.0)
 
     frame = np.full((20, 30), 0.5)
+    pixels = np.rint(frame * 255.0).astype(np.uint8)  # the frame as a file holds it
     blank = fio.gray_to_rgb(frame)
     off = [TrackRecord(0, 0, cx, cy, 1.0, 10.0, 6.0, 1.0)
            for cx, cy in [(-20.0, 10.0), (45.0, 10.0), (15.0, -9.0), (15.0, 30.0)]]
     clipped = TrackRecord(1, 1, -2.0, 17.0, 1.0, 10.0, 8.0, 1.0)  # x -7..3, y 13..21
-    pl.write_annotated(tmp_path, [frame, frame], off + [clipped])
+    pl.write_annotated(tmp_path, [pixels, pixels], off + [clipped])
     assert np.array_equal(read(0), np.rint(blank * 255.0))
     expected = blank.copy()
     color = pl.ID_COLORS[1]
     expected[13, 0:4] = expected[19, 0:4] = color
     expected[13:20, 0] = expected[13:20, 3] = color
     assert np.array_equal(read(1), np.rint(expected * 255.0))
+
+
+def _annotated_in_float(frame, records):
+    """The float drawing write_annotated replaced, kept as its oracle: the
+    [0, 1] frame as an RGB canvas with each box drawn in its ID_COLORS entry,
+    quantized only when written."""
+    canvas = fio.gray_to_rgb(frame) if frame.ndim == 2 else frame.copy()
+    fh, fw = frame.shape[:2]
+    for r in records:
+        color = pl.ID_COLORS[r.id % len(pl.ID_COLORS)]
+        left, right = r.cx - r.w / 2, r.cx + r.w / 2
+        top, bottom = r.cy - r.h / 2, r.cy + r.h / 2
+        if not (right >= 0 and bottom >= 0 and left <= fw - 1 and top <= fh - 1):
+            continue
+        x0, x1 = int(max(0, left)), int(min(fw - 1, right))
+        y0, y1 = int(max(0, top)), int(min(fh - 1, bottom))
+        canvas[y0, x0:x1 + 1] = color
+        canvas[y1, x0:x1 + 1] = color
+        canvas[y0:y1 + 1, x0] = color
+        canvas[y0:y1 + 1, x1] = color
+    return canvas
+
+
+@pytest.mark.parametrize("shape", [(20, 30), (20, 30, 3)], ids=["gray", "rgb"])
+def test_write_annotated_on_8bit_pixels_matches_the_float_drawing(tmp_path, shape):
+    from vvtrack.tracker import TrackRecord
+    rng = np.random.default_rng(len(shape))
+    pixels = rng.integers(0, 256, shape, dtype=np.uint8)
+    # ids 0..9 wrap the palette; boxes inside, fractional, clipped on each
+    # side, wider than the frame and wholly off it
+    boxes = [(15.0, 10.0, 8.0, 6.0), (7.3, 5.6, 5.5, 3.25), (-2.0, 10.0, 10.0, 8.0),
+             (28.5, 10.0, 9.0, 4.0), (15.0, -1.5, 6.0, 7.0), (15.0, 20.0, 6.0, 5.0),
+             (15.0, 10.0, 50.0, 40.0), (-20.0, 10.0, 10.0, 6.0), (45.0, 10.0, 10.0, 6.0),
+             (15.0, 30.0, 10.0, 6.0)]
+    records = [TrackRecord(t, k, cx, cy, 1.0, w, h, 1.0)
+               for t in range(2) for k, (cx, cy, w, h) in enumerate(boxes[t::2])]
+    pl.write_annotated(tmp_path / "a", [pixels, pixels], records)
+    for t in range(2):
+        expected = _annotated_in_float(pixels / 255.0, [r for r in records if r.frame == t])
+        fio.write_pnm(tmp_path / "oracle.ppm", expected)
+        got = (tmp_path / "a" / f"frame_{t:04d}.ppm").read_bytes()
+        assert got == (tmp_path / "oracle.ppm").read_bytes()

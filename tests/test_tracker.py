@@ -528,6 +528,22 @@ class TestOcclusionAndCompetition:
         assert sp1.masked_rects == [arena.rect]
         assert sum(arena.interactive.values()) == pytest.approx(1.0)
 
+    def test_each_species_scores_the_uncentred_patch(self):
+        """_power centres its patch in place, so each species scores its own
+        copy: the shares come from the powers on fresh samples of the rect."""
+        frame = _smooth_texture((64, 96), seed=2)
+        cfg = TrackerConfig()
+        sps = self._pair(frame, [(20, 16, 24, 20), (32, 24, 24, 20)], cfg)
+        sps[1].U = np.linalg.qr(np.random.default_rng(1)
+                                .standard_normal((PATCH_DIM, 3)))[0]
+        arena = compete(detect_occlusion(sps)[0], frame, dict(enumerate(sps)), cfg)
+        powers = [trk._power(sample_patch(frame, arena.rect).ravel(), sp, cfg)
+                  for sp in sps]
+        for k, power in enumerate(powers):
+            assert 0.05 < arena.interactive[k] < 0.95
+            assert arena.interactive[k] == pytest.approx(power / sum(powers),
+                                                         rel=0, abs=1e-15)
+
     def test_repulsion_points_away_and_scales(self):
         frame = np.full((64, 96), 0.5)
         cfg = TrackerConfig(eta=4.0)
@@ -550,6 +566,16 @@ class TestSelectiveUpdate:
         for t in range(1, 10):
             selective_update(sp, frames[t], [], cfg)
         assert len(sp.window) == 4
+
+    def test_without_an_arena_the_sampled_patch_is_stored(self):
+        frame = _smooth_texture((64, 96), seed=6)
+        cfg = TrackerConfig()
+        sp = init_species(frame, 0, (20, 20, 16, 16), cfg)
+        sp.gbest = np.array([29.5, 27.25, 1.0])
+        others = trk.CompetitionArena(pair=(1, 2), rect=(20.0, 20.0, 8.0, 8.0))
+        selective_update(sp, frame, [others], cfg)
+        assert np.array_equal(sp.window[-1],
+                              sample_patch(frame, state_box(sp, sp.gbest)).ravel())
 
     def test_subspace_recomputed_on_schedule(self):
         rng = np.random.default_rng(3)
