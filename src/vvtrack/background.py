@@ -29,13 +29,14 @@ class BackgroundError(Exception):
 class BackgroundState:
     """Running background image plus the adaptive-rate bookkeeping.
 
-    B is the current background, V the six most recent frame means
-    (newest first), a the base learning rate, b the gain slope and T_b
-    the adaptive threshold on [0, 1] intensities.
+    B is the current background, built from a copy of the first frame;
+    V the six most recent frame means (newest first), seeded with that
+    frame's; a the base learning rate, b the gain slope and T_b the
+    adaptive threshold on [0, 1] intensities.
     """
 
     B: np.ndarray
-    V: list[float] = field(default_factory=list)
+    V: list[float] = field(init=False)
     a: float = 0.05
     b: float = 0.1
     T_b: float = 0.1
@@ -43,7 +44,8 @@ class BackgroundState:
     window_radius: int = 1
 
     def __post_init__(self):
-        self.B = validate_gray(self.B)
+        self.B = validate_gray(np.array(self.B))
+        self.V = [float(self.B.mean())]
         if not 0.04 <= self.a <= 0.06:
             raise BackgroundError(f"base rate a={self.a} outside [0.04, 0.06]")
         if not 0.0 <= self.T_b <= 1.0:
@@ -69,13 +71,6 @@ class MotionMasks:
     I_m: np.ndarray  # temporal (frame-to-frame) mask
     F_m: np.ndarray  # background-difference mask
     M: np.ndarray  # fused mask
-
-
-def init_background(first_frame: np.ndarray, **kwargs) -> BackgroundState:
-    """First frame becomes the background verbatim; V seeded with its mean."""
-    state = BackgroundState(B=np.array(first_frame), **kwargs)
-    state.V = [float(state.B.mean())]
-    return state
 
 
 def box_moments(f: np.ndarray, w: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -124,8 +119,6 @@ def motion_masks(curr: np.ndarray, prev: np.ndarray,
     prev = validate_gray(prev)
     if state.B.shape != curr.shape or prev.shape != curr.shape:
         raise BackgroundError("frame dimensions do not match state")
-    if not state.V:
-        raise BackgroundError("background state not initialized")
     sim = similarity_map(curr, prev, state.window_radius, moments)
     i_m = (1.0 - sim) > state.T_sim
     f_m = np.abs(curr - state.B) > state.T_b

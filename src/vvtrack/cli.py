@@ -19,7 +19,7 @@ from . import frames as fio
 from . import metrics as met
 from . import pipeline as pl
 from . import scenes, shadows, svm, vocab
-from .config import ConfigError, default_config, load_config
+from .config import ConfigError, load_config
 from .frames import FrameError
 
 USAGE_ERROR = 1
@@ -161,12 +161,17 @@ def cmd_detect(args, cfg) -> int:
     return 0
 
 
+def _or_na(value, form: str) -> str:
+    """value in form, or n/a for a quantity that was not measured."""
+    return "n/a" if value is None else format(value, form)
+
+
 def cmd_track(args, cfg) -> int:
     records, report = pl.run_pipeline(args.in_dir, args.out, cfg)
     print(f"tracked {len({r.id for r in records})} objects over "
           f"{len({r.frame for r in records})} frames")
     if report is not None:
-        print(f"success rate {report.success_rate:.3f}, "
+        print(f"success rate {_or_na(report.success_rate, '.3f')}, "
               f"fp/frame {report.fp_per_frame:.3f}")
     return 0
 
@@ -177,7 +182,7 @@ def cmd_eval(args, cfg) -> int:
     report = met.evaluate_tracks(tracks, truth)
     met.write_report_csv(args.out, report)
     err = report.mean_center_error
-    print(f"success rate {report.success_rate:.3f}, "
+    print(f"success rate {_or_na(report.success_rate, '.3f')}, "
           f"mean center error {'n/a' if err is None else f'{err:.2f} px'}, "
           f"fp/frame {report.fp_per_frame:.3f}, "
           f"id switches {report.id_switches}")

@@ -27,22 +27,22 @@ class FrameError(Exception):
     """Bad frame data or an unreadable/malformed image file."""
 
 
-def validate_gray(frame: np.ndarray) -> np.ndarray:
+def _validate(frame, kind: str, form: str, channels: tuple) -> np.ndarray:
+    """frame as float64, checked to be (H, W) + channels with pixels in [0, 1]."""
     frame = np.asarray(frame, dtype=np.float64)
-    if frame.ndim != 2:
-        raise FrameError(f"grayscale frame must be 2-D, got shape {frame.shape}")
+    if frame.ndim < 2 or frame.shape[2:] != channels:
+        raise FrameError(f"{kind} frame must be {form}, got shape {frame.shape}")
     if not (frame.size and frame.min() >= 0.0 and frame.max() <= 1.0):
-        raise FrameError("grayscale frame needs pixels, with intensities in [0, 1]")
+        raise FrameError(f"{kind} frame needs pixels, with intensities in [0, 1]")
     return frame
+
+
+def validate_gray(frame: np.ndarray) -> np.ndarray:
+    return _validate(frame, "grayscale", "2-D", ())
 
 
 def validate_rgb(frame: np.ndarray) -> np.ndarray:
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.ndim != 3 or frame.shape[2] != 3:
-        raise FrameError(f"RGB frame must be (H, W, 3), got shape {frame.shape}")
-    if not (frame.size and frame.min() >= 0.0 and frame.max() <= 1.0):
-        raise FrameError("RGB frame needs pixels, with intensities in [0, 1]")
-    return frame
+    return _validate(frame, "RGB", "(H, W, 3)", (3,))
 
 
 def to_grayscale(frame: np.ndarray) -> np.ndarray:
@@ -56,11 +56,6 @@ def to_grayscale(frame: np.ndarray) -> np.ndarray:
     wr, wg, wb = GRAY_WEIGHTS
     gray = wr * frame[..., 0] + wg * frame[..., 1] + wb * frame[..., 2]
     return np.clip(gray, 0.0, 1.0)
-
-
-def gray_to_rgb(gray: np.ndarray) -> np.ndarray:
-    gray = validate_gray(gray)
-    return np.repeat(gray[..., None], 3, axis=2)
 
 
 # ---------------------------------------------------------------------------

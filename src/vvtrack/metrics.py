@@ -90,7 +90,7 @@ def _box(v) -> bool:
 
 @dataclass
 class TrackingReport:
-    success_rate: float
+    success_rate: float | None  # None when truth holds no box
     mean_center_error: float | None  # None when no box matched
     fp_per_frame: float
     id_switches: int
@@ -105,9 +105,10 @@ def evaluate_tracks(tracks, truth) -> TrackingReport:
     dicts). truth: per-frame records with "frame" and "objects" [{id, box}],
     at most one record per frame. Frames and ids are integers, coordinates
     finite and sizes positive; any other value raises MetricsError.
-    Success rate counts truth boxes matched above IOU_THRESHOLD, and the
-    mean center error averages over those matches (None without any); an
-    identity switch is a change in the track id matched to a truth object.
+    Success rate counts truth boxes matched above IOU_THRESHOLD (None
+    without any truth box), and the mean center error averages over those
+    matches (None without any); an identity switch is a change in the track
+    id matched to a truth object.
     """
     def rec_get(r, key, valid):
         try:
@@ -163,7 +164,7 @@ def evaluate_tracks(tracks, truth) -> TrackingReport:
             last_id[obj] = tid
 
     return TrackingReport(
-        success_rate=n_matched / n_truth if n_truth else 1.0,
+        success_rate=n_matched / n_truth if n_truth else None,
         mean_center_error=float(np.mean(center_errors)) if center_errors else None,
         fp_per_frame=fp_total / len(common),
         id_switches=switches,

@@ -61,7 +61,7 @@ def iter_detections(frames, cfg, first: int = 0) -> Iterator[DetectionResult]:
         else:
             gray = fio.to_grayscale(f)
         if state is None:
-            state = bg.init_background(gray, a=bcfg["a"], b=bcfg["b"],
+            state = bg.BackgroundState(B=gray, a=bcfg["a"], b=bcfg["b"],
                                        T_sim=bcfg["T_sim"], window_radius=w)
             result = DetectionResult(frame=0, mask=np.zeros_like(gray, bool),
                                      blobs=[], T_b=state.T_b)

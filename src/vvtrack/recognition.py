@@ -91,10 +91,6 @@ def cast_votes(descriptors, codebook: Codebook, occurrences: np.ndarray) -> np.n
 # Scale-adaptive mean-shift
 # ---------------------------------------------------------------------------
 
-def _ball_volume(b: float) -> float:
-    return (4.0 / 3.0) * np.pi * b ** 3
-
-
 def balloon_density(point, votes: np.ndarray, b0: float) -> float:
     """Epanechnikov balloon estimate at (x, y, s), bandwidth b0 * s."""
     x = np.asarray(point, dtype=np.float64)
@@ -103,7 +99,8 @@ def balloon_density(point, votes: np.ndarray, b0: float) -> float:
         return 0.0
     d2 = ((votes[:, :3] - x) ** 2).sum(axis=1) / (b * b)
     inside = d2 < 1.0
-    return float((votes[inside, 3] * (1.0 - d2[inside])).sum()) / _ball_volume(b)
+    ball = (4.0 / 3.0) * np.pi * b ** 3
+    return float((votes[inside, 3] * (1.0 - d2[inside])).sum()) / ball
 
 
 def meanshift_modes(votes: np.ndarray, b0: float = 0.1) -> list[ObjectHypothesis]:

@@ -128,16 +128,14 @@ def masked_gradient(g: GradientField, mask: np.ndarray) -> GradientField:
 
 
 def divergence(g: GradientField) -> np.ndarray:
-    """Backward-difference divergence of a forward-difference field."""
-    gx = g.gx.copy()
-    gy = g.gy.copy()
-    gx[:, -1] = 0.0  # outside the forward-difference support
-    gy[-1, :] = 0.0
-    div = np.zeros_like(gx)
-    div += gx
-    div[:, 1:] -= gx[:, :-1]
-    div += gy
-    div[1:, :] -= gy[:-1, :]
+    """Backward-difference divergence of a forward-difference field, read
+    on its support: gx without its last column, gy without its last row."""
+    gx, gy = g.gx[:, :-1], g.gy[:-1, :]
+    div = np.zeros_like(g.gx)
+    div[:, :-1] += gx
+    div[:, 1:] -= gx
+    div[:-1, :] += gy
+    div[1:, :] -= gy
     return div
 
 

@@ -89,31 +89,28 @@ class CompetitionArena:
     winner: int | None = None
 
 
-def state_box(sp: Species, state):
-    """(x, y, w, h) of the box of each (cx, cy, s) state; each of shape (...)."""
+def state_box(sp: Species, state) -> np.ndarray:
+    """(..., 4) boxes (x, y, w, h) of the (..., 3) states (cx, cy, s)."""
     state = np.asarray(state, dtype=np.float64)
-    cx, cy, s = state[..., 0], state[..., 1], state[..., 2]
-    w = sp.template[0] * s
-    h = sp.template[1] * s
-    return (cx - w / 2.0, cy - h / 2.0, w, h)
+    wh = state[..., 2:] * sp.template
+    return np.concatenate((state[..., :2] - wh / 2, wh), -1)
 
 
 def _positions(box) -> np.ndarray:
-    """Sample positions (..., 2, PATCH) of the grid across each box (see
-    sample_patch): columns in row 0, rows in row 1."""
-    if not isinstance(box, np.ndarray):
-        box = np.stack(box, axis=-1)
+    """Sample positions (..., 2, PATCH) of the grid across each (..., 4) box
+    (see sample_patch): columns in row 0, rows in row 1."""
+    box = np.asarray(box, dtype=np.float64)
     return box[..., :2, None] + _GRID * np.maximum(box[..., 2:, None] - 1, 1e-9)
 
 
 def sample_patch(frame: np.ndarray, box) -> np.ndarray:
     """Bilinear resample of each box region to (..., PATCH, PATCH) (edge clamp).
 
-    box holds the fields (x, y, w, h), as four arrays of shape (...) or as
-    one (..., 4) array.  The grid is separable, so each box needs only its
-    PATCH column and PATCH row positions, clamped to the frame and split
-    into a lower index floor(v), an upper index min(floor(v) + 1, n - 1)
-    and the fraction between them, for both axes at once.  While
+    box is one (x, y, w, h) or a (..., 4) array of them.  The grid is
+    separable, so each box needs only its PATCH column and PATCH row
+    positions, clamped to the frame and split into a lower index floor(v),
+    an upper index min(floor(v) + 1, n - 1) and the fraction between them,
+    for both axes at once.  While
     every box of the batch spans at most PATCH frame rows, each row of a
     box's contiguous run from its top row, clamped to the frame, is
     interpolated in x once, and one batched product with a (PATCH, span)
@@ -170,7 +167,8 @@ def _lerp(a, b, t):
 
 
 def _rect_mask(box, rects) -> np.ndarray:
-    """(..., PATCH, PATCH) mask of the pixels whose centers fall in any rect."""
+    """(..., PATCH, PATCH) mask of the pixels of each (..., 4) box whose
+    centers fall in any rect."""
     v = _positions(box)
     xs, ys = v[..., 0, :], v[..., 1, :]
     mask = np.zeros(xs.shape[:-1] + (PATCH, PATCH), dtype=bool)
@@ -215,12 +213,10 @@ def observe(frame: np.ndarray, sp: Species, state, config: TrackerConfig):
     the residual; a box with every pixel masked shows the species nothing
     and floors too.
     """
-    state = np.asarray(state, dtype=np.float64)
-    wh = state[..., 2:] * sp.template
-    corner = state[..., :2] - wh / 2.0
+    box = state_box(sp, state)
+    corner, wh = box[..., :2], box[..., 2:]
     fh, fw = frame.shape
     outside = ((corner + wh <= 0) | (corner >= (fw, fh)) | (wh <= 0)).any(axis=-1)
-    box = np.concatenate((corner, wh), axis=-1)
     shape = outside.shape + (PATCH_DIM,)
     patch = sample_patch(frame, box).reshape(shape)
     mask = _rect_mask(box, sp.masked_rects).reshape(shape) if sp.masked_rects else None
@@ -353,7 +349,7 @@ def repulsion_force(sp: Species, other: Species, arena: CompetitionArena,
 
 def selective_update(sp: Species, frame: np.ndarray,
                      arenas: list[CompetitionArena],
-                     config: TrackerConfig) -> Species:
+                     config: TrackerConfig) -> None:
     """Append the gbest patch to the appearance window, gating occluded pixels.
 
     Overlap pixels enter only when their reconstruction error is below
@@ -370,13 +366,12 @@ def selective_update(sp: Species, frame: np.ndarray,
         patch = np.where(reject, rec, patch)
     sp.window.append(patch)
     sp.frames_tracked += 1
-    if sp.frames_tracked % config.update_every == 0 and len(sp.window) >= 2:
+    if sp.frames_tracked % config.update_every == 0:
         data = np.stack(sp.window, axis=1)  # (PATCH_DIM, W)
         sp.mean_patch = data.mean(axis=1)
         centered = data - sp.mean_patch[:, None]
         u, svals, _ = np.linalg.svd(centered, full_matrices=False)
         sp.U = u[:, :min(config.q, int((svals > 1e-10).sum()))]
-    return sp
 
 
 @dataclass

@@ -270,10 +270,6 @@ class HistogramPyramid:
     levels: list[Counter]
     dim: int
 
-    @property
-    def n_levels(self) -> int:
-        return len(self.levels)
-
 
 def build_pyramid(points, n_levels: int) -> HistogramPyramid:
     pts = np.asarray(points, dtype=np.float64)
@@ -288,12 +284,12 @@ def build_pyramid(points, n_levels: int) -> HistogramPyramid:
 
 def pmk(py: HistogramPyramid, pz: HistogramPyramid) -> float:
     """New-match counting kernel: sum_i 2^-i (I_i - I_{i-1}), I_{-1} = 0."""
-    if py.n_levels != pz.n_levels or py.dim != pz.dim:
+    if len(py.levels) != len(pz.levels) or py.dim != pz.dim:
         raise VocabularyError("pyramid geometries differ")
     score = 0.0
     prev = 0
-    for i in range(py.n_levels):
-        inter = (py.levels[i] & pz.levels[i]).total()
+    for i, (y, z) in enumerate(zip(py.levels, pz.levels)):
+        inter = (y & z).total()
         score += (2.0 ** -i) * (inter - prev)
         prev = inter
     return score

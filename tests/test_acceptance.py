@@ -92,7 +92,7 @@ def test_criterion_02_shadow_removal_ratio():
 def _motion_run(scene, n):
     frames, truth = fio.generate_synthetic(scene, n)
     grays = [fio.to_grayscale(f) for f in frames]
-    state = bg.init_background(grays[0])
+    state = bg.BackgroundState(B=grays[0])
     masks = [np.zeros_like(grays[0], bool)]
     for t in range(1, n):
         hist = bg.diff_histogram(grays[t], grays[t - 1])

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from vvtrack.background import (EPS_MEAN, EPS_VAR, BackgroundError, clean_mask,
-                                diff_histogram, fit_adaptive_threshold,
-                                init_background, motion_masks, similarity_map,
-                                update_background)
+from vvtrack.background import (EPS_MEAN, EPS_VAR, BackgroundError,
+                                BackgroundState, clean_mask, diff_histogram,
+                                fit_adaptive_threshold, motion_masks,
+                                similarity_map, update_background)
 from vvtrack.config import default_config
 from vvtrack.frames import FrameError, validate_gray
 from vvtrack.pipeline import detect_sequence
@@ -91,7 +91,7 @@ class TestSimilarityMap:
 class TestMotionMasks:
     def test_no_change_all_zero(self):
         f = np.full((16, 16), 0.5)
-        state = init_background(f)
+        state = BackgroundState(B=f)
         state.T_b = 0.1
         masks = motion_masks(f, f.copy(), state)
         assert not masks.I_m.any() and not masks.F_m.any() and not masks.M.any()
@@ -105,7 +105,7 @@ class TestMotionMasks:
         curr[5:15, 7:17] += 0.5
         prev = np.clip(prev, 0, 1)
         curr = np.clip(curr, 0, 1)
-        state = init_background(background_img)
+        state = BackgroundState(B=background_img)
         state.T_b = 0.1
         masks = motion_masks(curr, prev, state)
 
@@ -125,24 +125,35 @@ class TestMotionMasks:
         rng = np.random.default_rng(1)
         prev = rng.random((16, 16))
         curr = rng.random((16, 16))
-        state = init_background(rng.random((16, 16)))
+        state = BackgroundState(B=rng.random((16, 16)))
         state.T_b = 0.2
         masks = motion_masks(curr, prev, state)
         assert not (masks.M & ~masks.I_m).any()
         assert not (masks.M & ~masks.F_m).any()
 
-    def test_uninitialized_state_errors(self):
-        f = np.zeros((8, 8))
-        state = init_background(f)
-        state.V = []
-        with pytest.raises(BackgroundError):
-            motion_masks(f, f, state)
+    def test_state_is_complete_when_built(self):
+        """The constructor copies the first frame into B and seeds V with its
+        mean, so a freshly built state serves motion_masks and
+        update_background, and writing into the frame later leaves B as it
+        was.  V is not settable."""
+        f = np.random.default_rng(2).random((8, 8))
+        state = BackgroundState(B=f)
+        assert state.V == [f.mean()]
+        first = f.copy()
+        f[:] = 0.0
+        assert np.array_equal(state.B, first)
+        assert not motion_masks(first, first, state).M.any()
+        update_background(state, f)
+        assert state.V == [0.0, first.mean()]
+        assert np.array_equal(state.B, first + 0.05 * (f - first))
+        with pytest.raises(TypeError):
+            BackgroundState(B=first, V=[])
 
 
 class TestUpdateBackground:
     def test_alpha_base_when_means_equal(self):
         f = np.full((8, 8), 0.5)
-        state = init_background(f)
+        state = BackgroundState(B=f)
         for _ in range(6):
             update_background(state, f)
         # E(t) == E(t-5) so alpha == a == 0.05 and B stays put
@@ -152,7 +163,7 @@ class TestUpdateBackground:
     def test_full_replacement_at_alpha_one(self):
         f0 = np.zeros((4, 4))
         f1 = np.ones((4, 4))
-        state = init_background(f0, a=0.05, b=1.0)
+        state = BackgroundState(B=f0, a=0.05, b=1.0)
         for _ in range(5):
             update_background(state, f0)
         assert np.array_equal(state.B, f0)
@@ -161,14 +172,14 @@ class TestUpdateBackground:
         assert np.array_equal(state.B, f1)
 
     def test_recursive_filter_arithmetic(self):
-        state = init_background(np.full((2, 2), 0.5))
+        state = BackgroundState(B=np.full((2, 2), 0.5))
         curr = np.full((2, 2), 0.7)
         update_background(state, curr)  # warm-up: alpha = a = 0.05
         assert np.allclose(state.B, 0.51)
 
     def test_convex_combination_bounds(self):
         rng = np.random.default_rng(5)
-        state = init_background(rng.random((8, 8)))
+        state = BackgroundState(B=rng.random((8, 8)))
         for _ in range(10):
             curr = rng.random((8, 8))
             lo = np.minimum(state.B, curr)
@@ -178,7 +189,7 @@ class TestUpdateBackground:
 
     def test_alpha_at_least_base(self):
         rng = np.random.default_rng(6)
-        state = init_background(rng.random((8, 8)) * 0.5)
+        state = BackgroundState(B=rng.random((8, 8)) * 0.5)
         for _ in range(8):
             curr = rng.random((8, 8))
             before = state.B.copy()

@@ -554,6 +554,31 @@ class TestTrackAndEval:
         assert "success rate 0.000, mean center error n/a, fp/frame 1.000" in out
         assert b"mean_center_error,\r\n" in (tmp_path / "m.csv").read_bytes()
 
+    def test_eval_on_a_scene_without_objects_has_no_success_rate(self, tmp_path,
+                                                                 capsys):
+        """The static scene's truth holds no box: there was nothing to find,
+        so the success rate is n/a, not 1.000, and its CSV field is empty."""
+        seq = _generate(tmp_path, scene="static", frames=5)
+        tracks = tmp_path / "tracks.jsonl"
+        fio.write_jsonl(tracks, [{"frame": 0, "id": 0, "cx": 2.0, "cy": 2.0,
+                                  "w": 2.0, "h": 2.0}])
+        assert main(["eval", "--tracks", str(tracks), "--truth",
+                     str(seq / "truth.jsonl"), "--out", str(tmp_path / "m.csv")]) == 0
+        out = capsys.readouterr().out
+        assert "success rate n/a, mean center error n/a, fp/frame 1.000" in out
+        assert b"success_rate,\r\n" in (tmp_path / "m.csv").read_bytes()
+
+    def test_track_against_a_truth_without_boxes_prints_no_success_rate(
+            self, tmp_path, capsys):
+        seq = _generate(tmp_path, frames=6)
+        truth = fio.read_jsonl(seq / "truth.jsonl")
+        fio.write_jsonl(seq / "truth.jsonl", [t | {"objects": []} for t in truth])
+        out = tmp_path / "trk"
+        assert main(["track", "--config", _config(tmp_path),
+                     "--in", str(seq), "--out", str(out)]) == 0
+        assert "success rate n/a, fp/frame" in capsys.readouterr().out
+        assert b"success_rate,\r\n" in (out / "metrics.csv").read_bytes()
+
     def test_track_labels_boxes_with_trained_models(self, tmp_path):
         seq = _generate(tmp_path, frames=8)
         rng = np.random.default_rng(1)

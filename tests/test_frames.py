@@ -23,7 +23,7 @@ def test_grayscale_coefficients():
 def test_grayscale_idempotent_on_replicated_gray():
     rng = np.random.default_rng(3)
     gray = rng.random((5, 7))
-    rgb = fio.gray_to_rgb(gray)
+    rgb = np.repeat(gray[..., None], 3, axis=2)
     assert np.allclose(to_grayscale(rgb), gray, atol=1e-12)
     assert np.array_equal(to_grayscale(gray), gray)  # 2-D passes through
     with pytest.raises(FrameError):

@@ -117,6 +117,17 @@ class TestEvaluateTracks:
         assert rep.fp_per_frame == 1.0
         assert rep.mean_center_error is None
 
+    def test_truth_without_boxes_has_no_success_rate(self):
+        """With no truth box there was nothing to find: the success rate is
+        None, not the 1.0 of finding everything."""
+        tracks = [_track(t, 0, 15.0, 15.0, 10, 10) for t in range(3)]
+        truth = [_truth_frame(t, []) for t in range(3)]
+        rep = evaluate_tracks(tracks, truth)
+        assert rep.success_rate is None
+        assert rep.mean_center_error is None
+        assert rep.n_matches == 0
+        assert rep.fp_per_frame == 1.0
+
     def test_false_positive_counted(self):
         tracks = [_track(0, 0, 15.0, 15.0, 10, 10),
                   _track(0, 1, 50.0, 50.0, 10, 10)]

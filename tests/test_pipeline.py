@@ -134,6 +134,10 @@ def test_detection_from_a_later_frame_matches_the_run_from_frame_0(scene, shadow
             assert got.blobs == want.blobs
 
 
+def _gray_to_rgb(gray):
+    return np.repeat(gray[..., None], 3, axis=2)
+
+
 def test_write_annotated_clips_boxes_and_skips_off_frame_ones(tmp_path):
     from vvtrack.tracker import TrackRecord
 
@@ -142,7 +146,7 @@ def test_write_annotated_clips_boxes_and_skips_off_frame_ones(tmp_path):
 
     frame = np.full((20, 30), 0.5)
     pixels = np.rint(frame * 255.0).astype(np.uint8)  # the frame as a file holds it
-    blank = fio.gray_to_rgb(frame)
+    blank = _gray_to_rgb(frame)
     off = [TrackRecord(0, 0, cx, cy, 1.0, 10.0, 6.0, 1.0)
            for cx, cy in [(-20.0, 10.0), (45.0, 10.0), (15.0, -9.0), (15.0, 30.0)]]
     clipped = TrackRecord(1, 1, -2.0, 17.0, 1.0, 10.0, 8.0, 1.0)  # x -7..3, y 13..21
@@ -159,7 +163,7 @@ def _annotated_in_float(frame, records):
     """The float drawing write_annotated replaced, kept as its oracle: the
     [0, 1] frame as an RGB canvas with each box drawn in its ID_COLORS entry,
     quantized only when written."""
-    canvas = fio.gray_to_rgb(frame) if frame.ndim == 2 else frame.copy()
+    canvas = _gray_to_rgb(frame) if frame.ndim == 2 else frame.copy()
     fh, fw = frame.shape[:2]
     for r in records:
         color = pl.ID_COLORS[r.id % len(pl.ID_COLORS)]

@@ -68,7 +68,23 @@ class TestStateBoxAndPatch:
     def test_state_box_geometry(self):
         sp = Species(id=0, template=(10.0, 20.0), gbest=np.zeros(3),
                      gbest_fit=0.0, mean_patch=np.zeros(PATCH_DIM))
-        assert state_box(sp, (50.0, 40.0, 2.0)) == (40.0, 20.0, 20.0, 40.0)
+        assert state_box(sp, (50.0, 40.0, 2.0)).tolist() == [40.0, 20.0, 20.0, 40.0]
+
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+    def test_state_box_is_one_array_per_leading_shape(self, lead):
+        """A (..., 3) batch of states gives one (..., 4) array whose rows are
+        the boxes of the states taken one at a time."""
+        sp = Species(id=0, template=(10.0, 6.0), gbest=np.zeros(3),
+                     gbest_fit=0.0, mean_patch=np.zeros(PATCH_DIM))
+        rng = np.random.default_rng(3)
+        states = np.concatenate((rng.uniform(-20, 80, lead + (2,)),
+                                 rng.uniform(0.5, 2.0, lead + (1,))), -1)
+        boxes = state_box(sp, states)
+        assert isinstance(boxes, np.ndarray) and boxes.shape == lead + (4,)
+        for idx in np.ndindex(lead):
+            cx, cy, s = states[idx]
+            w, h = 10.0 * s, 6.0 * s
+            assert boxes[idx].tolist() == [cx - w / 2, cy - h / 2, w, h]
 
     def test_sample_patch_constant_region(self):
         frame = np.full((40, 40), 0.7)
@@ -140,10 +156,10 @@ class TestStateBoxAndPatch:
             one = sample_patch(frame, tuple(box))
             assert one.shape == (PATCH, PATCH)
             assert np.abs(one - want).max() <= 1e-12
-        batch = sample_patch(frame, tuple(boxes.T))
+        batch = sample_patch(frame, boxes)
         assert batch.shape == (len(boxes), PATCH, PATCH)
         assert np.abs(batch - expected).max() <= 1e-12
-        grid = sample_patch(frame, tuple(boxes[:6].reshape(2, 3, 4).transpose(2, 0, 1)))
+        grid = sample_patch(frame, boxes[:6].reshape(2, 3, 4))
         assert grid.shape == (2, 3, PATCH, PATCH)
         assert np.abs(grid - expected[:6].reshape(2, 3, PATCH, PATCH)).max() <= 1e-12
 
