@@ -272,9 +272,8 @@ def save_model(path, model: SvmModel) -> None:
         for (a, b), m in sorted(model.machines.items()):
             n, dim = m.support_vectors.shape
             fh.write(f"{a} {b} {n} {dim} {float(m.bias)!r}\n")
-            fh.write(" ".join(repr(float(v)) for v in m.dual_coef) + "\n")
-            for row in m.support_vectors:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+            for row in [m.dual_coef.tolist(), *m.support_vectors.tolist()]:
+                fh.write(" ".join(map(repr, row)) + "\n")
 
 
 def load_model(path) -> SvmModel:

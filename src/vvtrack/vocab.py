@@ -80,9 +80,9 @@ def extract_descriptors(frame: np.ndarray, grid_stride: int = 8,
     b0 = np.floor(obin).astype(int) % 8
     f1 = obin - np.floor(obin)
     # Magnitude split bilinearly between orientation bins b0 and b0 + 1.
-    bins = np.arange(8)[:, None, None]
-    planes = (np.where(b0 == bins, mag * (1.0 - f1), 0.0)
-              + np.where((b0 + 1) % 8 == bins, mag * f1, 0.0))  # (8, h, w)
+    planes = np.zeros((8, h, w))
+    np.put_along_axis(planes, b0[None], (mag * (1.0 - f1))[None], axis=0)
+    np.put_along_axis(planes, (b0[None] + 1) % 8, (mag * f1)[None], axis=0)
 
     # Separable cell pooling: rows of each window, then its columns.
     weights = _cell_weights(patch)
@@ -106,7 +106,8 @@ def extract_descriptors(frame: np.ndarray, grid_stride: int = 8,
 # ---------------------------------------------------------------------------
 
 def _sse(points: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> float:
-    return float(((points - centroids[assign]) ** 2).sum())
+    diff = centroids[assign]
+    return float(np.square(np.subtract(points, diff, out=diff), out=diff).sum())
 
 
 def _sq_dist(vectors: np.ndarray, words: np.ndarray,
@@ -126,9 +127,9 @@ def _sq_dist(vectors: np.ndarray, words: np.ndarray,
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _nearest(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def _nearest(pts: np.ndarray, centroids: np.ndarray, sq_norms=None) -> np.ndarray:
     """Index of each point's nearest centroid; ties go to the lowest index."""
-    return _sq_dist(pts, centroids).argmin(axis=1)
+    return _sq_dist(pts, centroids, sq_norms).argmin(axis=1)
 
 
 def kmeans(points, k: int, seed: int = 0, max_iter: int = 100,
@@ -148,8 +149,10 @@ def kmeans(points, k: int, seed: int = 0, max_iter: int = 100,
         raise VocabularyError("k must be >= 1")
     if n_init < 1:
         raise VocabularyError("n_init must be >= 1")
-    rng = np.random.default_rng(seed)
     sq_norms = (pts ** 2).sum(axis=1)
+    if not np.isfinite(sq_norms).all():
+        raise VocabularyError("k-means points and their squared norms must be finite")
+    rng = np.random.default_rng(seed)
     best_words = None
     best_sse = np.inf
     for _ in range(n_init):
@@ -165,7 +168,7 @@ def _lloyd(pts: np.ndarray, sq_norms: np.ndarray, k: int,
     """One k-means++ seeding and its Lloyd steps: (centroids, their SSE)."""
     n = pts.shape[0]
 
-    # k-means++ seeding: one matrix-vector product per pick
+    # k-means++ seeding: one matrix-vector product and one inverse-CDF draw per pick
     centroids = np.empty((k, pts.shape[1]))
     centroids[0] = pts[rng.integers(n)]
     d2 = _sq_dist(pts, centroids[:1], sq_norms)[:, 0]
@@ -173,11 +176,12 @@ def _lloyd(pts: np.ndarray, sq_norms: np.ndarray, k: int,
         total = d2.sum()
         if total <= 0:
             centroids[i] = pts[rng.integers(n)]
-        else:
-            centroids[i] = pts[rng.choice(n, p=d2 / total)]
+        else:  # the draw rng.choice(n, p=d2 / total) makes, less its checks of p
+            cdf = (d2 / total).cumsum()
+            centroids[i] = pts[(cdf / cdf[-1]).searchsorted(rng.random(), side="right")]
         np.minimum(d2, _sq_dist(pts, centroids[i:i + 1], sq_norms)[:, 0], out=d2)
 
-    assign = _nearest(pts, centroids)
+    assign = _nearest(pts, centroids, sq_norms)
     sse = _sse(pts, centroids, assign)
     dim = pts.shape[1]
     for _ in range(max_iter):
@@ -199,7 +203,7 @@ def _lloyd(pts: np.ndarray, sq_norms: np.ndarray, k: int,
             centroids[c] = pts[worst]
             assign[worst] = c
         step_sse = _sse(pts, centroids, assign)
-        new_assign = _nearest(pts, centroids)
+        new_assign = _nearest(pts, centroids, sq_norms)
         sse = _sse(pts, centroids, new_assign)
         assert sse <= step_sse + 1e-9, "k-means SSE increased"
         # A step is a function of the assignment it starts from, so one that
@@ -228,18 +232,24 @@ def quantize(vectors, codebook: Codebook, m: int = SOFT_NEIGHBORS,
     if vectors.shape[1] != codebook.words.shape[1]:
         raise VocabularyError(f"{vectors.shape[1]}-d vectors against a codebook "
                               f"of {codebook.words.shape[1]}-d words")
+    if m < 1:
+        raise VocabularyError(f"m must be >= 1, got {m}")
     d2 = _sq_dist(vectors, codebook.words)
-    order = np.argsort(d2, axis=1, kind="stable")
-    hard = order[:, 0]
-    nearest = order[:, :min(m, codebook.K)]
+    if not np.isfinite(d2).all():
+        raise VocabularyError("vectors, words and their squared distances must be finite")
+    left = d2.copy()  # finite, so a pick set to +inf is never picked again
+    nearest = np.empty((len(d2), min(m, codebook.K)), dtype=np.intp)
+    for j in range(nearest.shape[1]):  # m argmin passes: ties go to the lowest index
+        nearest[:, j] = left.argmin(axis=1)
+        np.put_along_axis(left, nearest[:, j:j + 1], np.inf, axis=1)
     weights = np.exp(-np.take_along_axis(d2, nearest, axis=1) / (2.0 * sigma * sigma))
     total = weights.sum(axis=1, keepdims=True)
     soft = np.zeros_like(d2)
     np.put_along_axis(soft, nearest, weights / np.where(total > 0, total, 1.0), axis=1)
     underflow = total[:, 0] == 0
-    soft[underflow, hard[underflow]] = 1.0
+    soft[underflow, nearest[underflow, 0]] = 1.0
     soft[~vectors.any(axis=1)] = 0.0
-    return hard, soft
+    return nearest[:, 0], soft
 
 
 def bow_histogram(descriptors, codebook: Codebook) -> np.ndarray:
@@ -303,8 +313,7 @@ def save_codebook(path, codebook: Codebook) -> None:
     with open(path, "w") as fh:
         fh.write("vvtrack-codebook v1\n")
         fh.write(f"{codebook.K} {codebook.words.shape[1]} {codebook.seed}\n")
-        for row in codebook.words:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+        fh.writelines(" ".join(map(repr, row)) + "\n" for row in codebook.words.tolist())
 
 
 def load_codebook(path) -> Codebook:
@@ -314,8 +323,10 @@ def load_codebook(path) -> Codebook:
             if header != "vvtrack-codebook v1":
                 raise VocabularyError(f"{path}: bad codebook header {header!r}")
             k, dim, seed = (int(t) for t in fh.readline().split())
-            words = np.asarray([[float(t) for t in fh.readline().split()]
-                                for _ in range(k)])
+            rows = [fh.readline() for _ in range(k)]  # "" past the end of the file
+            if k < 1 or not all(map(str.strip, rows)) or fh.read().strip():
+                raise ValueError(f"need {k} non-blank centroid rows and nothing after")
+            words = np.loadtxt(rows, ndmin=2, comments=None)  # parsed in C
         except ValueError as exc:
             raise VocabularyError(f"{path}: malformed codebook: {exc}") from None
     if words.shape != (k, dim):

@@ -272,6 +272,25 @@ class TestDataErrors:
         assert main(args) == 0
         assert svm.load_model(tmp_path / "m.txt").classes == ["bus", "red_car"]
 
+    def test_codebook_with_content_after_its_words(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        for cls in ("car", "bus"):
+            (tmp_path / "train" / cls).mkdir(parents=True)
+            for k in range(2):
+                fio.write_pnm(tmp_path / "train" / cls / f"{k}.pgm", rng.random((32, 32)))
+        vocab.save_codebook(tmp_path / "cb.txt",
+                            vocab.Codebook(words=rng.random((4, 128)), seed=0))
+        args = ["train-svm", "--config", _config(tmp_path),
+                "--vocab", str(tmp_path / "cb.txt"),
+                "--in", str(tmp_path / "train"), "--out", str(tmp_path / "m.txt")]
+        assert main(args) == 0
+        (tmp_path / "m.txt").unlink()
+        with open(tmp_path / "cb.txt", "a") as fh:
+            fh.write("garbage here\n")
+        assert main(args) == 2
+        assert "need 4 non-blank centroid rows and nothing after" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
+
     def test_non_finite_codebook(self, tmp_path, capsys):
         seq = _generate(tmp_path, frames=8)
         words = np.random.default_rng(0).random((2, 128))

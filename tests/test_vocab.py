@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from test_acceptance import _oriented_texture
 from vvtrack import vocab
@@ -61,6 +62,37 @@ def _reference_descriptors(frame, grid_stride, patch):
             ys.append(float(cy))
             scales.append(float(patch))
     return np.array(vectors), xs, ys, scales
+
+
+def _where_descriptor_vectors(frame, grid_stride=8, patch=16):
+    """Oracle: extract_descriptors' vectors, its orientation planes built by
+    one np.where compare per bin instead of two scatters."""
+    gy, gx = np.gradient(frame)
+    mag = np.hypot(gx, gy)
+    obin = np.mod(np.arctan2(gy, gx), 2.0 * np.pi) / (2.0 * np.pi) * 8.0
+    b0 = np.floor(obin).astype(int) % 8
+    f1 = obin - np.floor(obin)
+    bins = np.arange(8)[:, None, None]
+    planes = (np.where(b0 == bins, mag * (1.0 - f1), 0.0)
+              + np.where((b0 + 1) % 8 == bins, mag * f1, 0.0))
+    weights = vocab._cell_weights(patch)
+    rows = sliding_window_view(planes, patch, axis=1)[:, ::grid_stride] @ weights
+    cells = sliding_window_view(rows, patch, axis=2)[:, :, ::grid_stride] @ weights
+    ny, nx = cells.shape[1:3]
+    vectors = cells.transpose(1, 2, 3, 4, 0).reshape(ny * nx, vocab.DESCRIPTOR_DIM)
+    return vocab._unit_rows(np.minimum(vocab._unit_rows(vectors), vocab.CLIP))
+
+
+def _ramp_blocks():
+    """Eight 16x16 ramps whose gradients point at the 8 bin edges, k * 45 degrees,
+    between flat blocks."""
+    frame = np.full((48, 64), 0.5)
+    yy, xx = np.mgrid[0:16, 0:16]
+    for k, (a, b) in enumerate([(1, 0), (1, 1), (0, 1), (-1, 1),
+                                (-1, 0), (-1, -1), (0, -1), (1, -1)]):
+        y, x = 32 * (k // 4), 16 * (k % 4)
+        frame[y:y + 16, x:x + 16] = 0.5 + 0.01 * (a * xx + b * yy)
+    return frame
 
 
 class TestExtractDescriptors:
@@ -126,6 +158,23 @@ class TestExtractDescriptors:
         v2 = extract_descriptors(frame * 2.0, grid_stride=16)[0].vector
         assert np.allclose(v1, v2, atol=1e-9)
 
+    @pytest.mark.parametrize("frame", [
+        _ramp_blocks(),
+        np.where(np.random.default_rng(30).random((40, 40)) < 0.5, 0.25, 0.75),
+        np.pad(np.random.default_rng(31).random((24, 24)), 12, constant_values=0.3),
+        np.rint(_oriented_texture("diag", np.random.default_rng(32)) * 255.0) / 255.0,
+    ], ids=["bin-edge-ramps", "two-level", "flat-border", "8-bit-texture"])
+    def test_scattered_planes_match_where_form(self, frame):
+        assert not np.hypot(*np.gradient(frame)).all()  # flat pixels, at angle 0
+        vectors = extract_descriptors(frame).vector
+        assert vectors.tobytes() == _where_descriptor_vectors(frame).tobytes()
+
+    def test_ramp_blocks_hit_every_bin_edge(self):
+        gy, gx = np.gradient(_ramp_blocks())
+        obin = np.mod(np.arctan2(gy, gx), 2.0 * np.pi) / (2.0 * np.pi) * 8.0
+        on_edge = (obin == np.floor(obin)) & (np.hypot(gx, gy) > 0)
+        assert sorted(set(obin[on_edge].tolist())) == [float(b) for b in range(8)]
+
     def test_small_frame_errors(self):
         with pytest.raises(VocabularyError):
             extract_descriptors(np.zeros((8, 8)), patch=16)
@@ -174,6 +223,22 @@ def _reference_kmeans(pts, k, seed, reseeds):
         if sse < best_sse:
             best_words, best_sse = words, sse
     return best_words
+
+
+def _choice_seeds(pts, k, seed):
+    """Oracle: kmeans' first k-means++ seeding, each D² pick drawn by rng.choice."""
+    rng = np.random.default_rng(seed)
+    sq_norms = (pts ** 2).sum(axis=1)
+    picks = [rng.integers(len(pts))]
+    d2 = vocab._sq_dist(pts, pts[picks[0]][None], sq_norms)[:, 0]
+    for _ in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            picks.append(rng.integers(len(pts)))
+        else:
+            picks.append(rng.choice(len(pts), p=d2 / total))
+        np.minimum(d2, vocab._sq_dist(pts, pts[picks[-1]][None], sq_norms)[:, 0], out=d2)
+    return pts[picks]
 
 
 def _texture_vectors():
@@ -272,9 +337,36 @@ class TestKmeans:
         assert len(calls) <= 2 * 5  # seeding plus one Lloyd step per restart
         assert np.array_equal(words, one_step)
 
+    @pytest.mark.parametrize("pts", [
+        np.random.default_rng(24).random((50, 4)),
+        np.random.default_rng(25).integers(0, 3, (30, 3)).astype(float),
+        np.repeat([[1.0, 2.0], [4.0, 6.0]], [29, 1], axis=0),
+    ], ids=["distinct", "zero-weights", "one-non-zero"])
+    def test_seeding_draws_as_rng_choice(self, pts):
+        # 100 seeds x 10 picks: with max_iter=0 the words are the seeds themselves
+        for seed in range(100):
+            words = kmeans(pts, 11, seed=seed, n_init=1, max_iter=0).words
+            assert np.array_equal(words, _choice_seeds(pts, 11, seed))
+
+    def test_one_non_zero_weight_is_always_drawn(self):
+        # when the first pick is one of the 29 equal rows, the only point at a
+        # non-zero distance carries all the weight of the second pick
+        pts = np.repeat([[1.0, 2.0], [4.0, 6.0]], [29, 1], axis=0)
+        seeds = [kmeans(pts, 2, seed=s, n_init=1, max_iter=0).words.tolist()
+                 for s in range(40)]
+        seconds = [w[1] for w in seeds if w[0] == [1.0, 2.0]]
+        assert seconds and all(w == [4.0, 6.0] for w in seconds)
+
     def test_too_few_points_errors(self):
         with pytest.raises(VocabularyError):
             kmeans(np.zeros((3, 2)), 5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_refused(self, bad):
+        pts = np.random.default_rng(26).random((20, 4))
+        pts[7, 2] = bad
+        with pytest.raises(VocabularyError, match="must be finite"):
+            kmeans(pts, 3)
 
     def test_nearest_matches_direct_differences(self):
         rng = np.random.default_rng(9)
@@ -300,6 +392,22 @@ class TestKmeans:
         descs = extract_descriptors(frame, grid_stride=8)
         cb = kmeans(descs.vector, 2, seed=0)
         assert cb.words.shape == (2, 128)
+
+
+def _argsort_quantize(vectors, codebook, m, sigma):
+    """Oracle: quantize with its m nearest words taken from a stable argsort of all K."""
+    d2 = vocab._sq_dist(vectors, codebook.words)
+    order = np.argsort(d2, axis=1, kind="stable")
+    hard = order[:, 0]
+    nearest = order[:, :min(m, codebook.K)]
+    weights = np.exp(-np.take_along_axis(d2, nearest, axis=1) / (2.0 * sigma * sigma))
+    total = weights.sum(axis=1, keepdims=True)
+    soft = np.zeros_like(d2)
+    np.put_along_axis(soft, nearest, weights / np.where(total > 0, total, 1.0), axis=1)
+    underflow = total[:, 0] == 0
+    soft[underflow, hard[underflow]] = 1.0
+    soft[~vectors.any(axis=1)] = 0.0
+    return hard, soft
 
 
 class TestQuantize:
@@ -360,6 +468,40 @@ class TestQuantize:
             assert np.allclose(row, expect, rtol=0, atol=1e-12)
         assert hard[:2].tolist() == [0, 3]
         assert np.count_nonzero(soft[0]) == m and soft[0, :m].all()
+
+    @pytest.mark.parametrize("sigma", [0.05, 1.0])
+    @pytest.mark.parametrize("K", [4, 200])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, "K"])
+    def test_selection_matches_stable_argsort(self, m, K, sigma):
+        # integer coordinates in {0, 1, 2}: exact integer distances, heavy ties,
+        # all-zero rows, and at sigma 0.05 rows whose every weight underflows
+        rng = np.random.default_rng(27)
+        cb = Codebook(words=rng.integers(0, 3, (K, 3)).astype(float), seed=0)
+        vectors = rng.integers(0, 3, (120, 3)).astype(float)
+        m = K if m == "K" else m
+        d2 = np.sort(vocab._sq_dist(vectors, cb.words), axis=1)
+        assert (d2[:, :min(m, K - 1)] == d2[:, 1:min(m, K - 1) + 1]).any()
+        hard, soft = quantize(vectors, cb, m=m, sigma=sigma)
+        expect_hard, expect_soft = _argsort_quantize(vectors, cb, m, sigma)
+        assert hard.tobytes() == expect_hard.tobytes()
+        assert soft.tobytes() == expect_soft.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vector_refused(self, bad):
+        vectors = np.array([[0.7, 0.2], [0.1, bad]])
+        with pytest.raises(VocabularyError, match="must be finite"):
+            with np.errstate(invalid="ignore"):
+                quantize(vectors, self._codebook())
+
+    def test_non_finite_word_refused(self):
+        cb = Codebook(words=np.array([[0.0, 0.0], [np.nan, 1.0]]), seed=0)
+        with pytest.raises(VocabularyError, match="must be finite"):
+            quantize(np.array([[0.7, 0.2]]), cb)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_no_neighbors_refused(self, m):
+        with pytest.raises(VocabularyError, match="m must be >= 1"):
+            quantize(np.array([[0.7, 0.2]]), self._codebook(), m=m)
 
     def test_underflowing_row_is_one_hot(self):
         # every Gaussian weight underflows this far from the words
@@ -490,8 +632,32 @@ def test_codebook_roundtrip(tmp_path):
     "vvtrack-codebook v1\n",
     "vvtrack-codebook v1\n2 2 0\n0.1 nan\n0.3 0.4\n",
     "vvtrack-codebook v1\n2 2 0\n0.1 0.2\n-inf 0.4\n",
-], ids=["header", "counts", "short-row", "no-counts", "nan-word", "inf-word"])
+    "vvtrack-codebook v1\n2 2 0\n0.1 0.2\n\n0.3 0.4\n",
+    "vvtrack-codebook v1\n2 2 0\n0.1 0.2\n0.3 0.4 0.5\n",
+    "vvtrack-codebook v1\n2 2 0\n0.1 0.2\n0.3 x\n",
+    "vvtrack-codebook v1\n3 2 0\n0.1 0.2\n0.3 0.4\n",
+    "vvtrack-codebook v1\n2 3 0\n1 2 3\n4 5 6\ngarbage here\n",
+    "vvtrack-codebook v1\n1 2 0\n0.1 0.2\n\n0.3 0.4\n",
+    "vvtrack-codebook v1\n0 1 0\n",
+    "vvtrack-codebook v1\n2 2 0\n0.1 0.2\n# 0.3 0.4\n",
+], ids=["header", "counts", "short-row", "no-counts", "nan-word", "inf-word",
+        "blank-row", "ragged-row", "non-number", "missing-row", "trailing-content",
+        "content-after-blank", "no-words", "comment-row"])
 def test_codebook_bad_header_errors(tmp_path, text):
     (tmp_path / "cb.txt").write_text(text)
     with pytest.raises(VocabularyError):
         vocab.load_codebook(tmp_path / "cb.txt")
+
+
+def test_codebook_blank_lines_after_the_words_are_accepted(tmp_path):
+    (tmp_path / "cb.txt").write_text("vvtrack-codebook v1\n2 2 5\n0.1 0.2\n0.3 0.4\n\n \n")
+    loaded = vocab.load_codebook(tmp_path / "cb.txt")
+    assert loaded.words.tolist() == [[0.1, 0.2], [0.3, 0.4]] and loaded.seed == 5
+
+
+def test_codebook_text_is_one_repr_per_value(tmp_path):
+    words = np.array([[0.1, 1e-300, -2.5], [1 / 3, 5e-324, 1e300]])
+    vocab.save_codebook(tmp_path / "cb.txt", Codebook(words=words, seed=0))
+    lines = (tmp_path / "cb.txt").read_text().splitlines()
+    assert lines[2:] == [" ".join(repr(float(v)) for v in row) for row in words]
+    assert vocab.load_codebook(tmp_path / "cb.txt").words.tobytes() == words.tobytes()
