@@ -125,7 +125,7 @@ def motion_masks(curr: np.ndarray, prev: np.ndarray,
     return MotionMasks(I_m=i_m, F_m=f_m, M=i_m & f_m)
 
 
-def update_background(state: BackgroundState, curr: np.ndarray) -> BackgroundState:
+def update_background(state: BackgroundState, curr: np.ndarray) -> None:
     """First-order recursive update B <- B + alpha (I - B) with adaptive alpha.
 
     alpha = a + b |E(t) - E(t-5)| / max(E(t), E(t-5)); the gain is zero
@@ -145,7 +145,6 @@ def update_background(state: BackgroundState, curr: np.ndarray) -> BackgroundSta
     alpha = min(alpha, 1.0)
     state.B = state.B + alpha * (curr - state.B)
     state.V = history[:6]
-    return state
 
 
 def diff_histogram(curr: np.ndarray, prev: np.ndarray) -> np.ndarray:

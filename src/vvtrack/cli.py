@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_generate(args, cfg) -> int:
+def cmd_generate(args, cfg) -> None:
     scene = scenes.build_scene(args.scene, args.frames, seed=args.seed)
     frames, truth = fio.generate_synthetic(scene, args.frames)
     out = Path(args.out)
@@ -96,7 +96,6 @@ def cmd_generate(args, cfg) -> int:
         fio.write_pnm(out / name, frame)
     fio.write_truth(out / "truth.jsonl", truth)
     print(f"wrote {len(frames)} frames to {out}")
-    return 0
 
 
 def _load_gray_images(directory):
@@ -108,7 +107,7 @@ def _load_gray_images(directory):
     return images
 
 
-def cmd_train_vocab(args, cfg) -> int:
+def cmd_train_vocab(args, cfg) -> None:
     vcfg = cfg["vocabulary"]
     vectors = np.concatenate([vocab.extract_descriptors(
         image, grid_stride=vcfg["grid_stride"], patch=vcfg["patch"]).vector
@@ -116,10 +115,9 @@ def cmd_train_vocab(args, cfg) -> int:
     codebook = vocab.kmeans(vectors[vectors.any(axis=1)], vcfg["K"], seed=cfg["seed"])
     vocab.save_codebook(args.out, codebook)
     print(f"codebook with K={codebook.K} written to {args.out}")
-    return 0
 
 
-def cmd_train_svm(args, cfg) -> int:
+def cmd_train_svm(args, cfg) -> None:
     vcfg = cfg["vocabulary"]
     ccfg = cfg["classifier"]
     codebook = vocab.load_codebook(args.vocab)
@@ -135,10 +133,9 @@ def cmd_train_svm(args, cfg) -> int:
                           seed=cfg["seed"])
     svm.save_model(args.out, model)
     print(f"SVM over classes {model.classes} written to {args.out}")
-    return 0
 
 
-def cmd_detect(args, cfg) -> int:
+def cmd_detect(args, cfg) -> None:
     """Write each frame's mask and detections.jsonl record as its result arrives.
 
     detections.jsonl appears only once every frame is done.
@@ -158,7 +155,6 @@ def cmd_detect(args, cfg) -> int:
 
     fio.write_jsonl(out / "detections.jsonl", records())
     print(f"wrote {written} masks to {out}")
-    return 0
 
 
 def _or_na(value, form: str) -> str:
@@ -166,17 +162,16 @@ def _or_na(value, form: str) -> str:
     return "n/a" if value is None else format(value, form)
 
 
-def cmd_track(args, cfg) -> int:
+def cmd_track(args, cfg) -> None:
     records, report = pl.run_pipeline(args.in_dir, args.out, cfg)
     print(f"tracked {len({r.id for r in records})} objects over "
           f"{len({r.frame for r in records})} frames")
     if report is not None:
         print(f"success rate {_or_na(report.success_rate, '.3f')}, "
               f"fp/frame {report.fp_per_frame:.3f}")
-    return 0
 
 
-def cmd_eval(args, cfg) -> int:
+def cmd_eval(args, cfg) -> None:
     tracks = fio.read_jsonl(args.tracks)
     truth = fio.read_jsonl(args.truth)
     report = met.evaluate_tracks(tracks, truth)
@@ -186,7 +181,6 @@ def cmd_eval(args, cfg) -> int:
           f"mean center error {'n/a' if err is None else f'{err:.2f} px'}, "
           f"fp/frame {report.fp_per_frame:.3f}, "
           f"id switches {report.id_switches}")
-    return 0
 
 
 def main(argv=None) -> int:
@@ -201,7 +195,8 @@ def main(argv=None) -> int:
             cfg = load_config(args.config)
             if getattr(args, "seed", None) is not None:
                 cfg["seed"] = args.seed
-        return args.run(args, cfg)
+        args.run(args, cfg)
+        return 0
     except (ConfigError, FrameError, OSError, pl.PipelineError,
             met.MetricsError, svm.SvmError, vocab.VocabularyError,
             bgmod.BackgroundError, shadows.ShadowError) as exc:

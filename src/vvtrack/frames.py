@@ -1,9 +1,10 @@
 """Frame I/O, grayscale conversion and synthetic ground-truthed sequences.
 
-Frames are numpy float64 arrays with intensities in [0, 1]: grayscale
-frames are (H, W), RGB frames are (H, W, 3).  Files on disk are binary
-8-bit PGM (P5) / PPM (P6) with maxval 255; read_pnm_bytes gives their
-pixels as uint8 arrays.
+Frames are numpy float64 arrays with intensities in [0, 1], or the uint8
+pixels that read_pnm gives: grayscale frames are (H, W), RGB frames are
+(H, W, 3).  Files on disk are binary 8-bit PGM (P5) / PPM (P6) with
+maxval 255.  The frame checks (validate_gray, validate_rgb, to_grayscale)
+return float64, decoding uint8 pixels as pixels / 255.
 """
 
 from __future__ import annotations
@@ -28,11 +29,14 @@ class FrameError(Exception):
 
 
 def _validate(frame, kind: str, form: str, channels: tuple) -> np.ndarray:
-    """frame as float64, checked to be (H, W) + channels with pixels in [0, 1]."""
-    frame = np.asarray(frame, dtype=np.float64)
+    """frame as float64, checked to be (H, W) + channels with pixels in [0, 1]
+    (uint8 pixels are decoded as frame / 255, in range by their type)."""
+    frame = np.asarray(frame)
     if frame.ndim < 2 or frame.shape[2:] != channels:
         raise FrameError(f"{kind} frame must be {form}, got shape {frame.shape}")
-    if not (frame.size and frame.min() >= 0.0 and frame.max() <= 1.0):
+    decoded = frame.dtype == np.uint8
+    frame = frame / 255.0 if decoded else frame.astype(np.float64, copy=False)
+    if not (frame.size and (decoded or frame.min() >= 0.0 and frame.max() <= 1.0)):
         raise FrameError(f"{kind} frame needs pixels, with intensities in [0, 1]")
     return frame
 
@@ -82,7 +86,7 @@ def _read_pnm_header(data: bytes, path):
     return magic, width, height, maxval, pos + 1
 
 
-def read_pnm_bytes(path) -> np.ndarray:
+def read_pnm(path) -> np.ndarray:
     """Read a binary P5 (gray) or P6 (RGB) file into a read-only uint8 array."""
     path = Path(path)
     try:
@@ -102,13 +106,6 @@ def read_pnm_bytes(path) -> np.ndarray:
     if raw.size < n:
         raise FrameError(f"{path}: truncated pixel data ({raw.size} of {n} bytes)")
     return raw[:n].reshape((height, width) if channels == 1 else (height, width, 3))
-
-
-def read_pnm(path) -> np.ndarray:
-    """Read a binary P5 (gray) or P6 (RGB) file into a [0, 1] float array."""
-    pixels = read_pnm_bytes(path).astype(np.float64)
-    pixels /= 255.0
-    return pixels
 
 
 def write_pnm(path, frame: np.ndarray) -> None:
@@ -136,10 +133,10 @@ def write_pnm(path, frame: np.ndarray) -> None:
 
 
 def write_mask_pgm(path, mask: np.ndarray) -> None:
-    write_pnm(path, np.where(np.asarray(mask, bool), 1.0, 0.0))
+    write_pnm(path, np.asarray(mask, bool) * np.uint8(255))
 
 
-def read_sequence(directory, start: int = 0, raw: bool = False) -> Iterator[np.ndarray]:
+def read_sequence(directory, start: int = 0) -> Iterator[np.ndarray]:
     """Frames of a numbered PGM/PPM sequence in increasing index order, read lazily.
 
     The numeric index is the last run of digits in the file name.  The
@@ -148,8 +145,7 @@ def read_sequence(directory, start: int = 0, raw: bool = False) -> Iterator[np.n
     (frame positions must match the indices); each frame is read only when
     the iterator reaches it, and one whose dimensions differ from the
     first frame read raises FrameError then.  The first ``start`` frames
-    are skipped without being read.  Each frame is read by read_pnm, or
-    with ``raw`` by read_pnm_bytes.
+    are skipped without being read.  Each frame is read by read_pnm.
     """
     directory = Path(directory)
     indexed = []
@@ -164,13 +160,13 @@ def read_sequence(directory, start: int = 0, raw: bool = False) -> Iterator[np.n
     for (i, p), (j, q) in zip(indexed, indexed[1:]):
         if i == j:
             raise FrameError(f"{p} and {q} carry the same frame index {i}")
-    return _read_frames([p for _, p in indexed[start:]], raw)
+    return _read_frames([p for _, p in indexed[start:]])
 
 
-def _read_frames(paths, raw):
+def _read_frames(paths):
     shape = None
     for p in paths:
-        frame = read_pnm_bytes(p) if raw else read_pnm(p)
+        frame = read_pnm(p)
         if shape is None:
             shape = frame.shape[:2]
         elif frame.shape[:2] != shape:

@@ -16,11 +16,10 @@ from . import recognition, shadows, svm, vocab
 from .config import tracker_config
 from .tracker import track_sequence
 
-ID_COLORS = [
-    (1.0, 0.2, 0.2), (0.2, 1.0, 0.2), (0.2, 0.4, 1.0), (1.0, 1.0, 0.2),
-    (1.0, 0.2, 1.0), (0.2, 1.0, 1.0), (1.0, 0.6, 0.2), (0.6, 0.2, 1.0),
-]
-_ID_COLORS_8BIT = np.rint(np.multiply(ID_COLORS, 255.0)).astype(np.uint8)
+ID_COLORS = np.array([  # 8-bit RGB box color per track id, repeating
+    (255, 51, 51), (51, 255, 51), (51, 102, 255), (255, 255, 51),
+    (255, 51, 255), (51, 255, 255), (255, 153, 51), (153, 51, 255),
+], dtype=np.uint8)
 MAX_OBJECTS = 8  # trackers seeded at most, from the seed frame's largest blobs
 
 
@@ -56,8 +55,8 @@ def iter_detections(frames, cfg, first: int = 0) -> Iterator[DetectionResult]:
             if f.ndim != 3:
                 raise PipelineError(f"frame {t}: shadow removal needs RGB input, "
                                     f"got a grayscale frame; disable shadow.enabled")
-            _, gray, _ = shadows.remove_shadow(f, sigma=scfg["sigma"], t1=scfg["t1"],
-                                               t2=scfg["t2"], penumbra=scfg["penumbra"])
+            gray = shadows.remove_shadow(f, sigma=scfg["sigma"], t1=scfg["t1"],
+                                         t2=scfg["t2"], penumbra=scfg["penumbra"])
         else:
             gray = fio.to_grayscale(f)
         if state is None:
@@ -127,8 +126,7 @@ def classify_boxes(gray, boxes, codebook, model, cfg):
     vcfg = cfg["vocabulary"]
     descs = recognition.extract_descriptors(gray, grid_stride=vcfg["grid_stride"],
                                             patch=vcfg["patch"])
-    return [recognition.classify_box(descs, (x, y, x + w, y + h), codebook, model)
-            for x, y, w, h in boxes]
+    return [recognition.classify_box(descs, box, codebook, model) for box in boxes]
 
 
 def run_pipeline(in_dir, out_dir, cfg, seed: int | None = None):
@@ -171,7 +169,7 @@ def run_pipeline(in_dir, out_dir, cfg, seed: int | None = None):
         report = met.evaluate_tracks(records, fio.read_jsonl(truth_path))
     # tracks.jsonl is written after the annotated frames: a frame that fails
     # to read leaves none.
-    write_annotated(out_dir / "annotated", fio.read_sequence(in_dir, raw=True), records)
+    write_annotated(out_dir / "annotated", fio.read_sequence(in_dir), records)
     fio.write_jsonl(out_dir / "tracks.jsonl",
                     (asdict(r) | {"label": None if labels[r.id] is None
                                   else str(labels[r.id])} for r in records))
@@ -195,7 +193,7 @@ def write_annotated(directory, frames, records) -> None:
                   else frame.copy())
         fh, fw = frame.shape[:2]
         for r in by_frame.get(t, []):
-            color = _ID_COLORS_8BIT[r.id % len(_ID_COLORS_8BIT)]
+            color = ID_COLORS[r.id % len(ID_COLORS)]
             left, right = r.cx - r.w / 2, r.cx + r.w / 2
             top, bottom = r.cy - r.h / 2, r.cy + r.h / 2
             if not (right >= 0 and bottom >= 0 and left <= fw - 1 and top <= fh - 1):

@@ -251,13 +251,13 @@ def match_parts(model: PartModel, costmaps: list[np.ndarray]):
 # ---------------------------------------------------------------------------
 
 def classify_box(descriptors, box, codebook: Codebook, svm_model):
-    """SVM label of the BoW of the descriptors centred in box (x0, y0, x1, y1).
+    """SVM label of the BoW of the descriptors centred in box (x, y, w, h).
 
     None when no descriptor in the box has a gradient.
     """
-    x0, y0, x1, y1 = box
+    x, y, w, h = box
     xs, ys = descriptors.x, descriptors.y
-    inside = (x0 <= xs) & (xs < x1) & (y0 <= ys) & (ys < y1)
+    inside = (x <= xs) & (xs < x + w) & (y <= ys) & (ys < y + h)
     hist = vocab.bow_histogram(descriptors[inside], codebook)
     if not np.any(hist):
         return None

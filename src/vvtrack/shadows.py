@@ -188,11 +188,12 @@ def split_shadow(frame: np.ndarray, masks: ShadowMasks):
 
 
 def remove_shadow(frame: np.ndarray, sigma: float = 1.0, t1: float = 0.3,
-                  t2: float = 0.1, penumbra: int = 2):
-    """Convenience: detect shadow edges then split; returns (S, R, masks)."""
+                  t2: float = 0.1, penumbra: int = 2) -> np.ndarray:
+    """Shadow-free image R of an RGB frame (see split_shadow); 8-bit pixels
+    are decoded once, here, not by each stage."""
+    frame = validate_rgb(frame)
     masks = shadow_masks(frame, sigma=sigma, t1=t1, t2=t2, penumbra=penumbra)
-    S, R = split_shadow(frame, masks)
-    return S, R, masks
+    return split_shadow(frame, masks)[1]
 
 
 def extract_blobs(mask: np.ndarray, min_area: int = 25) -> list[Blob]:

@@ -276,6 +276,14 @@ def save_model(path, model: SvmModel) -> None:
                 fh.write(" ".join(map(repr, row)) + "\n")
 
 
+def _float_rows(lines, shape) -> np.ndarray:
+    """Non-blank lines parsed in C as one float array of shape (no lines: empty)."""
+    if not all(map(str.strip, lines)):  # "" is what readline gives past the end
+        raise ValueError(f"need {len(lines)} non-blank rows of numbers")
+    rows = np.loadtxt(lines, ndmin=2, comments=None) if lines else np.empty(0)
+    return rows.reshape(shape)
+
+
 def load_model(path) -> SvmModel:
     with open(path) as fh:
         try:  # a ValueError here includes bytes that do not decode as text
@@ -293,12 +301,17 @@ def load_model(path) -> SvmModel:
                 a, b, n, dim, bias = fh.readline().split()
                 if (int(a), int(b)) not in pairs.difference(model.machines):
                     raise ValueError(f"machine ({a}, {b}) is a repeat or not a class pair")
-                coef = np.asarray([float(t) for t in fh.readline().split()])
-                svs = np.asarray([[float(t) for t in fh.readline().split()]
-                                  for _ in range(int(n))])
+                n, dim = int(n), int(dim)
+                if n < 0 or dim < 1:
+                    raise ValueError(f"machine ({a}, {b}) has {n} vectors of size {dim}")
+                coef = fh.readline()  # blank for a machine with no support vectors
                 model.machines[(int(a), int(b))] = BinaryMachine(
-                    support_vectors=svs.reshape(int(n), int(dim)),
-                    dual_coef=coef.reshape(int(n)), bias=float(bias))
+                    support_vectors=_float_rows([fh.readline() for _ in range(n)],
+                                                (n, dim)),
+                    dual_coef=_float_rows([coef] if coef.strip() else [], (n,)),
+                    bias=float(bias))
+            if fh.read().strip():
+                raise ValueError("content after the last machine")
         except (ValueError, SvmError) as exc:
             raise SvmError(f"{path}: malformed model: {exc}") from None
     finite = np.isfinite([model.C, model.c_offset]).all() and all(

@@ -73,7 +73,7 @@ def test_criterion_02_shadow_removal_ratio():
         frame = frames[0]
         shadow = fio.rle_decode(truth[0]["shadow_rle"], (64, 64))
         motion = fio.rle_decode(truth[0]["motion_rle"], (64, 64))
-        _, R, _ = sh.remove_shadow(frame)
+        R = sh.remove_shadow(frame)
         inner = ndimage.binary_erosion(shadow, iterations=3)
         lit = ~ndimage.binary_dilation(shadow | motion, iterations=3)
         gray = fio.to_grayscale(frame)

@@ -50,6 +50,44 @@ def test_validators_reject_zero_pixel_frames(shape):
         fio.validate_rgb(np.zeros(shape + (3,)))
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (0, 4), (3, 0)])
+def test_validators_reject_zero_pixel_8bit_frames(shape):
+    with pytest.raises(FrameError, match="needs pixels"):
+        fio.validate_gray(np.zeros(shape, np.uint8))
+    with pytest.raises(FrameError, match="needs pixels"):
+        fio.validate_rgb(np.zeros(shape + (3,), np.uint8))
+
+
+def test_validators_reject_an_8bit_frame_of_four_channels():
+    rgba = np.zeros((2, 3, 4), np.uint8)
+    with pytest.raises(FrameError, match=r"must be \(H, W, 3\)"):
+        fio.validate_rgb(rgba)
+    with pytest.raises(FrameError, match=r"must be \(H, W, 3\)"):
+        to_grayscale(rgba)
+
+
+def _decoded_as_before(path, shape):
+    """The float read_pnm that the uint8 decode replaced, kept as its oracle:
+    the file's last bytes as float64, divided by 255 in place."""
+    n = int(np.prod(shape))
+    pixels = np.frombuffer(path.read_bytes()[-n:], np.uint8).astype(np.float64)
+    pixels /= 255.0
+    return pixels.reshape(shape)
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (16, 16, 3)], ids=["pgm", "ppm"])
+def test_8bit_decode_matches_the_float_read_bit_for_bit(tmp_path, shape):
+    levels = np.arange(256, dtype=np.uint8).reshape(16, 16)
+    pixels = levels if len(shape) == 2 else np.stack([levels, levels.T, levels[::-1]], -1)
+    write_pnm(tmp_path / "f.pnm", pixels)
+    frame = read_pnm(tmp_path / "f.pnm")
+    oracle = _decoded_as_before(tmp_path / "f.pnm", shape)
+    check = fio.validate_gray if len(shape) == 2 else fio.validate_rgb
+    decoded = check(frame)
+    assert decoded.dtype == np.float64 and decoded.tobytes() == oracle.tobytes()
+    assert to_grayscale(frame).tobytes() == to_grayscale(oracle).tobytes()
+
+
 def test_gray_max_bounded_by_channel_max():
     rng = np.random.default_rng(4)
     rgb = rng.random((6, 6, 3))
@@ -60,29 +98,30 @@ def test_pnm_roundtrip_gray_and_rgb(tmp_path):
     rng = np.random.default_rng(0)
     gray = np.round(rng.random((5, 9)) * 255) / 255
     write_pnm(tmp_path / "g.pgm", gray)
-    assert np.allclose(read_pnm(tmp_path / "g.pgm"), gray)
+    assert np.allclose(read_pnm(tmp_path / "g.pgm") / 255.0, gray)
     rgb = np.round(rng.random((4, 6, 3)) * 255) / 255
     write_pnm(tmp_path / "c.ppm", rgb)
-    assert np.allclose(read_pnm(tmp_path / "c.ppm"), rgb)
+    assert np.allclose(read_pnm(tmp_path / "c.ppm") / 255.0, rgb)
 
 
 @pytest.mark.parametrize("shape", [(5, 9), (4, 6, 3)], ids=["pgm", "ppm"])
 def test_write_pnm_of_8bit_pixels_reproduces_the_file(tmp_path, shape):
-    """A uint8 frame from read_pnm_bytes is written as it is, so it gives
-    back the file write_pnm made from floats, whose read_pnm it is *255."""
+    """A uint8 frame from read_pnm is written as it is, so it gives back the
+    file write_pnm made from floats, whose levels it holds."""
     frame = np.random.default_rng(1).random(shape)
     write_pnm(tmp_path / "float.pnm", frame)
-    pixels = fio.read_pnm_bytes(tmp_path / "float.pnm")
+    pixels = read_pnm(tmp_path / "float.pnm")
     assert pixels.dtype == np.uint8 and pixels.shape == shape
-    assert np.array_equal(pixels, read_pnm(tmp_path / "float.pnm") * 255.0)
+    assert not pixels.flags.writeable
+    assert np.array_equal(pixels, np.rint(frame * 255.0))
     write_pnm(tmp_path / "bytes.pnm", pixels)
     assert (tmp_path / "bytes.pnm").read_bytes() == (tmp_path / "float.pnm").read_bytes()
 
 
 def test_pnm_255_maps_to_one(tmp_path):
     (tmp_path / "p.ppm").write_bytes(b"P6\n1 1\n255\n" + bytes([255, 0, 0]))
-    frame = read_pnm(tmp_path / "p.ppm")
-    assert np.allclose(frame[0, 0], [1.0, 0.0, 0.0])
+    frame = fio.validate_rgb(read_pnm(tmp_path / "p.ppm"))
+    assert np.array_equal(frame[0, 0], [1.0, 0.0, 0.0])
 
 
 def test_read_sequence_orders_by_index(tmp_path):
@@ -90,7 +129,7 @@ def test_read_sequence_orders_by_index(tmp_path):
         write_pnm(tmp_path / f"frame_{i:03d}.ppm", np.full((3, 3, 3), i / 10))
     frames = list(read_sequence(tmp_path))
     assert len(frames) == 3
-    values = [round(float(f.mean()) * 10) for f in frames]
+    values = [round(float(to_grayscale(f).mean()) * 10) for f in frames]
     assert values == [0, 1, 2]
 
 
@@ -127,7 +166,7 @@ def test_read_pnm_truncated_errors(tmp_path, data):
 def test_read_pnm_header_comments(tmp_path):
     path = tmp_path / "c.pgm"
     path.write_bytes(b"P5\n# c\n3 # w\n2\n255\n" + bytes(range(0, 60, 10)))
-    assert np.array_equal(read_pnm(path), np.arange(0, 60, 10).reshape(2, 3) / 255)
+    assert np.array_equal(read_pnm(path), np.arange(0, 60, 10).reshape(2, 3))
     path.write_bytes(b"P5\n3 2\n# 255")  # maxval only inside a trailing comment
     with pytest.raises(FrameError, match="truncated PNM header"):
         read_pnm(path)

@@ -102,6 +102,27 @@ def test_pipeline_detects_no_frame_after_the_seed(tmp_path, monkeypatch):
     assert calls["update_background"] == start
 
 
+def test_pipeline_reads_each_frame_through_read_pnm_once_per_pass(tmp_path, monkeypatch):
+    n = 16
+    seq = tmp_path / "seq"
+    assert main(["generate", "--out", str(seq), "--scene", "two_rect",
+                 "--frames", str(n), "--seed", "0"]) == 0
+    cfg = merge_config({"background": {"burn_in": 3}, "tracker": SMALL_TRACKER})
+    read = []
+    original = fio.read_pnm
+
+    def counting(path):
+        read.append(path)
+        return original(path)
+
+    monkeypatch.setattr(fio, "read_pnm", counting)
+    records, _ = pl.run_pipeline(seq, tmp_path / "out", cfg, seed=0)
+    start = min(r.frame for r in records)
+    assert 3 <= start < n - 1
+    # detection up to the seed frame, tracking from it, annotation of all
+    assert len(read) == (start + 1) + (n - start) + n
+
+
 def test_detect_sequence_stops_reading_at_the_first_accepted_result():
     rng = np.random.default_rng(0)
     read = []
@@ -142,31 +163,30 @@ def test_write_annotated_clips_boxes_and_skips_off_frame_ones(tmp_path):
     from vvtrack.tracker import TrackRecord
 
     def read(t):
-        return np.rint(fio.read_pnm(tmp_path / f"frame_{t:04d}.ppm") * 255.0)
+        return fio.read_pnm(tmp_path / f"frame_{t:04d}.ppm")
 
-    frame = np.full((20, 30), 0.5)
-    pixels = np.rint(frame * 255.0).astype(np.uint8)  # the frame as a file holds it
-    blank = _gray_to_rgb(frame)
+    pixels = np.full((20, 30), 128, np.uint8)
+    blank = _gray_to_rgb(pixels)
     off = [TrackRecord(0, 0, cx, cy, 1.0, 10.0, 6.0, 1.0)
            for cx, cy in [(-20.0, 10.0), (45.0, 10.0), (15.0, -9.0), (15.0, 30.0)]]
     clipped = TrackRecord(1, 1, -2.0, 17.0, 1.0, 10.0, 8.0, 1.0)  # x -7..3, y 13..21
     pl.write_annotated(tmp_path, [pixels, pixels], off + [clipped])
-    assert np.array_equal(read(0), np.rint(blank * 255.0))
+    assert np.array_equal(read(0), blank)
     expected = blank.copy()
     color = pl.ID_COLORS[1]
     expected[13, 0:4] = expected[19, 0:4] = color
     expected[13:20, 0] = expected[13:20, 3] = color
-    assert np.array_equal(read(1), np.rint(expected * 255.0))
+    assert np.array_equal(read(1), expected)
 
 
 def _annotated_in_float(frame, records):
     """The float drawing write_annotated replaced, kept as its oracle: the
-    [0, 1] frame as an RGB canvas with each box drawn in its ID_COLORS entry,
-    quantized only when written."""
+    [0, 1] frame as an RGB canvas with each box drawn in its ID_COLORS entry
+    over 255, quantized only when written."""
     canvas = _gray_to_rgb(frame) if frame.ndim == 2 else frame.copy()
     fh, fw = frame.shape[:2]
     for r in records:
-        color = pl.ID_COLORS[r.id % len(pl.ID_COLORS)]
+        color = pl.ID_COLORS[r.id % len(pl.ID_COLORS)] / 255.0
         left, right = r.cx - r.w / 2, r.cx + r.w / 2
         top, bottom = r.cy - r.h / 2, r.cy + r.h / 2
         if not (right >= 0 and bottom >= 0 and left <= fw - 1 and top <= fh - 1):

@@ -476,7 +476,7 @@ class TestClassifyBox:
         test_frame = _textured_square(seed=9, box=(28, 12, 24, 24))
         # a 6-px grid: centres 8, 14, ..., 56 fall on both edges of the box
         descs = vocab.extract_descriptors(test_frame, grid_stride=6)
-        box = (20, 14, 44, 38)
+        box = (20, 14, 24, 24)
         seen = []
         histogram = vocab.bow_histogram
 
@@ -497,7 +497,7 @@ class TestClassifyBox:
         frames, cb = _square_codebook(10)
         test_frame = _textured_square(seed=9, box=(28, 12, 24, 24))
         descs = vocab.extract_descriptors(test_frame, grid_stride=6)
-        box = (0, 50, 64, 64)  # centre rows 50 and 56, their patches all flat
-        inside = (box[1] <= descs.y) & (descs.y < box[3])
+        box = (0, 50, 64, 14)  # centre rows 50 and 56, their patches all flat
+        inside = (box[1] <= descs.y) & (descs.y < box[1] + box[3])
         assert inside.sum() == 18 and not descs.vector[inside].any()
         assert rec.classify_box(descs, box, cb, self._model(frames, cb)) is None

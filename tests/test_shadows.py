@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from vvtrack import frames as fio
 from vvtrack import shadows as sh
 from vvtrack.config import merge_config
 from vvtrack.frames import (SceneObject, SyntheticScene, generate_synthetic,
@@ -248,6 +249,22 @@ class TestSplitShadow:
         prod = S * R
         ratio = gray / prod
         assert ratio.std() / ratio.mean() < 1e-6
+
+    def test_remove_shadow_decodes_8bit_pixels_once(self, monkeypatch):
+        frame, _ = self._shadow_frame()
+        pixels = np.rint(frame * 255.0).astype(np.uint8)
+        decoded = pixels / 255.0
+        _, R = split_shadow(decoded, shadow_masks(decoded, sigma=1.0))
+        checked = []
+        validate = fio._validate
+
+        def spy(frame, *args):
+            checked.append(np.asarray(frame).dtype)
+            return validate(frame, *args)
+
+        monkeypatch.setattr(fio, "_validate", spy)
+        assert sh.remove_shadow(pixels, sigma=1.0).tobytes() == R.tobytes()
+        assert checked.count(np.uint8) == 1
 
     def test_empty_mask_gives_flat_shadow_image(self):
         rng = np.random.default_rng(8)

@@ -217,13 +217,38 @@ def test_model_roundtrip(tmp_path):
     "vvtrack-svm v1\na b c\n1.0 1.0 3\n" + "0 1 1 2 0.0\n1.0\n0.5 0.5\n" * 2
     + "1 2 1 2 0.0\n1.0\n0.5 0.5\n",
     "vvtrack-svm v1\na\n1.0 1.0 0\n",
+    "vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 -1 2 0.0\n\n",
+    "vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 1 -1 0.0\n1.0\n0.5 0.5\n",
+    "vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 2 2 0.0\n1.0 1.0\n0.5 0.5\n\n",
+    "vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 0 2 0.0\n1.0\n",
+    "vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 1 2 0.0\n1.0\n0.5 0.5 0.5\n",
 ], ids=["header", "short-machine-line", "nan-support-vector", "inf-bias",
         "inf-coefficient", "nan-C", "class-out-of-range", "pair-reversed",
-        "no-machines", "repeated-pair", "one-class"])
+        "no-machines", "repeated-pair", "one-class", "negative-count", "negative-size",
+        "blank-support-vector-row", "coefficient-of-no-vector", "long-row"])
 def test_model_bad_header_errors(tmp_path, text):
     (tmp_path / "m.txt").write_text(text)
     with pytest.raises(SvmError):
         sv.load_model(tmp_path / "m.txt")
+
+
+def test_load_model_refuses_content_after_the_last_machine(tmp_path):
+    model = train_svm(*_two_blob_data(seed=16, n=5), seed=0)
+    sv.save_model(tmp_path / "m.txt", model)
+    with open(tmp_path / "m.txt", "a") as fh:
+        fh.write("garbage here\n")
+    with pytest.raises(SvmError, match="content after the last machine"):
+        sv.load_model(tmp_path / "m.txt")
+
+
+def test_model_with_no_support_vectors_roundtrips(tmp_path):
+    model = train_svm([[0.5, 0.5], [0.5, 0.5]], ["a", "b"])
+    sv.save_model(tmp_path / "m.txt", model)
+    assert (tmp_path / "m.txt").read_text().endswith("\n0 1 0 2 0.0\n\n")
+    loaded = sv.load_model(tmp_path / "m.txt")
+    machine = loaded.machines[(0, 1)]
+    assert machine.support_vectors.shape == (0, 2) and machine.dual_coef.shape == (0,)
+    assert predict(loaded, [0.5, 0.5])[0] == predict(model, [0.5, 0.5])[0]
 
 
 @pytest.mark.parametrize("line, match", [
