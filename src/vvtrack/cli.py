@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run)
         if name != "eval":
             p.add_argument("--config", required=True)
-        if name in ("train-vocab", "train-svm", "pipeline"):
+        if name in ("train-vocab", "pipeline"):
             p.add_argument("--seed", type=_seed, default=None,
                            help="override the config seed")
         if name == "train-vocab":
@@ -129,8 +129,7 @@ def cmd_train_svm(args, cfg) -> None:
                                               patch=vcfg["patch"])
             samples.append(vocab.bow_histogram(descs, codebook))
             labels.append(class_dir.name)
-    model = svm.train_svm(samples, labels, C=ccfg["C"], c_offset=ccfg["c_offset"],
-                          seed=cfg["seed"])
+    model = svm.train_svm(samples, labels, C=ccfg["C"], c_offset=ccfg["c_offset"])
     svm.save_model(args.out, model)
     print(f"SVM over classes {model.classes} written to {args.out}")
 

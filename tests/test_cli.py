@@ -414,12 +414,11 @@ class TestDataErrors:
         assert "error: seed " in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
-        "generate", "train-vocab", "train-svm", "detect", "eval", "pipeline", "track"])
+        "generate", "train-vocab", "detect", "eval", "pipeline", "track"])
     @pytest.mark.parametrize("seed", ["-1", "x"])
     def test_bad_seed_flag_is_usage_error(self, tmp_path, capsys, command, seed):
         args = {"generate": ["--out", str(tmp_path / "o"), "--scene", "one_rect"],
                 "train-vocab": ["--in", str(tmp_path), "--out", str(tmp_path / "cb")],
-                "train-svm": ["--vocab", "cb", "--in", str(tmp_path), "--out", "m"],
                 "eval": ["--tracks", "t", "--truth", "u", "--out", "e"]}.get(
                     command, ["--in", str(tmp_path), "--out", str(tmp_path / "o")])
         if command != "generate":
@@ -427,6 +426,15 @@ class TestDataErrors:
         assert main([command, *args, "--seed", seed]) == 1
         assert "seed" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+    def test_train_svm_takes_no_seed_flag(self, tmp_path, capsys):
+        # Training draws no random numbers, so there is no seed to override.
+        args = ["--vocab", "cb", "--in", str(tmp_path), "--out", str(tmp_path / "m")]
+        assert main(["train-svm", "--config", _config(tmp_path), *args,
+                     "--seed", "1"]) == 1
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
 
 
 class TestGenerate:

@@ -468,7 +468,7 @@ class TestClassifyBox:
         flat = [np.clip(0.5 + rng.normal(0, 0.01, (64, 64)), 0, 1) for _ in range(3)]
         hists = [vocab.bow_histogram(vocab.extract_descriptors(f), cb)
                  for f in [f for f, *_ in frames] + flat]
-        return train_svm(hists, ["textured"] * 3 + ["flat"] * 3, C=5.0, seed=0)
+        return train_svm(hists, ["textured"] * 3 + ["flat"] * 3, C=5.0)
 
     def test_classifies_the_descriptors_centred_in_the_half_open_box(self, monkeypatch):
         frames, cb = _square_codebook(10)

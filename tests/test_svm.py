@@ -41,19 +41,19 @@ class TestCubicKernel:
         assert eig.min() > -1e-8
 
     def test_dimension_mismatch_errors(self):
-        model = train_svm(*_two_blob_data(seed=0, n=5), seed=0)
+        model = train_svm(*_two_blob_data(seed=0, n=5))
         with pytest.raises(SvmError, match=r"model takes \[2\]-bin histograms"):
             predict(model, np.zeros(3))
 
     def test_negative_offset_errors(self):
         # Without the check this trains a machine on a non-PSD Gram matrix.
         with pytest.raises(SvmError, match="offset must be >= 0"):
-            train_svm(*_two_blob_data(seed=0, n=5), c_offset=-1.0, seed=0)
+            train_svm(*_two_blob_data(seed=0, n=5), c_offset=-1.0)
 
     @pytest.mark.parametrize("C", [0.0, -1.0])
     def test_non_positive_C_errors(self, C):
         with pytest.raises(SvmError, match="C must be > 0"):
-            train_svm(*_two_blob_data(seed=0, n=5), C=C, seed=0)
+            train_svm(*_two_blob_data(seed=0, n=5), C=C)
 
 
 def _two_blob_data(seed=0, n=30, sep=3.0):
@@ -68,23 +68,19 @@ def _two_blob_data(seed=0, n=30, sep=3.0):
 class TestTraining:
     def test_separable_blobs_perfect_on_train(self):
         x, labels = _two_blob_data(seed=3)
-        model = train_svm(x, labels, C=10.0, seed=0)
+        model = train_svm(x, labels, C=10.0)
         pred = [predict(model, xi)[0] for xi in x]
         assert pred == labels
 
-    def test_deterministic_for_seed(self):
+    def test_deterministic(self, tmp_path):
         x, labels = _two_blob_data(seed=4)
-        m1 = train_svm(x, labels, seed=5)
-        m2 = train_svm(x, labels, seed=5)
-        k1 = m1.machines[(0, 1)]
-        k2 = m2.machines[(0, 1)]
-        assert np.array_equal(k1.support_vectors, k2.support_vectors)
-        assert np.array_equal(k1.dual_coef, k2.dual_coef)
-        assert k1.bias == k2.bias
+        sv.save_model(tmp_path / "m1.txt", train_svm(x, labels))
+        sv.save_model(tmp_path / "m2.txt", train_svm(x, labels))
+        assert (tmp_path / "m1.txt").read_bytes() == (tmp_path / "m2.txt").read_bytes()
 
     def test_support_vectors_subset_of_train(self):
         x, labels = _two_blob_data(seed=6)
-        model = train_svm(x, labels, C=1.0, seed=0)
+        model = train_svm(x, labels, C=1.0)
         m = model.machines[(0, 1)]
         rows = {tuple(r) for r in x}
         assert all(tuple(r) in rows for r in m.support_vectors)
@@ -95,7 +91,7 @@ class TestTraining:
         centers = [(0, 0), (4, 0), (0, 4)]
         x = np.vstack([rng.normal(c, 0.4, (20, 2)) for c in centers])
         labels = ["p"] * 20 + ["q"] * 20 + ["r"] * 20
-        model = train_svm(x, labels, C=5.0, seed=1)
+        model = train_svm(x, labels, C=5.0)
         assert sorted(model.machines) == [(0, 1), (0, 2), (1, 2)]
         pred = [predict(model, xi)[0] for xi in x]
         acc = np.mean([p == t for p, t in zip(pred, labels)])
@@ -106,17 +102,81 @@ class TestTraining:
             train_svm(np.zeros((4, 2)), ["a"] * 4)
 
 
+def _alpha_y(machine, x):
+    """alpha_t * y_t of each distinct training row (0 where it is no support vector)."""
+    ay = np.zeros(len(x))
+    for v, c in zip(machine.support_vectors, machine.dual_coef):
+        ay[(x == v).all(axis=1)] = c
+    return ay
+
+
+def _overlapping_machines(seed, n=12):
+    """The binary problems of an overlapping three-class set: (x, y, machine)."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(3 * n, 2)) + np.repeat(np.eye(3, 2) * 0.5, n, axis=0)
+    model = train_svm(x, np.repeat(["p", "q", "r"], n), C=1.0)
+    for (a, b), machine in model.machines.items():
+        rows = np.r_[a * n:(a + 1) * n, b * n:(b + 1) * n]
+        yield x[rows], np.repeat([1.0, -1.0], n), machine
+
+
+class TestOptimality:
+    def test_dual_matches_an_independent_qp_solver(self):
+        from scipy.optimize import minimize
+        problems = 0
+        for seed in range(3):
+            for x, y, machine in _overlapping_machines(seed):
+                Q = np.outer(y, y) * gram_matrix(x)
+                f = lambda a: 0.5 * a @ Q @ a - a.sum()  # noqa: E731
+                oracle = minimize(
+                    f, np.zeros(len(y)), jac=lambda a: Q @ a - 1, method="SLSQP",
+                    bounds=[(0, 1.0)] * len(y), options={"ftol": 1e-12, "maxiter": 1000},
+                    constraints=[{"type": "eq", "fun": lambda a: a @ y,
+                                  "jac": lambda a: y}])
+                assert oracle.success
+                assert f(_alpha_y(machine, x) * y) == pytest.approx(oracle.fun, rel=1e-6)
+                problems += 1
+        assert problems == 9
+
+    def test_training_points_meet_kkt(self):
+        for seed in range(3):
+            for x, y, machine in _overlapping_machines(seed):
+                alpha = _alpha_y(machine, x) * y
+                yf = y * (gram_matrix(x, machine.support_vectors) @ machine.dual_coef
+                          + machine.bias)
+                violation = np.where(alpha == 0, 1 - yf,
+                                     np.where(alpha == 1.0, yf - 1, np.abs(yf - 1)))
+                assert (alpha == 1.0).any() and ((0 < alpha) & (alpha < 1.0)).any()
+                assert violation.max() <= sv.KKT_TOL + 1e-9
+
+    def test_identical_points_with_opposite_labels_reach_the_box(self):
+        # The dual optimum puts both at C; the decision value is then 0 everywhere.
+        model = train_svm([[0.5, 0.5], [0.5, 0.5]], ["a", "b"], C=3.0)
+        machine = model.machines[(0, 1)]
+        assert machine.dual_coef.tolist() == [3.0, -3.0]
+        assert machine.bias == 0.0
+
+    def test_large_C_on_histograms_trains(self):
+        # Rounding once tripped the objective check on these at C = 1000.
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            x = np.abs(rng.normal(size=(40, 3)))
+            x /= x.sum(axis=1, keepdims=True)
+            model = train_svm(x, ["a"] * 20 + ["b"] * 20, C=1000.0)
+            assert np.abs(model.machines[(0, 1)].dual_coef).max() <= 1000.0
+
+
 class TestPredict:
     def test_scores_antisymmetric_pairwise(self):
         x, labels = _two_blob_data(seed=8)
-        model = train_svm(x, labels, seed=0)
+        model = train_svm(x, labels)
         s = sv._pairwise(model, x[0])[1]
         # binary case: the two class scores are exact negatives
         assert s[0] == pytest.approx(-s[1])
 
     def test_votes_shape(self):
         x, labels = _two_blob_data(seed=9)
-        model = train_svm(x, labels, seed=0)
+        model = train_svm(x, labels)
         _, votes = predict(model, x[0])
         assert votes.shape == (2,) and votes.sum() == 1
 
@@ -194,7 +254,7 @@ class TestCrossValidate:
 
 def test_model_roundtrip(tmp_path):
     x, labels = _two_blob_data(seed=14, n=15)
-    model = train_svm(x, labels, C=2.0, c_offset=0.5, seed=1)
+    model = train_svm(x, labels, C=2.0, c_offset=0.5)
     sv.save_model(tmp_path / "m.txt", model)
     loaded = sv.load_model(tmp_path / "m.txt")
     assert loaded.classes == model.classes
@@ -233,7 +293,7 @@ def test_model_bad_header_errors(tmp_path, text):
 
 
 def test_load_model_refuses_content_after_the_last_machine(tmp_path):
-    model = train_svm(*_two_blob_data(seed=16, n=5), seed=0)
+    model = train_svm(*_two_blob_data(seed=16, n=5))
     sv.save_model(tmp_path / "m.txt", model)
     with open(tmp_path / "m.txt", "a") as fh:
         fh.write("garbage here\n")
@@ -242,7 +302,9 @@ def test_load_model_refuses_content_after_the_last_machine(tmp_path):
 
 
 def test_model_with_no_support_vectors_roundtrips(tmp_path):
-    model = train_svm([[0.5, 0.5], [0.5, 0.5]], ["a", "b"])
+    machine = sv.BinaryMachine(support_vectors=np.empty((0, 2)), dual_coef=np.empty(0),
+                               bias=0.0)
+    model = sv.SvmModel(classes=["a", "b"], machines={(0, 1): machine})
     sv.save_model(tmp_path / "m.txt", model)
     assert (tmp_path / "m.txt").read_text().endswith("\n0 1 0 2 0.0\n\n")
     loaded = sv.load_model(tmp_path / "m.txt")
@@ -266,7 +328,7 @@ def test_load_model_rejects_what_training_never_writes(tmp_path, line, match):
 @pytest.mark.parametrize("classes", [["red car", "bus"], ["", "bus"], [0, 1]],
                          ids=["space", "empty", "not-str"])
 def test_save_model_rejects_class_names_that_do_not_read_back(tmp_path, classes):
-    model = train_svm(*_two_blob_data(seed=15, n=5), seed=0)
+    model = train_svm(*_two_blob_data(seed=15, n=5))
     model.classes = classes
     with pytest.raises(SvmError, match="class names"):
         sv.save_model(tmp_path / "m.txt", model)
@@ -305,7 +367,7 @@ def _loop_cross_validate(x, labels, n_folds, seed):
     scores, true = [], []
     for f in range(n_folds):
         train = [i for i in range(len(labels)) if folds[i] != f]
-        model = train_svm(x[train], [labels[i] for i in train], seed=seed + f)
+        model = train_svm(x[train], [labels[i] for i in train])
         for i in (i for i in range(len(labels)) if folds[i] == f):
             label, _ = predict(model, x[i])
             confusion[classes.index(labels[i]), classes.index(label)] += 1
@@ -315,6 +377,16 @@ def _loop_cross_validate(x, labels, n_folds, seed):
     roc = {cl: _loop_roc_curve(scores[:, ci], true == ci)
            for ci, cl in enumerate(classes)}
     return confusion, float(np.trace(confusion)) / confusion.sum(), roc
+
+
+def _loop_stratified_folds(labels, n_folds, seed):
+    rng = np.random.default_rng(seed)
+    fold = [0] * len(labels)
+    for cl in sorted(set(labels)):
+        idx = [i for i, l in enumerate(labels) if l == cl]
+        for pos, p in enumerate(rng.permutation(len(idx))):
+            fold[idx[p]] = pos % n_folds
+    return fold
 
 
 def _three_class_data(seed, n=10):
@@ -332,6 +404,14 @@ def test_roc_curve_is_bit_identical_to_the_loop(seed):
         assert roc_curve(scores, pos) == _loop_roc_curve(scores, pos)
     scores = rng.normal(size=25)
     assert roc_curve(scores, scores > 0.3) == _loop_roc_curve(scores, scores > 0.3)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stratified_folds_is_bit_identical_to_the_loop(seed):
+    labels = list(np.random.default_rng(seed).choice(["p", "q", "r"], 40))
+    for n_folds in (2, 3, 5):
+        assert stratified_folds(labels, n_folds, seed) == \
+            _loop_stratified_folds(labels, n_folds, seed)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
