@@ -427,7 +427,6 @@ class TestDataErrors:
         assert "seed" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-
     def test_train_svm_takes_no_seed_flag(self, tmp_path, capsys):
         # Training draws no random numbers, so there is no seed to override.
         args = ["--vocab", "cb", "--in", str(tmp_path), "--out", str(tmp_path / "m")]

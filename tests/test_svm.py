@@ -127,7 +127,7 @@ class TestOptimality:
         for seed in range(3):
             for x, y, machine in _overlapping_machines(seed):
                 Q = np.outer(y, y) * gram_matrix(x)
-                f = lambda a: 0.5 * a @ Q @ a - a.sum()  # noqa: E731
+                f = lambda a: 0.5 * a @ Q @ a - a.sum()
                 oracle = minimize(
                     f, np.zeros(len(y)), jac=lambda a: Q @ a - 1, method="SLSQP",
                     bounds=[(0, 1.0)] * len(y), options={"ftol": 1e-12, "maxiter": 1000},
@@ -157,7 +157,7 @@ class TestOptimality:
         assert machine.bias == 0.0
 
     def test_large_C_on_histograms_trains(self):
-        # Rounding once tripped the objective check on these at C = 1000.
+        # Objectives near 3e4 round by 1e-8 per step: the objective check must scale.
         for seed in range(40):
             rng = np.random.default_rng(seed)
             x = np.abs(rng.normal(size=(40, 3)))
