@@ -142,7 +142,7 @@ def run_pipeline(in_dir, out_dir, cfg, seed: int | None = None):
     out_dir.mkdir(parents=True, exist_ok=True)
     codebook, model = load_models(cfg)
     # The seed frame is the first frame at or after burn-in with any blob;
-    # blobs are not checked for persistence (ROADMAP open item 3).
+    # blobs are not checked for persistence (ROADMAP open item 1).
     results = detect_sequence(fio.read_sequence(in_dir), cfg,
                               stop=lambda res: bool(res.blobs),
                               first=cfg["background"]["burn_in"])

@@ -12,11 +12,12 @@ module loads none of it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import to_grayscale, validate_gray, validate_rgb
+from .frames import _validate, to_grayscale, validate_rgb
 
 LOG_OFFSET = 1.0 / 256.0
 
@@ -53,28 +54,50 @@ class Blob:
 def invariant_images(frame: np.ndarray) -> np.ndarray:
     """(H, W, 2) L2-normalized r and g channels; black pixels map to zero."""
     frame = validate_rgb(frame)
-    norm = np.sqrt((frame ** 2).sum(axis=2, keepdims=True))
+    r, g, b = np.moveaxis(frame, -1, 0)
+    # Summed in the order sum(axis=2) adds, so the bits match a reduction,
+    # which costs four times as much over an axis of length 3.
+    norm = np.sqrt(r * r + g * g + b * b)[..., None]
     return frame[..., :2] / np.where(norm > 0, norm, 1.0)
 
 
-def edge_strength(frame: np.ndarray, sigma: float = 1.0) -> np.ndarray:
-    """Gaussian-smoothed Sobel gradient magnitude, normalized to peak 1."""
+@functools.lru_cache(maxsize=16)
+def _border_weight(shape: tuple[int, int], sigma: float) -> np.ndarray:
+    """The truncated Gaussian's mass inside a frame of this shape, per pixel."""
     from scipy import ndimage
 
-    frame = validate_gray(frame)
+    weight = ndimage.gaussian_filter(np.ones(shape), sigma, truncate=3.0, mode="constant")
+    weight.flags.writeable = False
+    return weight
+
+
+def edge_strength(frame: np.ndarray, sigma: float = 1.0) -> np.ndarray:
+    """Gaussian-smoothed Sobel gradient magnitude of each (H, W) plane of a
+    (..., H, W) stack, each plane normalized to peak 1 (a flat plane stays 0).
+
+    The Sobel is a central difference along one image axis, then [1, 2, 1]
+    along the other, summed as 2c + (l + r): ndimage.sobel's order, so the
+    bits match it plane by plane.  ndimage.sobel on the stack itself would
+    also smooth across planes.
+    """
+    from scipy import ndimage
+
+    frame = _validate(frame, "grayscale", "(..., H, W)", np.shape(frame)[2:])
     if sigma < 0:
         raise ShadowError("sigma must be >= 0")
     if sigma > 0:
         # Truncate at 3 sigma and renormalize the kernel at the borders.
-        blurred = ndimage.gaussian_filter(frame, sigma, truncate=3.0, mode="constant")
-        weight = ndimage.gaussian_filter(np.ones_like(frame), sigma, truncate=3.0,
-                                         mode="constant")
-        frame = blurred / weight
-    gx = ndimage.sobel(frame, axis=1, mode="nearest")
-    gy = ndimage.sobel(frame, axis=0, mode="nearest")
+        blurred = ndimage.gaussian_filter(frame, sigma, truncate=3.0, mode="constant",
+                                          axes=(-2, -1))
+        frame = blurred / _border_weight(frame.shape[-2:], sigma)
+    pad = np.pad(frame, [(0, 0)] * (frame.ndim - 2) + [(1, 1), (1, 1)], mode="edge")
+    dx = pad[..., 2:] - pad[..., :-2]
+    dy = pad[..., 2:, :] - pad[..., :-2, :]
+    gx = 2.0 * dx[..., 1:-1, :] + (dx[..., :-2, :] + dx[..., 2:, :])
+    gy = 2.0 * dy[..., 1:-1] + (dy[..., :-2] + dy[..., 2:])
     mag = np.hypot(gx, gy)
-    peak = mag.max()
-    return mag / peak if peak > 0 else mag
+    peak = mag.max(axis=(-2, -1), keepdims=True)
+    return mag / np.where(peak > 0, peak, 1.0)
 
 
 def hard_shadow_mask(e_ori: np.ndarray, e_inv1: np.ndarray, e_inv2: np.ndarray,
@@ -91,9 +114,8 @@ def shadow_masks(frame: np.ndarray, sigma: float = 1.0, t1: float = 0.3,
     from scipy import ndimage
 
     inv = np.clip(invariant_images(frame), 0.0, 1.0)
-    e_ori = edge_strength(to_grayscale(frame), sigma)
-    e1 = edge_strength(inv[..., 0], sigma)
-    e2 = edge_strength(inv[..., 1], sigma)
+    planes = np.stack([to_grayscale(frame), inv[..., 0], inv[..., 1]])
+    e_ori, e1, e2 = edge_strength(planes, sigma)
     hs = hard_shadow_mask(e_ori, e1, e2, t1, t2)
     if penumbra > 0 and hs.any():
         vs = ndimage.binary_dilation(hs, iterations=penumbra)

@@ -5,8 +5,8 @@ from scipy import ndimage
 from vvtrack import frames as fio
 from vvtrack import shadows as sh
 from vvtrack.config import merge_config
-from vvtrack.frames import (SceneObject, SyntheticScene, generate_synthetic,
-                            rle_decode)
+from vvtrack.frames import (FrameError, SceneObject, SyntheticScene,
+                            generate_synthetic, rle_decode)
 from vvtrack.metrics import mask_f1
 from vvtrack.pipeline import detect_sequence
 from vvtrack.scenes import build_scene
@@ -43,6 +43,36 @@ class TestInvariantImages:
         assert inv[1, 1, 0] == 0.0 and inv[1, 1, 1] == 0.0
         assert inv[0, 0, 0] > 0
 
+    @pytest.mark.parametrize("kind", ["random", "black_pixels", "uint8"])
+    def test_matches_the_axis_sum_norm_bit_for_bit(self, kind):
+        rng = np.random.default_rng(3)
+        frame = rng.random((13, 17, 3))
+        if kind == "black_pixels":
+            frame[rng.random((13, 17)) < 0.3] = 0.0
+        if kind == "uint8":
+            frame = (frame * 255).astype(np.uint8)
+            frame[:4, :4] = 0
+        f = fio.validate_rgb(frame)
+        norm = np.sqrt((f ** 2).sum(axis=2, keepdims=True))
+        expected = f[..., :2] / np.where(norm > 0, norm, 1.0)
+        assert invariant_images(frame).tobytes() == expected.tobytes()
+
+
+def _edge_strength_per_plane(plane, sigma):
+    """The one-plane reference: its own Gaussian and border weight, two
+    ndimage.sobel calls and a hypot."""
+    plane = fio.validate_gray(plane)
+    if sigma > 0:
+        blurred = ndimage.gaussian_filter(plane, sigma, truncate=3.0, mode="constant")
+        weight = ndimage.gaussian_filter(np.ones_like(plane), sigma, truncate=3.0,
+                                         mode="constant")
+        plane = blurred / weight
+    gx = ndimage.sobel(plane, axis=1, mode="nearest")
+    gy = ndimage.sobel(plane, axis=0, mode="nearest")
+    mag = np.hypot(gx, gy)
+    peak = mag.max()
+    return mag / peak if peak > 0 else mag
+
 
 class TestEdgeStrength:
     def test_flat_image_zero(self):
@@ -65,6 +95,47 @@ class TestEdgeStrength:
     def test_negative_sigma_errors(self):
         with pytest.raises(ShadowError):
             edge_strength(np.zeros((4, 4)), sigma=-1.0)
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    @pytest.mark.parametrize("shape", [(3, 8, 8), (3, 17, 23), (2, 2, 31, 64)])
+    def test_stack_matches_the_per_plane_reference_bit_for_bit(self, shape, sigma):
+        stack = np.random.default_rng(4).random(shape)
+        planes = stack.reshape(-1, *shape[-2:])
+        expected = np.array([_edge_strength_per_plane(p, sigma) for p in planes])
+        assert edge_strength(stack, sigma).tobytes() == expected.tobytes()
+        assert edge_strength(planes[0], sigma).tobytes() == expected[0].tobytes()
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    def test_flat_plane_in_a_stack_stays_zero(self, sigma):
+        stack = np.random.default_rng(5).random((3, 12, 9))
+        stack[1] = 0.0
+        e = edge_strength(stack, sigma)
+        assert not e[1].any()
+        for plane, got in zip(stack, e):
+            assert got.tobytes() == _edge_strength_per_plane(plane, sigma).tobytes()
+
+    def test_planes_are_independent(self):
+        # ndimage.sobel(stack, axis=...) would also smooth across planes.
+        rng = np.random.default_rng(6)
+        a = rng.random((3, 16, 16))
+        b = a.copy()
+        b[2] = rng.random((16, 16))
+        ea, eb = edge_strength(a), edge_strength(b)
+        assert ea[:2].tobytes() == eb[:2].tobytes()
+        assert not np.array_equal(ea[2], eb[2])
+
+    @pytest.mark.parametrize("bad", ["nan", "out_of_range"])
+    def test_a_bad_plane_in_a_stack_raises(self, bad):
+        stack = np.random.default_rng(7).random((3, 8, 8))
+        stack[2, 4, 4] = np.nan if bad == "nan" else 1.5
+        with pytest.raises(FrameError):
+            edge_strength(stack)
+        with pytest.raises(FrameError):
+            edge_strength(stack[2])
+
+    def test_one_dimensional_input_raises(self):
+        with pytest.raises(FrameError):
+            edge_strength(np.zeros(8))
 
 
 class TestHardShadowMask:
