@@ -139,10 +139,11 @@ def write_mask_pgm(path, mask: np.ndarray) -> None:
 def read_sequence(directory, start: int = 0) -> Iterator[np.ndarray]:
     """Frames of a numbered PGM/PPM sequence in increasing index order, read lazily.
 
-    The numeric index is the last run of digits in the file name.  The
-    paths are listed and ordered at the call, so a sequence with no frames,
-    an unindexed file name or two files with the same index fails there
-    (frame positions must match the indices); each frame is read only when
+    The numeric index is the last run of digits in the file name, and the
+    indices must be 0, 1, ..., n - 1, so that frame positions match them.
+    The paths are listed and ordered at the call, so a sequence with no
+    frames, an unindexed file name, two files with the same index, a gap
+    or a first index above 0 fails there; each frame is read only when
     the iterator reaches it, and one whose dimensions differ from the
     first frame read raises FrameError then.  The first ``start`` frames
     are skipped without being read.  Each frame is read by read_pnm.
@@ -160,6 +161,9 @@ def read_sequence(directory, start: int = 0) -> Iterator[np.ndarray]:
     for (i, p), (j, q) in zip(indexed, indexed[1:]):
         if i == j:
             raise FrameError(f"{p} and {q} carry the same frame index {i}")
+    for k, (i, p) in enumerate(indexed):
+        if i != k:
+            raise FrameError(f"{p}: frame index {i}, expected {k} (indices run 0 to n - 1)")
     return _read_frames([p for _, p in indexed[start:]])
 
 

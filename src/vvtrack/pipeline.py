@@ -84,17 +84,14 @@ def iter_detections(frames, cfg, first: int = 0) -> Iterator[DetectionResult]:
 
 
 def detect_sequence(frames, cfg, stop=None, first: int = 0) -> list[DetectionResult]:
-    """iter_detections from ``first`` as a list, ending with the first result
-    that ``stop`` accepts.
+    """iter_detections from ``first`` as a list.
 
-    No frame after that result is read.
+    With ``stop``, the list holds only the first result that ``stop``
+    accepts, or nothing if it accepts none; no frame after that result is
+    read, and no result before it is kept.
     """
-    results = []
-    for result in iter_detections(frames, cfg, first):
-        results.append(result)
-        if stop is not None and stop(result):
-            break
-    return results
+    results = iter_detections(frames, cfg, first)
+    return list(results if stop is None else itertools.islice(filter(stop, results), 1))
 
 
 def load_models(cfg):
@@ -143,14 +140,13 @@ def run_pipeline(in_dir, out_dir, cfg, seed: int | None = None):
     codebook, model = load_models(cfg)
     # The seed frame is the first frame at or after burn-in with any blob;
     # blobs are not checked for persistence (ROADMAP open item 1).
-    results = detect_sequence(fio.read_sequence(in_dir), cfg,
-                              stop=lambda res: bool(res.blobs),
-                              first=cfg["background"]["burn_in"])
-    if not (results and results[-1].blobs):
+    found = detect_sequence(fio.read_sequence(in_dir), cfg,
+                            stop=lambda res: bool(res.blobs),
+                            first=cfg["background"]["burn_in"])
+    if not found:
         raise PipelineError("no blobs detected after burn-in; nothing to track")
-    last = results[-1]
-    start = last.frame
-    boxes = [b.bbox for b in last.blobs[:MAX_OBJECTS]]
+    start = found[0].frame
+    boxes = [b.bbox for b in found[0].blobs[:MAX_OBJECTS]]
     grays = map(fio.to_grayscale, fio.read_sequence(in_dir, start=start))
     first = next(grays)
     labels = classify_boxes(first, boxes, codebook, model, cfg)

@@ -2,9 +2,9 @@
 
 Chromaticity (L2-normalized RGB) images are invariant to intensity
 scaling, so edges present in the original frame but absent from the
-invariant channels are illumination edges.  Zeroing those gradients in
-the log image and integrating back through a Poisson solve yields the
-shadow-free image; keeping only those gradients yields the shadow image.
+invariant channels are illumination edges.  Integrating only those
+gradients of the log image through a Poisson solve yields the shadow
+image; the log image less it is the shadow-free image.
 
 scipy is imported inside the functions that call it, so importing this
 module loads none of it.
@@ -134,19 +134,19 @@ def forward_gradient(frame: np.ndarray) -> GradientField:
 
 
 def masked_gradient(g: GradientField, mask: np.ndarray) -> GradientField:
-    """A copy of the forward-difference field g with edges under the mask removed.
+    """The samples of the forward-difference field g under the mask, 0 elsewhere.
 
-    A gradient sample spans two pixels; it is zeroed when either endpoint
-    is masked so a one-pixel-wide edge mask still kills the step.
+    A gradient sample spans two pixels; it is under the mask when either
+    endpoint is masked, so a one-pixel-wide edge mask still keeps the step.
     """
     mask = np.asarray(mask, bool)
     if g.gx.shape != mask.shape:
         raise ShadowError("mask dimensions do not match frame")
-    kill_x = mask.copy()
-    kill_x[:, :-1] |= mask[:, 1:]
-    kill_y = mask.copy()
-    kill_y[:-1, :] |= mask[1:, :]
-    return GradientField(gx=np.where(kill_x, 0.0, g.gx), gy=np.where(kill_y, 0.0, g.gy))
+    keep_x = mask.copy()
+    keep_x[:, :-1] |= mask[:, 1:]
+    keep_y = mask.copy()
+    keep_y[:-1, :] |= mask[1:, :]
+    return GradientField(gx=np.where(keep_x, g.gx, 0.0), gy=np.where(keep_y, g.gy, 0.0))
 
 
 def divergence(g: GradientField) -> np.ndarray:
@@ -201,9 +201,7 @@ def split_shadow(frame: np.ndarray, masks: ShadowMasks):
     """
     gray = to_grayscale(frame)
     i_log = np.log(gray + LOG_OFFSET)
-    full = forward_gradient(i_log)
-    free = masked_gradient(full, masks.VS)
-    s = poisson_reconstruct(GradientField(gx=full.gx - free.gx, gy=full.gy - free.gy))
+    s = poisson_reconstruct(masked_gradient(forward_gradient(i_log), masks.VS))
     S = np.exp(s - s.max())
     R = np.minimum(np.exp(i_log - s), 1.0)
     return S, R
@@ -226,8 +224,6 @@ def extract_blobs(mask: np.ndarray, min_area: int = 25) -> list[Blob]:
     labels, n = ndimage.label(mask, structure=np.ones((3, 3), bool))
     blobs = []
     for index, slc in enumerate(ndimage.find_objects(labels), start=1):
-        if slc is None:
-            continue
         component = labels[slc] == index
         area = int(component.sum())
         if area < min_area:

@@ -392,7 +392,7 @@ def _record(t: int, sp: Species) -> TrackRecord:
                        sp.template[0] * s, sp.template[1] * s, sp.gbest_fit)
 
 
-def track_sequence(frames, detections, config: TrackerConfig | None = None,
+def track_sequence(frames, detections, config: TrackerConfig,
                    seed: int = 0) -> list[TrackRecord]:
     """Track initial detections through a grayscale frame sequence.
 
@@ -403,8 +403,6 @@ def track_sequence(frames, detections, config: TrackerConfig | None = None,
     swarm with early stopping, then its appearance model updates
     selectively.  Deterministic for a seed.
     """
-    if config is None:
-        config = TrackerConfig()
     if not detections:
         raise TrackerError("need at least one initial detection")
     frames = iter(frames)

@@ -253,18 +253,13 @@ def quantize(vectors, codebook: Codebook, m: int = SOFT_NEIGHBORS,
 
 
 def bow_histogram(descriptors, codebook: Codebook) -> np.ndarray:
-    """Soft-assignment word counts (quantize's defaults), L1-normalized.
+    """Soft-assignment word counts (quantize's defaults) of DESCRIPTOR
+    records, L1-normalized.
 
-    descriptors: DESCRIPTOR records or plain (n, dim) vectors.  All-zero
-    descriptors (flat patches) count nothing; a featureless image yields
-    the all-zero histogram.
+    All-zero descriptors (flat patches) count nothing; a featureless image
+    yields the all-zero histogram.
     """
-    if isinstance(descriptors, np.recarray):
-        vectors = descriptors.vector
-    else:
-        vectors = np.reshape(np.asarray(descriptors, dtype=np.float64),
-                             (-1, codebook.words.shape[1]))
-    counts = quantize(vectors, codebook)[1].sum(axis=0)
+    counts = quantize(descriptors.vector, codebook)[1].sum(axis=0)
     total = counts.sum()
     return counts / total if total > 0 else counts
 

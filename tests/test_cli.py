@@ -97,6 +97,17 @@ class TestDataErrors:
         assert "carry the same frame index 2" in capsys.readouterr().err
         assert not (out / "detections.jsonl").exists()
 
+    def test_track_refuses_a_gap_in_the_frame_indices(self, tmp_path, capsys):
+        # Frame 13 would otherwise be read, tracked and written as frame 12.
+        seq = _generate(tmp_path, scene="two_rect", frames=20)
+        (seq / "frame_0012.ppm").unlink()
+        out = tmp_path / "o"
+        assert main(["track", "--config", _config(tmp_path), "--in", str(seq),
+                     "--out", str(out)]) == 2
+        assert "frame_0013.ppm: frame index 13, expected 12" in capsys.readouterr().err
+        assert not (out / "tracks.jsonl").exists()
+        assert not (out / "annotated").exists()
+
     @pytest.mark.parametrize("shadow", [
         {"sigma": -1, "enabled": True},
         {"penumbra": "2", "enabled": True},

@@ -148,6 +148,19 @@ def test_read_sequence_repeated_index_errors(tmp_path):
         read_sequence(tmp_path)
 
 
+@pytest.mark.parametrize("indices, first_out_of_place", [
+    ((0, 1, 3, 4), "frame_003.pgm: frame index 3, expected 2"),
+    ((1, 2, 3), "frame_001.pgm: frame index 1, expected 0"),
+], ids=["gap", "starts-at-1"])
+def test_read_sequence_refuses_indices_other_than_0_to_n_minus_1(
+        tmp_path, indices, first_out_of_place):
+    # Reading on would put each later frame at a position below its index.
+    for i in indices:
+        write_pnm(tmp_path / f"frame_{i:03d}.pgm", np.zeros((3, 3)))
+    with pytest.raises(FrameError, match=first_out_of_place):
+        read_sequence(tmp_path)
+
+
 def test_read_sequence_mixed_dimensions_errors(tmp_path):
     write_pnm(tmp_path / "frame_000.pgm", np.zeros((3, 3)))
     write_pnm(tmp_path / "frame_001.pgm", np.zeros((4, 4)))

@@ -76,6 +76,35 @@ def test_detect_memory_does_not_grow_with_sequence_length(short_and_long):
     assert peaks["long"] <= 1.1 * peaks["short"], peaks
 
 
+def test_seed_search_memory_does_not_grow_with_the_wait(tmp_path):
+    """Objects that appear 20 or 120 frames after burn-in cost the seed
+    search the same memory: it keeps no detection before the seed frame."""
+    burn_in, size, waits = 5, (120, 160), (20, 120)
+    cfg = merge_config({"background": {"burn_in": burn_in}, "tracker": SMALL_TRACKER})
+    for wait in waits:
+        seq = tmp_path / f"wait_{wait}"
+        seq.mkdir()
+        rng = np.random.default_rng(0)
+        appear = burn_in + wait
+        for t in range(appear + 3):
+            frame = 0.55 + rng.normal(0.0, 0.02, size)
+            if t >= appear:
+                x = 20 + 4 * (t - appear)
+                frame[30:54, x:x + 24] = 0.9
+                frame[70:94, 120 - x:144 - x] = 0.15
+            fio.write_pnm(seq / f"frame_{t:04d}.pgm", np.clip(frame, 0.0, 1.0))
+    # A first run pays the lazy scipy imports, which would swamp the masks.
+    pl.run_pipeline(tmp_path / "wait_20", tmp_path / "warm", cfg)
+    peaks = {}
+    for wait in waits:
+        seq, out = tmp_path / f"wait_{wait}", tmp_path / f"out_{wait}"
+        peaks[wait] = _peak_bytes(lambda: pl.run_pipeline(seq, out, cfg))
+        records = fio.read_jsonl(out / "tracks.jsonl")
+        assert min(r["frame"] for r in records) == burn_in + wait
+    # Each detection held would add a 19 KB mask: 1.9 MB more for 100 frames.
+    assert peaks[120] <= 1.1 * peaks[20], peaks
+
+
 def test_pipeline_detects_no_frame_after_the_seed(tmp_path, monkeypatch):
     seq = tmp_path / "seq"
     assert main(["generate", "--out", str(seq), "--scene", "two_rect",
@@ -134,8 +163,11 @@ def test_detect_sequence_stops_reading_at_the_first_accepted_result():
 
     results = pl.detect_sequence(frames(), merge_config({}),
                                  stop=lambda res: res.frame == 4)
-    assert [r.frame for r in results] == [0, 1, 2, 3, 4]
+    assert [r.frame for r in results] == [4]
     assert read == [0, 1, 2, 3, 4]
+    read.clear()
+    assert pl.detect_sequence(frames(), merge_config({}), stop=lambda res: False) == []
+    assert read == list(range(10))
 
 
 @pytest.mark.parametrize("scene, shadow", [("two_rect", False), ("shadowed", True)])

@@ -200,15 +200,21 @@ class TestGradients:
         assert g.gy.tolist() == [[2.0, 1.0, -1.0], [0.0, 0.0, 0.0]]
 
     def test_masked_gradient_kills_step(self):
-        # a one-pixel-wide mask on a step edge removes both touching samples
-        f = np.zeros((4, 6))
-        f[:, 3:] = 1.0
+        # a one-pixel-wide mask on a step edge keeps both samples that touch
+        # it, so the step survives, and zeroes every other sample
+        f = np.random.default_rng(2).random((4, 6))
+        f[:, 3:] += 1.0
         mask = np.zeros((4, 6), bool)
         mask[:, 3] = True
-        g = masked_gradient(forward_gradient(f), mask)
-        assert g.gx[:, 2].tolist() == [0.0] * 4  # left endpoint unmasked, right masked
-        assert g.gx[:, 3].tolist() == [0.0] * 4
-        assert not g.gx.any()
+        full = forward_gradient(f)
+        g = masked_gradient(full, mask)
+        touching = np.zeros((4, 6), bool)
+        touching[:, 2:4] = True  # column 2: right endpoint masked; column 3: left
+        assert np.array_equal(g.gx[touching], full.gx[touching])
+        assert (g.gx[:, 2] > 0.0).all()
+        assert not g.gx[~touching].any()
+        assert np.array_equal(g.gy[mask], full.gy[mask])
+        assert not g.gy[~mask].any()
 
     def test_mask_shape_mismatch_errors(self):
         with pytest.raises(ShadowError):
@@ -336,6 +342,42 @@ class TestSplitShadow:
         monkeypatch.setattr(fio, "_validate", spy)
         assert sh.remove_shadow(pixels, sigma=1.0).tobytes() == R.tobytes()
         assert checked.count(np.uint8) == 1
+
+    @staticmethod
+    def _split_by_subtraction(frame, masks):
+        """The split_shadow that built the shadow-free field (the log-image
+        gradient zeroed under VS) and integrated full - free, kept as the
+        oracle of the solve that integrates the samples under VS alone."""
+        i_log = np.log(sh.to_grayscale(frame) + sh.LOG_OFFSET)
+        full = forward_gradient(i_log)
+        kill_x = masks.VS.copy()
+        kill_x[:, :-1] |= masks.VS[:, 1:]
+        kill_y = masks.VS.copy()
+        kill_y[:-1, :] |= masks.VS[1:, :]
+        free = GradientField(gx=np.where(kill_x, 0.0, full.gx),
+                             gy=np.where(kill_y, 0.0, full.gy))
+        s = poisson_reconstruct(GradientField(gx=full.gx - free.gx, gy=full.gy - free.gy))
+        return np.exp(s - s.max()), np.minimum(np.exp(i_log - s), 1.0)
+
+    def test_split_matches_the_full_minus_free_solve(self):
+        frames = []
+        for seed in (0, 1, 2):
+            scene = build_scene("shadowed", 8, seed=seed, noise=0.01)
+            frames += generate_synthetic(scene, 8)[0]
+        white = frames[-1].copy()
+        white[3, 5] = 1.0
+        white[12:16, 12:16] = 1.0
+        flat = np.full((24, 24, 3), 0.5)
+        flat[3, 5] = flat[12:16, 12:16] = 1.0
+        fired = 0
+        for frame in frames + [white, flat]:
+            masks = shadow_masks(frame)
+            fired += int(masks.VS.any())
+            S, R = split_shadow(frame, masks)
+            S_old, R_old = self._split_by_subtraction(frame, masks)
+            assert S.tobytes() == S_old.tobytes()
+            assert R.tobytes() == R_old.tobytes()
+        assert fired >= len(frames)  # the mask bites on every shadowed frame
 
     def test_empty_mask_gives_flat_shadow_image(self):
         rng = np.random.default_rng(8)
