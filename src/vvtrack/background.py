@@ -31,15 +31,13 @@ class BackgroundState:
 
     B is the current background, built from a copy of the first frame;
     V the six most recent frame means (newest first), seeded with that
-    frame's; a the base learning rate, b the gain slope and T_b the
-    adaptive threshold on [0, 1] intensities.
+    frame's; a the base learning rate and b the gain slope.
     """
 
     B: np.ndarray
     V: list[float] = field(init=False)
     a: float = 0.05
     b: float = 0.1
-    T_b: float = 0.1
     T_sim: float = 0.3
     window_radius: int = 1
 
@@ -48,8 +46,6 @@ class BackgroundState:
         self.V = [float(self.B.mean())]
         if not 0.04 <= self.a <= 0.06:
             raise BackgroundError(f"base rate a={self.a} outside [0.04, 0.06]")
-        if not 0.0 <= self.T_b <= 1.0:
-            raise BackgroundError(f"T_b={self.T_b} outside [0, 1]")
 
 
 @dataclass
@@ -107,13 +103,15 @@ def similarity_map(f1: np.ndarray, f2: np.ndarray, w: int = 1,
     return np.clip(sim, -1.0, 1.0)
 
 
-def motion_masks(curr: np.ndarray, prev: np.ndarray,
-                 state: BackgroundState, moments=None) -> MotionMasks:
+def motion_masks(curr: np.ndarray, prev: np.ndarray, state: BackgroundState,
+                 T_b: float, moments=None) -> MotionMasks:
     """Temporal, background-difference and fused masks for the current frame.
 
     The temporal mask fires on window DISSIMILARITY, (1 - R) > T_sim; the
     printed similarity inequality reads backwards physically and is
-    treated as a typo.  ``moments`` is passed on to similarity_map.
+    treated as a typo.  The background-difference mask fires on
+    |curr - B| > T_b, this frame's fitted threshold on [0, 1] intensities.
+    ``moments`` is passed on to similarity_map.
     """
     curr = validate_gray(curr)
     prev = validate_gray(prev)
@@ -121,7 +119,7 @@ def motion_masks(curr: np.ndarray, prev: np.ndarray,
         raise BackgroundError("frame dimensions do not match state")
     sim = similarity_map(curr, prev, state.window_radius, moments)
     i_m = (1.0 - sim) > state.T_sim
-    f_m = np.abs(curr - state.B) > state.T_b
+    f_m = np.abs(curr - state.B) > T_b
     return MotionMasks(I_m=i_m, F_m=f_m, M=i_m & f_m)
 
 

@@ -32,19 +32,19 @@ class DetectionResult:
     frame: int
     mask: np.ndarray
     blobs: list
-    T_b: float
+    T_b: float | None  # the fitted threshold; frame 0 has no predecessor to fit it to
 
 
 def iter_detections(frames, cfg, first: int = 0) -> Iterator[DetectionResult]:
     """Motion mask and blobs of each frame from ``first`` on, as it arrives.
 
     Holds one frame at a time: the background state, the previous gray
-    frame and that frame's box moments carry over to the next.  Each frame
-    is converted to gray once; with cfg["shadow"]["enabled"] that gray is
-    the shadow-free reconstruction, which needs RGB frames.  A frame before
-    ``first`` only trains the background (frame 0 initializes it) and
-    yields nothing; the background and every result from ``first`` on are
-    those of a run from frame 0.
+    frame and its box moments (computed from frame ``first - 1`` on) carry
+    over to the next.  Each frame is converted to gray once; with
+    cfg["shadow"]["enabled"] that gray is the shadow-free reconstruction,
+    which needs RGB frames.  A frame before ``first`` only trains the
+    background (frame 0 initializes it) and yields nothing; the background
+    and every result from ``first`` on are those of a run from frame 0.
     """
     bcfg = cfg["background"]
     scfg = cfg["shadow"]
@@ -59,24 +59,20 @@ def iter_detections(frames, cfg, first: int = 0) -> Iterator[DetectionResult]:
                                          t2=scfg["t2"], penumbra=scfg["penumbra"])
         else:
             gray = fio.to_grayscale(f)
+        if t >= first - 1:
+            prev_moments, moments = moments, bg.box_moments(gray, w)
         if state is None:
             state = bg.BackgroundState(B=gray, a=bcfg["a"], b=bcfg["b"],
                                        T_sim=bcfg["T_sim"], window_radius=w)
             result = DetectionResult(frame=0, mask=np.zeros_like(gray, bool),
-                                     blobs=[], T_b=state.T_b)
-        elif t < first:
-            bg.update_background(state, gray)
+                                     blobs=[], T_b=None)
         else:
-            # Frame 0 and the frames before ``first`` leave their box moments
-            # to the next frame, which needs only its predecessor's.
-            prev_moments = bg.box_moments(prev, w) if moments is None else moments
-            moments = bg.box_moments(gray, w)
-            hist = bg.diff_histogram(gray, prev)
-            state.T_b = bg.fit_adaptive_threshold(hist).T_b
-            masks = bg.motion_masks(gray, prev, state, (moments, prev_moments))
-            clean = bg.clean_mask(masks.M)
-            blobs = shadows.extract_blobs(clean, min_area=scfg["min_blob_area"])
-            result = DetectionResult(frame=t, mask=clean, blobs=blobs, T_b=state.T_b)
+            if t >= first:
+                T_b = bg.fit_adaptive_threshold(bg.diff_histogram(gray, prev)).T_b
+                masks = bg.motion_masks(gray, prev, state, T_b, (moments, prev_moments))
+                clean = bg.clean_mask(masks.M)
+                blobs = shadows.extract_blobs(clean, min_area=scfg["min_blob_area"])
+                result = DetectionResult(frame=t, mask=clean, blobs=blobs, T_b=T_b)
             bg.update_background(state, gray)
         prev = gray
         if t >= first:

@@ -47,7 +47,7 @@ def learn_occurrences(examples, codebook: Codebook, grid_stride: int = 8) -> dic
     parts: dict = {}
     for frame, cls, (cx, cy), scale in examples:
         descs = extract_descriptors(frame, grid_stride=grid_stride)
-        _, soft = vocab.quantize(descs.vector, codebook)
+        soft = vocab.quantize(descs.vector, codebook)
         feat, word = np.nonzero(soft)
         s = descs.scale[feat]
         parts.setdefault(cls, []).append(np.rec.fromarrays(
@@ -70,7 +70,7 @@ def cast_votes(descriptors, codebook: Codebook, occurrences: np.ndarray) -> np.n
     records; offsets scale with the feature/training scale ratio.  Votes
     run by feature, then word, then record.
     """
-    _, soft = vocab.quantize(descriptors.vector, codebook)
+    soft = vocab.quantize(descriptors.vector, codebook)
     feat, word = np.nonzero(soft)
     words = occurrences["word"]
     first = np.searchsorted(words, word)

@@ -20,6 +20,7 @@ import numpy as np
 from .frames import _validate, to_grayscale, validate_rgb
 
 LOG_OFFSET = 1.0 / 256.0
+POISSON_TOL = 1e-6  # largest relative residual poisson_reconstruct accepts
 
 
 class ShadowError(Exception):
@@ -161,13 +162,13 @@ def divergence(g: GradientField) -> np.ndarray:
     return div
 
 
-def poisson_reconstruct(g: GradientField, tol: float = 1e-6) -> np.ndarray:
+def poisson_reconstruct(g: GradientField) -> np.ndarray:
     """Solve lap(s) = div g with Neumann boundaries by a direct DCT solve.
 
     DCT-II diagonalizes the 5-point Neumann Laplacian, so the solve is a
     forward transform, a divide by its eigenvalues and an inverse
     transform.  Zeroing the constant mode gauge-fixes s to zero mean.
-    Raises unless the relative residual is within tol (NaN input raises).
+    Raises unless the relative residual is within POISSON_TOL (NaN raises).
     """
     from scipy import fft  # lazy, like every scipy import: other commands never load it
 
@@ -185,7 +186,7 @@ def poisson_reconstruct(g: GradientField, tol: float = 1e-6) -> np.ndarray:
     s = fft.idctn(coef, type=2, norm="ortho")
     residual = divergence(forward_gradient(s)) - b  # div grad = Neumann Laplacian
     rel = float(np.sqrt((residual ** 2).sum())) / b_norm
-    if not rel <= tol:
+    if not rel <= POISSON_TOL:
         raise PoissonConvergenceError(rel)
     return s
 

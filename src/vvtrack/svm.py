@@ -174,20 +174,18 @@ def roc_curve(scores: np.ndarray, positives: np.ndarray):
     return points, auc
 
 
-def stratified_folds(labels, n_folds: int, seed: int) -> list[int]:
-    """Seeded fold index per sample, round-robin within each class."""
-    rng = np.random.default_rng(seed)
+def stratified_folds(labels, n_folds: int) -> list[int]:
+    """Fold index per sample, round-robin in input order within each class."""
     fold = np.zeros(len(labels), dtype=int)
     for cl in sorted(set(labels)):
         idx = np.flatnonzero([l == cl for l in labels])
         if len(idx) < n_folds:
             raise SvmError(f"class {cl!r} has fewer samples than folds")
-        fold[idx[rng.permutation(len(idx))]] = np.arange(len(idx)) % n_folds
+        fold[idx] = np.arange(len(idx)) % n_folds
     return fold.tolist()
 
 
-def cross_validate(samples, labels, n_folds: int = 5, seed: int = 0,
-                   C: float = DEFAULT_C,
+def cross_validate(samples, labels, n_folds: int = 5, C: float = DEFAULT_C,
                    c_offset: float = DEFAULT_C_OFFSET) -> EvalReport:
     """Stratified k-fold CV: confusion over held-out folds, per-class ROC."""
     if n_folds < 2:
@@ -195,7 +193,7 @@ def cross_validate(samples, labels, n_folds: int = 5, seed: int = 0,
     x = np.asarray(samples, dtype=np.float64)
     labels = list(labels)
     classes = sorted(set(labels))
-    folds = np.asarray(stratified_folds(labels, n_folds, seed))
+    folds = np.asarray(stratified_folds(labels, n_folds))
     n_cl = len(classes)
     cindex = {cl: i for i, cl in enumerate(classes)}
     truth, predicted, scores = [], [], []

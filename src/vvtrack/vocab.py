@@ -17,8 +17,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 DESCRIPTOR_DIM = 128
 CLIP = 0.2
-SOFT_NEIGHBORS = 5
-SOFT_SIGMA = 0.2
+SOFT_NEIGHBORS = 5  # words a vector is soft-assigned to
+SOFT_SIGMA = 0.2  # width of the Gaussian of the distance that weighs them
+KMEANS_MAX_ITER = 100  # Lloyd steps per restart at most
 
 # One record per grid point: the descriptor and its centre and patch side in px.
 DESCRIPTOR = np.dtype([("vector", np.float64, (DESCRIPTOR_DIM,)), ("x", np.float64),
@@ -132,8 +133,7 @@ def _nearest(pts: np.ndarray, centroids: np.ndarray, sq_norms=None) -> np.ndarra
     return _sq_dist(pts, centroids, sq_norms).argmin(axis=1)
 
 
-def kmeans(points, k: int, seed: int = 0, max_iter: int = 100,
-           n_init: int = 5) -> Codebook:
+def kmeans(points, k: int, seed: int = 0, n_init: int = 5) -> Codebook:
     """Seeded k-means++ then Lloyd iterations until assignments fix.
 
     Runs n_init restarts and keeps the lowest-SSE solution.  Once every
@@ -156,7 +156,7 @@ def kmeans(points, k: int, seed: int = 0, max_iter: int = 100,
     best_words = None
     best_sse = np.inf
     for _ in range(n_init):
-        words, sse = _lloyd(pts, sq_norms, k, rng, max_iter)
+        words, sse = _lloyd(pts, sq_norms, k, rng)
         if sse < best_sse:
             best_sse = sse
             best_words = words
@@ -164,7 +164,7 @@ def kmeans(points, k: int, seed: int = 0, max_iter: int = 100,
 
 
 def _lloyd(pts: np.ndarray, sq_norms: np.ndarray, k: int,
-           rng: np.random.Generator, max_iter: int) -> tuple[np.ndarray, float]:
+           rng: np.random.Generator) -> tuple[np.ndarray, float]:
     """One k-means++ seeding and its Lloyd steps: (centroids, their SSE)."""
     n = pts.shape[0]
 
@@ -184,7 +184,7 @@ def _lloyd(pts: np.ndarray, sq_norms: np.ndarray, k: int,
     assign = _nearest(pts, centroids, sq_norms)
     sse = _sse(pts, centroids, assign)
     dim = pts.shape[1]
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         # Per-cluster row sums, added in row order as a mean over axis 0 adds them.
         counts = np.bincount(assign, minlength=k)
         cells = (assign[:, None] * dim + np.arange(dim)).ravel()
@@ -218,48 +218,45 @@ def _lloyd(pts: np.ndarray, sq_norms: np.ndarray, k: int,
 # Quantization and BoW
 # ---------------------------------------------------------------------------
 
-def quantize(vectors, codebook: Codebook, m: int = SOFT_NEIGHBORS,
-             sigma: float = SOFT_SIGMA):
-    """Hard and soft word assignment for each row of (n, dim) vectors.
+def quantize(vectors, codebook: Codebook) -> np.ndarray:
+    """Soft word weights (n, K) for each row of (n, dim) vectors.
 
-    Returns (hard indices (n,), soft weights (n, K)).  Soft weights are a
-    Gaussian of the distance over the m nearest words, normalized to sum
-    1 per row; when all m underflow the row is one-hot at the hard word.
-    An all-zero row (a flat patch) carries no word: its soft weights are
-    all zero.  Ties go to the lowest index.
+    The weights are a Gaussian (width SOFT_SIGMA) of the distance over the
+    SOFT_NEIGHBORS nearest words, normalized to sum 1 per row; when all of
+    them underflow the row is one-hot at the nearest word.  An all-zero row
+    (a flat patch) carries no word: its weights are all zero.  Ties go to
+    the lowest index.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.shape[1] != codebook.words.shape[1]:
         raise VocabularyError(f"{vectors.shape[1]}-d vectors against a codebook "
                               f"of {codebook.words.shape[1]}-d words")
-    if m < 1:
-        raise VocabularyError(f"m must be >= 1, got {m}")
     d2 = _sq_dist(vectors, codebook.words)
     if not np.isfinite(d2).all():
         raise VocabularyError("vectors, words and their squared distances must be finite")
     left = d2.copy()  # finite, so a pick set to +inf is never picked again
-    nearest = np.empty((len(d2), min(m, codebook.K)), dtype=np.intp)
-    for j in range(nearest.shape[1]):  # m argmin passes: ties go to the lowest index
+    nearest = np.empty((len(d2), min(SOFT_NEIGHBORS, codebook.K)), dtype=np.intp)
+    for j in range(nearest.shape[1]):  # argmin passes: ties go to the lowest index
         nearest[:, j] = left.argmin(axis=1)
         np.put_along_axis(left, nearest[:, j:j + 1], np.inf, axis=1)
-    weights = np.exp(-np.take_along_axis(d2, nearest, axis=1) / (2.0 * sigma * sigma))
+    weights = np.exp(-np.take_along_axis(d2, nearest, axis=1)
+                     / (2.0 * SOFT_SIGMA * SOFT_SIGMA))
     total = weights.sum(axis=1, keepdims=True)
     soft = np.zeros_like(d2)
     np.put_along_axis(soft, nearest, weights / np.where(total > 0, total, 1.0), axis=1)
     underflow = total[:, 0] == 0
     soft[underflow, nearest[underflow, 0]] = 1.0
     soft[~vectors.any(axis=1)] = 0.0
-    return nearest[:, 0], soft
+    return soft
 
 
 def bow_histogram(descriptors, codebook: Codebook) -> np.ndarray:
-    """Soft-assignment word counts (quantize's defaults) of DESCRIPTOR
-    records, L1-normalized.
+    """Soft-assignment word counts of DESCRIPTOR records, L1-normalized.
 
     All-zero descriptors (flat patches) count nothing; a featureless image
     yields the all-zero histogram.
     """
-    counts = quantize(descriptors.vector, codebook)[1].sum(axis=0)
+    counts = quantize(descriptors.vector, codebook).sum(axis=0)
     total = counts.sum()
     return counts / total if total > 0 else counts
 

@@ -93,14 +93,15 @@ def _motion_run(scene, n):
     frames, truth = fio.generate_synthetic(scene, n)
     grays = [fio.to_grayscale(f) for f in frames]
     state = bg.BackgroundState(B=grays[0])
+    T_b = 0.1  # kept when a frame's histogram cannot be fitted
     masks = [np.zeros_like(grays[0], bool)]
     for t in range(1, n):
         hist = bg.diff_histogram(grays[t], grays[t - 1])
         try:
-            state.T_b = bg.fit_adaptive_threshold(hist).T_b
+            T_b = bg.fit_adaptive_threshold(hist).T_b
         except bg.BackgroundError:
             pass
-        m = bg.motion_masks(grays[t], grays[t - 1], state)
+        m = bg.motion_masks(grays[t], grays[t - 1], state, T_b)
         masks.append(bg.clean_mask(m.M))
         bg.update_background(state, grays[t])
     return masks, truth

@@ -92,8 +92,7 @@ class TestMotionMasks:
     def test_no_change_all_zero(self):
         f = np.full((16, 16), 0.5)
         state = BackgroundState(B=f)
-        state.T_b = 0.1
-        masks = motion_masks(f, f.copy(), state)
+        masks = motion_masks(f, f.copy(), state, 0.1)
         assert not masks.I_m.any() and not masks.F_m.any() and not masks.M.any()
 
     def test_moved_square_matches_bruteforce(self):
@@ -106,8 +105,7 @@ class TestMotionMasks:
         prev = np.clip(prev, 0, 1)
         curr = np.clip(curr, 0, 1)
         state = BackgroundState(B=background_img)
-        state.T_b = 0.1
-        masks = motion_masks(curr, prev, state)
+        masks = motion_masks(curr, prev, state, 0.1)
 
         # brute-force per-pixel evaluation of the three mask rules
         sim = np.zeros((32, 32))
@@ -115,7 +113,7 @@ class TestMotionMasks:
             for x in range(1, 31):
                 sim[y, x] = radiometric_similarity(curr, prev, x, y, 1)
         i_m = (1.0 - sim) > state.T_sim
-        f_m = np.abs(curr - background_img) > state.T_b
+        f_m = np.abs(curr - background_img) > 0.1
         m = i_m & f_m
         interior = np.zeros((32, 32), bool)
         interior[1:31, 1:31] = True
@@ -126,8 +124,7 @@ class TestMotionMasks:
         prev = rng.random((16, 16))
         curr = rng.random((16, 16))
         state = BackgroundState(B=rng.random((16, 16)))
-        state.T_b = 0.2
-        masks = motion_masks(curr, prev, state)
+        masks = motion_masks(curr, prev, state, 0.2)
         assert not (masks.M & ~masks.I_m).any()
         assert not (masks.M & ~masks.F_m).any()
 
@@ -142,7 +139,7 @@ class TestMotionMasks:
         first = f.copy()
         f[:] = 0.0
         assert np.array_equal(state.B, first)
-        assert not motion_masks(first, first, state).M.any()
+        assert not motion_masks(first, first, state, 0.1).M.any()
         update_background(state, f)
         assert state.V == [0.0, first.mean()]
         assert np.array_equal(state.B, first + 0.05 * (f - first))

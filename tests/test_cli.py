@@ -121,7 +121,7 @@ class TestDataErrors:
         assert "error: shadow." in capsys.readouterr().err
 
     def test_shadow_error_exits_2(self, tmp_path, capsys, monkeypatch):
-        def fail(g, tol=1e-6):
+        def fail(g):
             raise shadows.PoissonConvergenceError(float("nan"))
 
         monkeypatch.setattr(shadows, "poisson_reconstruct", fail)
@@ -489,6 +489,18 @@ class TestDetect:
         assert recs[0]["frame"] == 0
         # the moving rectangle should produce blobs in later frames
         assert any(r["blobs"] for r in recs[2:])
+
+    def test_threshold_is_null_only_where_none_was_fitted(self, tmp_path):
+        # Frame 0 has no predecessor to fit a threshold to; every later frame does.
+        seq = _generate(tmp_path, frames=6)
+        out = tmp_path / "det"
+        assert main(["detect", "--config", _config(tmp_path),
+                     "--in", str(seq), "--out", str(out)]) == 0
+        lines = (out / "detections.jsonl").read_text().splitlines()
+        assert '"T_b": null' in lines[0]
+        thresholds = [json.loads(line)["T_b"] for line in lines]
+        assert thresholds[0] is None
+        assert all(isinstance(t, float) and 0.0 <= t <= 1.0 for t in thresholds[1:])
 
 
     def test_shadow_removal_refuses_grayscale(self, tmp_path, capsys):

@@ -33,7 +33,7 @@ def _occurrence_loop(examples, codebook, grid_stride=8):
     entries = {}
     for frame, cls, (cx, cy), scale in examples:
         descs = vocab.extract_descriptors(frame, grid_stride=grid_stride)
-        _, soft = vocab.quantize(descs.vector, codebook)
+        soft = vocab.quantize(descs.vector, codebook)
         for x, y, s, row in zip(descs.x.tolist(), descs.y.tolist(),
                                 descs.scale.tolist(), soft):
             for word in np.nonzero(row)[0].tolist():
@@ -50,7 +50,7 @@ def _vote_loop(descriptors, codebook, entries, cls):
     """Reference: the votes of cast_votes, one feature, word and occurrence
     at a time."""
     votes = []
-    _, soft = vocab.quantize(descriptors.vector, codebook)
+    soft = vocab.quantize(descriptors.vector, codebook)
     for x, y, s, row in zip(descriptors.x.tolist(), descriptors.y.tolist(),
                             descriptors.scale.tolist(), soft):
         for word in np.nonzero(row)[0].tolist():
@@ -146,7 +146,7 @@ class TestCastVotes:
         occ = _records((0, 1.0, 0.0, 1.0, 16.0, 0.25), (0, 2.0, 0.0, 1.0, 16.0, 0.75),
                        (1, 3.0, 0.0, 1.0, 16.0, 1.0), (2, 4.0, 0.0, 1.0, 16.0, 1.0))
         votes = cast_votes(d, cb, occ)
-        _, soft = vocab.quantize(d.vector, cb)
+        soft = vocab.quantize(d.vector, cb)
         assert soft[0, 1] > 0  # word 1 is weighted too: its record votes
         assert votes[:, 0].tolist() == [9.0, 10.0, 11.0, 12.0]
         assert votes[:, 3].tolist() == [0.25 * soft[0, 0], 0.75 * soft[0, 0],

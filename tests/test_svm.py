@@ -217,7 +217,7 @@ class TestRocCurve:
 class TestStratifiedFolds:
     def test_class_balance_per_fold(self):
         labels = ["a"] * 10 + ["b"] * 15
-        folds = stratified_folds(labels, 5, seed=0)
+        folds = stratified_folds(labels, 5)
         for f in range(5):
             idx = [i for i, k in enumerate(folds) if k == f]
             assert sum(labels[i] == "a" for i in idx) == 2
@@ -225,17 +225,17 @@ class TestStratifiedFolds:
 
     def test_deterministic(self):
         labels = ["a", "b"] * 10
-        assert stratified_folds(labels, 4, 3) == stratified_folds(labels, 4, 3)
+        assert stratified_folds(labels, 4) == stratified_folds(labels, 4)
 
     def test_too_few_samples_errors(self):
         with pytest.raises(SvmError):
-            stratified_folds(["a", "a", "b"], 2, 0)
+            stratified_folds(["a", "a", "b"], 2)
 
 
 class TestCrossValidate:
     def test_separable_high_accuracy(self):
         x, labels = _two_blob_data(seed=12, n=20)
-        report = cross_validate(x, labels, n_folds=4, seed=0, C=5.0)
+        report = cross_validate(x, labels, n_folds=4, C=5.0)
         assert report.accuracy >= 0.9
         assert report.confusion.sum() == len(labels)
         for cl in report.classes:
@@ -243,7 +243,7 @@ class TestCrossValidate:
 
     def test_confusion_rows_are_true_classes(self):
         x, labels = _two_blob_data(seed=13, n=12)
-        report = cross_validate(x, labels, n_folds=3, seed=0)
+        report = cross_validate(x, labels, n_folds=3)
         assert report.confusion[0].sum() == 12
         assert report.confusion[1].sum() == 12
 
@@ -360,9 +360,9 @@ def _loop_roc_curve(scores, positives):
     return points, auc
 
 
-def _loop_cross_validate(x, labels, n_folds, seed):
+def _loop_cross_validate(x, labels, n_folds):
     classes = sorted(set(labels))
-    folds = stratified_folds(labels, n_folds, seed)
+    folds = stratified_folds(labels, n_folds)
     confusion = np.zeros((len(classes), len(classes)), dtype=int)
     scores, true = [], []
     for f in range(n_folds):
@@ -379,13 +379,12 @@ def _loop_cross_validate(x, labels, n_folds, seed):
     return confusion, float(np.trace(confusion)) / confusion.sum(), roc
 
 
-def _loop_stratified_folds(labels, n_folds, seed):
-    rng = np.random.default_rng(seed)
+def _loop_stratified_folds(labels, n_folds):
     fold = [0] * len(labels)
     for cl in sorted(set(labels)):
         idx = [i for i, l in enumerate(labels) if l == cl]
-        for pos, p in enumerate(rng.permutation(len(idx))):
-            fold[idx[p]] = pos % n_folds
+        for pos, i in enumerate(idx):
+            fold[i] = pos % n_folds
     return fold
 
 
@@ -410,18 +409,17 @@ def test_roc_curve_is_bit_identical_to_the_loop(seed):
 def test_stratified_folds_is_bit_identical_to_the_loop(seed):
     labels = list(np.random.default_rng(seed).choice(["p", "q", "r"], 40))
     for n_folds in (2, 3, 5):
-        assert stratified_folds(labels, n_folds, seed) == \
-            _loop_stratified_folds(labels, n_folds, seed)
+        assert stratified_folds(labels, n_folds) == _loop_stratified_folds(labels, n_folds)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_cross_validate_is_bit_identical_to_the_loop(seed, monkeypatch):
     x, labels = _three_class_data(seed)
-    confusion, accuracy, roc = _loop_cross_validate(x, labels, 3, seed)
+    confusion, accuracy, roc = _loop_cross_validate(x, labels, 3)
     calls = []
     pairwise = sv._pairwise
     monkeypatch.setattr(sv, "_pairwise", lambda *a: calls.append(1) or pairwise(*a))
-    report = cross_validate(x, labels, n_folds=3, seed=seed)
+    report = cross_validate(x, labels, n_folds=3)
     assert len(calls) == len(labels)  # one scoring pass per held-out sample
     assert np.array_equal(report.confusion, confusion)
     assert report.accuracy == accuracy

@@ -324,7 +324,9 @@ class TestKmeans:
         # point goes back to its equal twin's cluster at the next assignment.
         pts = np.random.default_rng(21).random((3, 16))[
             np.random.default_rng(22).integers(0, 3, 40)]
-        one_step = kmeans(pts, 5, seed=0, max_iter=1).words
+        with monkeypatch.context() as one:
+            one.setattr(vocab, "KMEANS_MAX_ITER", 1)
+            one_step = kmeans(pts, 5, seed=0).words
         calls = []
         nearest = vocab._nearest
 
@@ -342,17 +344,19 @@ class TestKmeans:
         np.random.default_rng(25).integers(0, 3, (30, 3)).astype(float),
         np.repeat([[1.0, 2.0], [4.0, 6.0]], [29, 1], axis=0),
     ], ids=["distinct", "zero-weights", "one-non-zero"])
-    def test_seeding_draws_as_rng_choice(self, pts):
-        # 100 seeds x 10 picks: with max_iter=0 the words are the seeds themselves
+    def test_seeding_draws_as_rng_choice(self, pts, monkeypatch):
+        # 100 seeds x 10 picks: with no Lloyd step the words are the seeds themselves
+        monkeypatch.setattr(vocab, "KMEANS_MAX_ITER", 0)
         for seed in range(100):
-            words = kmeans(pts, 11, seed=seed, n_init=1, max_iter=0).words
+            words = kmeans(pts, 11, seed=seed, n_init=1).words
             assert np.array_equal(words, _choice_seeds(pts, 11, seed))
 
-    def test_one_non_zero_weight_is_always_drawn(self):
+    def test_one_non_zero_weight_is_always_drawn(self, monkeypatch):
         # when the first pick is one of the 29 equal rows, the only point at a
         # non-zero distance carries all the weight of the second pick
+        monkeypatch.setattr(vocab, "KMEANS_MAX_ITER", 0)
         pts = np.repeat([[1.0, 2.0], [4.0, 6.0]], [29, 1], axis=0)
-        seeds = [kmeans(pts, 2, seed=s, n_init=1, max_iter=0).words.tolist()
+        seeds = [kmeans(pts, 2, seed=s, n_init=1).words.tolist()
                  for s in range(40)]
         seconds = [w[1] for w in seeds if w[0] == [1.0, 2.0]]
         assert seconds and all(w == [4.0, 6.0] for w in seconds)
@@ -375,12 +379,13 @@ class TestKmeans:
         direct = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         assert np.array_equal(vocab._nearest(pts, centroids), direct.argmin(axis=1))
 
-    def test_assignment_memory_is_n_by_k(self):
+    def test_assignment_memory_is_n_by_k(self, monkeypatch):
         # an (n, K, 128) temporary would be 2000 * 100 * 128 * 8 B = 205 MB
+        monkeypatch.setattr(vocab, "KMEANS_MAX_ITER", 3)
         pts = np.random.default_rng(10).random((2000, 128))
         tracemalloc.start()
         try:
-            kmeans(pts, 100, seed=0, n_init=1, max_iter=3)
+            kmeans(pts, 100, seed=0, n_init=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -398,16 +403,24 @@ def _argsort_quantize(vectors, codebook, m, sigma):
     """Oracle: quantize with its m nearest words taken from a stable argsort of all K."""
     d2 = vocab._sq_dist(vectors, codebook.words)
     order = np.argsort(d2, axis=1, kind="stable")
-    hard = order[:, 0]
     nearest = order[:, :min(m, codebook.K)]
     weights = np.exp(-np.take_along_axis(d2, nearest, axis=1) / (2.0 * sigma * sigma))
     total = weights.sum(axis=1, keepdims=True)
     soft = np.zeros_like(d2)
     np.put_along_axis(soft, nearest, weights / np.where(total > 0, total, 1.0), axis=1)
     underflow = total[:, 0] == 0
-    soft[underflow, hard[underflow]] = 1.0
+    soft[underflow, order[underflow, 0]] = 1.0
     soft[~vectors.any(axis=1)] = 0.0
-    return hard, soft
+    return soft
+
+
+@pytest.fixture
+def soft_assignment(monkeypatch):
+    """Set quantize's neighbor count m and Gaussian width sigma for one test."""
+    def set_(m=vocab.SOFT_NEIGHBORS, sigma=vocab.SOFT_SIGMA):
+        monkeypatch.setattr(vocab, "SOFT_NEIGHBORS", m)
+        monkeypatch.setattr(vocab, "SOFT_SIGMA", sigma)
+    return set_
 
 
 class TestQuantize:
@@ -419,60 +432,64 @@ class TestQuantize:
         with pytest.raises(VocabularyError, match="3-d vectors against a codebook of 2-d"):
             quantize(np.zeros((1, 3)), self._codebook())
 
-    def test_hard_assignment_nearest(self):
-        cb = self._codebook()
-        hard, _ = quantize(np.array([[0.9, 0.1]]), cb)
-        assert hard.tolist() == [1]
+    def test_hard_assignment_nearest(self, soft_assignment):
+        # with one neighbor the weights are one-hot at the nearest word
+        soft_assignment(m=1)
+        soft = quantize(np.array([[0.9, 0.1]]), self._codebook())
+        assert soft.tolist() == [[0.0, 1.0, 0.0, 0.0]]
 
-    def test_hard_tie_lowest_index(self):
-        cb = self._codebook()
-        hard, _ = quantize(np.array([[0.5, 0.5]]), cb)
-        assert hard.tolist() == [0]
+    def test_hard_tie_lowest_index(self, soft_assignment):
+        soft_assignment(m=1)
+        soft = quantize(np.array([[0.5, 0.5]]), self._codebook())
+        assert soft.tolist() == [[1.0, 0.0, 0.0, 0.0]]
 
-    def test_soft_weights_sum_to_one(self):
-        cb = self._codebook()
-        _, soft = quantize(np.array([[0.7, 0.2]]), cb, m=3)
+    def test_soft_weights_sum_to_one(self, soft_assignment):
+        soft_assignment(m=3)
+        soft = quantize(np.array([[0.7, 0.2]]), self._codebook())
         assert soft.shape == (1, 4)
         assert soft.sum() == pytest.approx(1.0)
         assert np.count_nonzero(soft) <= 3
 
-    def test_soft_matches_direct_gaussian(self):
+    def test_soft_matches_direct_gaussian(self, soft_assignment):
+        soft_assignment(m=4, sigma=0.2)
         cb = self._codebook()
         v = np.array([0.3, 0.6])
-        _, soft = quantize(v[None], cb, m=4, sigma=0.2)
+        soft = quantize(v[None], cb)
         d2 = ((cb.words - v) ** 2).sum(axis=1)
         expect = np.exp(-d2 / (2 * 0.2 ** 2))
         expect /= expect.sum()
         assert np.allclose(soft[0], expect)
 
-    def test_exact_word_dominates(self):
+    def test_exact_word_dominates(self, soft_assignment):
+        soft_assignment(m=1)
         cb = self._codebook()
-        hard, soft = quantize(cb.words[2:3], cb, m=1)
-        assert hard.tolist() == [2]
+        soft = quantize(cb.words[2:3], cb)
+        assert np.flatnonzero(soft[0]).tolist() == [2]
         assert soft[0, 2] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("m", [1, 2, 4])
-    def test_batch_rows_match_direct_differences(self, m):
+    def test_batch_rows_match_direct_differences(self, m, soft_assignment):
+        soft_assignment(m=m, sigma=0.3)
         cb = self._codebook()
         rng = np.random.default_rng(18)
         # an exact four-way tie, a row equal to a word, then random rows
         vectors = np.vstack([[0.5, 0.5], cb.words[3], rng.random((30, 2))])
-        hard, soft = quantize(vectors, cb, m=m, sigma=0.3)
-        for v, h, row in zip(vectors, hard, soft):
+        soft = quantize(vectors, cb)
+        for v, row in zip(vectors, soft):
             d2 = ((cb.words - v) ** 2).sum(axis=1)
             nearest = np.argsort(d2, kind="stable")[:m]
             expect = np.zeros(cb.K)
             expect[nearest] = np.exp(-d2[nearest] / (2 * 0.3 ** 2))
             expect /= expect.sum()
-            assert h == d2.argmin()
+            assert row.argmax() == d2.argmin()  # the nearest word weighs most
             assert np.allclose(row, expect, rtol=0, atol=1e-12)
-        assert hard[:2].tolist() == [0, 3]
+        assert soft[:2].argmax(axis=1).tolist() == [0, 3]
         assert np.count_nonzero(soft[0]) == m and soft[0, :m].all()
 
     @pytest.mark.parametrize("sigma", [0.05, 1.0])
     @pytest.mark.parametrize("K", [4, 200])
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, "K"])
-    def test_selection_matches_stable_argsort(self, m, K, sigma):
+    def test_selection_matches_stable_argsort(self, m, K, sigma, soft_assignment):
         # integer coordinates in {0, 1, 2}: exact integer distances, heavy ties,
         # all-zero rows, and at sigma 0.05 rows whose every weight underflows
         rng = np.random.default_rng(27)
@@ -481,10 +498,9 @@ class TestQuantize:
         m = K if m == "K" else m
         d2 = np.sort(vocab._sq_dist(vectors, cb.words), axis=1)
         assert (d2[:, :min(m, K - 1)] == d2[:, 1:min(m, K - 1) + 1]).any()
-        hard, soft = quantize(vectors, cb, m=m, sigma=sigma)
-        expect_hard, expect_soft = _argsort_quantize(vectors, cb, m, sigma)
-        assert hard.tobytes() == expect_hard.tobytes()
-        assert soft.tobytes() == expect_soft.tobytes()
+        soft_assignment(m=m, sigma=sigma)
+        soft = quantize(vectors, cb)
+        assert soft.tobytes() == _argsort_quantize(vectors, cb, m, sigma).tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_vector_refused(self, bad):
@@ -498,19 +514,13 @@ class TestQuantize:
         with pytest.raises(VocabularyError, match="must be finite"):
             quantize(np.array([[0.7, 0.2]]), cb)
 
-    @pytest.mark.parametrize("m", [0, -1])
-    def test_no_neighbors_refused(self, m):
-        with pytest.raises(VocabularyError, match="m must be >= 1"):
-            quantize(np.array([[0.7, 0.2]]), self._codebook(), m=m)
-
     def test_underflowing_row_is_one_hot(self):
         # every Gaussian weight underflows this far from the words
-        hard, soft = quantize(np.array([[40.0, 30.0]]), self._codebook())
-        assert hard.tolist() == [3]
+        soft = quantize(np.array([[40.0, 30.0]]), self._codebook())
         assert soft[0].tolist() == [0.0, 0.0, 0.0, 1.0]
 
     def test_zero_row_carries_no_word(self):
-        _, soft = quantize(np.array([[0.0, 0.0], [0.7, 0.2]]), self._codebook())
+        soft = quantize(np.array([[0.0, 0.0], [0.7, 0.2]]), self._codebook())
         assert not soft[0].any()
         assert soft[1].sum() == pytest.approx(1.0)
 
