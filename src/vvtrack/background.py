@@ -188,8 +188,13 @@ def fit_adaptive_threshold(hist: np.ndarray) -> NoiseModel:
     # Folded bin-integrated model mass at |d|: the erf at the upper edge
     # d + 0.5 minus the erf at the lower edge max(d - 0.5, 0), which is
     # exactly the upper edge of bin d - 1 for d >= 1 (the d = 0 bin spans
-    # [-0.5, 0.5], so its lower edge is erf(0) = 0).
-    upper = erf((d + 0.5)[None, :] / (sigma[rows, None] * np.sqrt(2.0)))
+    # [-0.5, 0.5], so its lower edge is erf(0) = 0).  erf rounds to 1.0 from
+    # x = 6 on (erfc(6) < 2**-54): only the columns below 6 sigma sqrt(2) of
+    # the widest row, plus one, need it (a NaN sigma keeps every column).
+    scale = sigma[rows, None] * np.sqrt(2.0)
+    n = min(256, 257 - np.count_nonzero(d + 0.5 >= 6.0 * scale.max()))
+    upper = np.ones((rows.size, 256))
+    erf((d[:n] + 0.5) / scale, out=upper[:, :n])
     model = p_b[rows, None] * np.diff(upper, axis=1, prepend=0.0)
     row_errors = ((model - h[None, :]) ** 2).sum(axis=1)
     errors = row_errors[np.searchsorted(rows, np.arange(256), "right") - 1]

@@ -250,8 +250,24 @@ def _oracle_histograms():
         idx = rng.integers(0, 256, rng.integers(1, 25))
         hist[idx] = rng.integers(1, 200, idx.size)
         sparse.append(hist)
+    # erf is skipped where it is 1.0, from 6 sigma sqrt(2) of the widest fit
+    # on: noise from far narrower to far wider than a bin, dense counts and
+    # fractional weights; the uniform histogram (sigma ~ 147) skips nothing.
+    noise = []
+    for _ in range(1000):
+        kind = rng.integers(3)
+        if kind == 0:
+            samples = np.abs(rng.normal(0.0, rng.uniform(0.05, 60.0), rng.integers(50, 5000)))
+            hist = np.bincount(np.minimum(np.rint(samples), 255).astype(int), minlength=256)
+        elif kind == 1:
+            hist = rng.integers(0, 40, 256)
+        else:
+            hist = rng.random(256) * (rng.random(256) < rng.uniform(0.02, 0.5))
+        hist = hist.astype(float)
+        hist[rng.integers(0, 256)] += 1.0
+        noise.append(hist)
     return [leading_empty, long_runs, spike_255, *single_bins,
-            half_gauss.astype(float), *sparse]
+            half_gauss.astype(float), *sparse, np.ones(256), *noise]
 
 
 class TestAdaptiveThreshold:

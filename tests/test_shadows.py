@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import ndimage
+from scipy import fft, ndimage
 
 from vvtrack import frames as fio
 from vvtrack import shadows as sh
@@ -96,8 +96,9 @@ class TestEdgeStrength:
         with pytest.raises(ShadowError):
             edge_strength(np.zeros((4, 4)), sigma=-1.0)
 
-    @pytest.mark.parametrize("sigma", [0.0, 1.0])
-    @pytest.mark.parametrize("shape", [(3, 8, 8), (3, 17, 23), (2, 2, 31, 64)])
+    @pytest.mark.parametrize("sigma", [0.0, 1.0, 0.7, 2.0])
+    @pytest.mark.parametrize("shape", [(3, 8, 8), (3, 17, 23), (2, 2, 31, 64), (3, 1, 1),
+                                       (3, 1, 9), (3, 9, 1), (3, 2, 2)])
     def test_stack_matches_the_per_plane_reference_bit_for_bit(self, shape, sigma):
         stack = np.random.default_rng(4).random(shape)
         planes = stack.reshape(-1, *shape[-2:])
@@ -136,6 +137,25 @@ class TestEdgeStrength:
     def test_one_dimensional_input_raises(self):
         with pytest.raises(FrameError):
             edge_strength(np.zeros(8))
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, -1e-300])
+    def test_sigma_that_is_not_finite_and_nonnegative_raises(self, sigma):
+        frame = np.random.default_rng(8).random((8, 8, 3))
+        with pytest.raises(ShadowError, match="sigma"):
+            edge_strength(frame[..., 0], sigma)
+        with pytest.raises(ShadowError, match="sigma"):
+            shadow_masks(frame, sigma=sigma)
+        with pytest.raises(ShadowError, match="sigma"):
+            sh.remove_shadow(frame, sigma=sigma)
+
+
+def _penumbra_by_ndimage(hs, penumbra):
+    """The penumbra band as ndimage builds it, the reference of the slice
+    dilation; at penumbra 0 it is HS itself, since iterations=0 would
+    dilate until nothing changes."""
+    if penumbra > 0 and hs.any():
+        return ndimage.binary_dilation(hs, iterations=penumbra)
+    return hs.copy()
 
 
 class TestHardShadowMask:
@@ -190,6 +210,29 @@ class TestHardShadowMask:
                 assert np.array_equal(m.VS, m.HS)
             fired += int(m.HS.any())
         assert fired == len(frames)  # hard edges fire on every frame, so the check bites
+
+    @pytest.mark.parametrize("penumbra", [0, 1, 2, 3])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2), (7, 5), (24, 31)])
+    def test_penumbra_band_matches_ndimage_dilation(self, monkeypatch, shape, penumbra):
+        rng = np.random.default_rng(penumbra)
+        masks = [rng.random(shape) < density for density in (0.05, 0.2, 0.5)]
+        border = np.zeros(shape, bool)
+        border[[0, -1], :] = border[:, [0, -1]] = True
+        masks += [border, ~border, np.zeros(shape, bool), np.ones(shape, bool)]
+        frame = rng.random(shape + (3,))
+        for hs in masks:
+            monkeypatch.setattr(sh, "hard_shadow_mask", lambda *args: hs.copy())
+            m = shadow_masks(frame, penumbra=penumbra)
+            assert m.HS.tobytes() == hs.tobytes()
+            assert m.VS.tobytes() == _penumbra_by_ndimage(hs, penumbra).tobytes()
+
+    @pytest.mark.parametrize("penumbra", [-3, 1.5, 2.0, "2", None])
+    def test_penumbra_that_is_not_a_nonnegative_int_raises(self, penumbra):
+        frame = np.random.default_rng(9).random((8, 8, 3))
+        with pytest.raises(ShadowError, match="penumbra"):
+            shadow_masks(frame, penumbra=penumbra)
+        with pytest.raises(ShadowError, match="penumbra"):
+            sh.remove_shadow(frame, penumbra=penumbra)
 
 
 class TestGradients:
@@ -300,6 +343,18 @@ class TestPoisson:
         s = poisson_reconstruct(forward_gradient(f))
         assert np.abs(s - f).max() < 1e-10
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (2, 2), (64, 64), (37, 91)])
+    def test_eigenvalues_match_the_inline_formula_and_are_read_only(self, shape):
+        h, w = shape
+        eig = (2.0 * np.cos(np.pi * np.arange(h) / h)[:, None]
+               + 2.0 * np.cos(np.pi * np.arange(w) / w) - 4.0)
+        eig[0, 0] = 1.0
+        cached = sh._eigenvalues(shape)
+        assert cached.tobytes() == eig.tobytes()
+        assert sh._eigenvalues(shape) is cached
+        with pytest.raises(ValueError):
+            cached[0, 0] = 0.0
+
     def test_nan_input_raises_with_residual(self):
         g = forward_gradient(np.random.default_rng(7).random((16, 16)))
         g.gx[5, 5] = np.nan
@@ -398,6 +453,45 @@ class TestSplitShadow:
         inner = ndimage.binary_erosion(shadow_px, iterations=2)
         if inner.any():
             assert S[inner].mean() < S[lit].mean() - 0.1
+
+
+def _remove_shadow_by_old_pieces(frame, sigma=1.0, penumbra=2):
+    """remove_shadow built from the forms the per-frame steps replaced: a
+    stacked copy of the planes, the per-plane ndimage Sobel reference,
+    ndimage's dilation and eigenvalues computed inline on every call."""
+    frame = fio.validate_rgb(frame)
+    inv = np.clip(invariant_images(frame), 0.0, 1.0)
+    planes = np.stack([fio.to_grayscale(frame), inv[..., 0], inv[..., 1]])
+    e_ori, e1, e2 = [_edge_strength_per_plane(p, sigma) for p in planes]
+    vs = _penumbra_by_ndimage(hard_shadow_mask(e_ori, e1, e2), penumbra)
+    i_log = np.log(fio.to_grayscale(frame) + sh.LOG_OFFSET)
+    b = divergence(masked_gradient(forward_gradient(i_log), vs))
+    b = b - b.mean()
+    s = np.zeros_like(b)
+    if np.sqrt((b ** 2).sum()) > 0.0:
+        h, w = b.shape
+        eig = (2.0 * np.cos(np.pi * np.arange(h) / h)[:, None]
+               + 2.0 * np.cos(np.pi * np.arange(w) / w) - 4.0)
+        eig[0, 0] = 1.0
+        coef = fft.dctn(b, type=2, norm="ortho") / eig
+        coef[0, 0] = 0.0
+        s = fft.idctn(coef, type=2, norm="ortho")
+    return np.minimum(np.exp(i_log - s), 1.0)
+
+
+@pytest.mark.parametrize("scene", ["shadowed", "two_rect"])
+def test_remove_shadow_matches_the_old_pieces_bit_for_bit(scene):
+    fired = 0
+    for seed in (0, 1):
+        frames = generate_synthetic(build_scene(scene, 6, seed=seed, noise=0.01), 6)[0]
+        for frame in frames[::2]:
+            for settings in ({}, {"sigma": 0.0, "penumbra": 0}, {"sigma": 1.5, "penumbra": 3}):
+                fired += int(shadow_masks(frame, **settings).VS.any())
+                for pixels in (frame, np.rint(frame * 255.0).astype(np.uint8)):
+                    expected = _remove_shadow_by_old_pieces(pixels, **settings)
+                    got = sh.remove_shadow(pixels, **settings)
+                    assert got.tobytes() == expected.tobytes()
+    assert fired  # some frame has a shadow edge, so the solve is not trivially flat
 
 
 class TestShadowEnabledDetection:
