@@ -56,10 +56,13 @@ def to_grayscale(frame: np.ndarray) -> np.ndarray:
     """
     if np.ndim(frame) == 2:
         return validate_gray(frame)
-    frame = validate_rgb(frame)
+    return _luma(validate_rgb(frame))
+
+
+def _luma(frame: np.ndarray) -> np.ndarray:
+    """to_grayscale of an RGB frame that validate_rgb has checked."""
     wr, wg, wb = GRAY_WEIGHTS
-    gray = wr * frame[..., 0] + wg * frame[..., 1] + wb * frame[..., 2]
-    return np.clip(gray, 0.0, 1.0)
+    return np.clip(wr * frame[..., 0] + wg * frame[..., 1] + wb * frame[..., 2], 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

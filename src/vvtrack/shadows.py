@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import _validate, to_grayscale, validate_rgb
+from .frames import _luma, _validate, to_grayscale, validate_rgb
 
 LOG_OFFSET = 1.0 / 256.0
 POISSON_TOL = 1e-6  # largest relative residual poisson_reconstruct accepts
@@ -43,6 +43,7 @@ class GradientField:
 class ShadowMasks:
     HS: np.ndarray  # hard-shadow edges
     VS: np.ndarray  # penumbra band: HS dilated, so it contains HS
+    gray: np.ndarray  # the gray frame they were found on
 
 
 @dataclass
@@ -54,7 +55,11 @@ class Blob:
 
 def invariant_images(frame: np.ndarray) -> np.ndarray:
     """(H, W, 2) L2-normalized r and g channels; black pixels map to zero."""
-    frame = validate_rgb(frame)
+    return _invariants(validate_rgb(frame))
+
+
+def _invariants(frame: np.ndarray) -> np.ndarray:
+    """invariant_images of an RGB frame that validate_rgb has checked."""
     r, g, b = np.moveaxis(frame, -1, 0)
     # Summed in the order sum(axis=2) adds, so the bits match a reduction,
     # which costs four times as much over an axis of length 3.
@@ -118,12 +123,13 @@ def hard_shadow_mask(e_ori: np.ndarray, e_inv1: np.ndarray, e_inv2: np.ndarray,
 
 def shadow_masks(frame: np.ndarray, sigma: float = 1.0, t1: float = 0.3,
                  t2: float = 0.1, penumbra: int = 2) -> ShadowMasks:
-    """Hard shadow edges and the penumbra band dilated from them."""
+    """Hard shadow edges, the penumbra band dilated from them, and the gray frame."""
     if not (isinstance(penumbra, (int, np.integer)) and penumbra >= 0):
         raise ShadowError(f"penumbra must be an int >= 0, got {penumbra!r}")
-    planes = np.empty((3,) + np.shape(frame)[:2])  # to_grayscale checks the frame
-    planes[0] = to_grayscale(frame)
-    np.clip(np.moveaxis(invariant_images(frame), -1, 0), 0.0, 1.0, out=planes[1:])
+    frame = validate_rgb(frame)
+    planes = np.empty((3,) + frame.shape[:2])
+    planes[0] = _luma(frame)
+    np.clip(np.moveaxis(_invariants(frame), -1, 0), 0.0, 1.0, out=planes[1:])
     e_ori, e1, e2 = _edge_strength(planes, sigma)
     hs = hard_shadow_mask(e_ori, e1, e2, t1, t2)
     vs = hs.copy()
@@ -133,7 +139,7 @@ def shadow_masks(frame: np.ndarray, sigma: float = 1.0, t1: float = 0.3,
         vs[:-1] |= prev[1:]
         vs[:, 1:] |= prev[:, :-1]
         vs[:, :-1] |= prev[:, 1:]
-    return ShadowMasks(HS=hs, VS=vs)
+    return ShadowMasks(HS=hs, VS=vs, gray=planes[0])
 
 
 def forward_gradient(frame: np.ndarray) -> GradientField:
@@ -228,11 +234,10 @@ def split_shadow(frame: np.ndarray, masks: ShadowMasks):
 
 def remove_shadow(frame: np.ndarray, sigma: float = 1.0, t1: float = 0.3,
                   t2: float = 0.1, penumbra: int = 2) -> np.ndarray:
-    """Shadow-free image R of an RGB frame (see split_shadow); 8-bit pixels
-    are decoded once, here, not by each stage."""
-    frame = validate_rgb(frame)
+    """Shadow-free image R of an RGB frame (see split_shadow), split from
+    the gray frame that shadow_masks made: checked and converted once."""
     masks = shadow_masks(frame, sigma=sigma, t1=t1, t2=t2, penumbra=penumbra)
-    return split_shadow(frame, masks)[1]
+    return split_shadow(masks.gray, masks)[1]
 
 
 def extract_blobs(mask: np.ndarray, min_area: int = 25) -> list[Blob]:

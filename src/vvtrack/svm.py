@@ -242,7 +242,7 @@ def save_model(path, model: SvmModel) -> None:
 
 def _float_rows(lines, shape) -> np.ndarray:
     """Non-blank lines parsed in C as one float array of shape (no lines: empty)."""
-    if not all(map(str.strip, lines)):  # "" is what readline gives past the end
+    if not all(map(str.strip, lines)):
         raise ValueError(f"need {len(lines)} non-blank rows of numbers")
     rows = np.loadtxt(lines, ndmin=2, comments=None) if lines else np.empty(0)
     return rows.reshape(shape)
@@ -270,8 +270,7 @@ def load_model(path) -> SvmModel:
                     raise ValueError(f"machine ({a}, {b}) has {n} vectors of size {dim}")
                 coef = fh.readline()  # blank for a machine with no support vectors
                 model.machines[(int(a), int(b))] = BinaryMachine(
-                    support_vectors=_float_rows([fh.readline() for _ in range(n)],
-                                                (n, dim)),
+                    support_vectors=_float_rows(list(itertools.islice(fh, n)), (n, dim)),
                     dual_coef=_float_rows([coef] if coef.strip() else [], (n,)),
                     bias=float(bias))
             if fh.read().strip():

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -78,12 +79,13 @@ def extract_descriptors(frame: np.ndarray, grid_stride: int = 8,
     gy, gx = np.gradient(frame)
     mag = np.hypot(gx, gy)
     obin = np.mod(np.arctan2(gy, gx), 2.0 * np.pi) / (2.0 * np.pi) * 8.0
-    b0 = np.floor(obin).astype(int) % 8
-    f1 = obin - np.floor(obin)
-    # Magnitude split bilinearly between orientation bins b0 and b0 + 1.
+    lo = np.floor(obin)
+    f1 = obin - lo
+    # Magnitude split bilinearly between orientation bins lo and lo + 1 (mod 8).
     planes = np.zeros((8, h, w))
-    np.put_along_axis(planes, b0[None], (mag * (1.0 - f1))[None], axis=0)
-    np.put_along_axis(planes, (b0[None] + 1) % 8, (mag * f1)[None], axis=0)
+    cell = lo.astype(np.intp) % 8 * (h * w) + np.arange(h * w).reshape(h, w)
+    planes.reshape(-1)[cell] = mag * (1.0 - f1)  # a view: flat indices into planes
+    planes.reshape(-1)[(cell + h * w) % planes.size] = mag * f1
 
     # Separable cell pooling: rows of each window, then its columns.
     weights = _cell_weights(patch)
@@ -111,35 +113,39 @@ def _sse(points: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> float
     return float(np.square(np.subtract(points, diff, out=diff), out=diff).sum())
 
 
-def _sq_dist(vectors: np.ndarray, words: np.ndarray,
-             vector_sq: np.ndarray | None = None) -> np.ndarray:
-    """(n, K) squared distances ‖x‖² − 2x·c + ‖c‖², from one matrix product.
-
-    vector_sq is ‖x‖² per row, when the caller has it.  Clamped at 0,
-    which rounding can undershoot for x equal to a word.  Built in place,
-    so the only (n, K) array is the result.
-    """
+def _sq_sums(vectors: np.ndarray, words: np.ndarray, vector_sq=None) -> np.ndarray:
+    """(n, K) sums ‖x‖² − 2x·c + ‖c‖² (vector_sq: ‖x‖² per row, if known),
+    built in place; −2c is exact, so the product holds the bits of −2x·c."""
     if vector_sq is None:
         vector_sq = (vectors ** 2).sum(axis=1)
-    d2 = vectors @ words.T
-    d2 *= -2.0
+    d2 = vectors @ (words * -2.0).T
     d2 += vector_sq[:, None]
     d2 += (words ** 2).sum(axis=1)
-    return np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
+def _sq_dist(vectors: np.ndarray, words: np.ndarray, vector_sq=None) -> np.ndarray:
+    """(n, K) squared distances: _sq_sums clamped at 0, which rounding can
+    undershoot for x equal to a word."""
+    return np.maximum(d2 := _sq_sums(vectors, words, vector_sq), 0.0, out=d2)
 
 
 def _nearest(pts: np.ndarray, centroids: np.ndarray, sq_norms=None) -> np.ndarray:
-    """Index of each point's nearest centroid; ties go to the lowest index."""
-    return _sq_dist(pts, centroids, sq_norms).argmin(axis=1)
+    """Index of each point's nearest centroid by _sq_dist; ties go to the lowest index."""
+    d2 = _sq_sums(pts, centroids, sq_norms)
+    nearest = d2.argmin(axis=1)
+    low = d2[np.arange(len(d2)), nearest] < 0  # clamped, the first entry <= 0 is nearest
+    nearest[low] = (d2[low] <= 0).argmax(axis=1)
+    return nearest
 
 
 def kmeans(points, k: int, seed: int = 0, n_init: int = 5) -> Codebook:
     """Seeded k-means++ then Lloyd iterations until assignments fix.
 
-    Runs n_init restarts and keeps the lowest-SSE solution.  Once every
-    centroid has moved to its cluster mean, each empty cluster in turn is
-    re-seeded to the point then farthest from its centroid; a step that
-    returns to the assignment it started from also ends the iterations.
+    Runs n_init restarts (seeded by _seeds) and keeps the lowest-SSE one.
+    Once every centroid has moved to its cluster mean, each empty cluster in
+    turn is re-seeded to the point then farthest from its centroid; a step
+    that returns to the assignment it started from also ends the iterations.
     The within-cluster SSE is asserted non-increasing.
     """
     pts = np.asarray(points, dtype=np.float64)
@@ -155,35 +161,62 @@ def kmeans(points, k: int, seed: int = 0, n_init: int = 5) -> Codebook:
     rng = np.random.default_rng(seed)
     best_words = None
     best_sse = np.inf
-    for _ in range(n_init):
-        words, sse = _lloyd(pts, sq_norms, k, rng)
+    for picks in _seeds(pts, sq_norms, k, n_init, rng):
+        words, sse = _lloyd(pts, sq_norms, pts[picks])
         if sse < best_sse:
             best_sse = sse
             best_words = words
     return Codebook(words=best_words, seed=seed)
 
 
-def _lloyd(pts: np.ndarray, sq_norms: np.ndarray, k: int,
-           rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """One k-means++ seeding and its Lloyd steps: (centroids, their SSE)."""
+def _seeds(pts, sq_norms, k: int, n_init: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeds of n_init restarts in turn: (n_init, k) rows of pts.
+
+    A restart draws rng.integers(n), then rng.random() per D² pick, taken by
+    inverse CDF as rng.choice(n, p=d2 / total) takes it.  Drawn up front, all
+    restarts pick in lockstep.  The first whose weights run out is replayed
+    from its generator state to draw rng.integers(n) per pick left, and those
+    after it are seeded again from there.
+    """
+    def sq_dist(rows):  # (len(rows), n): _sq_dist's bits, one matrix-vector product a row
+        d2 = np.stack([pts @ c for c in pts[rows] * -2.0])
+        d2 += sq_norms
+        d2 += sq_norms[rows, None]
+        return np.maximum(d2, 0.0, out=d2)
+
     n = pts.shape[0]
-
-    # k-means++ seeding: one matrix-vector product and one inverse-CDF draw per pick
-    centroids = np.empty((k, pts.shape[1]))
-    centroids[0] = pts[rng.integers(n)]
-    d2 = _sq_dist(pts, centroids[:1], sq_norms)[:, 0]
+    picks = np.empty((n_init, k), dtype=np.intp)
+    states, draws = [], np.empty((n_init, k - 1))
+    for r in range(n_init):
+        states.append(rng.bit_generator.state)
+        picks[r, 0] = rng.integers(n)
+        draws[r] = rng.random(k - 1)
+    live = n_init  # the restarts before the first that ran out pick by weight
+    d2 = sq_dist(picks[:, 0])
     for i in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            centroids[i] = pts[rng.integers(n)]
-        else:  # the draw rng.choice(n, p=d2 / total) makes, less its checks of p
-            cdf = (d2 / total).cumsum()
-            centroids[i] = pts[(cdf / cdf[-1]).searchsorted(rng.random(), side="right")]
-        np.minimum(d2, _sq_dist(pts, centroids[i:i + 1], sq_norms)[:, 0], out=d2)
+        total = d2[:live].sum(axis=1)
+        if (total <= 0).any():
+            live = int(np.argmax(total <= 0))
+            rng.bit_generator.state = states[live]
+            rng.integers(n)
+            rng.random(i - 1)
+            picks[live, i:] = rng.integers(n, size=k - i)
+            if live == 0:
+                break
+        cdf = (d2[:live] / total[:live, None]).cumsum(axis=1)
+        # searchsorted(side="right") of each draw on its non-decreasing row
+        picks[:live, i] = (cdf / cdf[:, -1:] <= draws[:live, i - 1, None]).sum(axis=1)
+        np.minimum(d2[:live], sq_dist(picks[:live, i]), out=d2[:live])
+    if live + 1 < n_init:  # those after it, drawn from the end of its draws
+        picks[live + 1:] = _seeds(pts, sq_norms, k, n_init - live - 1, rng)
+    return picks
 
+
+def _lloyd(pts, sq_norms, centroids: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lloyd steps from the seed centroids, updated in place: (centroids, their SSE)."""
+    k, dim = centroids.shape
     assign = _nearest(pts, centroids, sq_norms)
     sse = _sse(pts, centroids, assign)
-    dim = pts.shape[1]
     for _ in range(KMEANS_MAX_ITER):
         # Per-cluster row sums, added in row order as a mean over axis 0 adds them.
         counts = np.bincount(assign, minlength=k)
@@ -235,15 +268,15 @@ def quantize(vectors, codebook: Codebook) -> np.ndarray:
     if not np.isfinite(d2).all():
         raise VocabularyError("vectors, words and their squared distances must be finite")
     left = d2.copy()  # finite, so a pick set to +inf is never picked again
+    rows = np.arange(len(d2))[:, None]
     nearest = np.empty((len(d2), min(SOFT_NEIGHBORS, codebook.K)), dtype=np.intp)
     for j in range(nearest.shape[1]):  # argmin passes: ties go to the lowest index
         nearest[:, j] = left.argmin(axis=1)
-        np.put_along_axis(left, nearest[:, j:j + 1], np.inf, axis=1)
-    weights = np.exp(-np.take_along_axis(d2, nearest, axis=1)
-                     / (2.0 * SOFT_SIGMA * SOFT_SIGMA))
+        left[rows[:, 0], nearest[:, j]] = np.inf
+    weights = np.exp(-d2[rows, nearest] / (2.0 * SOFT_SIGMA * SOFT_SIGMA))
     total = weights.sum(axis=1, keepdims=True)
     soft = np.zeros_like(d2)
-    np.put_along_axis(soft, nearest, weights / np.where(total > 0, total, 1.0), axis=1)
+    soft[rows, nearest] = weights / np.where(total > 0, total, 1.0)
     underflow = total[:, 0] == 0
     soft[underflow, nearest[underflow, 0]] = 1.0
     soft[~vectors.any(axis=1)] = 0.0
@@ -315,8 +348,8 @@ def load_codebook(path) -> Codebook:
             if header != "vvtrack-codebook v1":
                 raise VocabularyError(f"{path}: bad codebook header {header!r}")
             k, dim, seed = (int(t) for t in fh.readline().split())
-            rows = [fh.readline() for _ in range(k)]  # "" past the end of the file
-            if k < 1 or not all(map(str.strip, rows)) or fh.read().strip():
+            rows = list(islice(fh, k))  # at most k: the file may claim more than it has
+            if k < 1 or len(rows) < k or not all(map(str.strip, rows)) or fh.read().strip():
                 raise ValueError(f"need {k} non-blank centroid rows and nothing after")
             words = np.loadtxt(rows, ndmin=2, comments=None)  # parsed in C
         except ValueError as exc:

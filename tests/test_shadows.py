@@ -399,6 +399,27 @@ class TestSplitShadow:
         assert sh.remove_shadow(pixels, sigma=1.0).tobytes() == R.tobytes()
         assert checked.count(np.uint8) == 1
 
+    def test_remove_shadow_converts_and_checks_the_frame_once(self, monkeypatch):
+        frame, _ = self._shadow_frame()
+        expected = split_shadow(frame, shadow_masks(frame, sigma=1.0))[1]
+        checked, converted = [], []
+        validate, luma = fio._validate, sh._luma
+
+        def check_spy(frame, kind, *args):
+            checked.append(kind)
+            return validate(frame, kind, *args)
+
+        def luma_spy(frame):
+            converted.append(frame.shape)
+            return luma(frame)
+
+        monkeypatch.setattr(fio, "_validate", check_spy)
+        monkeypatch.setattr(sh, "_luma", luma_spy)
+        assert sh.remove_shadow(frame, sigma=1.0).tobytes() == expected.tobytes()
+        # the RGB frame once, in shadow_masks; split_shadow checks its gray input
+        assert checked == ["RGB", "grayscale"]
+        assert converted == [frame.shape]
+
     @staticmethod
     def _split_by_subtraction(frame, masks):
         """The split_shadow that built the shadow-free field (the log-image

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -299,6 +301,21 @@ def test_load_model_refuses_content_after_the_last_machine(tmp_path):
         fh.write("garbage here\n")
     with pytest.raises(SvmError, match="content after the last machine"):
         sv.load_model(tmp_path / "m.txt")
+
+
+def test_model_claiming_more_support_vectors_than_it_holds_is_refused_cheaply(tmp_path):
+    # a machine that claims 10^9 support vectors is refused at the end of the
+    # file, not after a billion reads
+    (tmp_path / "m.txt").write_text("vvtrack-svm v1\na b\n1.0 1.0 1\n"
+                                    "0 1 1000000000 2 0.0\n1.0\n0.5 0.5\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SvmError, match="malformed model"):
+            sv.load_model(tmp_path / "m.txt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_model_with_no_support_vectors_roundtrips(tmp_path):

@@ -64,23 +64,42 @@ def _reference_descriptors(frame, grid_stride, patch):
     return np.array(vectors), xs, ys, scales
 
 
-def _where_descriptor_vectors(frame, grid_stride=8, patch=16):
-    """Oracle: extract_descriptors' vectors, its orientation planes built by
-    one np.where compare per bin instead of two scatters."""
-    gy, gx = np.gradient(frame)
-    mag = np.hypot(gx, gy)
-    obin = np.mod(np.arctan2(gy, gx), 2.0 * np.pi) / (2.0 * np.pi) * 8.0
-    b0 = np.floor(obin).astype(int) % 8
-    f1 = obin - np.floor(obin)
-    bins = np.arange(8)[:, None, None]
-    planes = (np.where(b0 == bins, mag * (1.0 - f1), 0.0)
-              + np.where((b0 + 1) % 8 == bins, mag * f1, 0.0))
+def _vectors_of_planes(planes, grid_stride, patch):
+    """extract_descriptors' vectors from its (8, H, W) orientation planes."""
     weights = vocab._cell_weights(patch)
     rows = sliding_window_view(planes, patch, axis=1)[:, ::grid_stride] @ weights
     cells = sliding_window_view(rows, patch, axis=2)[:, :, ::grid_stride] @ weights
     ny, nx = cells.shape[1:3]
     vectors = cells.transpose(1, 2, 3, 4, 0).reshape(ny * nx, vocab.DESCRIPTOR_DIM)
     return vocab._unit_rows(np.minimum(vocab._unit_rows(vectors), vocab.CLIP))
+
+
+def _orientation_bins(frame):
+    """Gradient magnitude, lower orientation bin and the fraction past it."""
+    gy, gx = np.gradient(frame)
+    mag = np.hypot(gx, gy)
+    obin = np.mod(np.arctan2(gy, gx), 2.0 * np.pi) / (2.0 * np.pi) * 8.0
+    return mag, np.floor(obin).astype(int) % 8, obin - np.floor(obin)
+
+
+def _where_descriptor_vectors(frame, grid_stride=8, patch=16):
+    """Oracle: extract_descriptors' vectors, its orientation planes built by
+    one np.where compare per bin instead of two scatters."""
+    mag, b0, f1 = _orientation_bins(frame)
+    bins = np.arange(8)[:, None, None]
+    planes = (np.where(b0 == bins, mag * (1.0 - f1), 0.0)
+              + np.where((b0 + 1) % 8 == bins, mag * f1, 0.0))
+    return _vectors_of_planes(planes, grid_stride, patch)
+
+
+def _along_axis_descriptor_vectors(frame, grid_stride=8, patch=16):
+    """Oracle: extract_descriptors' vectors, its orientation planes scattered
+    by np.put_along_axis rather than by flat index."""
+    mag, b0, f1 = _orientation_bins(frame)
+    planes = np.zeros((8,) + frame.shape)
+    np.put_along_axis(planes, b0[None], (mag * (1.0 - f1))[None], axis=0)
+    np.put_along_axis(planes, (b0[None] + 1) % 8, (mag * f1)[None], axis=0)
+    return _vectors_of_planes(planes, grid_stride, patch)
 
 
 def _ramp_blocks():
@@ -169,6 +188,18 @@ class TestExtractDescriptors:
         vectors = extract_descriptors(frame).vector
         assert vectors.tobytes() == _where_descriptor_vectors(frame).tobytes()
 
+    @pytest.mark.parametrize("frame,stride,patch", [
+        (_ramp_blocks(), 8, 16),
+        (np.random.default_rng(33).random((17, 33)), 3, 8),
+        (np.random.default_rng(34).random((240, 320)), 8, 16),
+        (np.full((40, 40), 0.3), 8, 16),
+        (np.rint(_oriented_texture("horiz", np.random.default_rng(35)) * 255) / 255, 8, 16),
+    ], ids=["bin-edge-ramps", "17x33", "240x320", "flat", "8-bit-texture"])
+    def test_flat_index_scatter_matches_put_along_axis(self, frame, stride, patch):
+        vectors = extract_descriptors(frame, grid_stride=stride, patch=patch).vector
+        expected = _along_axis_descriptor_vectors(frame, stride, patch)
+        assert vectors.tobytes() == expected.tobytes()
+
     def test_ramp_blocks_hit_every_bin_edge(self):
         gy, gx = np.gradient(_ramp_blocks())
         obin = np.mod(np.arctan2(gy, gx), 2.0 * np.pi) / (2.0 * np.pi) * 8.0
@@ -241,6 +272,36 @@ def _choice_seeds(pts, k, seed):
     return pts[picks]
 
 
+def _old_sq_dist(vectors, words):
+    """Oracle: _sq_dist as it scaled the product by -2 after taking it."""
+    d2 = vectors @ words.T
+    d2 *= -2.0
+    d2 += (vectors ** 2).sum(axis=1)[:, None]
+    d2 += (words ** 2).sum(axis=1)
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _sequential_seeds(pts, k, n_init, rng, ran_out):
+    """Oracle: kmeans' k-means++ seeds drawn one restart after another, with one
+    matrix-vector product and one searchsorted draw per pick.  Appends each
+    restart whose weights run out to ran_out."""
+    n = len(pts)
+    picks = np.empty((n_init, k), dtype=np.intp)
+    for r in range(n_init):
+        picks[r, 0] = rng.integers(n)
+        d2 = _old_sq_dist(pts, pts[picks[r, :1]])[:, 0]
+        for i in range(1, k):
+            total = d2.sum()
+            if total <= 0:
+                ran_out.append(r)
+                picks[r, i] = rng.integers(n)
+            else:
+                cdf = (d2 / total).cumsum()
+                picks[r, i] = (cdf / cdf[-1]).searchsorted(rng.random(), side="right")
+            np.minimum(d2, _old_sq_dist(pts, pts[picks[r, i:i + 1]])[:, 0], out=d2)
+    return picks
+
+
 def _texture_vectors():
     """Non-zero descriptors of the train-vocab input of the CLI texture test:
     8 textures per class, stored as 8-bit PGM, read in file-name order."""
@@ -253,6 +314,15 @@ def _texture_vectors():
     vectors = np.concatenate([extract_descriptors(images[name]).vector
                               for name in sorted(images)])
     return vectors[vectors.any(axis=1)]
+
+
+def _near_twins():
+    """30 rows of 3 random rows and their copies one ulp up: a restart runs out
+    of weight at a pick that depends on which twin it took, so a later restart
+    can run out while an earlier one still picks by weight."""
+    rng = np.random.default_rng(103)
+    base = rng.random((3, 4))
+    return np.vstack([base, np.nextafter(base, 2.0)])[rng.integers(0, 6, 30)]
 
 
 class TestKmeans:
@@ -351,6 +421,40 @@ class TestKmeans:
             words = kmeans(pts, 11, seed=seed, n_init=1).words
             assert np.array_equal(words, _choice_seeds(pts, 11, seed))
 
+    @pytest.mark.parametrize("pts,k,n_init,ran_out_in", [
+        (np.random.default_rng(40).random((200, 16)), 12, 5, set()),
+        (np.random.default_rng(41).random((30, 3)), 30, 2, set()),
+        (np.random.default_rng(21).random((3, 16))[
+            np.random.default_rng(22).integers(0, 3, 40)], 5, 5, {0, 1, 2, 3, 4}),
+        (np.repeat([[1.0, 2.0], [4.0, 6.0]], [29, 1], axis=0), 2, 5, set()),
+        (np.repeat([[1.0, 2.0], [4.0, 6.0]], [29, 1], axis=0), 3, 5, {0, 1, 2, 3, 4}),
+        (np.zeros((10, 8)), 4, 3, {0, 1, 2}),
+        (np.tile(np.random.default_rng(42).random((6, 5)), (5, 1)), 8, 4, set()),
+        (_near_twins(), 7, 5, {0, 1, 2, 3, 4}),
+    ], ids=["random", "k-equals-n", "three-rows", "one-non-zero", "two-rows", "all-zero",
+            "six-rows", "near-twins"])
+    def test_lockstep_seeds_match_sequential_restarts(self, pts, k, n_init, ran_out_in):
+        # equal picks and an equal generator state after them, seeds 0-30, also
+        # where a later restart runs out of weight and the ones after it are redrawn
+        sq_norms = (pts ** 2).sum(axis=1)
+        ran_out = []
+        for seed in range(31):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            picks = vocab._seeds(pts, sq_norms, k, n_init, rng)
+            assert picks.tolist() == _sequential_seeds(pts, k, n_init, oracle_rng,
+                                                       ran_out).tolist()
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert set(ran_out) == ran_out_in  # the restarts that ran out of weight
+
+    def test_lockstep_seeds_match_sequential_restarts_on_texture_descriptors(self):
+        pts = _texture_vectors()
+        sq_norms = (pts ** 2).sum(axis=1)
+        for seed in (0, 1):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            picks = vocab._seeds(pts, sq_norms, 200, 5, rng)
+            assert picks.tolist() == _sequential_seeds(pts, 200, 5, oracle_rng, []).tolist()
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
     def test_one_non_zero_weight_is_always_drawn(self, monkeypatch):
         # when the first pick is one of the 29 equal rows, the only point at a
         # non-zero distance carries all the weight of the second pick
@@ -378,6 +482,27 @@ class TestKmeans:
         centroids = rng.random((40, 16))
         direct = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         assert np.array_equal(vocab._nearest(pts, centroids), direct.argmin(axis=1))
+
+    def test_nearest_is_the_argmin_of_the_clamped_distances(self):
+        # each centroid is a point and a copy one ulp off it: both distances
+        # round to about zero, some below it, so clamping changes the argmin
+        pts = np.random.default_rng(0).random((50, 16))
+        centroids = np.vstack([np.nextafter(pts[:20], 2.0), pts[:20]])
+        sums = vocab._sq_sums(pts, centroids)
+        clamped = np.maximum(sums, 0.0).argmin(axis=1)
+        assert (sums.min(axis=1) < 0).any() and (sums.argmin(axis=1) != clamped).any()
+        assert vocab._nearest(pts, centroids).tolist() == clamped.tolist()
+        assert vocab._nearest(pts, centroids).tolist() == _old_sq_dist(
+            pts, centroids).argmin(axis=1).tolist()
+
+    def test_sq_dist_matches_scaling_after_the_product(self):
+        rng = np.random.default_rng(43)
+        descriptors = _texture_vectors()
+        for vectors, words in [(rng.random((300, 16)), rng.random((40, 16))),
+                               (rng.normal(size=(100, 7)) * 1e3, rng.normal(size=(9, 7))),
+                               (descriptors, descriptors[rng.choice(1176, 200)])]:
+            assert vocab._sq_dist(vectors, words).tobytes() == \
+                _old_sq_dist(vectors, words).tobytes()
 
     def test_assignment_memory_is_n_by_k(self, monkeypatch):
         # an (n, K, 128) temporary would be 2000 * 100 * 128 * 8 B = 205 MB
@@ -410,6 +535,26 @@ def _argsort_quantize(vectors, codebook, m, sigma):
     np.put_along_axis(soft, nearest, weights / np.where(total > 0, total, 1.0), axis=1)
     underflow = total[:, 0] == 0
     soft[underflow, order[underflow, 0]] = 1.0
+    soft[~vectors.any(axis=1)] = 0.0
+    return soft
+
+
+def _along_axis_quantize(vectors, codebook):
+    """Oracle: quantize with its picks and weights set and read by
+    np.put_along_axis and np.take_along_axis rather than by direct indexing."""
+    d2 = vocab._sq_dist(vectors, codebook.words)
+    left = d2.copy()
+    nearest = np.empty((len(d2), min(vocab.SOFT_NEIGHBORS, codebook.K)), dtype=np.intp)
+    for j in range(nearest.shape[1]):
+        nearest[:, j] = left.argmin(axis=1)
+        np.put_along_axis(left, nearest[:, j:j + 1], np.inf, axis=1)
+    weights = np.exp(-np.take_along_axis(d2, nearest, axis=1)
+                     / (2.0 * vocab.SOFT_SIGMA * vocab.SOFT_SIGMA))
+    total = weights.sum(axis=1, keepdims=True)
+    soft = np.zeros_like(d2)
+    np.put_along_axis(soft, nearest, weights / np.where(total > 0, total, 1.0), axis=1)
+    underflow = total[:, 0] == 0
+    soft[underflow, nearest[underflow, 0]] = 1.0
     soft[~vectors.any(axis=1)] = 0.0
     return soft
 
@@ -501,6 +646,20 @@ class TestQuantize:
         soft_assignment(m=m, sigma=sigma)
         soft = quantize(vectors, cb)
         assert soft.tobytes() == _argsort_quantize(vectors, cb, m, sigma).tobytes()
+
+    @pytest.mark.parametrize("m,sigma", [(1, 0.2), (3, 0.05), (5, 0.2), (200, 1.0)])
+    def test_direct_indexing_matches_along_axis_form(self, m, sigma, soft_assignment):
+        rng = np.random.default_rng(44)
+        descriptors = _texture_vectors()
+        # descriptors against 200 of them, then integer points with heavy ties
+        cases = [(descriptors[:300], descriptors[rng.choice(1176, 200)]),
+                 (rng.integers(0, 3, (120, 3)).astype(float),
+                  rng.integers(0, 3, (200, 3)).astype(float))]
+        soft_assignment(m=m, sigma=sigma)
+        for vectors, words in cases:
+            cb = Codebook(words=words, seed=0)
+            expected = _along_axis_quantize(vectors, cb)
+            assert quantize(vectors, cb).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_vector_refused(self, bad):
@@ -675,3 +834,18 @@ def test_codebook_text_is_one_repr_per_value(tmp_path):
     lines = (tmp_path / "cb.txt").read_text().splitlines()
     assert lines[2:] == [" ".join(repr(float(v)) for v in row) for row in words]
     assert vocab.load_codebook(tmp_path / "cb.txt").words.tobytes() == words.tobytes()
+
+
+def test_codebook_claiming_more_rows_than_it_holds_is_refused_cheaply(tmp_path):
+    # a header that claims 10^9 words is refused at the end of the file, not
+    # after a billion reads
+    (tmp_path / "cb.txt").write_text("vvtrack-codebook v1\n1000000000 2 0\n"
+                                     "0.1 0.2\n0.3 0.4\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(VocabularyError, match="malformed codebook"):
+            vocab.load_codebook(tmp_path / "cb.txt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
