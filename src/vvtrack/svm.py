@@ -240,12 +240,14 @@ def save_model(path, model: SvmModel) -> None:
                 fh.write(" ".join(map(repr, row)) + "\n")
 
 
-def _float_rows(lines, shape) -> np.ndarray:
-    """Non-blank lines parsed in C as one float array of shape (no lines: empty)."""
-    if not all(map(str.strip, lines)):
-        raise ValueError(f"need {len(lines)} non-blank rows of numbers")
-    rows = np.loadtxt(lines, ndmin=2, comments=None) if lines else np.empty(0)
-    return rows.reshape(shape)
+def _float_rows(lines, shape, what: str) -> np.ndarray:
+    """Lines parsed in C as one float array of 2-D shape, or a ValueError
+    naming what and the shape its lines hold (blank lines hold no row)."""
+    rows = (np.loadtxt(lines, ndmin=2, comments=None) if any(map(str.strip, lines))
+            else np.empty((0, shape[1])))
+    if rows.shape != shape:
+        raise ValueError(f"{what} need shape {shape}, got {rows.shape}")
+    return rows
 
 
 def load_model(path) -> SvmModel:
@@ -270,8 +272,10 @@ def load_model(path) -> SvmModel:
                     raise ValueError(f"machine ({a}, {b}) has {n} vectors of size {dim}")
                 coef = fh.readline()  # blank for a machine with no support vectors
                 model.machines[(int(a), int(b))] = BinaryMachine(
-                    support_vectors=_float_rows(list(itertools.islice(fh, n)), (n, dim)),
-                    dual_coef=_float_rows([coef] if coef.strip() else [], (n,)),
+                    support_vectors=_float_rows(list(itertools.islice(fh, n)), (n, dim),
+                                                f"machine ({a}, {b}): support vectors"),
+                    dual_coef=_float_rows([coef], (min(n, 1), n),
+                                          f"machine ({a}, {b}): dual coefficients").ravel(),
                     bias=float(bias))
             if fh.read().strip():
                 raise ValueError("content after the last machine")

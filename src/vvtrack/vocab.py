@@ -142,11 +142,11 @@ def _nearest(pts: np.ndarray, centroids: np.ndarray, sq_norms=None) -> np.ndarra
 def kmeans(points, k: int, seed: int = 0, n_init: int = 5) -> Codebook:
     """Seeded k-means++ then Lloyd iterations until assignments fix.
 
-    Runs n_init restarts (seeded by _seeds) and keeps the lowest-SSE one.
-    Once every centroid has moved to its cluster mean, each empty cluster in
-    turn is re-seeded to the point then farthest from its centroid; a step
-    that returns to the assignment it started from also ends the iterations.
-    The within-cluster SSE is asserted non-increasing.
+    Runs n_init restarts, seeded by _seed in turn from one generator, and
+    keeps the lowest-SSE one.  Once every centroid has moved to its cluster
+    mean, each empty cluster in turn is re-seeded to the point then farthest
+    from its centroid; a step that returns to the assignment it started from
+    also ends the iterations.  The within-cluster SSE is asserted non-increasing.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < k:
@@ -159,57 +159,36 @@ def kmeans(points, k: int, seed: int = 0, n_init: int = 5) -> Codebook:
     if not np.isfinite(sq_norms).all():
         raise VocabularyError("k-means points and their squared norms must be finite")
     rng = np.random.default_rng(seed)
-    best_words = None
-    best_sse = np.inf
-    for picks in _seeds(pts, sq_norms, k, n_init, rng):
-        words, sse = _lloyd(pts, sq_norms, pts[picks])
+    best_words, best_sse = None, np.inf
+    for _ in range(n_init):  # Lloyd steps draw nothing: each seeding goes on from the last
+        words, sse = _lloyd(pts, sq_norms, _seed(pts, sq_norms, k, rng))
         if sse < best_sse:
-            best_sse = sse
-            best_words = words
+            best_words, best_sse = words, sse
     return Codebook(words=best_words, seed=seed)
 
 
-def _seeds(pts, sq_norms, k: int, n_init: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeds of n_init restarts in turn: (n_init, k) rows of pts.
+def _seed(pts, sq_norms, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeds: k rows of pts, the first drawn by rng.integers(n).
 
-    A restart draws rng.integers(n), then rng.random() per D² pick, taken by
-    inverse CDF as rng.choice(n, p=d2 / total) takes it.  Drawn up front, all
-    restarts pick in lockstep.  The first whose weights run out is replayed
-    from its generator state to draw rng.integers(n) per pick left, and those
-    after it are seeded again from there.
+    Each later pick is drawn with weight D² (the squared distance to the
+    nearest pick so far) by inverse CDF on one rng.random(), as
+    rng.choice(n, p=d2 / total) draws it.  Once the weights run out (every
+    distinct row picked), each pick left is rng.integers(n).
     """
-    def sq_dist(rows):  # (len(rows), n): _sq_dist's bits, one matrix-vector product a row
-        d2 = np.stack([pts @ c for c in pts[rows] * -2.0])
-        d2 += sq_norms
-        d2 += sq_norms[rows, None]
-        return np.maximum(d2, 0.0, out=d2)
-
     n = pts.shape[0]
-    picks = np.empty((n_init, k), dtype=np.intp)
-    states, draws = [], np.empty((n_init, k - 1))
-    for r in range(n_init):
-        states.append(rng.bit_generator.state)
-        picks[r, 0] = rng.integers(n)
-        draws[r] = rng.random(k - 1)
-    live = n_init  # the restarts before the first that ran out pick by weight
-    d2 = sq_dist(picks[:, 0])
-    for i in range(1, k):
-        total = d2[:live].sum(axis=1)
-        if (total <= 0).any():
-            live = int(np.argmax(total <= 0))
-            rng.bit_generator.state = states[live]
-            rng.integers(n)
-            rng.random(i - 1)
-            picks[live, i:] = rng.integers(n, size=k - i)
-            if live == 0:
-                break
-        cdf = (d2[:live] / total[:live, None]).cumsum(axis=1)
-        # searchsorted(side="right") of each draw on its non-decreasing row
-        picks[:live, i] = (cdf / cdf[:, -1:] <= draws[:live, i - 1, None]).sum(axis=1)
-        np.minimum(d2[:live], sq_dist(picks[:live, i]), out=d2[:live])
-    if live + 1 < n_init:  # those after it, drawn from the end of its draws
-        picks[live + 1:] = _seeds(pts, sq_norms, k, n_init - live - 1, rng)
-    return picks
+    picks = [rng.integers(n)]
+    d2 = np.full(n, np.inf)  # D² to the nearest pick so far: none yet
+    for _ in range(1, k):
+        d = pts @ (pts[picks[-1]] * -2.0)  # _sq_dist to the last pick, one product
+        d += sq_norms
+        d += sq_norms[picks[-1]]
+        np.minimum(d2, np.maximum(d, 0.0, out=d), out=d2)
+        if (total := d2.sum()) <= 0:
+            picks.append(rng.integers(n))
+        else:
+            cdf = (d2 / total).cumsum()
+            picks.append((cdf / cdf[-1]).searchsorted(rng.random(), side="right"))
+    return pts[picks]
 
 
 def _lloyd(pts, sq_norms, centroids: np.ndarray) -> tuple[np.ndarray, float]:

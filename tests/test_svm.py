@@ -266,31 +266,44 @@ def test_model_roundtrip(tmp_path):
         assert np.allclose(sv._pairwise(loaded, xi)[1], sv._pairwise(model, xi)[1])
 
 
-@pytest.mark.parametrize("text", [
-    "garbage\n",
-    "vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 2\n",
-    "vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 1 2 0.0\n1.0\nnan 0.5\n",
-    "vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 1 2 inf\n1.0\n0.5 0.5\n",
-    "vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 1 2 0.0\n-inf\n0.5 0.5\n",
-    "vvtrack-svm v1\na b\nnan 1.0 0\n",
-    "vvtrack-svm v1\na b\n1.0 1.0 1\n0 5 1 2 0.0\n1.0\n0.5 0.5\n",
-    "vvtrack-svm v1\na b\n1.0 1.0 1\n1 0 1 2 0.0\n1.0\n0.5 0.5\n",
-    "vvtrack-svm v1\na b c\n1.0 1.0 0\n",
-    "vvtrack-svm v1\na b c\n1.0 1.0 3\n" + "0 1 1 2 0.0\n1.0\n0.5 0.5\n" * 2
-    + "1 2 1 2 0.0\n1.0\n0.5 0.5\n",
-    "vvtrack-svm v1\na\n1.0 1.0 0\n",
-    "vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 -1 2 0.0\n\n",
-    "vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 1 -1 0.0\n1.0\n0.5 0.5\n",
-    "vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 2 2 0.0\n1.0 1.0\n0.5 0.5\n\n",
-    "vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 0 2 0.0\n1.0\n",
-    "vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 1 2 0.0\n1.0\n0.5 0.5 0.5\n",
+@pytest.mark.parametrize("text, match", [
+    ("garbage\n", "bad model header 'garbage'"),
+    ("vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 2\n", "not enough values to unpack"),
+    ("vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 1 2 0.0\n1.0\nnan 0.5\n", "non-finite values"),
+    ("vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 1 2 inf\n1.0\n0.5 0.5\n", "non-finite values"),
+    ("vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 1 2 0.0\n-inf\n0.5 0.5\n", "non-finite values"),
+    ("vvtrack-svm v1\na b\nnan 1.0 1\n0 1 1 2 0.0\n1.0\n0.5 0.5\n", "C must be > 0, got nan"),
+    ("vvtrack-svm v1\na b\n1.0 1.0 1\n0 5 1 2 0.0\n1.0\n0.5 0.5\n",
+     r"machine \(0, 5\) is a repeat or not a class pair"),
+    ("vvtrack-svm v1\na b\n1.0 1.0 1\n1 0 1 2 0.0\n1.0\n0.5 0.5\n",
+     r"machine \(1, 0\) is a repeat or not a class pair"),
+    ("vvtrack-svm v1\na b c\n1.0 1.0 0\n", "3 classes need one machine per pair, not 0"),
+    ("vvtrack-svm v1\na b c\n1.0 1.0 3\n" + "0 1 1 2 0.0\n1.0\n0.5 0.5\n" * 2
+     + "1 2 1 2 0.0\n1.0\n0.5 0.5\n", r"machine \(0, 1\) is a repeat or not a class pair"),
+    ("vvtrack-svm v1\na\n1.0 1.0 0\n", "1 classes need one machine per pair"),
+    ("vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 -1 2 0.0\n\n", "has -1 vectors of size 2"),
+    ("vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 1 -1 0.0\n1.0\n0.5 0.5\n",
+     "has 1 vectors of size -1"),
+    ("vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 2 2 0.0\n1.0 1.0\n0.5 0.5\n\n",
+     r"support vectors need shape \(2, 2\), got \(1, 2\)"),
+    ("vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 0 2 0.0\n1.0\n",
+     r"dual coefficients need shape \(0, 0\), got \(1, 1\)"),
+    ("vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 1 2 0.0\n1.0\n0.5 0.5 0.5\n",
+     r"support vectors need shape \(1, 2\), got \(1, 3\)"),
+    ("vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 3 2 0.0\n1.0 1.0 -2.0\n0.5 0.5\n0.1 0.2\n",
+     r"machine \(0, 1\): support vectors need shape \(3, 2\), got \(2, 2\)"),
+    ("vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 4 2 0.0\n1.0 1.0 1.0 -3.0\n0.5 0.5\n",
+     r"machine \(0, 1\): support vectors need shape \(4, 2\), got \(1, 2\)"),
+    ("vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 2 2 0.0\n1.0\n0.5 0.5\n0.1 0.2\n",
+     r"machine \(0, 1\): dual coefficients need shape \(1, 2\), got \(1, 1\)"),
 ], ids=["header", "short-machine-line", "nan-support-vector", "inf-bias",
         "inf-coefficient", "nan-C", "class-out-of-range", "pair-reversed",
         "no-machines", "repeated-pair", "one-class", "negative-count", "negative-size",
-        "blank-support-vector-row", "coefficient-of-no-vector", "long-row"])
-def test_model_bad_header_errors(tmp_path, text):
+        "blank-support-vector-row", "coefficient-of-no-vector", "long-row",
+        "missing-last-row", "count-past-the-end", "short-coefficient-line"])
+def test_model_bad_header_errors(tmp_path, text, match):
     (tmp_path / "m.txt").write_text(text)
-    with pytest.raises(SvmError):
+    with pytest.raises(SvmError, match=match):
         sv.load_model(tmp_path / "m.txt")
 
 

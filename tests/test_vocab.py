@@ -256,15 +256,17 @@ def _reference_kmeans(pts, k, seed, reseeds):
     return best_words
 
 
-def _choice_seeds(pts, k, seed):
-    """Oracle: kmeans' first k-means++ seeding, each D² pick drawn by rng.choice."""
-    rng = np.random.default_rng(seed)
+def _choice_seeds(pts, k, rng, fallbacks):
+    """Oracle: one k-means++ seeding from rng, each D² pick drawn by rng.choice.
+    Appends to fallbacks the index of each pick drawn by rng.integers because
+    the weights ran out."""
     sq_norms = (pts ** 2).sum(axis=1)
     picks = [rng.integers(len(pts))]
     d2 = vocab._sq_dist(pts, pts[picks[0]][None], sq_norms)[:, 0]
     for _ in range(1, k):
         total = d2.sum()
         if total <= 0:
+            fallbacks.append(len(picks))
             picks.append(rng.integers(len(pts)))
         else:
             picks.append(rng.choice(len(pts), p=d2 / total))
@@ -279,27 +281,6 @@ def _old_sq_dist(vectors, words):
     d2 += (vectors ** 2).sum(axis=1)[:, None]
     d2 += (words ** 2).sum(axis=1)
     return np.maximum(d2, 0.0, out=d2)
-
-
-def _sequential_seeds(pts, k, n_init, rng, ran_out):
-    """Oracle: kmeans' k-means++ seeds drawn one restart after another, with one
-    matrix-vector product and one searchsorted draw per pick.  Appends each
-    restart whose weights run out to ran_out."""
-    n = len(pts)
-    picks = np.empty((n_init, k), dtype=np.intp)
-    for r in range(n_init):
-        picks[r, 0] = rng.integers(n)
-        d2 = _old_sq_dist(pts, pts[picks[r, :1]])[:, 0]
-        for i in range(1, k):
-            total = d2.sum()
-            if total <= 0:
-                ran_out.append(r)
-                picks[r, i] = rng.integers(n)
-            else:
-                cdf = (d2 / total).cumsum()
-                picks[r, i] = (cdf / cdf[-1]).searchsorted(rng.random(), side="right")
-            np.minimum(d2, _old_sq_dist(pts, pts[picks[r, i:i + 1]])[:, 0], out=d2)
-    return picks
 
 
 def _texture_vectors():
@@ -409,51 +390,55 @@ class TestKmeans:
         assert len(calls) <= 2 * 5  # seeding plus one Lloyd step per restart
         assert np.array_equal(words, one_step)
 
-    @pytest.mark.parametrize("pts", [
-        np.random.default_rng(24).random((50, 4)),
-        np.random.default_rng(25).integers(0, 3, (30, 3)).astype(float),
-        np.repeat([[1.0, 2.0], [4.0, 6.0]], [29, 1], axis=0),
-    ], ids=["distinct", "zero-weights", "one-non-zero"])
-    def test_seeding_draws_as_rng_choice(self, pts, monkeypatch):
-        # 100 seeds x 10 picks: with no Lloyd step the words are the seeds themselves
+    @pytest.mark.parametrize("pts,n_init", [
+        pytest.param(pts, n_init, id=name + ("" if n_init == 1 else "-5-restarts"))
+        for n_init in (1, 5)
+        for name, pts in [
+            ("distinct", np.random.default_rng(24).random((50, 4))),
+            ("zero-weights", np.random.default_rng(25).integers(0, 3, (30, 3)).astype(float)),
+            ("one-non-zero", np.repeat([[1.0, 2.0], [4.0, 6.0]], [29, 1], axis=0))]])
+    def test_seeding_draws_as_rng_choice(self, pts, n_init, monkeypatch):
+        # 100 seeds x 10 picks: with no Lloyd step the words are the seeds of
+        # the lowest-SSE restart, each restart seeded where the last left off
         monkeypatch.setattr(vocab, "KMEANS_MAX_ITER", 0)
         for seed in range(100):
-            words = kmeans(pts, 11, seed=seed, n_init=1).words
-            assert np.array_equal(words, _choice_seeds(pts, 11, seed))
+            rng = np.random.default_rng(seed)
+            seeds = [_choice_seeds(pts, 11, rng, []) for _ in range(n_init)]
+            sse = [vocab._sse(pts, s, vocab._nearest(pts, s)) for s in seeds]
+            words = kmeans(pts, 11, seed=seed, n_init=n_init).words
+            assert np.array_equal(words, seeds[int(np.argmin(sse))])
 
-    @pytest.mark.parametrize("pts,k,n_init,ran_out_in", [
-        (np.random.default_rng(40).random((200, 16)), 12, 5, set()),
-        (np.random.default_rng(41).random((30, 3)), 30, 2, set()),
+    @pytest.mark.parametrize("pts,k,n_init,seeds,ran_out_in", [
+        (np.random.default_rng(40).random((200, 16)), 12, 5, range(31), set()),
+        (np.random.default_rng(41).random((30, 3)), 30, 2, range(31), set()),
         (np.random.default_rng(21).random((3, 16))[
-            np.random.default_rng(22).integers(0, 3, 40)], 5, 5, {0, 1, 2, 3, 4}),
-        (np.repeat([[1.0, 2.0], [4.0, 6.0]], [29, 1], axis=0), 2, 5, set()),
-        (np.repeat([[1.0, 2.0], [4.0, 6.0]], [29, 1], axis=0), 3, 5, {0, 1, 2, 3, 4}),
-        (np.zeros((10, 8)), 4, 3, {0, 1, 2}),
-        (np.tile(np.random.default_rng(42).random((6, 5)), (5, 1)), 8, 4, set()),
-        (_near_twins(), 7, 5, {0, 1, 2, 3, 4}),
+            np.random.default_rng(22).integers(0, 3, 40)], 5, 5, range(31), {0, 1, 2, 3, 4}),
+        (np.repeat([[1.0, 2.0], [4.0, 6.0]], [29, 1], axis=0), 2, 5, range(31), set()),
+        (np.repeat([[1.0, 2.0], [4.0, 6.0]], [29, 1], axis=0), 3, 5, range(31),
+         {0, 1, 2, 3, 4}),
+        (np.zeros((10, 8)), 4, 3, range(31), {0, 1, 2}),
+        (np.tile(np.random.default_rng(42).random((6, 5)), (5, 1)), 8, 4, range(31), set()),
+        (_near_twins(), 7, 5, range(31), {0, 1, 2, 3, 4}),
+        (_texture_vectors, 200, 5, range(2), set()),
     ], ids=["random", "k-equals-n", "three-rows", "one-non-zero", "two-rows", "all-zero",
-            "six-rows", "near-twins"])
-    def test_lockstep_seeds_match_sequential_restarts(self, pts, k, n_init, ran_out_in):
-        # equal picks and an equal generator state after them, seeds 0-30, also
-        # where a later restart runs out of weight and the ones after it are redrawn
+            "six-rows", "near-twins", "texture-descriptors"])
+    def test_seed_draws_as_rng_choice_across_restarts(self, pts, k, n_init, seeds,
+                                                      ran_out_in):
+        # equal seeds and an equal generator state after every restart, also
+        # where a restart's weights run out and it draws rng.integers per pick
+        pts = pts() if callable(pts) else pts
         sq_norms = (pts ** 2).sum(axis=1)
-        ran_out = []
-        for seed in range(31):
+        ran_out = set()
+        for seed in seeds:
             rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            picks = vocab._seeds(pts, sq_norms, k, n_init, rng)
-            assert picks.tolist() == _sequential_seeds(pts, k, n_init, oracle_rng,
-                                                       ran_out).tolist()
-            assert rng.bit_generator.state == oracle_rng.bit_generator.state
-        assert set(ran_out) == ran_out_in  # the restarts that ran out of weight
-
-    def test_lockstep_seeds_match_sequential_restarts_on_texture_descriptors(self):
-        pts = _texture_vectors()
-        sq_norms = (pts ** 2).sum(axis=1)
-        for seed in (0, 1):
-            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            picks = vocab._seeds(pts, sq_norms, 200, 5, rng)
-            assert picks.tolist() == _sequential_seeds(pts, 200, 5, oracle_rng, []).tolist()
-            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            for r in range(n_init):
+                fallbacks = []
+                expect = _choice_seeds(pts, k, oracle_rng, fallbacks)
+                assert vocab._seed(pts, sq_norms, k, rng).tobytes() == expect.tobytes()
+                assert rng.bit_generator.state == oracle_rng.bit_generator.state
+                if fallbacks:
+                    ran_out.add(r)
+        assert ran_out == ran_out_in  # the restarts that ran out of weight
 
     def test_one_non_zero_weight_is_always_drawn(self, monkeypatch):
         # when the first pick is one of the 29 equal rows, the only point at a
