@@ -93,14 +93,18 @@ def similarity_map(f1: np.ndarray, f2: np.ndarray, w: int = 1,
     if moments is None:
         moments = box_moments(f1, w), box_moments(f2, w)
     (m1, v1), (m2, v2) = moments
-    cov = ndimage.uniform_filter(f1 * f2, size=2 * w + 1, mode="reflect") - m1 * m2
-    both_flat = (v1 < EPS_VAR) & (v2 < EPS_VAR)
-    one_flat = ((v1 < EPS_VAR) | (v2 < EPS_VAR)) & ~both_flat
-    denom = np.sqrt(np.maximum(v1 * v2, EPS_VAR**2))
-    sim = cov / denom
-    sim = np.where(both_flat, np.where(np.abs(m1 - m2) < EPS_MEAN, 1.0, 0.0), sim)
-    sim = np.where(one_flat, 0.0, sim)
-    return np.clip(sim, -1.0, 1.0)
+    sim = ndimage.uniform_filter(f1 * f2, size=2 * w + 1, mode="reflect")
+    sim -= m1 * m2  # the covariance
+    denom = np.maximum(v1 * v2, EPS_VAR**2)
+    sim /= np.sqrt(denom, out=denom)
+    flat1, flat2 = v1 < EPS_VAR, v2 < EPS_VAR
+    flat = flat1 | flat2
+    if flat.any():  # rare on real frames: skip the fixes when no window is flat
+        sim[flat] = 0.0
+        both = flat1 & flat2
+        both &= np.abs(m1 - m2) < EPS_MEAN
+        sim[both] = 1.0
+    return np.clip(sim, -1.0, 1.0, out=sim)
 
 
 def motion_masks(curr: np.ndarray, prev: np.ndarray, state: BackgroundState,
@@ -203,23 +207,45 @@ def fit_adaptive_threshold(hist: np.ndarray) -> NoiseModel:
                       threshold=t_best, errors=errors)
 
 
+def _window(pad: np.ndarray, r: int, op) -> np.ndarray:
+    """op over each (2r+1)^2 window of an array padded by r on every side:
+    2r calls along the rows, then 2r along the columns."""
+    h, w = pad.shape[0] - 2 * r, pad.shape[1] - 2 * r
+    rows = op(pad[:h], pad[1:h + 1])
+    for k in range(2, 2 * r + 1):
+        op(rows, pad[k:k + h], out=rows)
+    out = op(rows[:, :w], rows[:, 1:w + 1])
+    for k in range(2, 2 * r + 1):
+        op(out, rows[:, k:k + w], out=out)
+    return out
+
+
+def _padded(mask: np.ndarray, r: int, fill: bool) -> np.ndarray:
+    pad = np.full((mask.shape[0] + 2 * r, mask.shape[1] + 2 * r), fill)
+    pad[r:-r, r:-r] = mask
+    return pad
+
+
 def clean_mask(mask: np.ndarray) -> np.ndarray:
     """3x3 median filter, then opening, then closing (3x3 square element).
 
     On a binary mask the 3x3 median is "at least 5 of the 9 set", counted
-    by two separable box sums with the median filter's reflect border.
-    Erosion pads with 1s and dilation with 0s, so blobs touching the frame
-    edge are not eaten by the structuring element; the closing's two 3x3
-    dilations are one 5x5 maximum.
+    by two 3-tap uint8 sums over an edge-repeated border: the median
+    filter's reflect border at size 3.  Erosion is an AND of slices over a
+    border of 1s and dilation an OR over a border of 0s, so blobs touching
+    the frame edge are not eaten by the structuring element; the closing's
+    two 3x3 dilations are one 5x5 dilation.
     """
-    from scipy import ndimage
-
-    out = np.asarray(mask, bool).astype(np.uint8)
-    ones = np.ones(3, np.uint8)
-    count = ndimage.correlate1d(out, ones, axis=0, mode="reflect")
-    count = ndimage.correlate1d(count, ones, axis=1, mode="reflect")
-    out = (count >= 5).view(np.uint8)
-    out = ndimage.minimum_filter(out, size=3, mode="constant", cval=1)
-    out = ndimage.maximum_filter(out, size=5, mode="constant", cval=0)
-    out = ndimage.minimum_filter(out, size=3, mode="constant", cval=1)
-    return out.view(bool)
+    mask = np.asarray(mask, bool)
+    if mask.ndim != 2:
+        raise BackgroundError(f"mask must be 2-D, got shape {mask.shape}")
+    if not mask.size:
+        return mask.copy()
+    pad = np.empty((mask.shape[0] + 2, mask.shape[1] + 2), np.uint8)
+    pad[1:-1, 1:-1] = mask
+    pad[0, 1:-1], pad[-1, 1:-1] = mask[0], mask[-1]
+    pad[:, 0], pad[:, -1] = pad[:, 1], pad[:, -2]
+    out = _window(pad, 1, np.add) >= 5
+    out = _window(_padded(out, 1, True), 1, np.logical_and)
+    out = _window(_padded(out, 2, False), 2, np.logical_or)
+    return _window(_padded(out, 1, True), 1, np.logical_and)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from vvtrack.background import (EPS_MEAN, EPS_VAR, BackgroundError,
-                                BackgroundState, clean_mask, diff_histogram,
-                                fit_adaptive_threshold, motion_masks,
-                                similarity_map, update_background)
+                                BackgroundState, box_moments, clean_mask,
+                                diff_histogram, fit_adaptive_threshold,
+                                motion_masks, similarity_map,
+                                update_background)
 from vvtrack.config import default_config
 from vvtrack.frames import FrameError, validate_gray
 from vvtrack.pipeline import detect_sequence
@@ -70,6 +71,21 @@ class TestRadiometricSimilarity:
             radiometric_similarity(f, f, 0, 0, 1)
 
 
+def _similarity_by_where_chain(f1, f2, w):
+    """similarity_map as a chain of np.where calls over the whole frame,
+    the reference of its in-place flat-window fixes."""
+    from scipy import ndimage
+    m1, v1 = box_moments(f1, w)
+    m2, v2 = box_moments(f2, w)
+    cov = ndimage.uniform_filter(f1 * f2, size=2 * w + 1, mode="reflect") - m1 * m2
+    both_flat = (v1 < EPS_VAR) & (v2 < EPS_VAR)
+    one_flat = ((v1 < EPS_VAR) | (v2 < EPS_VAR)) & ~both_flat
+    sim = cov / np.sqrt(np.maximum(v1 * v2, EPS_VAR**2))
+    sim = np.where(both_flat, np.where(np.abs(m1 - m2) < EPS_MEAN, 1.0, 0.0), sim)
+    sim = np.where(one_flat, 0.0, sim)
+    return np.clip(sim, -1.0, 1.0)
+
+
 class TestSimilarityMap:
     @pytest.mark.parametrize("w", [1, 2])
     def test_matches_scalar_oracle(self, w):
@@ -86,6 +102,31 @@ class TestSimilarityMap:
         # each flat case is hit: window centres (5, 5), (17, 5), (5, 17)
         assert oracle[5 - w, 5 - w] == 1.0
         assert oracle[5 - w, 17 - w] == 0.0 and oracle[17 - w, 5 - w] == 0.0
+
+    @pytest.mark.parametrize("w", [1, 2])
+    @pytest.mark.parametrize("flat", ["none", "equal", "unequal", "one", "all"])
+    def test_matches_the_where_chain_bit_for_bit(self, w, flat):
+        rng = np.random.default_rng(4)
+        for shape in [(24, 24), (7, 31), (64, 64)]:
+            f1 = rng.random(shape)
+            f2 = 0.6 * f1 + 0.4 * rng.random(shape)
+            if flat in ("equal", "all"):
+                f1[1:9, 1:9] = f2[1:9, 1:9] = 0.4
+            if flat in ("unequal", "all"):
+                f1[:7, -8:], f2[:7, -8:] = 0.3, 0.7
+            if flat in ("one", "all"):
+                f1[-8:, 1:9] = 0.5
+            moments = box_moments(f1, w), box_moments(f2, w)
+            want = _similarity_by_where_chain(f1, f2, w)
+            assert similarity_map(f1, f2, w).tobytes() == want.tobytes()
+            assert similarity_map(f1, f2, w, moments).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("w", [1, 2])
+    def test_flat_frames_match_the_where_chain(self, w):
+        f = np.full((9, 11), 0.25)
+        for f2 in (f.copy(), f + 0.5, f + 1e-7):
+            assert (similarity_map(f, f2, w).tobytes()
+                    == _similarity_by_where_chain(f, f2, w).tobytes())
 
 
 class TestMotionMasks:
@@ -378,8 +419,9 @@ class TestCleanMask:
         out = clean_mask(m)
         assert out[0:4, 0:4].all()
 
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 1), (2, 2), (24, 24),
-                                       (64, 337)], ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 1), (2, 2), (3, 3), (24, 24),
+                                       (64, 337), (480, 640)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
     def test_matches_ndimage_chain(self, shape):
         rng = np.random.default_rng(shape[0] * 1000 + shape[1])
         for density in (0.05, 0.2, 0.35, 0.5, 0.65, 0.8):
@@ -388,6 +430,18 @@ class TestCleanMask:
                 out = clean_mask(m)
                 assert out.dtype == bool
                 assert np.array_equal(out, _ndimage_chain(m))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (3, 0)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_zero_pixel_mask_comes_back_empty(self, shape):
+        out = clean_mask(np.zeros(shape, bool))
+        assert out.shape == shape and out.dtype == bool
+
+    @pytest.mark.parametrize("shape", [(), (16,), (3, 16, 16), (1, 16, 16)])
+    def test_mask_that_is_not_2d_raises(self, shape):
+        # A 1-D mask has no rows to filter; a stack would be filtered across planes.
+        with pytest.raises(BackgroundError, match="2-D"):
+            clean_mask(np.ones(shape, bool))
 
 
 def test_diff_histogram_counts_pixels():
