@@ -69,14 +69,38 @@ class MotionMasks:
     M: np.ndarray  # fused mask
 
 
-def box_moments(f: np.ndarray, w: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and variance of the (2w+1)^2 window at every pixel (reflect borders)."""
+def _decoded(f) -> np.ndarray:
+    """A float frame as it is, or uint8 pixels decoded as f / 255 (as the
+    frame checks decode them); any other dtype is refused."""
+    f = np.asarray(f)
+    if f.dtype == np.uint8:
+        return f / 255.0
+    if f.dtype.kind != "f":
+        raise BackgroundError(f"frame must hold floats or uint8 pixels, got {f.dtype}")
+    return f
+
+
+def _box_mean(f: np.ndarray, size: int, out=None) -> np.ndarray:
+    """ndimage.uniform_filter(f, size, mode="reflect") of a 2-D f by its own
+    1-D passes, axis 0 then axis 1, written into ``out`` (f itself by default)."""
     from scipy import ndimage
 
-    size = 2 * w + 1
-    m = ndimage.uniform_filter(f, size=size, mode="reflect")
-    v = ndimage.uniform_filter(f * f, size=size, mode="reflect") - m * m
-    return m, np.maximum(v, 0.0)
+    if f.ndim != 2:  # the filter would also average across a third axis
+        raise BackgroundError(f"frame must be 2-D, got shape {f.shape}")
+    out = f if out is None else out
+    if size == 1:  # the filter copies: a running sum over one pixel is inexact
+        return ndimage.uniform_filter(f, 1, out, mode="reflect")
+    ndimage.uniform_filter1d(f, size, 0, out, mode="reflect")
+    return ndimage.uniform_filter1d(out, size, 1, out, mode="reflect")
+
+
+def box_moments(f: np.ndarray, w: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of the (2w+1)^2 window at every pixel (reflect borders)."""
+    f = _decoded(f)
+    m = _box_mean(f, 2 * w + 1, np.empty_like(f))
+    v = _box_mean(f * f, 2 * w + 1)
+    v -= m * m
+    return m, np.maximum(v, 0.0, out=v)
 
 
 def similarity_map(f1: np.ndarray, f2: np.ndarray, w: int = 1,
@@ -88,12 +112,11 @@ def similarity_map(f1: np.ndarray, f2: np.ndarray, w: int = 1,
     caller has them already: along a sequence each frame's are computed
     once and serve as f1 of one pair and f2 of the next.
     """
-    from scipy import ndimage
-
+    f1, f2 = _decoded(f1), _decoded(f2)
     if moments is None:
         moments = box_moments(f1, w), box_moments(f2, w)
     (m1, v1), (m2, v2) = moments
-    sim = ndimage.uniform_filter(f1 * f2, size=2 * w + 1, mode="reflect")
+    sim = _box_mean(f1 * f2, 2 * w + 1)
     sim -= m1 * m2  # the covariance
     denom = np.maximum(v1 * v2, EPS_VAR**2)
     sim /= np.sqrt(denom, out=denom)
@@ -145,16 +168,19 @@ def update_background(state: BackgroundState, curr: np.ndarray) -> None:
         if denom > 0:
             alpha = state.a + state.b * abs(e_t - e_old) / denom
     alpha = min(alpha, 1.0)
-    state.B = state.B + alpha * (curr - state.B)
+    step = curr - state.B  # B + alpha (I - B), formed in the step's buffer
+    state.B = np.add(state.B, np.multiply(step, alpha, out=step), out=step)
     state.V = history[:6]
 
 
 def diff_histogram(curr: np.ndarray, prev: np.ndarray) -> np.ndarray:
     """256-bin histogram of |curr - prev| in gray levels (bin k holds |d| = k)."""
+    curr, prev = _decoded(curr), _decoded(prev)
     if curr.shape != prev.shape:
         raise BackgroundError(f"frame dimensions differ: {curr.shape} vs {prev.shape}")
-    d = np.clip(np.rint(np.abs(curr - prev) * 255.0), 0, 255).astype(np.intp)
-    return np.bincount(d.ravel(), minlength=256).astype(np.float64)
+    d = np.abs(curr - prev)
+    np.clip(np.rint(np.multiply(d, 255.0, out=d), out=d), 0, 255, out=d)
+    return np.bincount(d.astype(np.intp).ravel(), minlength=256).astype(np.float64)
 
 
 def fit_adaptive_threshold(hist: np.ndarray) -> NoiseModel:

@@ -101,25 +101,29 @@ def _edge_strength(frame: np.ndarray, sigma: float) -> np.ndarray:
 
     if not (np.isfinite(sigma) and sigma >= 0):
         raise ShadowError(f"sigma must be finite and >= 0, got {sigma!r}")
-    if sigma > 0:
-        # Truncate at 3 sigma and renormalize the kernel at the borders.
-        blurred = ndimage.gaussian_filter(frame, sigma, truncate=3.0, mode="constant",
-                                          axes=(-2, -1))
-        frame = blurred / _border_weight(frame.shape[-2:], sigma)
+    if sigma > 1e-15:  # gaussian_filter's cut-off: it copies a narrower blur
+        # Truncate at 3 sigma and renormalize the kernel at the borders, by
+        # gaussian_filter(axes=(-2, -1))'s own two passes, in one buffer.
+        blur = ndimage.gaussian_filter1d(frame, sigma, -2, truncate=3.0, mode="constant")
+        ndimage.gaussian_filter1d(blur, sigma, -1, output=blur, truncate=3.0, mode="constant")
+        frame = np.divide(blur, _border_weight(frame.shape[-2:], sigma), out=blur)
     # np.pad(mode="edge")'s array, built at a third of its cost.
     pad = np.concatenate([frame[..., :1, :], frame, frame[..., -1:, :]], axis=-2)
     pad = np.concatenate([pad[..., :1], pad, pad[..., -1:]], axis=-1)
     dx = pad[..., 2:] - pad[..., :-2]
     dy = pad[..., 2:, :] - pad[..., :-2, :]
-    gx = 2.0 * dx[..., 1:-1, :] + (dx[..., :-2, :] + dx[..., 2:, :])
-    gy = 2.0 * dy[..., 1:-1] + (dy[..., :-2] + dy[..., 2:])
+    # (l + r) + 2c, 2c doubled in place: the bits of 2c + (l + r), exactly.
+    gx = dx[..., :-2, :] + dx[..., 2:, :]
+    gx += np.multiply(dx[..., 1:-1, :], 2.0, out=dx[..., 1:-1, :])
+    gy = dy[..., :-2] + dy[..., 2:]
+    gy += np.multiply(dy[..., 1:-1], 2.0, out=dy[..., 1:-1])
     # shadow_masks only thresholds the result, so the magnitude need not be
     # hypot's, which costs five times as much: the root of the summed
     # squares is within 4 ulp of it once normalized.  Pixels in [0, 1]
     # bound each Sobel output by 8, so no square overflows; a square
     # underflows only where an output is below 1e-154, far under an 8-bit
     # step.
-    mag = np.sqrt(gx * gx + gy * gy)
+    mag = np.sqrt(np.add(np.square(gx, out=gx), np.square(gy, out=gy), out=gx), out=gx)
     peak = mag.max(axis=(-2, -1), keepdims=True)
     mag /= np.where(peak > 0, peak, 1.0)
     return mag
@@ -213,14 +217,16 @@ def poisson_reconstruct(g: GradientField) -> np.ndarray:
     from scipy import fft  # lazy, like every scipy import: other commands never load it
 
     b = divergence(g)
-    b = b - b.mean()  # Neumann compatibility
+    b -= b.mean()  # Neumann compatibility
     b_norm = float(np.sqrt((b ** 2).sum()))
     if b_norm == 0.0:
         return np.zeros_like(b)
-    coef = fft.dctn(b, type=2, norm="ortho") / _eigenvalues(b.shape)
+    coef = fft.dctn(b, type=2, norm="ortho")
+    coef /= _eigenvalues(b.shape)
     coef[0, 0] = 0.0
-    s = fft.idctn(coef, type=2, norm="ortho")
-    residual = divergence(forward_gradient(s)) - b  # div grad = Neumann Laplacian
+    s = fft.idctn(coef, type=2, norm="ortho", overwrite_x=True)
+    residual = divergence(forward_gradient(s))  # div grad = Neumann Laplacian
+    residual -= b
     rel = float(np.sqrt((residual ** 2).sum())) / b_norm
     if not rel <= POISSON_TOL:
         raise PoissonConvergenceError(rel)
@@ -237,11 +243,13 @@ def split_shadow(frame: np.ndarray, masks: ShadowMasks):
     clipped at 1 so it stays a valid intensity image.
     """
     gray = to_grayscale(frame)
-    i_log = np.log(gray + LOG_OFFSET)
+    i_log = gray + LOG_OFFSET
+    np.log(i_log, out=i_log)
     s = poisson_reconstruct(masked_gradient(forward_gradient(i_log), masks.VS))
-    S = np.exp(s - s.max())
-    R = np.minimum(np.exp(i_log - s), 1.0)
-    return S, R
+    i_log -= s  # R and S are formed in the buffers of i_log and s
+    R = np.minimum(np.exp(i_log, out=i_log), 1.0, out=i_log)
+    s -= s.max()
+    return np.exp(s, out=s), R
 
 
 def remove_shadow(frame: np.ndarray, sigma: float = 1.0, t1: float = 0.3,

@@ -7,8 +7,10 @@ from vvtrack.background import (EPS_MEAN, EPS_VAR, BackgroundError,
                                 motion_masks, similarity_map,
                                 update_background)
 from vvtrack.config import default_config
-from vvtrack.frames import FrameError, validate_gray
+from vvtrack.frames import (FrameError, generate_synthetic, read_pnm,
+                            to_grayscale, validate_gray, write_pnm)
 from vvtrack.pipeline import detect_sequence
+from vvtrack.scenes import build_scene
 
 
 def _frame(vals):
@@ -71,12 +73,23 @@ class TestRadiometricSimilarity:
             radiometric_similarity(f, f, 0, 0, 1)
 
 
-def _similarity_by_where_chain(f1, f2, w):
-    """similarity_map as a chain of np.where calls over the whole frame,
-    the reference of its in-place flat-window fixes."""
+def _box_moments_by_uniform_filter(f, w):
+    """box_moments as ndimage.uniform_filter and fresh arrays build it, the
+    reference of its per-axis passes and in-place variance."""
     from scipy import ndimage
-    m1, v1 = box_moments(f1, w)
-    m2, v2 = box_moments(f2, w)
+    size = 2 * w + 1
+    m = ndimage.uniform_filter(f, size=size, mode="reflect")
+    v = ndimage.uniform_filter(f * f, size=size, mode="reflect") - m * m
+    return m, np.maximum(v, 0.0)
+
+
+def _similarity_by_where_chain(f1, f2, w):
+    """similarity_map as uniform_filter moments and a chain of np.where calls
+    over the whole frame, the reference of its per-axis passes and in-place
+    flat-window fixes."""
+    from scipy import ndimage
+    m1, v1 = _box_moments_by_uniform_filter(f1, w)
+    m2, v2 = _box_moments_by_uniform_filter(f2, w)
     cov = ndimage.uniform_filter(f1 * f2, size=2 * w + 1, mode="reflect") - m1 * m2
     both_flat = (v1 < EPS_VAR) & (v2 < EPS_VAR)
     one_flat = ((v1 < EPS_VAR) | (v2 < EPS_VAR)) & ~both_flat
@@ -103,7 +116,7 @@ class TestSimilarityMap:
         assert oracle[5 - w, 5 - w] == 1.0
         assert oracle[5 - w, 17 - w] == 0.0 and oracle[17 - w, 5 - w] == 0.0
 
-    @pytest.mark.parametrize("w", [1, 2])
+    @pytest.mark.parametrize("w", [1, 2, 3])
     @pytest.mark.parametrize("flat", ["none", "equal", "unequal", "one", "all"])
     def test_matches_the_where_chain_bit_for_bit(self, w, flat):
         rng = np.random.default_rng(4)
@@ -127,6 +140,75 @@ class TestSimilarityMap:
         for f2 in (f.copy(), f + 0.5, f + 1e-7):
             assert (similarity_map(f, f2, w).tobytes()
                     == _similarity_by_where_chain(f, f2, w).tobytes())
+
+
+class TestBoxMoments:
+    @pytest.mark.parametrize("w", [0, 1, 2, 3])
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (7, 31), (64, 64)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_match_the_uniform_filter_chain_bit_for_bit(self, shape, w):
+        f = np.random.default_rng(9).random(shape) ** 3
+        f[:, : shape[1] // 2] = 0.25  # flat windows, where the variance is clamped
+        for got, want in zip(box_moments(f, w), _box_moments_by_uniform_filter(f, w)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(16,), (8, 8, 3)])
+    def test_a_frame_that_is_not_2d_raises(self, shape):
+        f = np.zeros(shape)
+        with pytest.raises(BackgroundError, match="2-D"):
+            box_moments(f)
+        with pytest.raises(BackgroundError, match="2-D"):
+            similarity_map(f, f)
+
+    def test_leave_their_input_untouched(self):
+        f = np.random.default_rng(10).random((9, 12))
+        before = f.copy()
+        box_moments(f)
+        similarity_map(f, f[::-1].copy())
+        assert np.array_equal(f, before)
+
+
+class TestEightBitFrames:
+    """read_pnm's uint8 pixels are decoded as pixels / 255, as the frame
+    checks decode them, not filtered or subtracted as integers."""
+
+    @staticmethod
+    def _pixels(tmp_path, name, frame):
+        path = tmp_path / name
+        write_pnm(path, frame)
+        pixels = read_pnm(path)
+        assert pixels.dtype == np.uint8
+        return pixels
+
+    def test_box_moments_and_similarity_map_match_the_decoded_frame(self, tmp_path):
+        rng = np.random.default_rng(11)
+        a = self._pixels(tmp_path, "a.pgm", rng.random((16, 16)))
+        b = self._pixels(tmp_path, "b.pgm", rng.random((16, 16)))
+        for w in (1, 2):
+            for got, want in zip(box_moments(a, w), box_moments(a / 255.0, w)):
+                assert got.dtype == np.float64
+                assert got.tobytes() == want.tobytes()
+            want = similarity_map(a / 255.0, b / 255.0, w)
+            assert similarity_map(a, b, w).tobytes() == want.tobytes()
+            assert similarity_map(a, b / 255.0, w).tobytes() == want.tobytes()
+
+    def test_diff_histogram_matches_the_decoded_frame(self, tmp_path):
+        a = self._pixels(tmp_path, "a.pgm", np.full((4, 4), 3 / 255))
+        b = self._pixels(tmp_path, "b.pgm", np.full((4, 4), 5 / 255))
+        hist = diff_histogram(a, b)
+        assert hist[2] == 16 and hist.sum() == 16  # 3 - 5 would wrap to bin 255
+        assert hist.tobytes() == diff_histogram(a / 255.0, b / 255.0).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint16, bool])
+    def test_other_integer_dtypes_are_refused(self, dtype):
+        f = np.zeros((8, 8), dtype)
+        g = np.zeros((8, 8))
+        with pytest.raises(BackgroundError, match="floats or uint8"):
+            box_moments(f)
+        with pytest.raises(BackgroundError, match="floats or uint8"):
+            similarity_map(g, f)
+        with pytest.raises(BackgroundError, match="floats or uint8"):
+            diff_histogram(f, g)
 
 
 class TestMotionMasks:
@@ -442,6 +524,36 @@ class TestCleanMask:
         # A 1-D mask has no rows to filter; a stack would be filtered across planes.
         with pytest.raises(BackgroundError, match="2-D"):
             clean_mask(np.ones(shape, bool))
+
+
+def _shadowed_grays(n=12):
+    frames = generate_synthetic(build_scene("shadowed", n, seed=0, noise=0.01), n)[0]
+    return [to_grayscale(f) for f in frames]
+
+
+def test_update_background_matches_the_fresh_array_form_bit_for_bit():
+    grays = _shadowed_grays()
+    state = BackgroundState(B=grays[0])
+    gained = 0
+    for curr in grays[1:]:
+        B, history = state.B, [float(curr.mean())] + state.V
+        kept = B.copy()
+        alpha = state.a
+        if len(history) >= 6:
+            alpha += state.b * abs(history[0] - history[5]) / max(history[0], history[5])
+            gained += 1
+        update_background(state, curr)
+        assert state.B.tobytes() == (B + min(alpha, 1.0) * (curr - B)).tobytes()
+        assert np.array_equal(B, kept)  # the old background is replaced, not written
+    assert gained
+
+
+def test_diff_histogram_matches_the_fresh_array_form_bit_for_bit():
+    grays = _shadowed_grays()
+    for curr, prev in zip(grays[1:], grays):
+        d = np.clip(np.rint(np.abs(curr - prev) * 255.0), 0, 255).astype(np.intp)
+        want = np.bincount(d.ravel(), minlength=256).astype(np.float64)
+        assert diff_histogram(curr, prev).tobytes() == want.tobytes()
 
 
 def test_diff_histogram_counts_pixels():

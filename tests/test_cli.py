@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from test_acceptance import _oriented_texture
+from test_frames import UNREADABLE_PNM, write_unreadable_pnm
 from vvtrack import frames as fio
 from vvtrack import shadows, svm, vocab
 from vvtrack.cli import main
@@ -87,6 +88,28 @@ class TestDataErrors:
         assert main(["detect", "--config", _config(tmp_path), "--in", str(seq),
                      "--out", str(tmp_path / "o")]) == 2
         assert "frame_0000.pgm: image dimensions" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(UNREADABLE_PNM))
+    def test_detect_over_an_unreadable_frame(self, tmp_path, capsys, case):
+        seq = _generate(tmp_path, frames=3)
+        (seq / "frame_0001.ppm").unlink()
+        write_unreadable_pnm(seq / "frame_0001.ppm", case)
+        out = tmp_path / "o"
+        assert main(["detect", "--config", _config(tmp_path), "--in", str(seq),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"frame_0001.ppm: {UNREADABLE_PNM[case][1]}" in err
+        assert "Traceback" not in err
+        assert not (out / "detections.jsonl").exists()
+
+    def test_train_vocab_on_an_empty_directory(self, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        out = tmp_path / "cb.txt"
+        assert main(["train-vocab", "--config", _config(tmp_path), "--in", str(empty),
+                     "--out", str(out)]) == 2
+        assert "no PGM/PPM images found" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_repeated_frame_index(self, tmp_path, capsys):
         seq = _generate(tmp_path, frames=4)

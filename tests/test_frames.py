@@ -188,6 +188,40 @@ def test_read_pnm_header_comments(tmp_path):
         read_pnm(path)
 
 
+# Files read_pnm refuses: each is named in the FrameError.
+UNREADABLE_PNM = {
+    "directory": (None, "cannot read file"),
+    "ascii-p2": (b"P2\n2 1\n255\n0 255\n", "unsupported magic b'P2'"),
+    "ascii-p3": (b"P3\n1 1\n255\n255 0 0\n", "unsupported magic b'P3'"),
+    "maxval-65535": (b"P5\n2 1\n65535\n" + bytes(4), "only maxval 255 supported"),
+}
+
+
+def write_unreadable_pnm(path, case):
+    """Make path the unreadable file of UNREADABLE_PNM[case] (a directory
+    for "directory")."""
+    data = UNREADABLE_PNM[case][0]
+    if data is None:
+        path.mkdir()
+    else:
+        path.write_bytes(data)
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_PNM))
+def test_read_pnm_refuses_what_it_cannot_read(tmp_path, case):
+    path = tmp_path / "frame_0000.pgm"
+    write_unreadable_pnm(path, case)
+    with pytest.raises(FrameError, match=f"frame_0000.pgm: {UNREADABLE_PNM[case][1]}"):
+        read_pnm(path)
+
+
+def test_read_sequence_refuses_a_frame_name_without_an_index(tmp_path):
+    write_pnm(tmp_path / "frame_0000.ppm", np.zeros((3, 3, 3)))
+    write_pnm(tmp_path / "frame_x.ppm", np.zeros((3, 3, 3)))
+    with pytest.raises(FrameError, match="frame_x.ppm: file name carries no frame index"):
+        read_sequence(tmp_path)
+
+
 @pytest.mark.parametrize("width,height", [(-4, 4), (0, 4), (4, -4)],
                          ids=["-4x4", "0x4", "4x-4"])
 def test_read_pnm_bad_dimensions_errors(tmp_path, width, height):

@@ -83,7 +83,44 @@ def _hypot_edge_strength(stack, sigma):
                      for p in planes]).reshape(stack.shape)
 
 
+def _edge_strength_by_chain(frame, sigma):
+    """_edge_strength as fresh-array expression chains: gaussian_filter over
+    the last two axes over the border weight, the 2c + (l + r) Sobel sums
+    and the root of gx * gx + gy * gy; the reference of its in-place steps."""
+    if sigma > 0:
+        blurred = ndimage.gaussian_filter(frame, sigma, truncate=3.0, mode="constant",
+                                          axes=(-2, -1))
+        frame = blurred / ndimage.gaussian_filter(np.ones(frame.shape[-2:]), sigma,
+                                                  truncate=3.0, mode="constant")
+    pad = np.pad(frame, [(0, 0)] * (frame.ndim - 2) + [(1, 1), (1, 1)], mode="edge")
+    dx = pad[..., 2:] - pad[..., :-2]
+    dy = pad[..., 2:, :] - pad[..., :-2, :]
+    gx = 2.0 * dx[..., 1:-1, :] + (dx[..., :-2, :] + dx[..., 2:, :])
+    gy = 2.0 * dy[..., 1:-1] + (dy[..., :-2] + dy[..., 2:])
+    mag = np.sqrt(gx * gx + gy * gy)
+    peak = mag.max(axis=(-2, -1), keepdims=True)
+    return mag / np.where(peak > 0, peak, 1.0)
+
+
 class TestEdgeStrength:
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0, 2.0, 3.3])
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (64, 64), (3, 1, 1), (3, 3, 5),
+                                       (3, 64, 64), (3, 480, 640)],
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_matches_the_expression_chain_bit_for_bit(self, shape, sigma):
+        stack = np.random.default_rng(12).random(shape)
+        before = stack.copy()
+        want = _edge_strength_by_chain(stack, sigma)
+        assert sh._edge_strength(stack, sigma).tobytes() == want.tobytes()
+        assert np.array_equal(stack, before)  # the in-place steps write only their own
+
+    def test_a_blur_below_gaussian_filters_cut_off_is_none(self):
+        stack = np.random.default_rng(13).random((3, 9, 11))
+        for sigma in (1e-300, 1e-15):
+            assert (sh._edge_strength(stack, sigma).tobytes()
+                    == _edge_strength_by_chain(stack, sigma).tobytes()
+                    == sh._edge_strength(stack, 0.0).tobytes())
+
     def test_flat_image_zero(self):
         assert edge_strength(np.full((8, 8), 0.5)).max() == 0.0
 
@@ -389,6 +426,23 @@ class TestPoisson:
         with pytest.raises(ValueError):
             cached[0, 0] = 0.0
 
+    def test_matches_the_fresh_array_solve_bit_for_bit(self):
+        fired = 0
+        for seed in (0, 1):
+            frames = generate_synthetic(build_scene("shadowed", 8, seed=seed, noise=0.01), 8)[0]
+            for frame in frames:
+                masks = shadow_masks(frame)
+                fired += int(masks.VS.any())
+                i_log = np.log(fio.to_grayscale(frame) + sh.LOG_OFFSET)
+                g = masked_gradient(forward_gradient(i_log), masks.VS)
+                b = divergence(g)
+                b = b - b.mean()
+                coef = fft.dctn(b, type=2, norm="ortho") / sh._eigenvalues(b.shape)
+                coef[0, 0] = 0.0
+                want = fft.idctn(coef, type=2, norm="ortho")
+                assert poisson_reconstruct(g).tobytes() == want.tobytes()
+        assert fired
+
     def test_nan_input_raises_with_residual(self):
         g = forward_gradient(np.random.default_rng(7).random((16, 16)))
         g.gx[5, 5] = np.nan
@@ -490,6 +544,17 @@ class TestSplitShadow:
             assert R.tobytes() == R_old.tobytes()
         assert fired >= len(frames)  # the mask bites on every shadowed frame
 
+    @pytest.mark.parametrize("scene", ["shadowed", "two_rect"])
+    def test_matches_the_fresh_array_split_bit_for_bit(self, scene):
+        frames = generate_synthetic(build_scene(scene, 8, seed=2, noise=0.01), 8)[0]
+        for frame in frames:
+            masks = shadow_masks(frame)
+            i_log = np.log(fio.to_grayscale(frame) + sh.LOG_OFFSET)
+            s = poisson_reconstruct(masked_gradient(forward_gradient(i_log), masks.VS))
+            S, R = split_shadow(frame, masks)
+            assert S.tobytes() == np.exp(s - s.max()).tobytes()
+            assert R.tobytes() == np.minimum(np.exp(i_log - s), 1.0).tobytes()
+
     def test_empty_mask_gives_flat_shadow_image(self):
         rng = np.random.default_rng(8)
         frame = np.clip(rng.random((16, 16, 3)) * 0.3 + 0.4, 0, 1)
@@ -572,6 +637,33 @@ class TestShadowEnabledDetection:
         f1_on, share_on = self._detect(frames, truth, enabled=True)
         assert share_on <= 0.25 * share_off
         assert f1_on >= f1_off - 0.05
+
+    @staticmethod
+    def _gray_object_frames():
+        """8 RGB frames: a 0.8-gray 24x16 rectangle moving 8 px a frame over
+        0.3 gray, noise sigma 0.02; it has no chromaticity edge at all."""
+        rng = np.random.default_rng(0)
+        frames = []
+        for t in range(8):
+            frame = np.full((64, 96, 3), 0.3)
+            frame[24:40, 8 + 8 * t:32 + 8 * t] = 0.8
+            frames.append(np.clip(frame + rng.normal(0.0, 0.02, frame.shape), 0.0, 1.0))
+        return frames
+
+    @staticmethod
+    def _frames_with_blobs(frames, enabled):
+        cfg = merge_config({"shadow": {"enabled": enabled}, "background": {"burn_in": 1}})
+        return [res.frame for res in detect_sequence(frames, cfg) if res.blobs]
+
+    def test_without_removal_the_gray_object_is_found(self):
+        assert self._frames_with_blobs(self._gray_object_frames(), False) == list(range(1, 8))
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="an intensity step with no chromaticity step passes "
+                              "hard_shadow_mask as an illumination edge, so the solve "
+                              "integrates the object's own outline away")
+    def test_removal_keeps_an_achromatic_moving_object(self):
+        assert self._frames_with_blobs(self._gray_object_frames(), True) == list(range(1, 8))
 
     def test_white_pixels_stay_valid_intensities(self):
         # No shadow edge fires on these frames, so s = 0 and a white pixel

@@ -699,6 +699,22 @@ class TestTrackSequence:
         assert [(r.frame, r.id, r.cx, r.cy, r.fit) for r in r1] == \
                [(r.frame, r.id, r.cx, r.cy, r.fit) for r in r2]
 
+    def test_stops_reading_frames_once_every_species_is_lost(self):
+        # Random frames match no template, so the one species is lost after
+        # lost_patience frames and the rest of the sequence is never read.
+        frames = np.random.default_rng(0).random((50, 48, 64))
+        pulled = []
+
+        def reading():
+            for frame in frames:
+                pulled.append(frame)
+                yield frame
+
+        cfg = TrackerConfig(n_particles=10, n_iters=3, sigma_obs_sq=1e-3, lost_patience=2)
+        records = track_sequence(reading(), [(20, 16, 16, 16)], cfg, seed=0)
+        assert len(pulled) == 3
+        assert sorted({r.frame for r in records}) == [0, 1, 2]
+
     def test_generator_input_matches_list(self):
         frames = _shifted_frames(8)
         cfg = TrackerConfig(track_scale=False)
