@@ -99,12 +99,11 @@ def cmd_generate(args, cfg) -> None:
 
 
 def _load_gray_images(directory):
-    images = []
-    for path in sorted(Path(directory).glob("*.p?m")):
-        images.append(fio.to_grayscale(fio.read_pnm(path)))
-    if not images:
+    """The gray images of a directory in name order, each read when reached."""
+    paths = sorted(Path(directory).glob("*.p?m"))
+    if not paths:
         raise FrameError(f"{directory}: no PGM/PPM images found")
-    return images
+    return map(fio.to_grayscale, map(fio.read_pnm, paths))
 
 
 def cmd_train_vocab(args, cfg) -> None:
@@ -137,7 +136,8 @@ def cmd_train_svm(args, cfg) -> None:
 def cmd_detect(args, cfg) -> None:
     """Write each frame's mask and detections.jsonl record as its result arrives.
 
-    detections.jsonl appears only once every frame is done.
+    detections.jsonl appears only once every frame is done; the masks of
+    an earlier, longer sequence are then deleted.
     """
     frames = fio.read_sequence(args.in_dir)
     out = Path(args.out)
@@ -153,6 +153,7 @@ def cmd_detect(args, cfg) -> None:
                    "blobs": [asdict(b) for b in res.blobs]}
 
     fio.write_jsonl(out / "detections.jsonl", records())
+    fio.remove_others(out, "mask_[0-9]*.pgm", {f"mask_{t:04d}.pgm" for t in range(written)})
     print(f"wrote {written} masks to {out}")
 
 

@@ -139,7 +139,14 @@ def write_mask_pgm(path, mask: np.ndarray) -> None:
     write_pnm(path, np.asarray(mask, bool) * np.uint8(255))
 
 
-def read_sequence(directory, start: int = 0) -> Iterator[np.ndarray]:
+def remove_others(directory, pattern, keep) -> None:
+    """Delete the files of directory that match pattern and are not named in keep."""
+    for p in Path(directory).glob(pattern):
+        if p.name not in keep:
+            p.unlink()
+
+
+def read_sequence(directory) -> Iterator[np.ndarray]:
     """Frames of a numbered PGM/PPM sequence in increasing index order, read lazily.
 
     The numeric index is the last run of digits in the file name, and the
@@ -148,8 +155,7 @@ def read_sequence(directory, start: int = 0) -> Iterator[np.ndarray]:
     frames, an unindexed file name, two files with the same index, a gap
     or a first index above 0 fails there; each frame is read only when
     the iterator reaches it, and one whose dimensions differ from the
-    first frame read raises FrameError then.  The first ``start`` frames
-    are skipped without being read.  Each frame is read by read_pnm.
+    first frame raises FrameError then.  Each frame is read by read_pnm.
     """
     directory = Path(directory)
     indexed = []
@@ -167,7 +173,7 @@ def read_sequence(directory, start: int = 0) -> Iterator[np.ndarray]:
     for k, (i, p) in enumerate(indexed):
         if i != k:
             raise FrameError(f"{p}: frame index {i}, expected {k} (indices run 0 to n - 1)")
-    return _read_frames([p for _, p in indexed[start:]])
+    return _read_frames([p for _, p in indexed])
 
 
 def _read_frames(paths):

@@ -30,6 +30,7 @@ class PipelineError(Exception):
 @dataclass
 class DetectionResult:
     frame: int
+    pixels: np.ndarray  # the input frame as it was read
     mask: np.ndarray
     blobs: list
     T_b: float | None  # the fitted threshold; frame 0 has no predecessor to fit it to
@@ -45,11 +46,12 @@ def iter_detections(frames, cfg, first: int = 0) -> Iterator[DetectionResult]:
     which needs RGB frames.  A frame before ``first`` only trains the
     background (frame 0 initializes it) and yields nothing; the background
     and every result from ``first`` on are those of a run from frame 0.
+    A result comes before the background learns its frame.
     """
     bcfg = cfg["background"]
     scfg = cfg["shadow"]
     w = bcfg["window_radius"]
-    state = moments = None
+    moments = None
     for t, f in enumerate(frames):
         if scfg["enabled"]:
             if f.ndim != 3:
@@ -61,22 +63,21 @@ def iter_detections(frames, cfg, first: int = 0) -> Iterator[DetectionResult]:
             gray = fio.to_grayscale(f)
         if t >= first - 1:
             prev_moments, moments = moments, bg.box_moments(gray, w)
-        if state is None:
+        if t == 0:
             state = bg.BackgroundState(B=gray, a=bcfg["a"], b=bcfg["b"],
                                        T_sim=bcfg["T_sim"], window_radius=w)
-            result = DetectionResult(frame=0, mask=np.zeros_like(gray, bool),
-                                     blobs=[], T_b=None)
+            if first <= 0:
+                yield DetectionResult(frame=0, pixels=f, mask=np.zeros_like(gray, bool),
+                                      blobs=[], T_b=None)
         else:
             if t >= first:
                 T_b = bg.fit_adaptive_threshold(bg.diff_histogram(gray, prev)).T_b
                 masks = bg.motion_masks(gray, prev, state, T_b, (moments, prev_moments))
                 clean = bg.clean_mask(masks.M)
                 blobs = shadows.extract_blobs(clean, min_area=scfg["min_blob_area"])
-                result = DetectionResult(frame=t, mask=clean, blobs=blobs, T_b=T_b)
+                yield DetectionResult(frame=t, pixels=f, mask=clean, blobs=blobs, T_b=T_b)
             bg.update_background(state, gray)
         prev = gray
-        if t >= first:
-            yield result
 
 
 def detect_sequence(frames, cfg, stop=None, first: int = 0) -> list[DetectionResult]:
@@ -125,30 +126,29 @@ def classify_boxes(gray, boxes, codebook, model, cfg):
 def run_pipeline(in_dir, out_dir, cfg, seed: int | None = None):
     """detect -> recognize -> track; returns (records, report or None).
 
-    Detection reads frames only up to the seed frame; tracking and the
-    annotated copies (drawn on the 8-bit pixels) each stream the sequence
-    again, one frame at a time.
+    The seed search reads frames up to the seed frame and tracking reads
+    on from there; the annotated copies (drawn on the 8-bit pixels)
+    stream the sequence again, one frame at a time.
     """
     if seed is None:
         seed = cfg["seed"]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     codebook, model = load_models(cfg)
+    frames = fio.read_sequence(in_dir)
     # The seed frame is the first frame at or after burn-in with any blob;
     # blobs are not checked for persistence (ROADMAP open item 1).
-    found = detect_sequence(fio.read_sequence(in_dir), cfg,
-                            stop=lambda res: bool(res.blobs),
+    found = detect_sequence(frames, cfg, stop=lambda res: bool(res.blobs),
                             first=cfg["background"]["burn_in"])
     if not found:
         raise PipelineError("no blobs detected after burn-in; nothing to track")
     start = found[0].frame
     boxes = [b.bbox for b in found[0].blobs[:MAX_OBJECTS]]
-    grays = map(fio.to_grayscale, fio.read_sequence(in_dir, start=start))
-    first = next(grays)
+    first = fio.to_grayscale(found[0].pixels)
     labels = classify_boxes(first, boxes, codebook, model, cfg)
 
-    records = track_sequence(itertools.chain([first], grays), boxes,
-                             config=tracker_config(cfg), seed=seed)
+    records = track_sequence(itertools.chain([first], map(fio.to_grayscale, frames)),
+                             boxes, config=tracker_config(cfg), seed=seed)
     for r in records:
         r.frame += start
 
@@ -167,6 +167,8 @@ def run_pipeline(in_dir, out_dir, cfg, seed: int | None = None):
                                   else str(labels[r.id])} for r in records))
     if report is not None:
         met.write_report_csv(out_dir / "metrics.csv", report)
+    else:  # an earlier run's scores describe other tracks
+        (out_dir / "metrics.csv").unlink(missing_ok=True)
     return records, report
 
 
@@ -174,12 +176,14 @@ def write_annotated(directory, frames, records) -> None:
     """One PPM per uint8 frame with each track's box drawn in its id's color.
 
     A box is clipped to the frame; one that misses the frame is not drawn.
+    The frames of an earlier, longer sequence are then deleted.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     by_frame: dict[int, list] = {}
     for r in records:
         by_frame.setdefault(r.frame, []).append(r)
+    names = set()
     for t, frame in enumerate(frames):
         canvas = (np.repeat(frame[..., None], 3, axis=2) if frame.ndim == 2
                   else frame.copy())
@@ -196,4 +200,7 @@ def write_annotated(directory, frames, records) -> None:
             canvas[y1, x0:x1 + 1] = color
             canvas[y0:y1 + 1, x0] = color
             canvas[y0:y1 + 1, x1] = color
-        fio.write_pnm(directory / f"frame_{t:04d}.ppm", canvas)
+        name = f"frame_{t:04d}.ppm"
+        names.add(name)
+        fio.write_pnm(directory / name, canvas)
+    fio.remove_others(directory, "frame_[0-9]*.ppm", names)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import _luma, _validate, to_grayscale, validate_rgb
+from .frames import _luma, _validate, validate_rgb
 
 LOG_OFFSET = 1.0 / 256.0
 POISSON_TOL = 1e-6  # largest relative residual poisson_reconstruct accepts
@@ -233,8 +233,8 @@ def poisson_reconstruct(g: GradientField) -> np.ndarray:
     return s
 
 
-def split_shadow(frame: np.ndarray, masks: ShadowMasks):
-    """Decompose the log frame into shadow (S) and shadow-free (R) images.
+def split_shadow(masks: ShadowMasks):
+    """Decompose the log of masks.gray into shadow (S) and shadow-free (R) images.
 
     s integrates only the gradients under the shadow-edge mask and
     r = i - s.  S is max-normalized so max(S) = 1; R = exp(r) keeps the
@@ -242,8 +242,7 @@ def split_shadow(frame: np.ndarray, masks: ShadowMasks):
     each frame's global brightness jump to the background model.  R is
     clipped at 1 so it stays a valid intensity image.
     """
-    gray = to_grayscale(frame)
-    i_log = gray + LOG_OFFSET
+    i_log = masks.gray + LOG_OFFSET
     np.log(i_log, out=i_log)
     s = poisson_reconstruct(masked_gradient(forward_gradient(i_log), masks.VS))
     i_log -= s  # R and S are formed in the buffers of i_log and s
@@ -256,8 +255,8 @@ def remove_shadow(frame: np.ndarray, sigma: float = 1.0, t1: float = 0.3,
                   t2: float = 0.1, penumbra: int = 2) -> np.ndarray:
     """Shadow-free image R of an RGB frame (see split_shadow), split from
     the gray frame that shadow_masks made: checked and converted once."""
-    masks = shadow_masks(frame, sigma=sigma, t1=t1, t2=t2, penumbra=penumbra)
-    return split_shadow(masks.gray, masks)[1]
+    return split_shadow(shadow_masks(frame, sigma=sigma, t1=t1, t2=t2,
+                                     penumbra=penumbra))[1]
 
 
 def extract_blobs(mask: np.ndarray, min_area: int = 25) -> list[Blob]:

@@ -270,7 +270,27 @@ class TestMotionMasks:
             BackgroundState(B=first, V=[])
 
 
+    def test_frames_of_another_shape_are_refused(self):
+        f = np.full((8, 8), 0.5)
+        state = BackgroundState(B=f)
+        other = np.full((8, 6), 0.5)
+        for curr, prev in ((other, other), (f, other)):
+            with pytest.raises(BackgroundError, match="frame dimensions do not match state"):
+                motion_masks(curr, prev, state, 0.1)
+
+
 class TestUpdateBackground:
+    def test_base_rate_outside_its_range_is_refused(self):
+        for a in (0.07, 0.03):
+            with pytest.raises(BackgroundError, match=f"base rate a={a} outside"):
+                BackgroundState(B=np.full((4, 4), 0.5), a=a)
+
+    def test_frame_of_another_shape_is_refused(self):
+        state = BackgroundState(B=np.full((8, 8), 0.5))
+        with pytest.raises(BackgroundError, match="frame dimensions do not match state"):
+            update_background(state, np.full((4, 4), 0.5))
+        assert state.V == [0.5]
+
     def test_alpha_base_when_means_equal(self):
         f = np.full((8, 8), 0.5)
         state = BackgroundState(B=f)
@@ -394,6 +414,13 @@ def _oracle_histograms():
 
 
 class TestAdaptiveThreshold:
+    @pytest.mark.parametrize("bins", [255, 257])
+    def test_histogram_needs_256_bins(self, bins):
+        hist = np.zeros(bins)
+        hist[:3] = (100, 50, 10)
+        with pytest.raises(BackgroundError, match="exactly 256 bins"):
+            fit_adaptive_threshold(hist)
+
     def test_delta_spike_at_zero(self):
         hist = np.zeros(256)
         hist[0] = 1000

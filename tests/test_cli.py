@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -703,6 +704,47 @@ class TestTrackAndEval:
         assert (flag / "tracks.jsonl").read_bytes() == (keyed / "tracks.jsonl").read_bytes()
 
 
+class TestRerunIntoTheSameOut:
+    """A run into an --out that an earlier run wrote leaves only its own outputs."""
+
+    def _rerun(self, tmp_path, command):
+        out = tmp_path / "out"
+        for frames in (20, 12):
+            seq = _generate(tmp_path / str(frames), scene="two_rect", frames=frames)
+            assert main([command, "--config", _config(tmp_path), "--in", str(seq),
+                         "--out", str(out)]) == 0
+        return out
+
+    def test_detect_leaves_no_mask_of_a_longer_sequence(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "mask_key.pgm").write_bytes(b"not a frame mask")
+        self._rerun(tmp_path, "detect")
+        assert sorted(p.name for p in out.glob("mask_*.pgm")) == \
+            [f"mask_{t:04d}.pgm" for t in range(12)] + ["mask_key.pgm"]
+        assert len(fio.read_jsonl(out / "detections.jsonl")) == 12
+
+    def test_track_leaves_no_annotated_frame_of_a_longer_sequence(self, tmp_path):
+        out = self._rerun(tmp_path, "track")
+        assert sorted(p.name for p in (out / "annotated").iterdir()) == \
+            [f"frame_{t:04d}.ppm" for t in range(12)]
+        assert max(r["frame"] for r in fio.read_jsonl(out / "tracks.jsonl")) == 11
+        assert len(fio.read_jsonl(out / "tracks.jsonl")) > 0
+
+    def test_track_without_truth_leaves_no_metrics(self, tmp_path):
+        seq = _generate(tmp_path, scene="two_rect", frames=12)
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        for path in seq.glob("frame_*.ppm"):
+            (bare / path.name).write_bytes(path.read_bytes())
+        out = tmp_path / "trk"
+        for run, scored in ((seq, True), (bare, False)):
+            assert main(["track", "--config", _config(tmp_path), "--in", str(run),
+                         "--out", str(out)]) == 0
+            assert (out / "metrics.csv").exists() == scored
+        assert (out / "tracks.jsonl").exists()
+
+
 class TestTrainCommands:
     def test_train_vocab_and_svm(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -724,6 +766,35 @@ class TestTrainCommands:
         assert rc == 0 and model_path.exists()
         model = svm.load_model(model_path)
         assert model.classes == ["bright", "dark"]
+
+    def test_train_svm_memory_does_not_grow_with_the_image_count(self, tmp_path):
+        rng = np.random.default_rng(0)
+        for n in (8, 32):
+            for cls, low in (("dark", 0.0), ("bright", 0.4)):
+                d = tmp_path / str(n) / cls
+                d.mkdir(parents=True)
+                for i in range(n // 2):
+                    fio.write_pnm(d / f"img_{i:02d}.pgm", low + 0.6 * rng.random((160, 240)))
+        cfg, cb_path = _config(tmp_path, vocabulary={"K": 8}), tmp_path / "cb.txt"
+        assert main(["train-vocab", "--config", cfg, "--in", str(tmp_path / "8" / "dark"),
+                     "--out", str(cb_path)]) == 0
+
+        def train(n):
+            return main(["train-svm", "--config", cfg, "--vocab", str(cb_path),
+                         "--in", str(tmp_path / str(n)), "--out", str(tmp_path / f"{n}.txt")])
+
+        assert train(8) == 0  # a first run pays the lazy imports
+        peaks = {}
+        for n in (8, 32):
+            tracemalloc.start()
+            try:
+                assert train(n) == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # Holding a class's images would add 0.31 MB per float64 image: 3.7 MB
+        # more for 16 images a class than for 4.
+        assert peaks[32] <= peaks[8] + 2e6, peaks
 
     def test_default_config_classifies_heldout_textures(self, tmp_path):
         # criterion-13 textures: 8 training and 6 held-out images per class

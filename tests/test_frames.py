@@ -118,6 +118,13 @@ def test_write_pnm_of_8bit_pixels_reproduces_the_file(tmp_path, shape):
     assert (tmp_path / "bytes.pnm").read_bytes() == (tmp_path / "float.pnm").read_bytes()
 
 
+@pytest.mark.parametrize("shape", [(4, 6, 4), (4, 6, 1), (24,), (2, 4, 6, 3)])
+def test_write_pnm_refuses_a_frame_neither_gray_nor_rgb(tmp_path, shape):
+    with pytest.raises(FrameError, match=r"cannot write frame of shape"):
+        write_pnm(tmp_path / "x.pnm", np.zeros(shape))
+    assert not (tmp_path / "x.pnm").exists()
+
+
 def test_pnm_255_maps_to_one(tmp_path):
     (tmp_path / "p.ppm").write_bytes(b"P6\n1 1\n255\n" + bytes([255, 0, 0]))
     frame = fio.validate_rgb(read_pnm(tmp_path / "p.ppm"))
@@ -238,6 +245,19 @@ def test_rle_roundtrip():
         assert np.array_equal(rle_decode(rle_encode(mask), mask.shape), mask)
 
 
+@pytest.mark.parametrize("shape", [(0, 5), (3, 0)])
+def test_rle_roundtrip_of_an_empty_mask(shape):
+    mask = np.zeros(shape, bool)
+    assert rle_encode(mask) == []
+    decoded = rle_decode(rle_encode(mask), shape)
+    assert decoded.shape == shape and decoded.dtype == bool
+
+
+def test_rle_decode_of_no_runs_is_an_all_false_mask():
+    mask = rle_decode([], (3, 4))
+    assert mask.shape == (3, 4) and mask.dtype == bool and not mask.any()
+
+
 def test_rle_runs_start_with_zeros():
     assert rle_encode(np.array([[1, 1, 0], [0, 1, 1]])) == [0, 2, 2, 2]
     assert rle_encode(np.zeros((2, 3))) == [6]
@@ -291,6 +311,23 @@ def test_synthetic_out_of_bounds_errors():
     scene = _single_rect_scene(40)  # the rect walks off the 64-px frame
     with pytest.raises(FrameError):
         generate_synthetic(scene, 40)
+
+
+def test_scene_object_refuses_an_unknown_shape():
+    with pytest.raises(FrameError, match="unknown shape 'triangle'"):
+        SceneObject(shape="triangle", trajectory=[(8, 8, 4, 4)])
+
+
+def test_synthetic_refuses_a_trajectory_shorter_than_the_sequence():
+    scene = _single_rect_scene(3)
+    with pytest.raises(FrameError, match="object 0: trajectory shorter than 5 frames"):
+        generate_synthetic(scene, 5)
+
+
+@pytest.mark.parametrize("n_frames", [0, -1])
+def test_synthetic_needs_a_frame(n_frames):
+    with pytest.raises(FrameError, match="n_frames must be >= 1"):
+        generate_synthetic(_single_rect_scene(3), n_frames)
 
 
 def test_synthetic_shadow_attenuates_background():

@@ -131,9 +131,10 @@ def test_pipeline_detects_no_frame_after_the_seed(tmp_path, monkeypatch):
     start = min(r.frame for r in records)
     assert 3 <= start < 15 and max(r.frame for r in records) == 15
     # Frames burn_in .. start are differenced against their predecessors, no
-    # earlier or later one; frames 1 .. start each update the background.
+    # earlier or later one; frames 1 .. start - 1 each update the background,
+    # and the seed frame's update, which nothing reads, is not made.
     assert calls["motion_masks"] == start - 3 + 1
-    assert calls["update_background"] == start
+    assert calls["update_background"] == start - 1
 
 
 def test_pipeline_reads_each_frame_through_read_pnm_once_per_pass(tmp_path, monkeypatch):
@@ -153,8 +154,10 @@ def test_pipeline_reads_each_frame_through_read_pnm_once_per_pass(tmp_path, monk
     records, _ = pl.run_pipeline(seq, tmp_path / "out", cfg, seed=0)
     start = min(r.frame for r in records)
     assert 3 <= start < n - 1
-    # detection up to the seed frame, tracking from it, annotation of all
-    assert len(read) == (start + 1) + (n - start) + n
+    # detection up to the seed frame, tracking on from the frame after it,
+    # annotation of all: each frame twice, once per pass
+    assert len(read) == (start + 1) + (n - start - 1) + n
+    assert sorted(read) == sorted(sorted(seq.glob("frame_*.ppm")) * 2)
 
 
 def test_detect_sequence_stops_reading_at_the_first_accepted_result():

@@ -285,6 +285,28 @@ class TestMeanShift:
         with pytest.raises(RecognitionError):
             meanshift_modes(np.zeros((1, 4)), b0=0.0)
 
+    @pytest.mark.parametrize("s", [0.0, -1.0])
+    def test_balloon_density_at_no_scale_is_zero(self, s):
+        votes = np.array([[10.0, 10.0, s, 1.0], [10.5, 10.0, s, 1.0]])
+        assert balloon_density((10.0, 10.0, s), votes, 0.1) == 0.0
+
+    def test_a_seed_at_no_scale_stays_put_and_gives_no_mode(self):
+        # The seed at s = -20 would have a window of radius 200, which reaches
+        # both votes at s = 1 and lands between them, beyond either one's
+        # merge radius of 5: a third mode.
+        votes = np.array([[0.0, 0.0, 1.0, 1.0], [15.0, 0.0, 1.0, 1.0],
+                          [7.5, 0.0, -20.0, 1e-6]])
+        modes = meanshift_modes(votes, b0=10.0)
+        assert [(h.x, h.y, h.s) for h in modes] == [(0.0, 0.0, 1.0), (15.0, 0.0, 1.0)]
+
+    def test_a_seed_whose_window_weighs_nothing_stays_put(self):
+        # The zero-weight vote's window holds no other vote: its shift would
+        # divide 0 by 0.
+        votes = np.array([[50.0, 50.0, 10.0, 1.0], [10.0, 10.0, 10.0, 0.0]])
+        with np.errstate(divide="raise", invalid="raise"):
+            modes = meanshift_modes(votes, b0=0.1)
+        assert [(h.x, h.y, h.s) for h in modes] == [(50.0, 50.0, 10.0)]
+
     def test_balloon_density_hand_value(self):
         # one vote at distance d from the probe, bandwidth b = 0.1 * s
         votes = np.array([[1.0, 0.0, 10.0, 2.0]])
@@ -412,6 +434,18 @@ class TestPartModel:
         model = PartModel(n_parts=2, edges=[PartEdge((0, 0), (1, 1))])
         with pytest.raises(RecognitionError):
             match_parts(model, [np.zeros((4, 4))])
+
+    def test_star_model_needs_one_edge_per_child(self):
+        for n_parts, n_edges in ((3, 1), (2, 2), (1, 1)):
+            with pytest.raises(RecognitionError, match="one edge per child part"):
+                PartModel(n_parts=n_parts, edges=[PartEdge((0, 0), (1, 1))] * n_edges)
+
+    @pytest.mark.parametrize("shapes", [[(4, 4), (4, 5)], [(0, 4), (0, 4)]],
+                             ids=["mixed", "empty"])
+    def test_cost_maps_must_share_a_non_empty_grid(self, shapes):
+        model = PartModel(n_parts=2, edges=[PartEdge((0, 0), (1, 1))])
+        with pytest.raises(RecognitionError, match="share a non-empty grid"):
+            match_parts(model, [np.zeros(shape) for shape in shapes])
 
     def test_bad_covariance_errors(self):
         with pytest.raises(RecognitionError):

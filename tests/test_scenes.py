@@ -43,3 +43,8 @@ def test_scene_geometry(name, n, last):
     assert scene.background == background
     assert [o["box"] for o in truth[0]["objects"]] == first
     assert [o["box"] for o in truth[-1]["objects"]] == last
+
+
+def test_unknown_scene_names_the_choices():
+    with pytest.raises(KeyError, match=r"unknown scene 'nope'; choose from \['cross2'"):
+        scenes.build_scene("nope", 5)

@@ -465,8 +465,8 @@ class TestSplitShadow:
         # S * R must reproduce exp(log frame) up to a global scale
         frame, _ = self._shadow_frame()
         masks = shadow_masks(frame, sigma=1.0)
-        S, R = split_shadow(frame, masks)
-        gray = sh.to_grayscale(frame) + sh.LOG_OFFSET
+        S, R = split_shadow(masks)
+        gray = fio.to_grayscale(frame) + sh.LOG_OFFSET
         prod = S * R
         ratio = gray / prod
         assert ratio.std() / ratio.mean() < 1e-6
@@ -475,7 +475,7 @@ class TestSplitShadow:
         frame, _ = self._shadow_frame()
         pixels = np.rint(frame * 255.0).astype(np.uint8)
         decoded = pixels / 255.0
-        _, R = split_shadow(decoded, shadow_masks(decoded, sigma=1.0))
+        _, R = split_shadow(shadow_masks(decoded, sigma=1.0))
         checked = []
         validate = fio._validate
 
@@ -489,7 +489,7 @@ class TestSplitShadow:
 
     def test_remove_shadow_converts_and_checks_the_frame_once(self, monkeypatch):
         frame, _ = self._shadow_frame()
-        expected = split_shadow(frame, shadow_masks(frame, sigma=1.0))[1]
+        expected = split_shadow(shadow_masks(frame, sigma=1.0))[1]
         checked, converted = [], []
         validate, luma = fio._validate, sh._luma
 
@@ -504,8 +504,8 @@ class TestSplitShadow:
         monkeypatch.setattr(fio, "_validate", check_spy)
         monkeypatch.setattr(sh, "_luma", luma_spy)
         assert sh.remove_shadow(frame, sigma=1.0).tobytes() == expected.tobytes()
-        # the RGB frame once, in shadow_masks; split_shadow checks its gray input
-        assert checked == ["RGB", "grayscale"]
+        # the RGB frame once, in shadow_masks; split_shadow takes its gray as made
+        assert checked == ["RGB"]
         assert converted == [frame.shape]
 
     @staticmethod
@@ -513,7 +513,7 @@ class TestSplitShadow:
         """The split_shadow that built the shadow-free field (the log-image
         gradient zeroed under VS) and integrated full - free, kept as the
         oracle of the solve that integrates the samples under VS alone."""
-        i_log = np.log(sh.to_grayscale(frame) + sh.LOG_OFFSET)
+        i_log = np.log(fio.to_grayscale(frame) + sh.LOG_OFFSET)
         full = forward_gradient(i_log)
         kill_x = masks.VS.copy()
         kill_x[:, :-1] |= masks.VS[:, 1:]
@@ -538,7 +538,7 @@ class TestSplitShadow:
         for frame in frames + [white, flat]:
             masks = shadow_masks(frame)
             fired += int(masks.VS.any())
-            S, R = split_shadow(frame, masks)
+            S, R = split_shadow(masks)
             S_old, R_old = self._split_by_subtraction(frame, masks)
             assert S.tobytes() == S_old.tobytes()
             assert R.tobytes() == R_old.tobytes()
@@ -551,7 +551,7 @@ class TestSplitShadow:
             masks = shadow_masks(frame)
             i_log = np.log(fio.to_grayscale(frame) + sh.LOG_OFFSET)
             s = poisson_reconstruct(masked_gradient(forward_gradient(i_log), masks.VS))
-            S, R = split_shadow(frame, masks)
+            S, R = split_shadow(masks)
             assert S.tobytes() == np.exp(s - s.max()).tobytes()
             assert R.tobytes() == np.minimum(np.exp(i_log - s), 1.0).tobytes()
 
@@ -560,14 +560,14 @@ class TestSplitShadow:
         frame = np.clip(rng.random((16, 16, 3)) * 0.3 + 0.4, 0, 1)
         masks = shadow_masks(frame, sigma=1.0, t1=0.999999, t2=0.0)
         assert not masks.VS.any()  # thresholds chosen so nothing fires
-        S, _ = split_shadow(frame, masks)
+        S, _ = split_shadow(masks)
         assert np.allclose(S, 1.0)
 
     def test_shadow_region_attenuated_in_s(self):
         frame, truth = self._shadow_frame()
         shadow_px = rle_decode(truth["shadow_rle"], frame.shape[:2])
         masks = shadow_masks(frame, sigma=1.0)
-        S, R = split_shadow(frame, masks)
+        S, R = split_shadow(masks)
         lit = ~shadow_px
         # interior of the shadow should be darker in S than lit background
         inner = ndimage.binary_erosion(shadow_px, iterations=2)
@@ -674,7 +674,7 @@ class TestShadowEnabledDetection:
         cfg = merge_config({"shadow": {"enabled": True}})
         results = detect_sequence(frames, cfg)
         assert [res.frame for res in results] == [0, 1, 2, 3]
-        _, R = split_shadow(frames[0], shadow_masks(frames[0]))
+        _, R = split_shadow(shadow_masks(frames[0]))
         assert R.max() <= 1.0
 
 

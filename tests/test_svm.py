@@ -74,6 +74,13 @@ class TestTraining:
         pred = [predict(model, xi)[0] for xi in x]
         assert pred == labels
 
+    def test_training_that_runs_out_of_steps_raises(self, monkeypatch):
+        x, labels = _two_blob_data(seed=3)
+        train_svm(x, labels, C=10.0)  # converges given its steps
+        monkeypatch.setattr(sv, "MAX_STEPS", 1)
+        with pytest.raises(SvmError, match="SMO did not converge within 1 steps"):
+            train_svm(x, labels, C=10.0)
+
     def test_deterministic(self, tmp_path):
         x, labels = _two_blob_data(seed=4)
         sv.save_model(tmp_path / "m1.txt", train_svm(x, labels))

@@ -573,6 +573,38 @@ class TestOcclusionAndCompetition:
         ratio = (ow * oh) / (10.0 * 10.0)
         assert abs(f[0]) == pytest.approx(cfg.eta * ratio)
 
+    def test_powers_that_both_underflow_share_evenly_and_the_lower_id_wins(self):
+        frame = np.full((64, 96), 0.5)
+        cfg = TrackerConfig()
+        sps = {k: init_species(frame, k, (20, 20, 10, 10), cfg) for k in (2, 5)}
+        for sp in sps.values():
+            sp.mean_patch = np.full(PATCH_DIM, 50.0)  # exp(-energy) is 0.0
+        arena = compete(trk.CompetitionArena(pair=(5, 2), rect=(20.0, 20.0, 8.0, 8.0)),
+                        frame, sps, cfg)
+        assert arena.interactive == {5: 0.5, 2: 0.5}
+        assert arena.winner == 2
+        assert sps[5].masked_rects == [arena.rect] and sps[2].masked_rects == []
+
+    def test_an_empty_arena_is_refused(self):
+        frame = np.full((64, 96), 0.5)
+        cfg = TrackerConfig()
+        sps = dict(enumerate(self._pair(frame, [(20, 20, 10, 10)] * 2, cfg)))
+        for rect in ((20.0, 20.0, 0.0, 8.0), (20.0, 20.0, 8.0, -1.0)):
+            with pytest.raises(TrackerError, match="empty overlap"):
+                compete(trk.CompetitionArena(pair=(0, 1), rect=rect), frame, sps, cfg)
+
+    def test_coincident_centres_repel_in_a_seeded_direction(self):
+        frame = np.full((64, 96), 0.5)
+        cfg = TrackerConfig(eta=4.0)
+        sps = self._pair(frame, [(20, 20, 10, 10), (20, 20, 10, 10)], cfg)
+        arena = detect_occlusion(sps)[0]
+        forces = [repulsion_force(sps[0], sps[1], arena, cfg, np.random.default_rng(seed))
+                  for seed in (3, 3, 4)]
+        assert np.linalg.norm(forces[0][:2]) == pytest.approx(cfg.eta * 1.0)  # full overlap
+        assert forces[0][2] == 0.0
+        assert forces[0].tobytes() == forces[1].tobytes()
+        assert not np.allclose(forces[0], forces[2])
+
 
 class TestSelectiveUpdate:
     def test_window_grows_and_caps(self):

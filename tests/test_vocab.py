@@ -454,6 +454,14 @@ class TestKmeans:
         with pytest.raises(VocabularyError):
             kmeans(np.zeros((3, 2)), 5)
 
+    @pytest.mark.parametrize("k, n_init, message", [(0, 5, "k must be >= 1"),
+                                                    (-1, 5, "k must be >= 1"),
+                                                    (2, 0, "n_init must be >= 1")])
+    def test_bad_counts_refused(self, k, n_init, message):
+        pts = np.random.default_rng(25).random((10, 3))
+        with pytest.raises(VocabularyError, match=message):
+            kmeans(pts, k, n_init=n_init)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_refused(self, bad):
         pts = np.random.default_rng(26).random((20, 4))
@@ -758,6 +766,17 @@ class TestPyramidMatch:
         b = build_pyramid(rng.random((20, 2)) * 8, n_levels=6)
         assert pmk(a, b) <= 10.0 + 1e-12
 
+    def test_a_flat_point_list_is_one_dimensional(self):
+        flat = build_pyramid(np.array([0.5, 3.0, 3.2, 9.0]), n_levels=3)
+        column = build_pyramid(np.array([[0.5], [3.0], [3.2], [9.0]]), n_levels=3)
+        assert flat.dim == column.dim == 1
+        assert flat.levels == column.levels
+
+    @pytest.mark.parametrize("n_levels", [0, -2])
+    def test_needs_a_level(self, n_levels):
+        with pytest.raises(VocabularyError, match="at least one pyramid level"):
+            build_pyramid(np.zeros((3, 2)), n_levels=n_levels)
+
     def test_geometry_mismatch_errors(self):
         a = build_pyramid(np.zeros((3, 2)), n_levels=3)
         b = build_pyramid(np.zeros((3, 2)), n_levels=4)
@@ -804,6 +823,13 @@ def test_codebook_roundtrip(tmp_path):
 def test_codebook_bad_header_errors(tmp_path, text):
     (tmp_path / "cb.txt").write_text(text)
     with pytest.raises(VocabularyError):
+        vocab.load_codebook(tmp_path / "cb.txt")
+
+
+@pytest.mark.parametrize("dim", [3, 1])
+def test_codebook_rows_of_another_width_are_refused(tmp_path, dim):
+    (tmp_path / "cb.txt").write_text(f"vvtrack-codebook v1\n2 {dim} 0\n0.1 0.2\n0.3 0.4\n")
+    with pytest.raises(VocabularyError, match="centroid block has wrong shape"):
         vocab.load_codebook(tmp_path / "cb.txt")
 
 
