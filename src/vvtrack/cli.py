@@ -136,12 +136,14 @@ def cmd_train_svm(args, cfg) -> None:
 def cmd_detect(args, cfg) -> None:
     """Write each frame's mask and detections.jsonl record as its result arrives.
 
-    detections.jsonl appears only once every frame is done; the masks of
-    an earlier, longer sequence are then deleted.
+    detections.jsonl appears only once every frame is done, and an earlier
+    run's is deleted before the first mask, so a failed run leaves none;
+    the masks of an earlier, longer sequence are deleted at the end.
     """
     frames = fio.read_sequence(args.in_dir)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "detections.jsonl").unlink(missing_ok=True)
     written = 0
 
     def records():

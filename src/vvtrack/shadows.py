@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import _luma, _validate, validate_rgb
+from .frames import _luma, validate_rgb
 
 LOG_OFFSET = 1.0 / 256.0
 POISSON_TOL = 1e-6  # largest relative residual poisson_reconstruct accepts
@@ -53,12 +53,6 @@ class Blob:
     centroid: tuple[float, float]
 
 
-def invariant_images(frame: np.ndarray) -> np.ndarray:
-    """(H, W, 2) L2-normalized r and g channels; black pixels map to zero."""
-    frame = validate_rgb(frame)
-    return np.moveaxis(_invariants(frame, np.empty((2,) + frame.shape[:2])), 0, -1)
-
-
 def _invariants(frame: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The invariant r and g planes of an RGB frame that validate_rgb has
     checked, divided straight into the (2, H, W) ``out``."""
@@ -82,21 +76,16 @@ def _border_weight(shape: tuple[int, int], sigma: float) -> np.ndarray:
     return weight
 
 
-def edge_strength(frame: np.ndarray, sigma: float = 1.0) -> np.ndarray:
+def _edge_strength(frame: np.ndarray, sigma: float) -> np.ndarray:
     """Gaussian-smoothed Sobel gradient magnitude of each (H, W) plane of a
-    (..., H, W) stack, each plane normalized to peak 1 (a flat plane stays 0).
+    float (..., H, W) stack whose pixels are already checked, each plane
+    normalized to peak 1 (a flat plane stays 0).
 
     The Sobel is a central difference along one image axis, then [1, 2, 1]
     along the other, summed as 2c + (l + r): ndimage.sobel's order, so the
     bits match it plane by plane.  ndimage.sobel on the stack itself would
     also smooth across planes.
     """
-    frame = _validate(frame, "grayscale", "(..., H, W)", np.shape(frame)[2:])
-    return _edge_strength(frame, sigma)
-
-
-def _edge_strength(frame: np.ndarray, sigma: float) -> np.ndarray:
-    """edge_strength on a float stack whose pixels are already checked."""
     from scipy import ndimage
 
     if not (np.isfinite(sigma) and sigma >= 0):

@@ -222,68 +222,48 @@ def cross_validate(samples, labels, n_folds: int = 5, C: float = DEFAULT_C,
 # Serialization
 # ---------------------------------------------------------------------------
 
+# The model file's arrays in order, each as (type, ndim): the class names,
+# [C, c_offset], the support-vector count of each machine in combinations
+# order, then every machine's support vectors, dual coefficients and bias.
+MODEL_ARRAYS = ((np.str_, 1), (np.float64, 1), (np.int64, 1), (np.float64, 2),
+                (np.float64, 1), (np.float64, 1))
+
+
 def save_model(path, model: SvmModel) -> None:
-    """Write the model as text; the classes line holds the names space-separated."""
-    bad = [c for c in model.classes if not (isinstance(c, str) and c.split() == [c])]
-    if bad:
-        raise SvmError(f"class names must be non-empty strings without whitespace "
-                       f"to be saved, got {bad!r}")
-    with open(path, "w") as fh:
-        fh.write("vvtrack-svm v1\n")
-        fh.write(" ".join(str(c) for c in model.classes) + "\n")
-        fh.write(f"{float(model.C)!r} {float(model.c_offset)!r} "
-                 f"{len(model.machines)}\n")
-        for (a, b), m in sorted(model.machines.items()):
-            n, dim = m.support_vectors.shape
-            fh.write(f"{a} {b} {n} {dim} {float(m.bias)!r}\n")
-            for row in [m.dual_coef.tolist(), *m.support_vectors.tolist()]:
-                fh.write(" ".join(map(repr, row)) + "\n")
-
-
-def _float_rows(lines, shape, what: str) -> np.ndarray:
-    """Lines parsed in C as one float array of 2-D shape, or a ValueError
-    naming what and the shape its lines hold (blank lines hold no row)."""
-    rows = (np.loadtxt(lines, ndmin=2, comments=None) if any(map(str.strip, lines))
-            else np.empty((0, shape[1])))
-    if rows.shape != shape:
-        raise ValueError(f"{what} need shape {shape}, got {rows.shape}")
-    return rows
+    """Write the MODEL_ARRAYS as .npy arrays back to back, at path as given."""
+    names = np.array(model.classes, dtype=np.str_)
+    if names.tolist() != list(model.classes):
+        raise SvmError(f"class names must read back equal to be saved: {model.classes!r}")
+    machines = [model.machines[p] for p in itertools.combinations(range(len(names)), 2)]
+    arrays = (names, [model.C, model.c_offset], [len(m.dual_coef) for m in machines],
+              np.concatenate([m.support_vectors for m in machines]),
+              np.concatenate([m.dual_coef for m in machines]), [m.bias for m in machines])
+    with open(path, "wb") as fh:
+        for array, (kind, _) in zip(arrays, MODEL_ARRAYS):
+            np.save(fh, np.asarray(array, dtype=kind))
 
 
 def load_model(path) -> SvmModel:
-    with open(path) as fh:
-        try:  # a ValueError here includes bytes that do not decode as text
-            header = fh.readline().strip()
-            if header != "vvtrack-svm v1":
-                raise ValueError(f"bad model header {header!r}")
-            classes = fh.readline().split()
-            C, c_offset, n_machines = fh.readline().split()
-            pairs = set(itertools.combinations(range(len(classes)), 2))
-            if len(classes) < 2 or int(n_machines) != len(pairs):
-                raise ValueError(f"{len(classes)} classes need one machine per pair, "
-                                 f"not {n_machines} machines")
-            model = SvmModel(classes=classes, C=float(C), c_offset=float(c_offset))
-            for _ in pairs:
-                a, b, n, dim, bias = fh.readline().split()
-                if (int(a), int(b)) not in pairs.difference(model.machines):
-                    raise ValueError(f"machine ({a}, {b}) is a repeat or not a class pair")
-                n, dim = int(n), int(dim)
-                if n < 0 or dim < 1:
-                    raise ValueError(f"machine ({a}, {b}) has {n} vectors of size {dim}")
-                coef = fh.readline()  # blank for a machine with no support vectors
-                model.machines[(int(a), int(b))] = BinaryMachine(
-                    support_vectors=_float_rows(list(itertools.islice(fh, n)), (n, dim),
-                                                f"machine ({a}, {b}): support vectors"),
-                    dual_coef=_float_rows([coef], (min(n, 1), n),
-                                          f"machine ({a}, {b}): dual coefficients").ravel(),
-                    bias=float(bias))
-            if fh.read().strip():
-                raise ValueError("content after the last machine")
-        except (ValueError, SvmError) as exc:
-            raise SvmError(f"{path}: malformed model: {exc}") from None
-    finite = np.isfinite([model.C, model.c_offset]).all() and all(
-        np.isfinite(m.bias) and np.isfinite(m.dual_coef).all()
-        and np.isfinite(m.support_vectors).all() for m in model.machines.values())
-    if not finite:
-        raise SvmError(f"{path}: model has non-finite values")
-    return model
+    """Read the MODEL_ARRAYS that save_model writes, checking their types and counts."""
+    with open(path, "rb") as fh:
+        try:  # a header claiming more than memory holds raises MemoryError at once
+            arrays = [np.lib.format.read_array(fh, allow_pickle=False) for _ in MODEL_ARRAYS]
+            classes, params, counts, vectors, coefs, biases = arrays
+            pairs = list(itertools.combinations(range(classes.size), 2))
+            if (fh.read(1) or [(a.dtype.type, a.ndim) for a in arrays] != list(MODEL_ARRAYS)
+                    or not pairs or params.size != 2
+                    or not counts.size == biases.size == len(pairs) or counts.min() < 0
+                    or not vectors.shape[0] == coefs.size == counts.sum()
+                    or not vectors.shape[1]):
+                raise ValueError(f"{len(pairs)} class pairs need [C, c_offset], a count and "
+                                 f"a bias each, the support vectors and coefficients the "
+                                 f"counts sum to and nothing after, got "
+                                 f"{[(a.dtype.name, a.shape) for a in arrays]}")
+            if not all(np.isfinite(a).all() for a in arrays[1:]):
+                raise ValueError("non-finite values")
+            bounds = np.cumsum(counts)[:-1]
+            machines = map(BinaryMachine, np.split(vectors, bounds), np.split(coefs, bounds),
+                           biases.tolist())
+            return SvmModel(classes.tolist(), dict(zip(pairs, machines)), *params.tolist())
+        except (ValueError, MemoryError, SvmError) as exc:
+            raise SvmError(f"{path}: not a vvtrack model: {exc}") from None

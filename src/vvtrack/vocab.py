@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -34,7 +33,6 @@ class VocabularyError(Exception):
 @dataclass
 class Codebook:
     words: np.ndarray  # (K, dim)
-    seed: int
 
     @property
     def K(self) -> int:
@@ -164,7 +162,7 @@ def kmeans(points, k: int, seed: int = 0, n_init: int = 5) -> Codebook:
         words, sse = _lloyd(pts, sq_norms, _seed(pts, sq_norms, k, rng))
         if sse < best_sse:
             best_words, best_sse = words, sse
-    return Codebook(words=best_words, seed=seed)
+    return Codebook(words=best_words)
 
 
 def _seed(pts, sq_norms, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -314,27 +312,23 @@ def pmk(py: HistogramPyramid, pz: HistogramPyramid) -> float:
 # ---------------------------------------------------------------------------
 
 def save_codebook(path, codebook: Codebook) -> None:
-    with open(path, "w") as fh:
-        fh.write("vvtrack-codebook v1\n")
-        fh.write(f"{codebook.K} {codebook.words.shape[1]} {codebook.seed}\n")
-        fh.writelines(" ".join(map(repr, row)) + "\n" for row in codebook.words.tolist())
+    """Write the words as one float64 .npy array, at path as given
+    (np.save given a path would append .npy to its name)."""
+    with open(path, "wb") as fh:
+        np.save(fh, np.asarray(codebook.words, dtype=np.float64))
 
 
 def load_codebook(path) -> Codebook:
-    with open(path) as fh:
-        try:  # a ValueError here includes bytes that do not decode as text
-            header = fh.readline().strip()
-            if header != "vvtrack-codebook v1":
-                raise VocabularyError(f"{path}: bad codebook header {header!r}")
-            k, dim, seed = (int(t) for t in fh.readline().split())
-            rows = list(islice(fh, k))  # at most k: the file may claim more than it has
-            if k < 1 or len(rows) < k or not all(map(str.strip, rows)) or fh.read().strip():
-                raise ValueError(f"need {k} non-blank centroid rows and nothing after")
-            words = np.loadtxt(rows, ndmin=2, comments=None)  # parsed in C
-        except ValueError as exc:
-            raise VocabularyError(f"{path}: malformed codebook: {exc}") from None
-    if words.shape != (k, dim):
-        raise VocabularyError(f"{path}: codebook centroid block has wrong shape")
-    if not np.isfinite(words).all():
-        raise VocabularyError(f"{path}: codebook has non-finite values")
-    return Codebook(words=words, seed=seed)
+    """Read the one array save_codebook writes: float64, (K, dim), not empty."""
+    with open(path, "rb") as fh:
+        try:  # a header claiming more than memory holds raises MemoryError at once
+            words = np.lib.format.read_array(fh, allow_pickle=False)
+            if (fh.read(1) or (words.dtype.type, words.ndim) != (np.float64, 2)
+                    or not words.size):
+                raise ValueError(f"need one non-empty (K, dim) float64 array and nothing "
+                                 f"after, got {words.dtype} {words.shape}")
+            if not np.isfinite(words).all():
+                raise ValueError("non-finite values")
+        except (ValueError, MemoryError) as exc:
+            raise VocabularyError(f"{path}: not a vvtrack codebook: {exc}") from None
+    return Codebook(words=words)

@@ -7,6 +7,7 @@ import pytest
 
 from test_acceptance import _oriented_texture
 from test_frames import UNREADABLE_PNM, write_unreadable_pnm
+from test_svm import _model_bytes
 from vvtrack import frames as fio
 from vvtrack import shadows, svm, vocab
 from vvtrack.cli import main
@@ -209,38 +210,38 @@ class TestDataErrors:
                      "--vocab", str(tmp_path / "cb.txt"),
                      "--in", str(tmp_path / "train"),
                      "--out", str(tmp_path / "m.txt")]) == 2
-        assert "cb.txt" in capsys.readouterr().err
+        assert "cb.txt: not a vvtrack codebook" in capsys.readouterr().err
 
     def test_malformed_svm_model(self, tmp_path, capsys):
         seq = _generate(tmp_path, frames=4)
         vocab.save_codebook(tmp_path / "cb.txt",
-                            vocab.Codebook(words=np.eye(2, 128), seed=0))
+                            vocab.Codebook(words=np.eye(2, 128)))
         (tmp_path / "m.txt").write_text("vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 2\n")
         cfg = _config(tmp_path, recognition={"codebook_path": str(tmp_path / "cb.txt"),
                                              "svm_path": str(tmp_path / "m.txt")})
         assert main(["track", "--config", cfg, "--in", str(seq),
                      "--out", str(tmp_path / "o")]) == 2
-        assert "m.txt" in capsys.readouterr().err
+        assert "m.txt: not a vvtrack model" in capsys.readouterr().err
 
     def test_svm_model_training_never_writes(self, tmp_path, capsys):
         # Repeated class names, C < 0 and a negative kernel offset all at once.
         seq = _generate(tmp_path, frames=4)
         vocab.save_codebook(tmp_path / "cb.txt",
-                            vocab.Codebook(words=np.eye(2, 128), seed=0))
-        (tmp_path / "m.txt").write_text("vvtrack-svm v1\na a\n-3.0 -1.0 1\n"
-                                        "0 1 1 2 0.0\n1.0\n0.5 0.5\n")
+                            vocab.Codebook(words=np.eye(2, 128)))
+        (tmp_path / "m.txt").write_bytes(_model_bytes(classes=np.array(["a", "a"]),
+                                                      params=np.array([-3.0, -1.0])))
         cfg = _config(tmp_path, recognition={"codebook_path": str(tmp_path / "cb.txt"),
                                              "svm_path": str(tmp_path / "m.txt")})
         assert main(["track", "--config", cfg, "--in", str(seq),
                      "--out", str(tmp_path / "o")]) == 2
-        assert "m.txt: malformed model: repeated class names" in capsys.readouterr().err
+        assert "m.txt: not a vvtrack model: repeated class names" in capsys.readouterr().err
         assert not (tmp_path / "o" / "tracks.jsonl").exists()
 
     @staticmethod
     def _models(tmp_path, words, sv_dim):
         """A codebook of the given words and a two-class model on sv_dim-bin
         histograms, saved; returns a config naming both."""
-        vocab.save_codebook(tmp_path / "cb.txt", vocab.Codebook(words=words, seed=0))
+        vocab.save_codebook(tmp_path / "cb.txt", vocab.Codebook(words=words))
         machine = svm.BinaryMachine(support_vectors=np.full((1, sv_dim), 0.5),
                                     dual_coef=np.ones(1), bias=0.0)
         svm.save_model(tmp_path / "m.txt",
@@ -269,7 +270,7 @@ class TestDataErrors:
             (tmp_path / "train" / cls).mkdir(parents=True)
             fio.write_pnm(tmp_path / "train" / cls / "0.pgm", rng.random((32, 32)))
         vocab.save_codebook(tmp_path / "cb.txt",
-                            vocab.Codebook(words=rng.random((2, 64)), seed=0))
+                            vocab.Codebook(words=rng.random((2, 64))))
         assert main(["train-svm", "--config", _config(tmp_path),
                      "--vocab", str(tmp_path / "cb.txt"),
                      "--in", str(tmp_path / "train"),
@@ -288,24 +289,28 @@ class TestDataErrors:
         assert "needs both codebook_path and svm_path" in capsys.readouterr().err
         assert not (tmp_path / "o" / "tracks.jsonl").exists()
 
-    def test_train_svm_class_name_with_space(self, tmp_path, capsys):
+    def test_train_svm_class_name_with_space(self, tmp_path):
+        """A class folder whose name holds a space trains, and track labels
+        boxes with the model's class names."""
         rng = np.random.default_rng(0)
         for cls in ("red car", "bus"):
             (tmp_path / "train" / cls).mkdir(parents=True)
             for k in range(2):
                 fio.write_pnm(tmp_path / "train" / cls / f"{k}.pgm", rng.random((32, 32)))
         vocab.save_codebook(tmp_path / "cb.txt",
-                            vocab.Codebook(words=rng.random((4, 128)), seed=0))
+                            vocab.Codebook(words=rng.random((4, 128))))
         # A shared config may name the codebook before the model exists.
         cfg = _config(tmp_path, recognition={"codebook_path": str(tmp_path / "cb.txt")})
-        args = ["train-svm", "--config", cfg, "--vocab", str(tmp_path / "cb.txt"),
-                "--in", str(tmp_path / "train"), "--out", str(tmp_path / "m.txt")]
-        assert main(args) == 2
-        assert "'red car'" in capsys.readouterr().err
-        assert not (tmp_path / "m.txt").exists()
-        (tmp_path / "train" / "red car").rename(tmp_path / "train" / "red_car")
-        assert main(args) == 0
-        assert svm.load_model(tmp_path / "m.txt").classes == ["bus", "red_car"]
+        assert main(["train-svm", "--config", cfg, "--vocab", str(tmp_path / "cb.txt"),
+                     "--in", str(tmp_path / "train"), "--out", str(tmp_path / "m.txt")]) == 0
+        assert svm.load_model(tmp_path / "m.txt").classes == ["bus", "red car"]
+        seq = _generate(tmp_path, frames=8)
+        cfg = _config(tmp_path, recognition={"codebook_path": str(tmp_path / "cb.txt"),
+                                             "svm_path": str(tmp_path / "m.txt")})
+        assert main(["track", "--config", cfg, "--in", str(seq),
+                     "--out", str(tmp_path / "o")]) == 0
+        labels = {r["label"] for r in fio.read_jsonl(tmp_path / "o" / "tracks.jsonl")}
+        assert labels & {"bus", "red car"} and labels <= {None, "bus", "red car"}
 
     def test_codebook_with_content_after_its_words(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -314,16 +319,17 @@ class TestDataErrors:
             for k in range(2):
                 fio.write_pnm(tmp_path / "train" / cls / f"{k}.pgm", rng.random((32, 32)))
         vocab.save_codebook(tmp_path / "cb.txt",
-                            vocab.Codebook(words=rng.random((4, 128)), seed=0))
+                            vocab.Codebook(words=rng.random((4, 128))))
         args = ["train-svm", "--config", _config(tmp_path),
                 "--vocab", str(tmp_path / "cb.txt"),
                 "--in", str(tmp_path / "train"), "--out", str(tmp_path / "m.txt")]
         assert main(args) == 0
         (tmp_path / "m.txt").unlink()
-        with open(tmp_path / "cb.txt", "a") as fh:
-            fh.write("garbage here\n")
+        with open(tmp_path / "cb.txt", "ab") as fh:
+            fh.write(b"garbage here\n")
         assert main(args) == 2
-        assert "need 4 non-blank centroid rows and nothing after" in capsys.readouterr().err
+        assert "cb.txt: not a vvtrack codebook: " in (err := capsys.readouterr().err)
+        assert "nothing after" in err
         assert not (tmp_path / "m.txt").exists()
 
     def test_non_finite_codebook(self, tmp_path, capsys):
@@ -333,7 +339,7 @@ class TestDataErrors:
         cfg = self._models(tmp_path, words, 2)
         assert main(["pipeline", "--config", cfg, "--in", str(seq),
                      "--out", str(tmp_path / "o")]) == 2
-        assert "cb.txt: codebook has non-finite values" in capsys.readouterr().err
+        assert "cb.txt: not a vvtrack codebook: non-finite values" in capsys.readouterr().err
         assert not (tmp_path / "o" / "tracks.jsonl").exists()
 
     def test_tracks_line_not_json(self, tmp_path, capsys):
@@ -397,7 +403,7 @@ class TestDataErrors:
         bad = str(tmp_path / "bin.txt")
         Path(bad).write_bytes(b"\xff\xfe")
         vocab.save_codebook(tmp_path / "cb.txt",
-                            vocab.Codebook(words=np.eye(2, 128), seed=0))
+                            vocab.Codebook(words=np.eye(2, 128)))
         cb = str(tmp_path / "cb.txt")
         (tmp_path / "tracks.jsonl").write_text(json.dumps(
             {"frame": 0, "id": 0, "cx": 5.0, "cy": 5.0, "w": 4.0, "h": 4.0}) + "\n")
@@ -723,6 +729,20 @@ class TestRerunIntoTheSameOut:
         assert sorted(p.name for p in out.glob("mask_*.pgm")) == \
             [f"mask_{t:04d}.pgm" for t in range(12)] + ["mask_key.pgm"]
         assert len(fio.read_jsonl(out / "detections.jsonl")) == 12
+
+    def test_failed_detect_leaves_no_detections_of_an_earlier_sequence(self, tmp_path):
+        out = tmp_path / "out"
+        first = _generate(tmp_path / "a", scene="two_rect", frames=10)
+        assert main(["detect", "--config", _config(tmp_path), "--in", str(first),
+                     "--out", str(out)]) == 0
+        second = _generate(tmp_path / "b", scene="cross2", frames=10)
+        frame = second / "frame_0006.ppm"
+        frame.write_bytes(frame.read_bytes()[:100])
+        assert main(["detect", "--config", _config(tmp_path), "--in", str(second),
+                     "--out", str(out)]) == 2
+        # The masks before frame 6 are the second sequence's: no record of the
+        # first may sit beside them.
+        assert not (out / "detections.jsonl").exists()
 
     def test_track_leaves_no_annotated_frame_of_a_longer_sequence(self, tmp_path):
         out = self._rerun(tmp_path, "track")

@@ -99,7 +99,7 @@ class TestLearnOccurrences:
             assert occ.tolist() == expect
 
     def test_featureless_training_errors(self):
-        cb = Codebook(words=np.zeros((2, 128)), seed=0)
+        cb = Codebook(words=np.zeros((2, 128)))
         flat = np.full((32, 32), 0.5)
         with pytest.raises(RecognitionError):
             learn_occurrences([(flat, "x", (16, 16), 10.0)], cb)
@@ -107,7 +107,7 @@ class TestLearnOccurrences:
 
 class TestCastVotes:
     def test_single_feature_vote_location(self):
-        cb = Codebook(words=np.vstack([np.eye(1, 128, 0)]), seed=0)
+        cb = Codebook(words=np.vstack([np.eye(1, 128, 0)]))
         occ = _records((0, 5.0, -3.0, 2.0, 16.0, 1.0))
         d = np.rec.fromrecords([(np.eye(1, 128, 0)[0], 10.0, 20.0, 16.0)],
                                dtype=vocab.DESCRIPTOR)
@@ -119,7 +119,7 @@ class TestCastVotes:
         assert w == pytest.approx(1.0)
 
     def test_scale_ratio_rescales_offset(self):
-        cb = Codebook(words=np.vstack([np.eye(1, 128, 0)]), seed=0)
+        cb = Codebook(words=np.vstack([np.eye(1, 128, 0)]))
         occ = _records((0, 4.0, 0.0, 1.0, 16.0, 1.0))
         d = np.rec.fromrecords([(np.eye(1, 128, 0)[0], 0.0, 0.0, 32.0)],
                                dtype=vocab.DESCRIPTOR)
@@ -128,8 +128,7 @@ class TestCastVotes:
 
     def test_empty_without_matching_words(self):
         # word 1 is so far away that its soft weight underflows to 0
-        cb = Codebook(words=np.vstack([np.eye(1, 128, 0), 10 * np.eye(1, 128, 1)]),
-                      seed=0)
+        cb = Codebook(words=np.vstack([np.eye(1, 128, 0), 10 * np.eye(1, 128, 1)]))
         d = np.rec.fromrecords([(np.eye(1, 128, 0)[0], 0.0, 0.0, 16.0)],
                                dtype=vocab.DESCRIPTOR)
         assert cast_votes(d, cb, _records((1, 1.0, 1.0, 1.0, 16.0, 1.0))).shape == (0, 4)
@@ -139,7 +138,7 @@ class TestCastVotes:
         # words 0 and 2 share one feature's soft weight; word 1 has no
         # feature weight; each word's records vote in stored order
         words = np.eye(3, 128)
-        cb = Codebook(words=words, seed=0)
+        cb = Codebook(words=words)
         vec = words[0] + words[2]
         d = np.rec.fromrecords([(vec / np.linalg.norm(vec), 8.0, 8.0, 16.0)],
                                dtype=vocab.DESCRIPTOR)
@@ -491,7 +490,7 @@ class TestRecognizeFrame:
         assert all(label == h.label for h, label in found)
 
     def test_featureless_frame_no_hypotheses(self):
-        cb = Codebook(words=np.zeros((2, 128)), seed=0)
+        cb = Codebook(words=np.zeros((2, 128)))
         table = {"sq": np.zeros(0, dtype=OCCURRENCE)}
         assert rec.recognize_frame(np.full((32, 32), 0.5), cb, table) == []
 

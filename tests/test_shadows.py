@@ -11,18 +11,22 @@ from vvtrack.metrics import mask_f1
 from vvtrack.pipeline import detect_sequence
 from vvtrack.scenes import build_scene
 from vvtrack.shadows import (GradientField, PoissonConvergenceError,
-                             ShadowError, divergence, edge_strength,
-                             extract_blobs, forward_gradient,
-                             hard_shadow_mask, invariant_images,
-                             masked_gradient, poisson_reconstruct,
+                             ShadowError, divergence, extract_blobs,
+                             forward_gradient, hard_shadow_mask, masked_gradient, poisson_reconstruct,
                              shadow_masks, split_shadow)
+
+
+def _invariant_images(frame):
+    """(H, W, 2) invariant r and g of an RGB frame, by shadows._invariants."""
+    frame = fio.validate_rgb(frame)
+    return np.moveaxis(sh._invariants(frame, np.empty((2,) + frame.shape[:2])), 0, -1)
 
 
 class TestInvariantImages:
     def test_unit_l2_norm_where_nonblack(self):
         rng = np.random.default_rng(0)
         frame = rng.random((6, 6, 3)) * 0.9 + 0.05
-        inv = invariant_images(frame)
+        inv = _invariant_images(frame)
         norm = np.sqrt((frame ** 2).sum(axis=2))
         assert np.allclose(inv[..., 0], frame[..., 0] / norm)
         assert np.allclose(inv[..., 1], frame[..., 1] / norm)
@@ -31,15 +35,15 @@ class TestInvariantImages:
         rng = np.random.default_rng(1)
         frame = rng.random((8, 8, 3)) * 0.5 + 0.25
         dim = np.clip(frame * 0.4, 0, 1)
-        a = invariant_images(frame)
-        b = invariant_images(dim)
+        a = _invariant_images(frame)
+        b = _invariant_images(dim)
         assert np.allclose(a[..., 0], b[..., 0], atol=1e-12)
         assert np.allclose(a[..., 1], b[..., 1], atol=1e-12)
 
     def test_black_pixels_map_to_zero(self):
         frame = np.zeros((4, 4, 3))
         frame[0, 0] = (0.2, 0.3, 0.1)
-        inv = invariant_images(frame)
+        inv = _invariant_images(frame)
         assert inv[1, 1, 0] == 0.0 and inv[1, 1, 1] == 0.0
         assert inv[0, 0, 0] > 0
 
@@ -55,7 +59,7 @@ class TestInvariantImages:
         f = fio.validate_rgb(frame)
         norm = np.sqrt((f ** 2).sum(axis=2, keepdims=True))
         expected = f[..., :2] / np.where(norm > 0, norm, 1.0)
-        assert invariant_images(frame).tobytes() == expected.tobytes()
+        assert _invariant_images(frame).tobytes() == expected.tobytes()
 
 
 def _edge_strength_per_plane(plane, sigma,
@@ -77,7 +81,7 @@ def _edge_strength_per_plane(plane, sigma,
 
 
 def _hypot_edge_strength(stack, sigma):
-    """edge_strength with np.hypot as its magnitude: the form it replaced."""
+    """_edge_strength with np.hypot as its magnitude: the form it replaced."""
     planes = stack.reshape(-1, *stack.shape[-2:])
     return np.array([_edge_strength_per_plane(p, sigma, np.hypot)
                      for p in planes]).reshape(stack.shape)
@@ -122,25 +126,25 @@ class TestEdgeStrength:
                     == sh._edge_strength(stack, 0.0).tobytes())
 
     def test_flat_image_zero(self):
-        assert edge_strength(np.full((8, 8), 0.5)).max() == 0.0
+        assert sh._edge_strength(np.full((8, 8), 0.5), 1.0).max() == 0.0
 
     def test_peak_normalized(self):
         rng = np.random.default_rng(2)
-        e = edge_strength(rng.random((16, 16)), sigma=1.0)
+        e = sh._edge_strength(rng.random((16, 16)), sigma=1.0)
         assert e.max() == pytest.approx(1.0)
         assert e.min() >= 0.0
 
     def test_step_edge_located(self):
         frame = np.zeros((16, 16))
         frame[:, 8:] = 1.0
-        e = edge_strength(frame, sigma=1.0)
+        e = sh._edge_strength(frame, 1.0)
         # strongest response should sit on the step columns
         cols = np.argmax(e, axis=1)
         assert np.all((cols >= 6) & (cols <= 9))
 
     def test_negative_sigma_errors(self):
         with pytest.raises(ShadowError):
-            edge_strength(np.zeros((4, 4)), sigma=-1.0)
+            sh._edge_strength(np.zeros((4, 4)), sigma=-1.0)
 
     @pytest.mark.parametrize("sigma", [0.0, 1.0, 0.7, 2.0])
     @pytest.mark.parametrize("shape", [(3, 8, 8), (3, 17, 23), (2, 2, 31, 64), (3, 1, 1),
@@ -149,21 +153,21 @@ class TestEdgeStrength:
         stack = np.random.default_rng(4).random(shape)
         planes = stack.reshape(-1, *shape[-2:])
         expected = np.array([_edge_strength_per_plane(p, sigma) for p in planes])
-        assert edge_strength(stack, sigma).tobytes() == expected.tobytes()
-        assert edge_strength(planes[0], sigma).tobytes() == expected[0].tobytes()
+        assert sh._edge_strength(stack, sigma).tobytes() == expected.tobytes()
+        assert sh._edge_strength(planes[0], sigma).tobytes() == expected[0].tobytes()
 
     @pytest.mark.parametrize("sigma", [0.0, 1.0, 0.7, 2.0])
     @pytest.mark.parametrize("shape", [(3, 8, 8), (3, 17, 23), (2, 2, 31, 64), (3, 2, 2)])
     def test_within_4_ulp_of_the_hypot_magnitude(self, shape, sigma):
         stack = np.random.default_rng(4).random(shape)
-        got, want = edge_strength(stack, sigma), _hypot_edge_strength(stack, sigma)
+        got, want = sh._edge_strength(stack, sigma), _hypot_edge_strength(stack, sigma)
         assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
 
     @pytest.mark.parametrize("sigma", [0.0, 1.0])
     def test_flat_plane_in_a_stack_stays_zero(self, sigma):
         stack = np.random.default_rng(5).random((3, 12, 9))
         stack[1] = 0.0
-        e = edge_strength(stack, sigma)
+        e = sh._edge_strength(stack, sigma)
         assert not e[1].any()
         for plane, got in zip(stack, e):
             assert got.tobytes() == _edge_strength_per_plane(plane, sigma).tobytes()
@@ -174,28 +178,28 @@ class TestEdgeStrength:
         a = rng.random((3, 16, 16))
         b = a.copy()
         b[2] = rng.random((16, 16))
-        ea, eb = edge_strength(a), edge_strength(b)
+        ea, eb = sh._edge_strength(a, 1.0), sh._edge_strength(b, 1.0)
         assert ea[:2].tobytes() == eb[:2].tobytes()
         assert not np.array_equal(ea[2], eb[2])
 
     @pytest.mark.parametrize("bad", ["nan", "out_of_range"])
     def test_a_bad_plane_in_a_stack_raises(self, bad):
-        stack = np.random.default_rng(7).random((3, 8, 8))
-        stack[2, 4, 4] = np.nan if bad == "nan" else 1.5
+        # The edge pass checks nothing: shadow_masks checks the frame whose
+        # planes it stacks.
+        frame = np.random.default_rng(7).random((8, 8, 3))
+        frame[4, 4, 2] = np.nan if bad == "nan" else 1.5
         with pytest.raises(FrameError):
-            edge_strength(stack)
-        with pytest.raises(FrameError):
-            edge_strength(stack[2])
+            shadow_masks(frame)
 
     def test_one_dimensional_input_raises(self):
         with pytest.raises(FrameError):
-            edge_strength(np.zeros(8))
+            shadow_masks(np.zeros(8))
 
     @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, -1e-300])
     def test_sigma_that_is_not_finite_and_nonnegative_raises(self, sigma):
         frame = np.random.default_rng(8).random((8, 8, 3))
         with pytest.raises(ShadowError, match="sigma"):
-            edge_strength(frame[..., 0], sigma)
+            sh._edge_strength(frame[..., 0], sigma)
         with pytest.raises(ShadowError, match="sigma"):
             shadow_masks(frame, sigma=sigma)
         with pytest.raises(ShadowError, match="sigma"):
@@ -288,7 +292,7 @@ class TestHardShadowMask:
         for seed in range(6):
             scene = build_scene("shadowed", 6, seed=seed, noise=0.01)
             for frame in generate_synthetic(scene, 6)[0]:
-                inv = np.clip(invariant_images(frame), 0.0, 1.0)
+                inv = np.clip(_invariant_images(frame), 0.0, 1.0)
                 planes = np.stack([fio.to_grayscale(frame), inv[..., 0], inv[..., 1]])
                 hs = hard_shadow_mask(*_hypot_edge_strength(planes, sigma))
                 m = shadow_masks(frame, sigma=sigma, penumbra=penumbra)
@@ -580,7 +584,7 @@ def _remove_shadow_by_old_pieces(frame, sigma=1.0, penumbra=2):
     stacked copy of the planes, the per-plane ndimage Sobel reference,
     ndimage's dilation and eigenvalues computed inline on every call."""
     frame = fio.validate_rgb(frame)
-    inv = np.clip(invariant_images(frame), 0.0, 1.0)
+    inv = np.clip(_invariant_images(frame), 0.0, 1.0)
     planes = np.stack([fio.to_grayscale(frame), inv[..., 0], inv[..., 1]])
     e_ori, e1, e2 = [_edge_strength_per_plane(p, sigma) for p in planes]
     vs = _penumbra_by_ndimage(hard_shadow_mask(e_ori, e1, e2), penumbra)

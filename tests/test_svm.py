@@ -1,4 +1,5 @@
-import tracemalloc
+import io
+import resource
 
 import numpy as np
 import pytest
@@ -263,79 +264,141 @@ class TestCrossValidate:
 
 def test_model_roundtrip(tmp_path):
     x, labels = _two_blob_data(seed=14, n=15)
-    model = train_svm(x, labels, C=2.0, c_offset=0.5)
+    rng = np.random.default_rng(14)  # three classes: machines of unequal sizes
+    x3 = np.vstack([rng.normal(c, 1.0, (n, 2)) for c, n in (((0, 0), 9), ((2, 0), 6),
+                                                           ((0, 2), 4))])
+    for x, labels in ((x, labels), (x3, ["p"] * 9 + ["q"] * 6 + ["r"] * 4)):
+        model = train_svm(x, labels, C=2.0, c_offset=0.5)
+        sv.save_model(tmp_path / "m.txt", model)
+        loaded = sv.load_model(tmp_path / "m.txt")
+        assert loaded.classes == model.classes
+        assert (loaded.C, loaded.c_offset) == (2.0, 0.5)
+        assert loaded.machines.keys() == model.machines.keys()
+        for pair, m in model.machines.items():
+            got = loaded.machines[pair]
+            assert got.support_vectors.tobytes() == m.support_vectors.tobytes()
+            assert got.support_vectors.shape == m.support_vectors.shape
+            assert got.dual_coef.tobytes() == m.dual_coef.tobytes()
+            assert got.bias == m.bias
+        for xi in x:
+            assert predict(loaded, xi)[0] == predict(model, xi)[0]
+            assert (sv._pairwise(loaded, xi)[1].tobytes()
+                    == sv._pairwise(model, xi)[1].tobytes())
+
+
+def _npy(*arrays) -> bytes:
+    """np.save of each array, back to back, as a file holds them."""
+    buf = io.BytesIO()
+    for array in arrays:
+        np.save(buf, array)
+    return buf.getvalue()
+
+
+def _npy_header(shape, descr="<f8", **extra) -> bytes:
+    """A .npy header for an array of this shape, with any extra header keys."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": descr, "fortran_order": False, "shape": shape, **extra})
+    return buf.getvalue()
+
+
+# A one-machine model's MODEL_ARRAYS, by name.
+MODEL = {"classes": np.array(["a", "b"]), "params": np.array([1.0, 1.0]),
+         "counts": np.array([1]), "vectors": np.array([[0.5, 0.5]]),
+         "coefs": np.array([1.0]), "biases": np.array([0.0])}
+ABC = np.array(["a", "b", "c"])
+
+
+def _model_bytes(**changes) -> bytes:
+    """The file of MODEL with the named arrays replaced."""
+    return _npy(*{**MODEL, **changes}.values())
+
+
+def test_model_file_is_the_model_arrays_back_to_back(tmp_path):
+    model = train_svm(*_two_blob_data(seed=17, n=6))
     sv.save_model(tmp_path / "m.txt", model)
-    loaded = sv.load_model(tmp_path / "m.txt")
-    assert loaded.classes == model.classes
-    assert (loaded.C, loaded.c_offset) == (2.0, 0.5)
-    for xi in x:
-        assert predict(loaded, xi)[0] == predict(model, xi)[0]
-        assert np.allclose(sv._pairwise(loaded, xi)[1], sv._pairwise(model, xi)[1])
+    m = model.machines[(0, 1)]
+    assert (tmp_path / "m.txt").read_bytes() == _npy(
+        np.array(["a", "b"]), np.array([model.C, model.c_offset]),
+        np.array([len(m.dual_coef)]), m.support_vectors, m.dual_coef, np.array([m.bias]))
 
 
-@pytest.mark.parametrize("text, match", [
-    ("garbage\n", "bad model header 'garbage'"),
-    ("vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 2\n", "not enough values to unpack"),
-    ("vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 1 2 0.0\n1.0\nnan 0.5\n", "non-finite values"),
-    ("vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 1 2 inf\n1.0\n0.5 0.5\n", "non-finite values"),
-    ("vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 1 2 0.0\n-inf\n0.5 0.5\n", "non-finite values"),
-    ("vvtrack-svm v1\na b\nnan 1.0 1\n0 1 1 2 0.0\n1.0\n0.5 0.5\n", "C must be > 0, got nan"),
-    ("vvtrack-svm v1\na b\n1.0 1.0 1\n0 5 1 2 0.0\n1.0\n0.5 0.5\n",
-     r"machine \(0, 5\) is a repeat or not a class pair"),
-    ("vvtrack-svm v1\na b\n1.0 1.0 1\n1 0 1 2 0.0\n1.0\n0.5 0.5\n",
-     r"machine \(1, 0\) is a repeat or not a class pair"),
-    ("vvtrack-svm v1\na b c\n1.0 1.0 0\n", "3 classes need one machine per pair, not 0"),
-    ("vvtrack-svm v1\na b c\n1.0 1.0 3\n" + "0 1 1 2 0.0\n1.0\n0.5 0.5\n" * 2
-     + "1 2 1 2 0.0\n1.0\n0.5 0.5\n", r"machine \(0, 1\) is a repeat or not a class pair"),
-    ("vvtrack-svm v1\na\n1.0 1.0 0\n", "1 classes need one machine per pair"),
-    ("vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 -1 2 0.0\n\n", "has -1 vectors of size 2"),
-    ("vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 1 -1 0.0\n1.0\n0.5 0.5\n",
-     "has 1 vectors of size -1"),
-    ("vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 2 2 0.0\n1.0 1.0\n0.5 0.5\n\n",
-     r"support vectors need shape \(2, 2\), got \(1, 2\)"),
-    ("vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 0 2 0.0\n1.0\n",
-     r"dual coefficients need shape \(0, 0\), got \(1, 1\)"),
-    ("vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 1 2 0.0\n1.0\n0.5 0.5 0.5\n",
-     r"support vectors need shape \(1, 2\), got \(1, 3\)"),
-    ("vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 3 2 0.0\n1.0 1.0 -2.0\n0.5 0.5\n0.1 0.2\n",
-     r"machine \(0, 1\): support vectors need shape \(3, 2\), got \(2, 2\)"),
-    ("vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 4 2 0.0\n1.0 1.0 1.0 -3.0\n0.5 0.5\n",
-     r"machine \(0, 1\): support vectors need shape \(4, 2\), got \(1, 2\)"),
-    ("vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 2 2 0.0\n1.0\n0.5 0.5\n0.1 0.2\n",
-     r"machine \(0, 1\): dual coefficients need shape \(1, 2\), got \(1, 1\)"),
+@pytest.mark.parametrize("data, match", [
+    (b"vvtrack-svm v1\na b\n1.0 1.0 1\n0 1 1 2 0.0\n1.0\n0.5 0.5\n",
+     "the magic string is not correct"),
+    (_npy(MODEL["classes"], MODEL["params"]), "EOF: reading magic string"),
+    (_model_bytes(vectors=np.array([[np.nan, 0.5]])), "non-finite values"),
+    (_model_bytes(biases=np.array([np.inf])), "non-finite values"),
+    (_model_bytes(coefs=np.array([-np.inf])), "non-finite values"),
+    (_model_bytes(params=np.array([np.nan, 1.0])), "non-finite values"),
+    (_model_bytes(counts=np.array([1, 0]), biases=np.zeros(2)), "1 class pairs need"),
+    (_model_bytes(classes=ABC, counts=np.array([], dtype=np.int64), biases=np.zeros(0)),
+     "3 class pairs need"),
+    (_model_bytes(classes=ABC, counts=np.array([1, 0, 0, 0]), biases=np.zeros(4)),
+     "3 class pairs need"),
+    (_model_bytes(classes=np.array(["a"]), counts=np.array([], dtype=np.int64),
+                  biases=np.zeros(0)), "0 class pairs need"),
+    (_model_bytes(classes=ABC, counts=np.array([-1, 1, 1]), biases=np.zeros(3)),
+     "3 class pairs need"),
+    (_model_bytes(vectors=np.empty((1, 0))), "1 class pairs need"),
+    (_model_bytes(counts=np.array([2]), coefs=np.array([1.0, -1.0])), "1 class pairs need"),
+    (_model_bytes(counts=np.array([0]), vectors=np.empty((0, 2))), "1 class pairs need"),
+    (_model_bytes(vectors=np.array([0.5, 0.5])), r"got \[.*\('float64', \(2,\)\)"),
+    (_model_bytes()[:-8], "Failed to read all data"),
+    (_model_bytes(counts=np.array([3]), vectors=np.full((2, 2), 0.5),
+                  coefs=np.array([1.0, 1.0, -2.0])), "1 class pairs need"),
+    (_model_bytes(counts=np.array([2]), vectors=np.full((2, 2), 0.5)),
+     "1 class pairs need"),
+    (_model_bytes(vectors=np.array([[0.5, 0.5]], dtype=np.float32)), "'float32'"),
+    (_model_bytes(counts=np.array([1.0])), "1 class pairs need"),
+    (_model_bytes(classes=np.array([b"a", b"b"])), "'bytes8'"),
+    (_model_bytes(classes=np.array(["a", "b"], dtype=object)),
+     "Object arrays cannot be loaded"),
+    (_model_bytes(params=np.array([[1.0, 1.0]])), r"\('float64', \(1, 2\)\)"),
+    (b"", "EOF: reading magic string"),
 ], ids=["header", "short-machine-line", "nan-support-vector", "inf-bias",
-        "inf-coefficient", "nan-C", "class-out-of-range", "pair-reversed",
-        "no-machines", "repeated-pair", "one-class", "negative-count", "negative-size",
-        "blank-support-vector-row", "coefficient-of-no-vector", "long-row",
-        "missing-last-row", "count-past-the-end", "short-coefficient-line"])
-def test_model_bad_header_errors(tmp_path, text, match):
-    (tmp_path / "m.txt").write_text(text)
-    with pytest.raises(SvmError, match=match):
+        "inf-coefficient", "nan-C", "class-out-of-range", "no-machines", "repeated-pair",
+        "one-class", "negative-count", "negative-size", "blank-support-vector-row",
+        "coefficient-of-no-vector", "long-row", "missing-last-row", "count-past-the-end",
+        "short-coefficient-line", "float32-vectors", "float-counts", "bytes-classes",
+        "object-classes", "2-d-params", "empty-file"])
+def test_model_bad_header_errors(tmp_path, data, match):
+    """Each file that save_model never writes is refused, naming the file."""
+    (tmp_path / "m.txt").write_bytes(data)
+    with pytest.raises(SvmError, match=f"m.txt: not a vvtrack model: .*{match}"):
         sv.load_model(tmp_path / "m.txt")
 
 
 def test_load_model_refuses_content_after_the_last_machine(tmp_path):
     model = train_svm(*_two_blob_data(seed=16, n=5))
     sv.save_model(tmp_path / "m.txt", model)
-    with open(tmp_path / "m.txt", "a") as fh:
-        fh.write("garbage here\n")
-    with pytest.raises(SvmError, match="content after the last machine"):
+    with open(tmp_path / "m.txt", "ab") as fh:
+        fh.write(b"garbage here\n")
+    with pytest.raises(SvmError, match="m.txt: not a vvtrack model: .*nothing after"):
         sv.load_model(tmp_path / "m.txt")
 
 
+def _peak_rss_growth(load) -> int:
+    """How far, in bytes, load() raises this process's peak resident set
+    (ru_maxrss counts KiB on Linux)."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    load()
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024
+
+
 def test_model_claiming_more_support_vectors_than_it_holds_is_refused_cheaply(tmp_path):
-    # a machine that claims 10^9 support vectors is refused at the end of the
-    # file, not after a billion reads
-    (tmp_path / "m.txt").write_text("vvtrack-svm v1\na b\n1.0 1.0 1\n"
-                                    "0 1 1000000000 2 0.0\n1.0\n0.5 0.5\n")
-    tracemalloc.start()
-    try:
-        with pytest.raises(SvmError, match="malformed model"):
-            sv.load_model(tmp_path / "m.txt")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1e6
+    # numpy allocates what the header claims and reads what the file holds:
+    # 10^9 rows of 128 fail to allocate at once, 10^6 rows fail to read.
+    # Neither touches the memory it claims.
+    for claim, match in ((10 ** 9, "Unable to allocate"), (10 ** 6, "Failed to read all")):
+        (tmp_path / "m.txt").write_bytes(
+            _npy(MODEL["classes"], MODEL["params"], np.array([claim]))
+            + _npy_header((claim, 128)) + np.zeros((2, 128)).tobytes())
+
+        def load():
+            with pytest.raises(SvmError, match=f"m.txt: not a vvtrack model: {match}"):
+                sv.load_model(tmp_path / "m.txt")
+        assert _peak_rss_growth(load) < 50e6
 
 
 def test_model_with_no_support_vectors_roundtrips(tmp_path):
@@ -343,33 +406,48 @@ def test_model_with_no_support_vectors_roundtrips(tmp_path):
                                bias=0.0)
     model = sv.SvmModel(classes=["a", "b"], machines={(0, 1): machine})
     sv.save_model(tmp_path / "m.txt", model)
-    assert (tmp_path / "m.txt").read_text().endswith("\n0 1 0 2 0.0\n\n")
     loaded = sv.load_model(tmp_path / "m.txt")
     machine = loaded.machines[(0, 1)]
     assert machine.support_vectors.shape == (0, 2) and machine.dual_coef.shape == (0,)
     assert predict(loaded, [0.5, 0.5])[0] == predict(model, [0.5, 0.5])[0]
 
 
-@pytest.mark.parametrize("line, match", [
-    ("a a\n1.0 1.0 1", "repeated class names"),
-    ("a b\n0.0 1.0 1", "C must be > 0"),
-    ("a b\n-3.0 1.0 1", "C must be > 0"),
-    ("a b\n1.0 -1.0 1", "kernel offset must be >= 0"),
+@pytest.mark.parametrize("changes, match", [
+    ({"classes": np.array(["a", "a"])}, "repeated class names"),
+    ({"params": np.array([0.0, 1.0])}, "C must be > 0"),
+    ({"params": np.array([-3.0, 1.0])}, "C must be > 0"),
+    ({"params": np.array([1.0, -1.0])}, "kernel offset must be >= 0"),
 ], ids=["repeated-class", "zero-C", "negative-C", "negative-offset"])
-def test_load_model_rejects_what_training_never_writes(tmp_path, line, match):
-    (tmp_path / "m.txt").write_text(f"vvtrack-svm v1\n{line}\n0 1 1 2 0.0\n1.0\n0.5 0.5\n")
-    with pytest.raises(SvmError, match=f"m.txt: malformed model: {match}"):
+def test_load_model_rejects_what_training_never_writes(tmp_path, changes, match):
+    (tmp_path / "m.txt").write_bytes(_model_bytes(**changes))
+    with pytest.raises(SvmError, match=f"m.txt: not a vvtrack model: {match}"):
         sv.load_model(tmp_path / "m.txt")
 
 
-@pytest.mark.parametrize("classes", [["red car", "bus"], ["", "bus"], [0, 1]],
-                         ids=["space", "empty", "not-str"])
+@pytest.mark.parametrize("classes", [[0, 1], ["a\0", "b"], [None, "b"]],
+                         ids=["not-str", "trailing-nul", "none"])
 def test_save_model_rejects_class_names_that_do_not_read_back(tmp_path, classes):
     model = train_svm(*_two_blob_data(seed=15, n=5))
     model.classes = classes
-    with pytest.raises(SvmError, match="class names"):
+    with pytest.raises(SvmError, match="class names must read back equal"):
         sv.save_model(tmp_path / "m.txt", model)
     assert not (tmp_path / "m.txt").exists()
+
+
+@pytest.mark.parametrize("classes", [["red car", "bus"], ["", " b "], ["é", "车"]],
+                         ids=["space", "empty", "non-ascii"])
+def test_class_names_read_back_equal(tmp_path, classes):
+    model = train_svm(*_two_blob_data(seed=15, n=5))
+    model.classes = classes
+    sv.save_model(tmp_path / "m.txt", model)
+    assert sv.load_model(tmp_path / "m.txt").classes == classes
+
+
+def test_a_reloaded_model_saves_the_same_bytes(tmp_path):
+    model = train_svm(*_two_blob_data(seed=18, n=5))
+    sv.save_model(tmp_path / "m1.txt", model)
+    sv.save_model(tmp_path / "m2.txt", sv.load_model(tmp_path / "m1.txt"))
+    assert (tmp_path / "m1.txt").read_bytes() == (tmp_path / "m2.txt").read_bytes()
 
 
 # ---------------------------------------------------------------------------

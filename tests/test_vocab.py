@@ -5,6 +5,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from test_acceptance import _oriented_texture
+from test_svm import _npy, _npy_header, _peak_rss_growth
 from vvtrack import vocab
 from vvtrack.vocab import (Codebook, VocabularyError, bow_histogram,
                            build_pyramid, extract_descriptors, kmeans, pmk,
@@ -564,7 +565,7 @@ def soft_assignment(monkeypatch):
 class TestQuantize:
     def _codebook(self):
         words = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        return Codebook(words=words, seed=0)
+        return Codebook(words=words)
 
     def test_vector_length_must_match_words(self):
         with pytest.raises(VocabularyError, match="3-d vectors against a codebook of 2-d"):
@@ -631,7 +632,7 @@ class TestQuantize:
         # integer coordinates in {0, 1, 2}: exact integer distances, heavy ties,
         # all-zero rows, and at sigma 0.05 rows whose every weight underflows
         rng = np.random.default_rng(27)
-        cb = Codebook(words=rng.integers(0, 3, (K, 3)).astype(float), seed=0)
+        cb = Codebook(words=rng.integers(0, 3, (K, 3)).astype(float))
         vectors = rng.integers(0, 3, (120, 3)).astype(float)
         m = K if m == "K" else m
         d2 = np.sort(vocab._sq_dist(vectors, cb.words), axis=1)
@@ -650,7 +651,7 @@ class TestQuantize:
                   rng.integers(0, 3, (200, 3)).astype(float))]
         soft_assignment(m=m, sigma=sigma)
         for vectors, words in cases:
-            cb = Codebook(words=words, seed=0)
+            cb = Codebook(words=words)
             expected = _along_axis_quantize(vectors, cb)
             assert quantize(vectors, cb).tobytes() == expected.tobytes()
 
@@ -662,7 +663,7 @@ class TestQuantize:
                 quantize(vectors, self._codebook())
 
     def test_non_finite_word_refused(self):
-        cb = Codebook(words=np.array([[0.0, 0.0], [np.nan, 1.0]]), seed=0)
+        cb = Codebook(words=np.array([[0.0, 0.0], [np.nan, 1.0]]))
         with pytest.raises(VocabularyError, match="must be finite"):
             quantize(np.array([[0.7, 0.2]]), cb)
 
@@ -688,7 +689,7 @@ def _records(vectors):
 class TestBowHistogram:
     def _codebook(self):
         rng = np.random.default_rng(9)
-        return Codebook(words=rng.random((10, 128)), seed=0)
+        return Codebook(words=rng.random((10, 128)))
 
     def test_l1_normalized(self):
         rng = np.random.default_rng(10)
@@ -714,7 +715,7 @@ class TestBowHistogram:
         # an (n, K, 128) temporary would be 2000 * 200 * 128 * 8 B = 410 MB
         rng = np.random.default_rng(19)
         descs = _records(rng.random((2000, 128)))
-        cb = Codebook(words=rng.random((200, 128)), seed=0)
+        cb = Codebook(words=rng.random((200, 128)))
         tracemalloc.start()
         try:
             bow_histogram(descs, cb)
@@ -795,68 +796,75 @@ class TestPyramidMatch:
 
 def test_codebook_roundtrip(tmp_path):
     rng = np.random.default_rng(16)
-    cb = Codebook(words=rng.random((7, 5)), seed=3)
+    cb = Codebook(words=rng.random((7, 5)))
     vocab.save_codebook(tmp_path / "cb.txt", cb)
     loaded = vocab.load_codebook(tmp_path / "cb.txt")
-    assert np.array_equal(loaded.words, cb.words)
-    assert loaded.seed == 3
+    assert loaded.words.tobytes() == cb.words.tobytes() and loaded.words.shape == (7, 5)
 
 
-@pytest.mark.parametrize("text", [
-    "not-a-codebook\n",
-    "vvtrack-codebook v1\n2 128 x\n",
-    "vvtrack-codebook v1\n2 3 0\n0.1 0.2 0.3\n0.4 0.5\n",
-    "vvtrack-codebook v1\n",
-    "vvtrack-codebook v1\n2 2 0\n0.1 nan\n0.3 0.4\n",
-    "vvtrack-codebook v1\n2 2 0\n0.1 0.2\n-inf 0.4\n",
-    "vvtrack-codebook v1\n2 2 0\n0.1 0.2\n\n0.3 0.4\n",
-    "vvtrack-codebook v1\n2 2 0\n0.1 0.2\n0.3 0.4 0.5\n",
-    "vvtrack-codebook v1\n2 2 0\n0.1 0.2\n0.3 x\n",
-    "vvtrack-codebook v1\n3 2 0\n0.1 0.2\n0.3 0.4\n",
-    "vvtrack-codebook v1\n2 3 0\n1 2 3\n4 5 6\ngarbage here\n",
-    "vvtrack-codebook v1\n1 2 0\n0.1 0.2\n\n0.3 0.4\n",
-    "vvtrack-codebook v1\n0 1 0\n",
-    "vvtrack-codebook v1\n2 2 0\n0.1 0.2\n# 0.3 0.4\n",
+def test_codebook_file_is_the_npy_of_its_words(tmp_path):
+    words = np.array([[0.1, 1e-300, -2.5], [1 / 3, 5e-324, 1e300]])
+    for name in ("cb1.txt", "cb2.txt"):
+        vocab.save_codebook(tmp_path / name, Codebook(words=words))
+    assert (tmp_path / "cb1.txt").read_bytes() == (tmp_path / "cb2.txt").read_bytes() \
+        == _npy(words)
+    assert not list(tmp_path.glob("*.npy"))  # written at the path as given
+    assert vocab.load_codebook(tmp_path / "cb1.txt").words.tobytes() == words.tobytes()
+
+
+WORDS = np.array([[0.1, 0.2], [0.3, 0.4]])
+
+
+@pytest.mark.parametrize("data, match", [
+    (b"not-a-codebook\n", "the magic string is not correct"),
+    (_npy_header((2, "x")) + WORDS.tobytes(), "shape is not valid"),
+    (_npy(WORDS[0]), r"need one non-empty \(K, dim\) float64 array"),
+    (b"\x93NUMPY\x01\x00", "EOF: reading array header length"),
+    (_npy(np.array([[0.1, np.nan], [0.3, 0.4]])), "non-finite values"),
+    (_npy(np.array([[0.1, 0.2], [-np.inf, 0.4]])), "non-finite values"),
+    (_npy(np.empty((2, 0))), r"need one non-empty .* got float64 \(2, 0\)"),
+    (_npy(np.array([[0.1, 0.2], [0.3]], dtype=object)), "Object arrays cannot be loaded"),
+    (_npy(np.array([["0.1", "0.2"], ["0.3", "x"]])), r"got <U3 \(2, 2\)"),
+    (_npy_header((3, 2)) + WORDS.tobytes(), "Failed to read all data"),
+    (_npy(WORDS) + b"garbage here\n", "nothing after"),
+    (_npy(WORDS, WORDS[:1]), "nothing after"),
+    (_npy(np.empty((0, 2))), r"need one non-empty .* got float64 \(0, 2\)"),
+    (_npy_header((2, 2), comment="0.3 0.4") + WORDS.tobytes(),
+     "Header does not contain the correct keys"),
+    (_npy(WORDS.astype(np.float32)), r"got float32 \(2, 2\)"),
+    (_npy(np.array([[1, 2], [3, 4]])), r"got int64 \(2, 2\)"),
+    (_npy(WORDS[None]), r"got float64 \(1, 2, 2\)"),
+    (b"", "EOF: reading magic string"),
 ], ids=["header", "counts", "short-row", "no-counts", "nan-word", "inf-word",
         "blank-row", "ragged-row", "non-number", "missing-row", "trailing-content",
-        "content-after-blank", "no-words", "comment-row"])
-def test_codebook_bad_header_errors(tmp_path, text):
-    (tmp_path / "cb.txt").write_text(text)
-    with pytest.raises(VocabularyError):
+        "content-after-blank", "no-words", "comment-row", "float32-words", "int-words",
+        "3-d-words", "empty-file"])
+def test_codebook_bad_header_errors(tmp_path, data, match):
+    """Each file that save_codebook never writes is refused, naming the file."""
+    (tmp_path / "cb.txt").write_bytes(data)
+    with pytest.raises(VocabularyError, match=f"cb.txt: not a vvtrack codebook: .*{match}"):
         vocab.load_codebook(tmp_path / "cb.txt")
 
 
 @pytest.mark.parametrize("dim", [3, 1])
 def test_codebook_rows_of_another_width_are_refused(tmp_path, dim):
-    (tmp_path / "cb.txt").write_text(f"vvtrack-codebook v1\n2 {dim} 0\n0.1 0.2\n0.3 0.4\n")
-    with pytest.raises(VocabularyError, match="centroid block has wrong shape"):
+    # The header's row width decides how the values split: 3 needs 6 values
+    # where the file holds 4, and 1 leaves 2 of them after the array.
+    (tmp_path / "cb.txt").write_bytes(_npy_header((2, dim)) + WORDS.tobytes())
+    with pytest.raises(VocabularyError, match="cb.txt: not a vvtrack codebook: "):
         vocab.load_codebook(tmp_path / "cb.txt")
 
 
-def test_codebook_blank_lines_after_the_words_are_accepted(tmp_path):
-    (tmp_path / "cb.txt").write_text("vvtrack-codebook v1\n2 2 5\n0.1 0.2\n0.3 0.4\n\n \n")
-    loaded = vocab.load_codebook(tmp_path / "cb.txt")
-    assert loaded.words.tolist() == [[0.1, 0.2], [0.3, 0.4]] and loaded.seed == 5
-
-
-def test_codebook_text_is_one_repr_per_value(tmp_path):
-    words = np.array([[0.1, 1e-300, -2.5], [1 / 3, 5e-324, 1e300]])
-    vocab.save_codebook(tmp_path / "cb.txt", Codebook(words=words, seed=0))
-    lines = (tmp_path / "cb.txt").read_text().splitlines()
-    assert lines[2:] == [" ".join(repr(float(v)) for v in row) for row in words]
-    assert vocab.load_codebook(tmp_path / "cb.txt").words.tobytes() == words.tobytes()
-
-
 def test_codebook_claiming_more_rows_than_it_holds_is_refused_cheaply(tmp_path):
-    # a header that claims 10^9 words is refused at the end of the file, not
-    # after a billion reads
-    (tmp_path / "cb.txt").write_text("vvtrack-codebook v1\n1000000000 2 0\n"
-                                     "0.1 0.2\n0.3 0.4\n")
-    tracemalloc.start()
-    try:
-        with pytest.raises(VocabularyError, match="malformed codebook"):
-            vocab.load_codebook(tmp_path / "cb.txt")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1e6
+    # numpy allocates what the header claims and reads what the file holds:
+    # 10^9 words of 128 fail to allocate at once, 10^6 words fail to read.
+    # Neither touches the memory it claims.
+    for claim, match in ((10 ** 9, "Unable to allocate"), (10 ** 6, "Failed to read all")):
+        (tmp_path / "cb.txt").write_bytes(_npy_header((claim, 128))
+                                          + np.zeros((2, 128)).tobytes())
+
+        def load():
+            with pytest.raises(VocabularyError,
+                               match=f"cb.txt: not a vvtrack codebook: {match}"):
+                vocab.load_codebook(tmp_path / "cb.txt")
+        assert _peak_rss_growth(load) < 50e6
